@@ -258,6 +258,66 @@ fn e2_query_fusion() {
     println!("e2_backend_queries_without {}", out[0][2]);
     println!("e2_backend_queries_with {}", out[1][2]);
     println!("e2_fused_away {}", out[1][3]);
+    e2_level_of_detail_fusion();
+}
+
+/// Level-of-detail fusion: a cold Fig. 1 load over a WAN, where the zones
+/// differ in their grouping column and the pool decides how many waves the
+/// remote queries take. The table is the benchmark's 5 000 rows, so a trip
+/// is its simulated latency and the cover bound is the one that load meets.
+fn e2_level_of_detail_fusion() {
+    const LOADS: usize = 5;
+    let db = faa_db(5_000);
+    let dash = fig1_dashboard("warehouse", "flights");
+    let wan = || SimConfig {
+        latency: LatencyModel::wan(),
+        ..Default::default()
+    };
+    let mut out = Vec::new();
+    for pool in [2usize, 4, 8] {
+        for (name, fuse) in [("fusion off", false), ("fusion on", true)] {
+            let (qp, _sim) = processor_over(Arc::clone(&db), wan(), pool);
+            let opts = BatchOptions {
+                fuse,
+                ..Default::default()
+            };
+            // The first load opens the pool's connections (120 ms each).
+            let mut loads: Vec<(tabviz::core::batch::BatchReport, Duration)> = (0..=LOADS)
+                .map(|_| {
+                    qp.caches.clear();
+                    let mut state = DashboardState::default();
+                    let ((_, report), wall) =
+                        time_it(|| dash.render(&qp, &mut state, &opts, true).expect("load"));
+                    (report.batches[0].clone(), wall)
+                })
+                .skip(1)
+                .collect();
+            loads.sort_by_key(|(_, wall)| *wall);
+            let (report, wall) = &loads[LOADS / 2];
+            out.push(vec![
+                pool.to_string(),
+                name.to_string(),
+                report.remote.to_string(),
+                report.remote.div_ceil(pool).to_string(),
+                report.covered.to_string(),
+                ms(*wall),
+            ]);
+        }
+    }
+    print_table(
+        "E2b — level-of-detail fusion: cold Fig.1 load over a WAN, by pool size (median of 5)",
+        &[
+            "pool",
+            "mode",
+            "remote",
+            "waves",
+            "zones covered",
+            "wall ms",
+        ],
+        &out,
+    );
+    println!("e2_cover_remote_pool4 {}", out[3][2]);
+    println!("e2_cover_remote_pool8 {}", out[5][2]);
 }
 
 // ---------------------------------------------------------------- E3 ----

@@ -33,7 +33,7 @@ use tabviz_common::{Chunk, Result, TvError};
 use tabviz_obs::{stage, Counter, Histogram, Registry};
 use tabviz_storage::{Database, Table};
 use tabviz_tde::{ExecOptions, Tde};
-use tabviz_tql::expr::{and_all, bin, col, Expr};
+use tabviz_tql::expr::{and_all, bin, col, lit, Expr, ScalarFunc};
 use tabviz_tql::{write_expr, AggCall, AggFunc, BinOp, LogicalPlan};
 
 /// How a requested aggregate is produced from the cached columns.
@@ -312,6 +312,19 @@ impl IntelligentCache {
         self.lookup(spec, true, false).0
     }
 
+    /// Whether a fresh entry could answer `spec` right now — the matching
+    /// half of a lookup, with no post-processing, usage accounting or
+    /// counters. Batch planning asks this before it prices a query as a
+    /// backend trip.
+    pub fn can_answer(&self, spec: &QuerySpec) -> bool {
+        let inner = self.inner.lock();
+        inner.buckets.get(&spec.bucket_key()).is_some_and(|ids| {
+            ids.iter()
+                .filter_map(|id| inner.entries.get(id))
+                .any(|e| !e.stale && match_specs(&e.spec, spec).is_some())
+        })
+    }
+
     fn lookup(
         &self,
         spec: &QuerySpec,
@@ -354,19 +367,15 @@ impl IntelligentCache {
                 }
             };
             // Exact only if the cached chunk is column-for-column the
-            // requested shape: same groups, and the SAME NUMBER of
-            // aggregates (a fused/widened superset entry must be projected,
-            // not returned verbatim with its extra columns).
-            let exact =
-                plan.residual.is_empty()
-                    && plan.same_grouping
-                    && spec.topn.is_none()
-                    && spec.order.is_empty()
-                    && entry.spec.aggs.len() == spec.aggs.len()
-                    && plan.sources.iter().enumerate().all(
-                        |(i, s)| matches!(s, AggSource::Column(c) if *c == spec.aggs[i].alias),
-                    )
-                    && entry.spec.group_by == spec.group_by;
+            // requested shape: same groups and the same aggregates in the
+            // same order (a fused/widened superset entry must be projected,
+            // not returned verbatim with its extra or permuted columns).
+            let exact = plan.residual.is_empty()
+                && plan.same_grouping
+                && spec.topn.is_none()
+                && spec.order.is_empty()
+                && entry.spec.aggs == spec.aggs
+                && entry.spec.group_by == spec.group_by;
             // Post-processing effort rank.
             let effort: u32 = if exact {
                 0
@@ -882,12 +891,28 @@ fn post_process(
             .iter()
             .map(|g| (col(g.clone()), g.clone()))
             .collect();
+        // An ungrouped aggregate over no rows still yields one row, in which
+        // COUNT is 0 — but the SUM of no partial counts is NULL.
+        let ungrouped = req.group_by.is_empty();
         let mut calls: Vec<AggCall> = Vec::new();
-        let mut avg_fixups: Vec<(String, String, String)> = Vec::new(); // (alias, sum, cnt)
+        // The final projection, needed only when some output is not a plain
+        // re-aggregated column.
+        let mut exprs = group_by.clone();
+        let mut fixups = false;
         for (a, src) in req.aggs.iter().zip(&mp.sources) {
             match src {
                 AggSource::Rollup(f, c) => {
                     calls.push(AggCall::new(*f, Some(col(c.clone())), a.alias.clone()));
+                    let out = if ungrouped && a.func == AggFunc::Count {
+                        fixups = true;
+                        Expr::Func {
+                            func: ScalarFunc::IfNull,
+                            args: vec![col(&a.alias), lit(0i64)],
+                        }
+                    } else {
+                        col(&a.alias)
+                    };
+                    exprs.push((out, a.alias.clone()));
                 }
                 AggSource::AvgOf { sum_col, cnt_col } => {
                     let s_alias = format!("__{}_s", a.alias);
@@ -902,7 +927,8 @@ fn post_process(
                         Some(col(cnt_col.clone())),
                         c_alias.clone(),
                     ));
-                    avg_fixups.push((a.alias.clone(), s_alias, c_alias));
+                    fixups = true;
+                    exprs.push((bin(BinOp::Div, col(s_alias), col(c_alias)), a.alias.clone()));
                 }
                 AggSource::Column(_) => {
                     return Err(TvError::Plan(
@@ -912,22 +938,7 @@ fn post_process(
             }
         }
         plan = plan.aggregate(group_by, calls);
-        if !avg_fixups.is_empty() {
-            let mut exprs: Vec<(Expr, String)> = req
-                .group_by
-                .iter()
-                .map(|g| (col(g.clone()), g.clone()))
-                .collect();
-            for a in &req.aggs {
-                if let Some((_, s, c)) = avg_fixups.iter().find(|(al, _, _)| al == &a.alias) {
-                    exprs.push((
-                        bin(BinOp::Div, col(s.clone()), col(c.clone())),
-                        a.alias.clone(),
-                    ));
-                } else {
-                    exprs.push((col(&a.alias), a.alias.clone()));
-                }
-            }
+        if fixups {
             plan = plan.project(exprs);
         }
     }
@@ -1271,6 +1282,22 @@ mod tests {
         for r in out.to_rows() {
             assert_eq!(r[2], Value::Int(10));
         }
+    }
+
+    #[test]
+    fn permuted_entry_is_projected_into_the_requested_column_order() {
+        // Fusion appends aggregates in batch order, so a fused entry can hold
+        // exactly a request's columns in another order (found by
+        // tests/batch_cover_oracle.rs).
+        let cache = cache_with_entry();
+        let mut req = cached_spec();
+        req.aggs.rotate_left(1);
+        let out = cache.get(&req).unwrap();
+        assert_eq!(
+            out.schema().names(),
+            ["carrier", "origin", "total", "cnt", "n"]
+        );
+        assert_eq!(cache.stats().exact_hits, 0);
     }
 
     #[test]

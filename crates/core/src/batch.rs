@@ -11,15 +11,18 @@
 //! and the local ones are processed as soon as any of their predecessors in
 //! G finishes."
 //!
-//! Fusion (Sect. 3.4) runs first; originals are recovered from the fused
-//! results through the intelligent cache's post-processing.
+//! Fusion (Sect. 3.4) brackets the analysis: projection fusion runs first,
+//! level-of-detail fusion over the remote set last. Either way originals are
+//! recovered from the executed results through the intelligent cache's
+//! post-processing.
 
-use crate::fusion::fuse;
+use crate::fusion::{fuse, synthesize_covers, RelationStats};
 use crate::processor::{ExecOutcome, QueryProcessor};
-use std::collections::{HashMap, HashSet};
+use crate::registry::ManagedSource;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use tabviz_cache::{subsumes, QuerySpec};
+use tabviz_cache::{subsumes, tables_of, QuerySpec};
 use tabviz_common::{Chunk, Result, TvError};
 use tabviz_sched::{AdmitRequest, Priority};
 
@@ -60,12 +63,25 @@ pub struct BatchReport {
     pub local: usize,
     /// Queries eliminated by fusion.
     pub fused_away: usize,
+    /// Zones whose query was folded into a synthesized cover query and
+    /// rolled up from its result (level-of-detail fusion).
+    pub covered: usize,
     /// Zones rendered from a stale cache entry (backend unavailable).
     pub degraded: usize,
     /// Zones that produced no result at all.
     pub failed: usize,
     /// Zones abandoned because a sibling failed fatally.
     pub cancelled: usize,
+}
+
+impl std::fmt::Display for BatchReport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} remote, {} local, {} fused away, {} covered",
+            self.remote, self.local, self.fused_away, self.covered
+        )
+    }
 }
 
 /// Results keyed by the caller's names.
@@ -110,6 +126,64 @@ pub fn opportunity_graph(specs: &[QuerySpec]) -> Vec<Vec<usize>> {
     preds
 }
 
+/// Catalog statistics of the tables a query's relation reads.
+fn relation_stats(managed: &ManagedSource, spec: &QuerySpec) -> Option<RelationStats> {
+    tables_of(&spec.relation)
+        .iter()
+        .map(|table| managed.table_meta(table).ok())
+        .collect::<Option<Vec<_>>>()
+        .map(RelationStats::new)
+}
+
+/// Phase 1b, level-of-detail fusion: where a source's remote nodes need more
+/// than one wave of its connection pool, replace some of them by synthesized
+/// cover queries (see [`synthesize_covers`]). Covers join `nodes` as remote
+/// nodes; the members they stand in for move to the local set, where the
+/// cache rolls them up from the cover's result like any other derivable
+/// query. Returns the member nodes.
+fn plan_covers(
+    processor: &QueryProcessor,
+    nodes: &mut Vec<QuerySpec>,
+    remote_idx: &mut Vec<usize>,
+    local_idx: &mut Vec<usize>,
+) -> Vec<usize> {
+    let mut by_source: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+    for &i in remote_idx.iter() {
+        by_source.entry(&nodes[i].source).or_default().push(i);
+    }
+    let mut members: Vec<usize> = Vec::new();
+    let mut covers: Vec<QuerySpec> = Vec::new();
+    for (source, idxs) in by_source {
+        // An unknown source fails each of its nodes at execution.
+        let Ok(managed) = processor.registry.get(source) else {
+            continue;
+        };
+        let slots = managed.pool.max_size();
+        if idxs.len() <= slots {
+            continue;
+        }
+        // The graph knows this batch only. A source node that an earlier
+        // batch left in the cache takes no connection, so it neither counts
+        // toward a wave nor is worth folding into a query that does leave.
+        let leaving: Vec<usize> = idxs
+            .into_iter()
+            .filter(|&i| !processor.caches.intelligent.can_answer(&nodes[i]))
+            .collect();
+        let specs: Vec<&QuerySpec> = leaving.iter().map(|&i| &nodes[i]).collect();
+        for cover in synthesize_covers(&specs, slots, |s| relation_stats(&managed, s)) {
+            members.extend(cover.members.iter().map(|&m| leaving[m]));
+            covers.push(cover.spec);
+        }
+    }
+    remote_idx.retain(|i| !members.contains(i));
+    local_idx.extend(&members);
+    for spec in covers {
+        remote_idx.push(nodes.len());
+        nodes.push(spec);
+    }
+    members
+}
+
 /// Execute a named batch of queries.
 pub fn execute_batch(
     processor: &QueryProcessor,
@@ -119,47 +193,58 @@ pub fn execute_batch(
     let t0 = Instant::now();
     let mut report = BatchReport::default();
 
-    let specs: Vec<QuerySpec> = queries.iter().map(|(_, s)| s.clone()).collect();
+    // Identical zone queries collapse first. This is the one place a query's
+    // canonical text is computed; from here on queries are carried by index.
+    let mut seen: HashMap<String, usize> = HashMap::with_capacity(queries.len());
+    let mut distinct: Vec<QuerySpec> = Vec::new();
+    let distinct_of: Vec<usize> = queries
+        .iter()
+        .map(|(_, spec)| {
+            *seen.entry(spec.canonical_text()).or_insert_with(|| {
+                distinct.push(spec.clone());
+                distinct.len() - 1
+            })
+        })
+        .collect();
 
-    // Phase 0: fusion.
-    let (exec_specs, assignment): (Vec<QuerySpec>, Vec<usize>) = if options.fuse {
+    // Phase 0: projection fusion. `nodes` are the queries to execute,
+    // `node_of` maps each distinct query to the node that answers it.
+    let (mut nodes, node_of): (Vec<QuerySpec>, Vec<usize>) = if options.fuse {
         let mut fspan = tabviz_obs::span(tabviz_obs::stage::FUSION);
-        let plan = fuse(&specs);
-        report.fused_away = plan.saved();
-        fspan.detail(plan.saved() as u64);
+        fspan.label("projection");
+        let plan = fuse(&distinct);
+        report.fused_away = queries.len() - plan.fused.len();
+        fspan.detail(report.fused_away as u64);
         (plan.fused, plan.assignment)
     } else {
-        let idx = (0..specs.len()).collect();
-        (specs.clone(), idx)
+        (distinct.clone(), (0..distinct.len()).collect())
     };
 
     // Phase 1: partition into remote sources and locally-derivable queries.
-    // Remote = nodes with no incoming edge (dedup first: mutual subsumption
-    // between identical specs would otherwise orphan both).
+    // Remote = nodes with no incoming edge.
     let mut pspan = tabviz_obs::span(tabviz_obs::stage::BATCH_PARTITION);
-    let mut canonical: HashMap<String, usize> = HashMap::new();
-    let mut unique: Vec<QuerySpec> = Vec::new();
-    let mut unique_of: Vec<usize> = Vec::with_capacity(exec_specs.len());
-    for s in &exec_specs {
-        let key = s.canonical_text();
-        let idx = *canonical.entry(key).or_insert_with(|| {
-            unique.push(s.clone());
-            unique.len() - 1
-        });
-        unique_of.push(idx);
-    }
-
     let preds = if options.cache_aware {
-        opportunity_graph(&unique)
+        opportunity_graph(&nodes)
     } else {
-        vec![Vec::new(); unique.len()]
+        vec![Vec::new(); nodes.len()]
     };
-    let remote_idx: Vec<usize> = (0..unique.len()).filter(|&i| preds[i].is_empty()).collect();
-    let local_idx: Vec<usize> = (0..unique.len())
-        .filter(|&i| !preds[i].is_empty())
-        .collect();
+    let (mut remote_idx, mut local_idx): (Vec<usize>, Vec<usize>) =
+        (0..nodes.len()).partition(|&i| preds[i].is_empty());
     pspan.detail(remote_idx.len() as u64);
     drop(pspan);
+
+    // Phase 1b: level-of-detail fusion. Its members are answered through the
+    // intelligent cache, like every local node and every fused original.
+    if options.fuse && options.cache_aware && processor.options.use_intelligent_cache {
+        let mut cspan = tabviz_obs::span(tabviz_obs::stage::FUSION);
+        cspan.label("cover");
+        let members = plan_covers(processor, &mut nodes, &mut remote_idx, &mut local_idx);
+        cspan.detail(members.len() as u64);
+        report.covered = distinct_of
+            .iter()
+            .filter(|&&d| members.contains(&node_of[d]))
+            .count();
+    }
 
     // Phase 2: concurrent remote submission. Each remote execution lands in
     // the shared caches, which is what unblocks the local set. A fatal
@@ -184,7 +269,7 @@ pub fn execute_batch(
         }
     };
 
-    let mut executed: HashMap<String, Result<(Chunk, bool)>> = HashMap::with_capacity(unique.len());
+    let mut executed: Vec<Option<Result<(Chunk, bool)>>> = nodes.iter().map(|_| None).collect();
     if options.concurrent && remote_idx.len() > 1 {
         // Zone workers run on their own threads; carrying the batch
         // caller's trace context over lets each zone query's trace record
@@ -193,14 +278,14 @@ pub fn execute_batch(
         let outputs = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for &i in &remote_idx {
-                let spec = unique[i].clone();
+                let spec = &nodes[i];
                 let run_one = &run_one;
                 let ctx = trace_ctx.clone();
                 handles.push((
                     i,
                     scope.spawn(move || {
                         let _trace = ctx.map(|c| c.install());
-                        run_one(&spec)
+                        run_one(spec)
                     }),
                 ));
             }
@@ -215,12 +300,11 @@ pub fn execute_batch(
                 .collect::<Vec<_>>()
         });
         for (i, r) in outputs {
-            executed.insert(unique[i].canonical_text(), r);
+            executed[i] = Some(r);
         }
     } else {
         for &i in &remote_idx {
-            let r = run_one(&unique[i]);
-            executed.insert(unique[i].canonical_text(), r);
+            executed[i] = Some(run_one(&nodes[i]));
         }
     }
     report.remote = remote_idx.len();
@@ -228,8 +312,7 @@ pub fn execute_batch(
     // Local queries: all predecessors are cached now; the processor's
     // intelligent-cache path answers them without touching the backend.
     for &i in &local_idx {
-        let r = run_one(&unique[i]);
-        executed.insert(unique[i].canonical_text(), r);
+        executed[i] = Some(run_one(&nodes[i]));
     }
     report.local = local_idx.len();
 
@@ -241,13 +324,13 @@ pub fn execute_batch(
     let mut results = HashMap::with_capacity(queries.len());
     let mut stale: HashSet<String> = HashSet::new();
     let mut failed: HashMap<String, TvError> = HashMap::new();
-    for ((name, original), &fused_idx) in queries.iter().zip(&assignment) {
-        let exec_key = unique[unique_of[fused_idx]].canonical_text();
-        let outcome = executed
-            .get(&exec_key)
+    for ((name, original), &d) in queries.iter().zip(&distinct_of) {
+        let node = node_of[d];
+        let outcome = executed[node]
+            .as_ref()
             .ok_or_else(|| TvError::Exec("batch bookkeeping lost a result".into()))?;
         match outcome {
-            Ok((chunk, was_stale)) if exec_key == original.canonical_text() => {
+            Ok((chunk, was_stale)) if nodes[node] == distinct[d] => {
                 results.insert(name.clone(), chunk.clone());
                 if *was_stale {
                     stale.insert(name.clone());
@@ -300,6 +383,8 @@ pub fn execute_batch(
         .add(report.local as u64);
     reg.counter("tv_core_batch_fused_away_total")
         .add(report.fused_away as u64);
+    reg.counter("tv_core_batch_covered_total")
+        .add(report.covered as u64);
     reg.counter("tv_core_batch_degraded_total")
         .add(report.degraded as u64);
     reg.counter("tv_core_batch_failed_total")

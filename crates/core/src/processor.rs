@@ -822,6 +822,7 @@ impl QueryProcessor {
     /// — across both tiers — instead of the wholesale source purge a
     /// connection close performs. Returns entries removed.
     pub fn refresh_table(&self, source: &str, table: &str) -> usize {
+        self.forget_table_meta(source, table);
         let purged = self.caches.purge_table(source, table);
         tabviz_obs::event_with(
             stage::CACHE_TIER,
@@ -836,7 +837,15 @@ impl QueryProcessor {
     /// dependents to stale (still servable under SWR or outage) and drop
     /// the L2 copies. Returns entries marked.
     pub fn mark_table_stale(&self, source: &str, table: &str) -> usize {
+        self.forget_table_meta(source, table);
         self.caches.mark_table_stale(source, table)
+    }
+
+    /// A refreshed table's row and distinct counts are out of date too.
+    fn forget_table_meta(&self, source: &str, table: &str) {
+        if let Ok(managed) = self.registry.get(source) {
+            managed.forget_table(table);
+        }
     }
 }
 

@@ -4,12 +4,13 @@
 //! capability profile the compiler consults (Sect. 3.1).
 
 use crate::compile::CompileOptions;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tabviz_backend::{Capabilities, ConnectionPool, DataSource};
 use tabviz_common::{Result, TvError};
+use tabviz_tql::TableMeta;
 
 /// A data source plus its pool.
 pub struct ManagedSource {
@@ -17,11 +18,33 @@ pub struct ManagedSource {
     pub source: Arc<dyn DataSource>,
     pub pool: ConnectionPool,
     pub compile_options: CompileOptions,
+    /// Table metadata already fetched from the source, by table name.
+    table_meta: Mutex<HashMap<String, Arc<TableMeta>>>,
 }
 
 impl ManagedSource {
     pub fn capabilities(&self) -> &Capabilities {
         self.source.capabilities()
+    }
+
+    /// Metadata of one of the source's tables, fetched once and kept until
+    /// [`ManagedSource::forget_table`]: batch planning reads row and distinct
+    /// counts on every dashboard load, and a metadata call to a real
+    /// warehouse is a round trip of its own.
+    pub fn table_meta(&self, table: &str) -> Result<Arc<TableMeta>> {
+        if let Some(meta) = self.table_meta.lock().get(table) {
+            return Ok(Arc::clone(meta));
+        }
+        let meta = Arc::new(self.source.table_meta(table)?);
+        self.table_meta
+            .lock()
+            .insert(table.to_string(), Arc::clone(&meta));
+        Ok(meta)
+    }
+
+    /// Drop the kept metadata of a table whose data changed.
+    pub fn forget_table(&self, table: &str) {
+        self.table_meta.lock().remove(table);
     }
 }
 
@@ -57,6 +80,7 @@ impl SourceRegistry {
             pool,
             source,
             compile_options: CompileOptions::default(),
+            table_meta: Mutex::new(HashMap::new()),
         });
         self.sources.write().insert(name, Arc::clone(&managed));
         managed

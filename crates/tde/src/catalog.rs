@@ -9,8 +9,9 @@ use tabviz_tql::{Catalog, TableMeta};
 ///
 /// Derives the metadata the optimizer feeds on: row counts (parallel-plan
 /// degree decisions, Sect. 4.2.2), sort keys (range partitioning and
-/// streaming aggregates, Sect. 4.2.3–4.2.4), and unique columns (join
-/// culling, Sect. 4.1.2) — all from statistics computed at load time.
+/// streaming aggregates, Sect. 4.2.3–4.2.4), unique columns (join culling,
+/// Sect. 4.1.2) and per-column distinct counts (cover-query sizing in the
+/// query processor) — all from statistics computed at load time.
 pub struct TdeCatalog {
     db: Arc<Database>,
 }
@@ -41,11 +42,18 @@ impl Catalog for TdeCatalog {
             .filter(|&(i, _)| table.column(i).stats.is_unique() && table.row_count() > 0)
             .map(|(_, f)| f.name.clone())
             .collect();
+        let distinct_counts = schema
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name.clone(), table.column(i).stats.distinct))
+            .collect();
         Ok(TableMeta {
             schema,
             row_count: table.row_count(),
             sort_key,
             unique_columns,
+            distinct_counts,
         })
     }
 }
@@ -79,6 +87,8 @@ mod tests {
         assert_eq!(meta.sort_key, vec!["code"]);
         assert!(meta.unique_columns.contains("code"));
         assert!(!meta.unique_columns.contains("pop"));
+        assert_eq!(meta.distinct_counts["code"], 3);
+        assert_eq!(meta.distinct_counts["pop"], 2);
         assert!(cat.table_meta("missing").is_err());
     }
 }

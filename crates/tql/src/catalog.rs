@@ -7,7 +7,7 @@
 //! the TDE over its [`Database`](tabviz_storage) and by backends over their
 //! simulated schemas.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use tabviz_common::{Result, SchemaRef};
 
 /// Metadata for one table.
@@ -20,6 +20,10 @@ pub struct TableMeta {
     /// Columns known to hold unique (candidate-key) values — the property
     /// that licenses join culling (Sect. 4.1.2).
     pub unique_columns: BTreeSet<String>,
+    /// Distinct non-null values per column, where the catalog knows them —
+    /// the "cardinalities, domains" input of Sect. 3.1. Level-of-detail
+    /// fusion prices a cover query's result size with these.
+    pub distinct_counts: BTreeMap<String, usize>,
 }
 
 impl TableMeta {
@@ -29,6 +33,7 @@ impl TableMeta {
             row_count,
             sort_key: vec![],
             unique_columns: BTreeSet::new(),
+            distinct_counts: BTreeMap::new(),
         }
     }
 }

@@ -33,12 +33,10 @@ fn main() -> Result<()> {
     let t0 = std::time::Instant::now();
     let (results, report) = dash.render(&qp, &mut state, &BatchOptions::default(), true)?;
     println!(
-        "initial load: {} zones in {:?} ({} remote, {} local, {} fused away)",
+        "initial load: {} zones in {:?} ({})",
         results.len(),
         t0.elapsed(),
-        report.batches[0].remote,
-        report.batches[0].local,
-        report.batches[0].fused_away,
+        report.batches[0],
     );
     println!("\nAirlines zone:\n{}", results["Airlines"]);
 

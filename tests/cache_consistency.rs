@@ -359,3 +359,47 @@ fn persisted_cache_round_trip_preserves_answers() {
     got_rows.sort();
     assert_eq!(got_rows, oracle.run(&req));
 }
+
+/// A COUNT rolled up from an empty grouped result is 0, not the NULL a SUM
+/// over no partial counts gives; AVG over no rows stays NULL. Found through
+/// `execute_batch`: Fig. 1's `TotalVisible` is derived from a sibling zone
+/// whenever a selection filters every row out.
+#[test]
+fn count_rolled_up_from_an_empty_result_is_zero() {
+    let oracle = Oracle::new();
+    let db = Arc::clone(oracle.tde.database());
+    let qp = QueryProcessor::default();
+    qp.registry
+        .register(Arc::new(SimDb::new("faa", db, SimConfig::default())), 4);
+    let nothing = || Expr::Between {
+        expr: Box::new(col("distance")),
+        low: Value::Int(-10),
+        high: Value::Int(-5),
+    };
+    let base = || QuerySpec::new("faa", LogicalPlan::scan("flights")).filter(nothing());
+    let batch = vec![
+        (
+            "by_carrier".to_string(),
+            base()
+                .group("carrier")
+                .agg(AggCall::new(AggFunc::Count, None, "n"))
+                .agg(AggCall::new(AggFunc::Sum, Some(col("arr_delay")), "s"))
+                .agg(AggCall::new(AggFunc::Count, Some(col("arr_delay")), "c")),
+        ),
+        (
+            "total".to_string(),
+            base()
+                .agg(AggCall::new(AggFunc::Count, None, "n"))
+                .agg(AggCall::new(AggFunc::Count, Some(col("arr_delay")), "c"))
+                .agg(AggCall::new(AggFunc::Avg, Some(col("arr_delay")), "avg")),
+        ),
+    ];
+    let out = execute_batch(&qp, &batch, &BatchOptions::default()).unwrap();
+    assert_eq!((out.report.remote, out.report.local), (1, 1));
+    assert!(out.results["by_carrier"].is_empty());
+    assert_eq!(
+        out.results["total"].to_rows(),
+        vec![vec![Value::Int(0), Value::Int(0), Value::Null]]
+    );
+    assert_eq!(out.results["total"].to_rows(), oracle.run(&batch[1].1));
+}
