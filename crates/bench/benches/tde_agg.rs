@@ -34,6 +34,13 @@ fn bench(c: &mut Criterion) {
     group.bench_function("serial_hash_no_kernels", |b| {
         b.iter(|| tde.query_with(q, &hash_no_kernels).unwrap())
     });
+    // A range-filtered two-column string key (Fig. 1's state-by-state
+    // zone): grouped on dictionary codes end to end.
+    let q_str = "(aggregate ((origin_state) (dest_state)) ((count as n) (sum distance as dist))
+                   (select (between distance 700 1300) (scan flights)))";
+    group.bench_function("str_key", |b| {
+        b.iter(|| tde.query_with(q_str, &hash_only).unwrap())
+    });
     let mut lg = ExecOptions::default();
     lg.parallel = ParallelOptions {
         profile: forced,

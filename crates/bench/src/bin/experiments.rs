@@ -2645,6 +2645,21 @@ fn e23_vector_kernels() {
     );
     let join_speedup = t_join_fallback.as_secs_f64() / t_join_fast.as_secs_f64().max(1e-9);
 
+    // String keys against integer keys: the same range-filtered two-column
+    // GROUP BY, once over dictionary-coded strings and once over integers.
+    // Strings reach the grouping kernel as codes, so the two should cost
+    // about the same per scanned row.
+    let key_query = |a: &str, b: &str| {
+        format!(
+            "(aggregate (({a}) ({b})) ((count as n) (sum distance as dist))
+               (select (between distance 700 1300) (scan flights)))"
+        )
+    };
+    let ns_per_row = |t: Duration| t.as_secs_f64() * 1e9 / rows as f64;
+    let (_, t_str_key) = best(&key_query("origin_state", "dest_state"), &fast);
+    let (_, t_int_key) = best(&key_query("dep_hour", "weekday"), &fast);
+    let str_int_ratio = t_str_key.as_secs_f64() / t_int_key.as_secs_f64().max(1e-9);
+
     // Kernel-selection attribution: count one fast-path run of each query
     // and one forced-fallback run of each.
     let before_fast = counter("tv_tde_kernel_fastpath_total");
@@ -2683,6 +2698,22 @@ fn e23_vector_kernels() {
             ],
         ],
     );
+    print_table(
+        "E23 — string keys vs integer keys (filtered 2-col GROUP BY, kernels)",
+        &["key", "ms", "ns/row"],
+        &[
+            vec![
+                "origin_state, dest_state (Str)".into(),
+                ms(t_str_key),
+                format!("{:.2}", ns_per_row(t_str_key)),
+            ],
+            vec![
+                "dep_hour, weekday (Int)".into(),
+                ms(t_int_key),
+                format!("{:.2}", ns_per_row(t_int_key)),
+            ],
+        ],
+    );
 
     // Machine-checkable summary lines (the CI smoke test parses these).
     println!("e23_agg_fallback_ms {}", ms(t_agg_fallback));
@@ -2691,6 +2722,9 @@ fn e23_vector_kernels() {
     println!("e23_join_fallback_ms {}", ms(t_join_fallback));
     println!("e23_join_kernels_ms {}", ms(t_join_fast));
     println!("e23_join_speedup {join_speedup:.2}");
+    println!("e23_str_key_ns_per_row {:.2}", ns_per_row(t_str_key));
+    println!("e23_int_key_ns_per_row {:.2}", ns_per_row(t_int_key));
+    println!("e23_str_int_ratio {str_int_ratio:.2}");
     println!("e23_fastpath_selected {fastpath_selected}");
     println!("e23_fallback_selected {fallback_selected}");
     println!("e23_fallback_leaked {fallback_leaked}");

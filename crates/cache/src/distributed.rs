@@ -390,6 +390,40 @@ mod tests {
     }
 
     #[test]
+    fn wire_form_ignores_the_string_table() {
+        use tabviz_common::{ColumnVec, NullMask, StrVec, Values};
+        // The same three rows ("AA", NULL, "DL") coded against two tables:
+        // one interned in row order, one with an unreferenced entry, a
+        // duplicate, and an out-of-range placeholder on the null row.
+        let rows = [
+            vec!["AA".into(), Value::Int(3)],
+            vec![Value::Null, Value::Int(4)],
+            vec!["DL".into(), Value::Int(5)],
+        ];
+        let interned = Chunk::from_rows(chunk().schema().clone(), &rows).unwrap();
+        let table = Arc::new(vec!["zz".into(), "DL".into(), "AA".into(), "DL".into()]);
+        let recoded = Chunk::new(
+            chunk().schema().clone(),
+            vec![
+                ColumnVec::new(
+                    Values::Str(StrVec::new(table, vec![2, 99, 3])),
+                    NullMask::from_valid_bits(vec![true, false, true]),
+                ),
+                interned.column(1).clone(),
+            ],
+        )
+        .unwrap();
+        assert_eq!(interned, recoded);
+        let bytes = encode_chunk(&interned).unwrap();
+        assert_eq!(bytes, encode_chunk(&recoded).unwrap());
+        // The decoded chunk carries yet another table (the sorted wire
+        // dictionary) and is still the chunk that went in.
+        let back = decode_chunk(&bytes).unwrap();
+        assert_eq!(back, interned);
+        assert_eq!(back, recoded);
+    }
+
+    #[test]
     fn latency_is_charged_per_operation() {
         let external = Arc::new(ExternalStore::new(Duration::from_millis(5)));
         let t0 = std::time::Instant::now();

@@ -58,7 +58,9 @@ struct MatchPlan {
 /// One cached result.
 struct Entry {
     spec: QuerySpec,
-    result: Chunk,
+    /// Shared so a lookup can take it out from under the lock for the
+    /// price of a reference count.
+    result: Arc<Chunk>,
     bytes: usize,
     created: Instant,
     last_used: Instant,
@@ -221,6 +223,10 @@ pub struct IntelligentCache {
     inner: Mutex<Inner>,
     stats: AtomicStats,
     metrics: OnceLock<CacheMetrics>,
+    /// Test seam: runs just before a candidate is post-processed, so a test
+    /// can hold a roll-up open and check what else proceeds meanwhile.
+    #[cfg(test)]
+    before_post_process: Mutex<Option<Arc<dyn Fn() + Send + Sync>>>,
 }
 
 impl Default for IntelligentCache {
@@ -241,6 +247,8 @@ impl IntelligentCache {
             }),
             stats: AtomicStats::default(),
             metrics: OnceLock::new(),
+            #[cfg(test)]
+            before_post_process: Mutex::new(None),
         }
     }
 
@@ -325,13 +333,18 @@ impl IntelligentCache {
         })
     }
 
+    /// Matching runs under the entry-map lock; post-processing (a table
+    /// encode plus a TDE execution) does not, so a roll-up never stalls the
+    /// node's other lookups and stores. Candidates are taken out under the
+    /// lock (shared chunks, no copy), and the lock is retaken only to
+    /// record the use of each entry tried.
     fn lookup(
         &self,
         spec: &QuerySpec,
         allow_stale: bool,
         fresh_only: bool,
     ) -> (Option<Chunk>, &'static str) {
-        let mut inner = self.inner.lock();
+        let inner = self.inner.lock();
         let bucket = spec.bucket_key();
         let ids: Vec<u64> = inner.buckets.get(&bucket).cloned().unwrap_or_default();
         // Decision attribution: remember the furthest-advancing rejection
@@ -343,7 +356,16 @@ impl IntelligentCache {
         // final bool marks SWR candidates: stale, but inside the grace
         // window, so servable on the normal path while revalidation runs.
         let grace = self.config.swr_grace;
-        let mut candidates: Vec<(u64, MatchPlan, u32, usize, bool)> = Vec::new();
+        struct Candidate {
+            id: u64,
+            plan: MatchPlan,
+            effort: u32,
+            swr: bool,
+            /// Taken out so post-processing can run with the lock dropped.
+            cached: Arc<Chunk>,
+            created: Instant,
+        }
+        let mut candidates: Vec<Candidate> = Vec::new();
         for &id in ids.iter().rev() {
             let entry = match inner.entries.get(&id) {
                 Some(e) => e,
@@ -384,46 +406,62 @@ impl IntelligentCache {
             } else {
                 3 + u32::from(!plan.residual.is_empty())
             };
-            candidates.push((id, plan, effort, entry.result.len(), swr));
+            candidates.push(Candidate {
+                id,
+                plan,
+                effort,
+                swr,
+                cached: Arc::clone(&entry.result),
+                created: entry.created,
+            });
             if self.config.first_match || (effort == 0 && !swr) {
                 break;
             }
         }
         // Fresh entries before SWR ones, then least post-processing first;
         // among equals, the smaller input.
-        candidates.sort_by_key(|&(_, _, effort, rows, swr)| (swr, effort, rows));
+        candidates.sort_by_key(|c| (c.swr, c.effort, c.cached.len()));
+        drop(inner);
 
-        for (id, plan, effort, _, swr) in candidates {
-            let entry = match inner.entries.get(&id) {
-                Some(e) => e,
-                None => continue,
-            };
-            let cached = entry.result.clone();
-            let cached_spec = entry.spec.clone();
-            let created = entry.created;
-            // Update usage accounting.
-            let e = inner.entries.get_mut(&id).expect("entry exists");
-            e.use_count += 1;
-            e.last_used = Instant::now();
+        for Candidate {
+            id,
+            plan,
+            effort,
+            swr,
+            cached,
+            created,
+        } in candidates
+        {
+            // Usage accounting for every candidate tried; an entry evicted
+            // or replaced since the lock was dropped has none to update.
+            if let Some(e) = self.inner.lock().entries.get_mut(&id) {
+                e.use_count += 1;
+                e.last_used = Instant::now();
+            }
             if effort == 0 {
+                let exact = Chunk::clone(&cached);
                 if allow_stale {
                     bump(&self.stats.stale_serves);
                     self.observe_stale_serve(created);
-                    return (Some(cached), tabviz_obs::reason::CACHE_HIT_STALE);
+                    return (Some(exact), tabviz_obs::reason::CACHE_HIT_STALE);
                 }
                 if swr {
                     bump(&self.stats.swr_serves);
                     self.observe_swr_serve(created);
-                    return (Some(cached), tabviz_obs::reason::CACHE_SWR_SERVE);
+                    return (Some(exact), tabviz_obs::reason::CACHE_SWR_SERVE);
                 }
                 bump(&self.stats.exact_hits);
                 if let Some(m) = self.obs() {
                     m.exact_hits.inc();
                 }
-                return (Some(cached), tabviz_obs::reason::CACHE_HIT_EXACT);
+                return (Some(exact), tabviz_obs::reason::CACHE_HIT_EXACT);
             }
             let same_grouping = plan.same_grouping;
-            match post_process(&cached_spec, cached, spec, &plan) {
+            #[cfg(test)]
+            if let Some(hook) = self.before_post_process.lock().clone() {
+                hook();
+            }
+            match post_process(&cached, spec, &plan) {
                 Ok(out) => {
                     if allow_stale {
                         bump(&self.stats.stale_serves);
@@ -536,7 +574,7 @@ impl IntelligentCache {
             id,
             Entry {
                 spec,
-                result,
+                result: Arc::new(result),
                 bytes,
                 created: now,
                 last_used: now,
@@ -708,7 +746,7 @@ impl IntelligentCache {
         inner
             .entries
             .values()
-            .map(|e| (e.spec.clone(), e.result.clone(), e.cost))
+            .map(|e| (e.spec.clone(), Chunk::clone(&e.result), e.cost))
             .collect()
     }
 
@@ -728,7 +766,7 @@ impl IntelligentCache {
         });
         hot.truncate(k);
         hot.iter()
-            .map(|e| (e.spec.clone(), e.result.clone(), e.cost))
+            .map(|e| (e.spec.clone(), Chunk::clone(&e.result), e.cost))
             .collect()
     }
 }
@@ -851,19 +889,13 @@ fn avg_parts(cached: &QuerySpec, avg: &AggCall) -> Option<AggSource> {
 
 /// Execute the post-processing (filter → roll-up → project → order/top-n)
 /// over the cached chunk with a throwaway TDE.
-fn post_process(
-    cached_spec: &QuerySpec,
-    cached: Chunk,
-    req: &QuerySpec,
-    mp: &MatchPlan,
-) -> Result<Chunk> {
+fn post_process(cached: &Chunk, req: &QuerySpec, mp: &MatchPlan) -> Result<Chunk> {
     let db = Arc::new(Database::new("__cache"));
-    db.put(Table::from_chunk("__cached", &cached, &[])?)?;
+    db.put(Table::from_chunk("__cached", cached, &[])?)?;
     let mut plan = LogicalPlan::scan("__cached");
     if !mp.residual.is_empty() {
         plan = plan.select(and_all(mp.residual.clone()));
     }
-    let _ = cached_spec;
     if mp.same_grouping {
         // Pure filter + projection.
         let mut exprs: Vec<(Expr, String)> = req
@@ -1335,6 +1367,54 @@ mod tests {
         assert_eq!(st.exact_hits + st.misses, total);
         assert_eq!(st.exact_hits, total / 2);
         assert_eq!(st.misses, total / 2);
+    }
+
+    #[test]
+    fn slow_rollup_does_not_block_other_specs() {
+        use std::sync::mpsc;
+        let cache = StdArc::new(cache_with_entry());
+        let other = QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+            .group("carrier")
+            .agg(AggCall::new(AggFunc::Count, None, "n"));
+        // Hold the roll-up open at the point where post-processing starts.
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        *cache.before_post_process.lock() = Some(StdArc::new(move || {
+            entered_tx.send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+        }));
+        let rollup = {
+            let cache = StdArc::clone(&cache);
+            std::thread::spawn(move || {
+                let req = QuerySpec::new("faa", LogicalPlan::scan("flights"))
+                    .filter(bin(BinOp::Gt, col("delay"), lit(0i64)))
+                    .group("carrier")
+                    .agg(AggCall::new(AggFunc::Count, None, "n"));
+                cache.get_explained(&req)
+            })
+        };
+        entered_rx.recv().unwrap();
+        // The roll-up is mid-flight. A store and a lookup of another spec
+        // must complete now; run them on a thread so that a cache that holds
+        // its lock across post-processing fails the test instead of hanging.
+        let (done_tx, done_rx) = mpsc::channel();
+        let worker = {
+            let (cache, other) = (StdArc::clone(&cache), other.clone());
+            std::thread::spawn(move || {
+                cache.put(other.clone(), detail_chunk(), Duration::from_millis(10));
+                done_tx.send(cache.get(&other).is_some()).unwrap();
+            })
+        };
+        let unblocked = done_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).unwrap();
+        assert_eq!(unblocked, Ok(true), "put/get waited for the roll-up");
+        worker.join().unwrap();
+        let (hit, why) = rollup.join().unwrap();
+        assert_eq!(hit.unwrap().len(), 3);
+        assert_eq!(why, tabviz_obs::reason::CACHE_HIT_ROLLUP);
+        let st = cache.stats();
+        assert_eq!((st.subsumption_hits, st.exact_hits, st.misses), (1, 1, 0));
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::collation::Collation;
 use crate::error::{Result, TvError};
 use crate::schema::SchemaRef;
 use crate::selvec::SelVec;
+use crate::strvec::StrVec;
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -57,14 +58,16 @@ impl NullMask {
             .map_or(0, |b| b.iter().filter(|&&v| !v).count())
     }
 
-    fn take(&self, indices: &[usize]) -> Self {
+    /// The mask of the given rows, in that order.
+    pub fn take(&self, indices: &[usize]) -> Self {
         match &self.bits {
             None => NullMask::none(),
             Some(b) => NullMask::from_valid_bits(indices.iter().map(|&i| b[i]).collect()),
         }
     }
 
-    fn slice(&self, start: usize, len: usize) -> Self {
+    /// The mask of rows `start..start + len`.
+    pub fn slice(&self, start: usize, len: usize) -> Self {
         match &self.bits {
             None => NullMask::none(),
             Some(b) => NullMask::from_valid_bits(b[start..start + len].to_vec()),
@@ -73,13 +76,14 @@ impl NullMask {
 }
 
 /// Typed dense value storage for one column of a chunk. Rows masked out by
-/// the companion [`NullMask`] hold an arbitrary placeholder.
+/// the companion [`NullMask`] hold an arbitrary placeholder. Strings are
+/// held dictionary-coded ([`StrVec`]), never as one `String` per row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Values {
     Bool(Vec<bool>),
     Int(Vec<i64>),
     Real(Vec<f64>),
-    Str(Vec<String>),
+    Str(StrVec),
     Date(Vec<i32>),
 }
 
@@ -114,7 +118,7 @@ impl Values {
             DataType::Bool => Values::Bool(Vec::with_capacity(cap)),
             DataType::Int => Values::Int(Vec::with_capacity(cap)),
             DataType::Real => Values::Real(Vec::with_capacity(cap)),
-            DataType::Str => Values::Str(Vec::with_capacity(cap)),
+            DataType::Str => Values::Str(StrVec::with_capacity(cap)),
             DataType::Date => Values::Date(Vec::with_capacity(cap)),
         }
     }
@@ -150,7 +154,7 @@ impl Values {
         }
     }
 
-    pub fn as_str_slice(&self) -> Option<&[String]> {
+    pub fn as_str(&self) -> Option<&StrVec> {
         match self {
             Values::Str(v) => Some(v),
             _ => None,
@@ -162,39 +166,8 @@ impl Values {
             Values::Bool(v) => Value::Bool(v[i]),
             Values::Int(v) => Value::Int(v[i]),
             Values::Real(v) => Value::Real(v[i]),
-            Values::Str(v) => Value::Str(v[i].clone()),
+            Values::Str(v) => Value::Str(v.get(i).to_string()),
             Values::Date(v) => Value::Date(v[i]),
-        }
-    }
-
-    /// Push a non-null value; the caller guarantees the type matches.
-    fn push_value(&mut self, v: &Value) -> Result<()> {
-        match (self, v) {
-            (Values::Bool(d), Value::Bool(b)) => d.push(*b),
-            (Values::Int(d), Value::Int(i)) => d.push(*i),
-            (Values::Int(d), Value::Real(r)) => d.push(*r as i64),
-            (Values::Real(d), Value::Real(r)) => d.push(*r),
-            (Values::Real(d), Value::Int(i)) => d.push(*i as f64),
-            (Values::Str(d), Value::Str(s)) => d.push(s.clone()),
-            (Values::Date(d), Value::Date(x)) => d.push(*x),
-            (s, v) => {
-                return Err(TvError::Type(format!(
-                    "cannot store {v:?} in {} column",
-                    s.data_type()
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// Push a type-appropriate placeholder for a null row.
-    fn push_placeholder(&mut self) {
-        match self {
-            Values::Bool(d) => d.push(false),
-            Values::Int(d) => d.push(0),
-            Values::Real(d) => d.push(0.0),
-            Values::Str(d) => d.push(String::new()),
-            Values::Date(d) => d.push(0),
         }
     }
 
@@ -203,7 +176,7 @@ impl Values {
             Values::Bool(v) => Values::Bool(indices.iter().map(|&i| v[i]).collect()),
             Values::Int(v) => Values::Int(indices.iter().map(|&i| v[i]).collect()),
             Values::Real(v) => Values::Real(indices.iter().map(|&i| v[i]).collect()),
-            Values::Str(v) => Values::Str(indices.iter().map(|&i| v[i].clone()).collect()),
+            Values::Str(v) => Values::Str(v.take(indices)),
             Values::Date(v) => Values::Date(indices.iter().map(|&i| v[i]).collect()),
         }
     }
@@ -213,7 +186,7 @@ impl Values {
             Values::Bool(v) => Values::Bool(v[start..start + len].to_vec()),
             Values::Int(v) => Values::Int(v[start..start + len].to_vec()),
             Values::Real(v) => Values::Real(v[start..start + len].to_vec()),
-            Values::Str(v) => Values::Str(v[start..start + len].to_vec()),
+            Values::Str(v) => Values::Str(v.slice(start, len)),
             Values::Date(v) => Values::Date(v[start..start + len].to_vec()),
         }
     }
@@ -223,7 +196,7 @@ impl Values {
             (Values::Bool(a), Values::Bool(b)) => a.extend_from_slice(b),
             (Values::Int(a), Values::Int(b)) => a.extend_from_slice(b),
             (Values::Real(a), Values::Real(b)) => a.extend_from_slice(b),
-            (Values::Str(a), Values::Str(b)) => a.extend_from_slice(b),
+            (Values::Str(a), Values::Str(b)) => a.append(b),
             (Values::Date(a), Values::Date(b)) => a.extend_from_slice(b),
             (a, b) => {
                 return Err(TvError::Type(format!(
@@ -238,10 +211,27 @@ impl Values {
 }
 
 /// One column of a [`Chunk`]: typed values plus a validity mask.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ColumnVec {
     pub values: Values,
     pub nulls: NullMask,
+}
+
+/// Equal masks and equal values. String placeholders on null rows are
+/// arbitrary codes (possibly outside the table), so strings compare on
+/// valid rows only — and by resolved string, whatever the two tables hold.
+impl PartialEq for ColumnVec {
+    fn eq(&self, other: &Self) -> bool {
+        if self.nulls != other.nulls {
+            return false;
+        }
+        match (&self.values, &other.values, self.nulls.valid_bits()) {
+            (Values::Str(a), Values::Str(b), Some(valid)) => {
+                a.len() == b.len() && (0..a.len()).all(|i| !valid[i] || a.get(i) == b.get(i))
+            }
+            (a, b, _) => a == b,
+        }
+    }
 }
 
 impl ColumnVec {
@@ -258,22 +248,62 @@ impl ColumnVec {
     }
 
     /// Build from `Value`s, inferring nulls; `dtype` fixes the column type.
+    /// Strings are interned: one table entry per distinct string.
     pub fn from_iter_typed<'a, I>(dtype: DataType, iter: I) -> Result<Self>
     where
         I: IntoIterator<Item = &'a Value>,
     {
         let iter = iter.into_iter();
-        let mut values = Values::with_capacity(dtype, iter.size_hint().0);
-        let mut bits = Vec::with_capacity(iter.size_hint().0);
-        for v in iter {
-            if v.is_null() {
-                values.push_placeholder();
-                bits.push(false);
-            } else {
-                values.push_value(v)?;
-                bits.push(true);
-            }
+        let cap = iter.size_hint().0;
+        let mismatch = |v: &Value| TvError::Type(format!("cannot store {v:?} in {dtype} column"));
+        let mut bits = Vec::with_capacity(cap);
+        // Null rows hold the type's zero as their placeholder.
+        macro_rules! build {
+            ($variant:ident, $conv:expr) => {{
+                let mut data = Vec::with_capacity(cap);
+                for v in iter {
+                    bits.push(!v.is_null());
+                    data.push(if v.is_null() {
+                        Default::default()
+                    } else {
+                        $conv(v).ok_or_else(|| mismatch(v))?
+                    });
+                }
+                Values::$variant(data)
+            }};
         }
+        let values = match dtype {
+            DataType::Bool => build!(Bool, |v: &Value| match v {
+                Value::Bool(b) => Some(*b),
+                _ => None,
+            }),
+            DataType::Int => build!(Int, |v: &Value| match v {
+                Value::Int(i) => Some(*i),
+                Value::Real(r) => Some(*r as i64),
+                _ => None,
+            }),
+            DataType::Real => build!(Real, |v: &Value| match v {
+                Value::Real(r) => Some(*r),
+                Value::Int(i) => Some(*i as f64),
+                _ => None,
+            }),
+            DataType::Date => build!(Date, |v: &Value| match v {
+                Value::Date(d) => Some(*d),
+                _ => None,
+            }),
+            DataType::Str => {
+                let mut strs: Vec<Option<&'a str>> = Vec::with_capacity(cap);
+                for v in iter {
+                    strs.push(match v {
+                        Value::Null => None,
+                        Value::Str(s) => Some(s),
+                        other => return Err(mismatch(other)),
+                    });
+                }
+                bits.extend(strs.iter().map(Option::is_some));
+                Values::Str(StrVec::from_opt_strs(strs))
+            }
+        };
         Ok(ColumnVec {
             values,
             nulls: NullMask::from_valid_bits(bits),
@@ -321,24 +351,21 @@ impl ColumnVec {
             bits.push(idx.is_some_and(|i| self.nulls.is_valid(i as usize)));
         }
         macro_rules! gather {
-            ($src:expr, $variant:ident, $default:expr) => {
+            ($src:expr, $variant:ident) => {
                 Values::$variant(
                     indices
                         .iter()
-                        .map(|idx| match idx {
-                            Some(i) => $src[*i as usize].clone(),
-                            None => $default,
-                        })
+                        .map(|idx| idx.map_or(Default::default(), |i| $src[i as usize]))
                         .collect(),
                 )
             };
         }
         let values = match &self.values {
-            Values::Bool(v) => gather!(v, Bool, false),
-            Values::Int(v) => gather!(v, Int, 0),
-            Values::Real(v) => gather!(v, Real, 0.0),
-            Values::Str(v) => gather!(v, Str, String::new()),
-            Values::Date(v) => gather!(v, Date, 0),
+            Values::Bool(v) => gather!(v, Bool),
+            Values::Int(v) => gather!(v, Int),
+            Values::Real(v) => gather!(v, Real),
+            Values::Str(v) => Values::Str(v.take_opt(indices)),
+            Values::Date(v) => gather!(v, Date),
         };
         ColumnVec {
             values,
@@ -399,7 +426,7 @@ impl ColumnVec {
                 (Values::Int(a), Values::Int(b)) => a[i].cmp(&b[j]),
                 (Values::Real(a), Values::Real(b)) => a[i].total_cmp(&b[j]),
                 (Values::Date(a), Values::Date(b)) => a[i].cmp(&b[j]),
-                (Values::Str(a), Values::Str(b)) => collation.cmp_str(&a[i], &b[j]),
+                (Values::Str(a), Values::Str(b)) => collation.cmp_str(a.get(i), b.get(j)),
                 _ => self.get(i).cmp_collated(&other.get(j), collation),
             },
         }
@@ -593,16 +620,34 @@ impl Chunk {
     /// `keys` are `(column index, ascending)` pairs; string columns compare
     /// under their field's collation. Returns the permuted chunk.
     pub fn sort_by(&self, keys: &[(usize, bool)]) -> Self {
-        let collations: Vec<Collation> = keys
+        // A string key whose table is no longer than the chunk is ranked
+        // once per table entry, so the row comparisons are integer compares.
+        enum SortKey<'a> {
+            Ranks(Vec<u32>),
+            Rows(&'a ColumnVec, Collation),
+        }
+        let sort_keys: Vec<(SortKey<'_>, bool)> = keys
             .iter()
-            .map(|&(ci, _)| self.schema.field(ci).collation)
+            .map(|&(ci, asc)| {
+                let col = &self.columns[ci];
+                let collation = self.schema.field(ci).collation;
+                let key = match &col.values {
+                    Values::Str(v) if v.table().len() <= v.len() => {
+                        SortKey::Ranks(str_row_ranks(v, &col.nulls, collation))
+                    }
+                    _ => SortKey::Rows(col, collation),
+                };
+                (key, asc)
+            })
             .collect();
         let mut indices: Vec<usize> = (0..self.len).collect();
         indices.sort_by(|&a, &b| {
-            for (k, &(ci, asc)) in keys.iter().enumerate() {
-                let col = &self.columns[ci];
-                let ord = col.cmp_rows(a, col, b, collations[k]);
-                let ord = if asc { ord } else { ord.reverse() };
+            for (key, asc) in &sort_keys {
+                let ord = match key {
+                    SortKey::Ranks(r) => r[a].cmp(&r[b]),
+                    SortKey::Rows(col, collation) => col.cmp_rows(a, col, b, *collation),
+                };
+                let ord = if *asc { ord } else { ord.reverse() };
                 if ord != Ordering::Equal {
                     return ord;
                 }
@@ -610,6 +655,17 @@ impl Chunk {
             Ordering::Equal
         });
         self.take(&indices)
+    }
+
+    /// Shrink string tables to the entries the rows reference (see
+    /// [`StrVec::compact`]); the logical content is unchanged.
+    pub fn compact_strings(mut self) -> Self {
+        for c in &mut self.columns {
+            if let Values::Str(v) = &mut c.values {
+                v.compact(c.nulls.valid_bits());
+            }
+        }
+        self
     }
 
     /// Rough in-memory footprint in bytes, used by cache sizing ("unless ...
@@ -622,7 +678,7 @@ impl Chunk {
                 Values::Int(v) => v.len() * 8,
                 Values::Real(v) => v.len() * 8,
                 Values::Date(v) => v.len() * 4,
-                Values::Str(v) => v.iter().map(|s| s.len() + 24).sum(),
+                Values::Str(v) => v.approx_bytes(),
             };
             if let Some(b) = &c.nulls.bits {
                 total += b.len();
@@ -630,6 +686,34 @@ impl Chunk {
         }
         total
     }
+}
+
+/// Per-row sort rank of a string column: 0 for NULL (nulls first), else one
+/// more than the dense rank of the row's table entry under `collation`
+/// (entries equal under the collation share a rank).
+fn str_row_ranks(v: &StrVec, nulls: &NullMask, collation: Collation) -> Vec<u32> {
+    let table = v.table();
+    let mut order: Vec<u32> = (0..table.len() as u32).collect();
+    order.sort_by(|&a, &b| collation.cmp_str(&table[a as usize], &table[b as usize]));
+    let mut rank = vec![0u32; table.len()];
+    let mut next = 0u32;
+    for (k, &e) in order.iter().enumerate() {
+        if k == 0 || !collation.eq_str(&table[order[k - 1] as usize], &table[e as usize]) {
+            next += 1;
+        }
+        rank[e as usize] = next;
+    }
+    v.codes()
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| {
+            if nulls.is_valid(i) {
+                rank[c as usize]
+            } else {
+                0
+            }
+        })
+        .collect()
 }
 
 /// ASCII table rendering used by the examples and the experiment harness.

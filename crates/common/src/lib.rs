@@ -15,6 +15,7 @@ pub mod error;
 pub mod hash;
 pub mod schema;
 pub mod selvec;
+pub mod strvec;
 pub mod value;
 
 pub use chunk::{Chunk, ColumnVec, NullMask, Values};
@@ -22,4 +23,5 @@ pub use collation::Collation;
 pub use error::{Result, TvError};
 pub use schema::{Field, Schema, SchemaRef};
 pub use selvec::SelVec;
+pub use strvec::StrVec;
 pub use value::{DataType, Value};

@@ -9,10 +9,10 @@
 //! optimizer may nevertheless exploit (Sect. 4.3's IndexTable is built from
 //! [`StoredColumn::rle_runs`]).
 
-use crate::stats::{compute_zone_map, BlockStats, ColumnStats};
+use crate::stats::{column_stats, dict_stats, BlockStats, ColumnStats};
 use std::sync::Arc;
 use tabviz_common::{
-    Chunk, ColumnVec, DataType, Field, NullMask, Result, Schema, TvError, Value, Values,
+    Chunk, ColumnVec, DataType, Field, NullMask, Result, Schema, StrVec, TvError, Value, Values,
 };
 
 /// Physical fixed-width vectors. String columns never appear here directly;
@@ -42,24 +42,45 @@ impl PhysVec {
         self.len() == 0
     }
 
-    fn push_from(&mut self, other: &PhysVec, i: usize) {
+    /// Append `n` copies of `other[i]`.
+    fn push_repeat(&mut self, other: &PhysVec, i: usize, n: usize) {
         match (self, other) {
-            (PhysVec::Bool(d), PhysVec::Bool(s)) => d.push(s[i]),
-            (PhysVec::Int(d), PhysVec::Int(s)) => d.push(s[i]),
-            (PhysVec::Real(d), PhysVec::Real(s)) => d.push(s[i]),
-            (PhysVec::Date(d), PhysVec::Date(s)) => d.push(s[i]),
-            (PhysVec::Code(d), PhysVec::Code(s)) => d.push(s[i]),
+            (PhysVec::Bool(d), PhysVec::Bool(s)) => d.extend(std::iter::repeat_n(s[i], n)),
+            (PhysVec::Int(d), PhysVec::Int(s)) => d.extend(std::iter::repeat_n(s[i], n)),
+            (PhysVec::Real(d), PhysVec::Real(s)) => d.extend(std::iter::repeat_n(s[i], n)),
+            (PhysVec::Date(d), PhysVec::Date(s)) => d.extend(std::iter::repeat_n(s[i], n)),
+            (PhysVec::Code(d), PhysVec::Code(s)) => d.extend(std::iter::repeat_n(s[i], n)),
             _ => unreachable!("mismatched PhysVec push"),
         }
     }
 
-    fn empty_like(&self) -> PhysVec {
+    fn with_capacity_like(&self, cap: usize) -> PhysVec {
         match self {
-            PhysVec::Bool(_) => PhysVec::Bool(vec![]),
-            PhysVec::Int(_) => PhysVec::Int(vec![]),
-            PhysVec::Real(_) => PhysVec::Real(vec![]),
-            PhysVec::Date(_) => PhysVec::Date(vec![]),
-            PhysVec::Code(_) => PhysVec::Code(vec![]),
+            PhysVec::Bool(_) => PhysVec::Bool(Vec::with_capacity(cap)),
+            PhysVec::Int(_) => PhysVec::Int(Vec::with_capacity(cap)),
+            PhysVec::Real(_) => PhysVec::Real(Vec::with_capacity(cap)),
+            PhysVec::Date(_) => PhysVec::Date(Vec::with_capacity(cap)),
+            PhysVec::Code(_) => PhysVec::Code(Vec::with_capacity(cap)),
+        }
+    }
+
+    fn take(&self, rows: &[usize]) -> PhysVec {
+        match self {
+            PhysVec::Bool(v) => PhysVec::Bool(rows.iter().map(|&r| v[r]).collect()),
+            PhysVec::Int(v) => PhysVec::Int(rows.iter().map(|&r| v[r]).collect()),
+            PhysVec::Real(v) => PhysVec::Real(rows.iter().map(|&r| v[r]).collect()),
+            PhysVec::Date(v) => PhysVec::Date(rows.iter().map(|&r| v[r]).collect()),
+            PhysVec::Code(v) => PhysVec::Code(rows.iter().map(|&r| v[r]).collect()),
+        }
+    }
+
+    fn slice(&self, start: usize, len: usize) -> PhysVec {
+        match self {
+            PhysVec::Bool(v) => PhysVec::Bool(v[start..start + len].to_vec()),
+            PhysVec::Int(v) => PhysVec::Int(v[start..start + len].to_vec()),
+            PhysVec::Real(v) => PhysVec::Real(v[start..start + len].to_vec()),
+            PhysVec::Date(v) => PhysVec::Date(v[start..start + len].to_vec()),
+            PhysVec::Code(v) => PhysVec::Code(v[start..start + len].to_vec()),
         }
     }
 }
@@ -135,70 +156,32 @@ impl StoredColumn {
             )));
         }
         let len = col.len();
-        let values: Vec<Value> = (0..len).map(|i| col.get(i)).collect();
-        let stats = ColumnStats::compute(&values);
-        let zones = compute_zone_map(&values);
-        let valid_bits: Vec<bool> = (0..len).map(|i| col.is_valid(i)).collect();
-        let nulls = NullMask::from_valid_bits(valid_bits);
-
-        // Dictionary-compress strings: sorted dictionary gives deterministic,
-        // order-preserving codes under binary collation.
-        let (phys, dict): (PhysVec, Option<Arc<Vec<String>>>) = match field.dtype {
-            DataType::Str => {
-                let mut dict: Vec<String> = values
+        let nulls = col.nulls.clone();
+        let valid = nulls.valid_bits();
+        // Null rows store the type's zero, whatever placeholder came in.
+        fn zeroed<T: Copy + Default>(v: &[T], valid: Option<&[bool]>) -> Vec<T> {
+            match valid {
+                None => v.to_vec(),
+                Some(bits) => v
                     .iter()
-                    .filter_map(|v| match v {
-                        Value::Str(s) => Some(s.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                dict.sort();
-                dict.dedup();
-                let codes: Vec<u32> = values
-                    .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => dict.binary_search(s).expect("dict member") as u32,
-                        _ => 0, // placeholder for null rows
-                    })
-                    .collect();
-                (PhysVec::Code(codes), Some(Arc::new(dict)))
+                    .zip(bits)
+                    .map(|(&x, &ok)| if ok { x } else { T::default() })
+                    .collect(),
             }
-            DataType::Bool => (
-                PhysVec::Bool(
-                    values
-                        .iter()
-                        .map(|v| matches!(v, Value::Bool(true)))
-                        .collect(),
-                ),
-                None,
-            ),
-            DataType::Int => (
-                PhysVec::Int(
-                    values
-                        .iter()
-                        .map(|v| if let Value::Int(i) = v { *i } else { 0 })
-                        .collect(),
-                ),
-                None,
-            ),
-            DataType::Real => (
-                PhysVec::Real(
-                    values
-                        .iter()
-                        .map(|v| if let Value::Real(r) = v { *r } else { 0.0 })
-                        .collect(),
-                ),
-                None,
-            ),
-            DataType::Date => (
-                PhysVec::Date(
-                    values
-                        .iter()
-                        .map(|v| if let Value::Date(d) = v { *d } else { 0 })
-                        .collect(),
-                ),
-                None,
-            ),
+        }
+        let (phys, dict, (stats, zones)) = match &col.values {
+            // Dictionary-compress strings: the sorted dictionary gives
+            // deterministic, order-preserving codes under binary collation,
+            // whatever table the incoming vector was coded against.
+            Values::Str(v) => {
+                let (dict, codes) = v.sorted_dictionary(valid);
+                let stats = dict_stats(&dict, &codes, valid);
+                (PhysVec::Code(codes), Some(Arc::new(dict)), stats)
+            }
+            Values::Bool(v) => (PhysVec::Bool(zeroed(v, valid)), None, column_stats(col)),
+            Values::Int(v) => (PhysVec::Int(zeroed(v, valid)), None, column_stats(col)),
+            Values::Real(v) => (PhysVec::Real(zeroed(v, valid)), None, column_stats(col)),
+            Values::Date(v) => (PhysVec::Date(zeroed(v, valid)), None, column_stats(col)),
         };
 
         let run_count = count_runs(&phys, &nulls);
@@ -352,25 +335,22 @@ impl StoredColumn {
                 )));
             }
         }
-        let mut out = decoded_values_builder(self.field.dtype, rows.len());
-        match &self.data {
-            ColumnData::Plain(p) => {
-                for &r in rows {
-                    append_repeat(&mut out, p, r, self.dict.as_deref(), 1);
-                }
-            }
+        let values = match &self.data {
+            ColumnData::Plain(p) => self.logical(p.take(rows)),
             ColumnData::Rle {
                 values,
                 counts,
                 starts,
             } => {
+                let mut out = values.with_capacity_like(rows.len());
                 let mut k = 0usize;
                 for &r in rows {
                     while starts[k] as usize + counts[k] as usize <= r {
                         k += 1;
                     }
-                    append_repeat(&mut out, values, k, self.dict.as_deref(), 1);
+                    out.push_repeat(values, k, 1);
                 }
+                self.logical(out)
             }
             ColumnData::Delta { first, deltas } => {
                 let mut idx = 0usize;
@@ -383,15 +363,36 @@ impl StoredColumn {
                     }
                     vals.push(cur);
                 }
-                out = match self.field.dtype {
-                    DataType::Int => Values::Int(vals),
-                    DataType::Date => Values::Date(vals.into_iter().map(|v| v as i32).collect()),
-                    _ => unreachable!("delta encoding only stores Int/Date"),
-                };
+                self.delta_values(vals)
+            }
+        };
+        Ok(ColumnVec::new(values, self.nulls.take(rows)))
+    }
+
+    /// The logical vector over decoded physical data: fixed-width types as
+    /// they are, codes paired with the column's dictionary — shared, so a
+    /// scan copies `u32`s and never a string. (Placeholder codes on null
+    /// rows may fall outside an all-null column's empty dictionary; the
+    /// null mask masks them out.)
+    fn logical(&self, phys: PhysVec) -> Values {
+        match phys {
+            PhysVec::Bool(v) => Values::Bool(v),
+            PhysVec::Int(v) => Values::Int(v),
+            PhysVec::Real(v) => Values::Real(v),
+            PhysVec::Date(v) => Values::Date(v),
+            PhysVec::Code(v) => {
+                let dict = self.dict.as_ref().expect("code vector without dictionary");
+                Values::Str(StrVec::new(Arc::clone(dict), v))
             }
         }
-        let bits: Vec<bool> = rows.iter().map(|&r| self.nulls.is_valid(r)).collect();
-        Ok(ColumnVec::new(out, NullMask::from_valid_bits(bits)))
+    }
+
+    fn delta_values(&self, vals: Vec<i64>) -> Values {
+        match self.field.dtype {
+            DataType::Int => Values::Int(vals),
+            DataType::Date => Values::Date(vals.into_iter().map(|v| v as i32).collect()),
+            _ => unreachable!("delta encoding only stores Int/Date"),
+        }
     }
 
     fn phys_value(&self, phys: &PhysVec, i: usize) -> Value {
@@ -454,13 +455,13 @@ impl StoredColumn {
             )));
         }
         let values = match &self.data {
-            ColumnData::Plain(p) => self.decode_phys_range(p, start, len),
+            ColumnData::Plain(p) => self.logical(p.slice(start, len)),
             ColumnData::Rle {
                 values,
                 counts,
                 starts,
             } => {
-                let mut out = decoded_values_builder(self.field.dtype, len);
+                let mut out = values.with_capacity_like(len);
                 if len > 0 {
                     let mut k = run_index(starts, start);
                     let mut produced = 0usize;
@@ -471,12 +472,12 @@ impl StoredColumn {
                         let hi = run_end.min(start + len);
                         let n = hi - lo;
                         debug_assert!(n > 0);
-                        append_repeat(&mut out, values, k, self.dict.as_deref(), n);
+                        out.push_repeat(values, k, n);
                         produced += n;
                         k += 1;
                     }
                 }
-                out
+                self.logical(out)
             }
             ColumnData::Delta { first, deltas } => {
                 let mut cur = *first + deltas[..start].iter().sum::<i64>();
@@ -487,37 +488,10 @@ impl StoredColumn {
                     }
                     vals.push(cur);
                 }
-                match self.field.dtype {
-                    DataType::Int => Values::Int(vals),
-                    DataType::Date => Values::Date(vals.into_iter().map(|v| v as i32).collect()),
-                    _ => unreachable!(),
-                }
+                self.delta_values(vals)
             }
         };
-        let bits: Vec<bool> = (start..start + len)
-            .map(|i| self.nulls.is_valid(i))
-            .collect();
-        Ok(ColumnVec::new(values, NullMask::from_valid_bits(bits)))
-    }
-
-    fn decode_phys_range(&self, p: &PhysVec, start: usize, len: usize) -> Values {
-        match p {
-            PhysVec::Bool(v) => Values::Bool(v[start..start + len].to_vec()),
-            PhysVec::Int(v) => Values::Int(v[start..start + len].to_vec()),
-            PhysVec::Real(v) => Values::Real(v[start..start + len].to_vec()),
-            PhysVec::Date(v) => Values::Date(v[start..start + len].to_vec()),
-            PhysVec::Code(v) => {
-                let dict = self.dict.as_ref().expect("code vector without dictionary");
-                // Placeholder codes on null rows may fall outside an all-null
-                // column's empty dictionary; the null mask masks them out.
-                Values::Str(
-                    v[start..start + len]
-                        .iter()
-                        .map(|&c| dict.get(c as usize).cloned().unwrap_or_default())
-                        .collect(),
-                )
-            }
-        }
+        Ok(ColumnVec::new(values, self.nulls.slice(start, len)))
     }
 
     /// Rough encoded size in bytes (compression accounting in benches).
@@ -582,9 +556,17 @@ impl StoredColumn {
             zones: Vec::new(),
         };
         let col = tmp.decode()?;
-        let values: Vec<Value> = (0..len).map(|i| col.get(i)).collect();
-        let stats = ColumnStats::compute(&values);
-        let zones = compute_zone_map(&values);
+        if let (Values::Str(v), Some(dict)) = (&col.values, &tmp.dict) {
+            let in_range =
+                |(i, &c): (usize, &u32)| (c as usize) < dict.len() || !col.nulls.is_valid(i);
+            if !v.codes().iter().enumerate().all(in_range) {
+                return Err(TvError::Storage(format!(
+                    "column '{}': dictionary code out of range",
+                    tmp.field.name
+                )));
+            }
+        }
+        let (stats, zones) = column_stats(&col);
         Ok(StoredColumn {
             stats,
             zones,
@@ -639,7 +621,7 @@ fn same_row(phys: &PhysVec, nulls: &NullMask, a: usize, b: usize) -> bool {
 
 fn rle_encode(phys: &PhysVec, nulls: &NullMask) -> ColumnData {
     let len = phys.len();
-    let mut values = phys.empty_like();
+    let mut values = phys.with_capacity_like(0);
     let mut counts: Vec<u32> = Vec::new();
     let mut starts: Vec<u64> = Vec::new();
     let mut i = 0usize;
@@ -648,7 +630,7 @@ fn rle_encode(phys: &PhysVec, nulls: &NullMask) -> ColumnData {
         while j < len && same_row(phys, nulls, i, j) {
             j += 1;
         }
-        values.push_from(phys, i);
+        values.push_repeat(phys, i, 1);
         counts.push((j - i) as u32);
         starts.push(i as u64);
         i = j;
@@ -680,39 +662,6 @@ fn delta_encode(phys: &PhysVec, nulls: &NullMask) -> Option<ColumnData> {
     let first = as_i64[0];
     let deltas = as_i64.windows(2).map(|w| w[1] - w[0]).collect();
     Some(ColumnData::Delta { first, deltas })
-}
-
-/// Helper: build an empty `Values` of the *logical* type (strings decode back
-/// to strings even though storage holds codes).
-fn decoded_values_builder(dtype: DataType, cap: usize) -> Values {
-    Values::with_capacity(dtype, cap)
-}
-
-/// Append `n` copies of run `k`'s value to a decoded output vector.
-fn append_repeat(
-    out: &mut Values,
-    run_values: &PhysVec,
-    k: usize,
-    dict: Option<&Vec<String>>,
-    n: usize,
-) {
-    match (out, run_values) {
-        (Values::Bool(o), PhysVec::Bool(v)) => o.extend(std::iter::repeat_n(v[k], n)),
-        (Values::Int(o), PhysVec::Int(v)) => o.extend(std::iter::repeat_n(v[k], n)),
-        (Values::Real(o), PhysVec::Real(v)) => o.extend(std::iter::repeat_n(v[k], n)),
-        (Values::Date(o), PhysVec::Date(v)) => o.extend(std::iter::repeat_n(v[k], n)),
-        (Values::Str(o), PhysVec::Code(v)) => {
-            // Null runs carry placeholder code 0 even when the dictionary is
-            // empty (all-null column); the null mask masks the value out.
-            let s = dict
-                .expect("code vector without dictionary")
-                .get(v[k] as usize)
-                .cloned()
-                .unwrap_or_default();
-            o.extend(std::iter::repeat_n(s, n));
-        }
-        _ => unreachable!("mismatched decode target"),
-    }
 }
 
 /// Convenience: encode every column of a chunk into stored columns.

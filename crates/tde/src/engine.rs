@@ -91,7 +91,9 @@ impl Tde {
         let mut span = tabviz_obs::span(tabviz_obs::stage::TDE_EXEC);
         let (phys, wanted) = self.plan_pipeline(plan, options)?;
         let out = execute_to_chunk(&phys)?;
-        let out = conform(out, &wanted)?;
+        // A result that shares a stored dictionary far larger than itself
+        // would pin it (and be priced by it) in every cache it lands in.
+        let out = conform(out, &wanted)?.compact_strings();
         span.detail(out.len() as u64);
         Ok(out)
     }

@@ -1114,6 +1114,46 @@ mod tests {
     }
 
     #[test]
+    fn scan_to_key_lookup_translates_entries_not_rows() {
+        // 100k rows over 7 short and 5 long (interned) strings, stored
+        // once plain and once run-length encoded: between the scan and the
+        // group lookup each referenced dictionary entry is turned into a key
+        // word exactly once, however many rows and chunks carry it.
+        let schema = Arc::new(Schema::new(vec![Field::new("plain", DataType::Str)]).unwrap());
+        let name = |k: usize| {
+            if k < 7 {
+                format!("s{k}")
+            } else {
+                format!("a string longer than seven bytes #{k}")
+            }
+        };
+        for sorted in [false, true] {
+            let rows: Vec<Vec<Value>> = (0..100_000)
+                .map(|i| vec![Value::Str(name((i * 7919) % 12))])
+                .collect();
+            let chunk = Chunk::from_rows(Arc::clone(&schema), &rows).unwrap();
+            let keys: &[&str] = if sorted { &["plain"] } else { &[] };
+            let t = Arc::new(Table::from_chunk("t", &chunk, keys).unwrap());
+            let codec = if sorted { "dict-rle" } else { "dict" };
+            assert_eq!(t.column(0).codec_name(), codec);
+            let mut scan = ScanOp::new(Arc::clone(&t), vec![(0, t.row_count())], None);
+            let layout = KeyLayout::new(vec![DataType::Str], vec![Collation::Binary]);
+            let mut table = GroupTable::new(layout);
+            let mut chunks = 0;
+            while let Some(c) = scan.next().unwrap() {
+                let keys = table.encode(&[c.column(0)], c.len());
+                for row in 0..c.len() {
+                    table.lookup_or_insert(&keys, row);
+                }
+                chunks += 1;
+            }
+            assert!(chunks > 1, "the memo must carry across chunks");
+            assert_eq!(table.n_groups(), 12);
+            assert_eq!(table.translations(), 12, "{codec}");
+        }
+    }
+
+    #[test]
     fn ci_collation_merges_groups() {
         let schema = Arc::new(
             Schema::new(vec![

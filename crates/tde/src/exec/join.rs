@@ -13,7 +13,7 @@ use std::sync::Arc;
 use tabviz_common::{Chunk, Collation, ColumnVec, DataType, Result, SchemaRef, TvError, Value};
 use tabviz_tql::JoinType;
 
-use super::key::{self, KeyLayout, PackedJoinIndex};
+use super::key::{self, KeyLayout, PackedJoinIndex, TableWords};
 use super::PhysOp;
 use crate::physical::BuildSide;
 
@@ -94,6 +94,9 @@ pub struct HashJoinOp {
     build_side: Arc<BuildSide>,
     build: Option<Arc<JoinBuild>>,
     probe_key_idx: Vec<usize>,
+    /// Per probe key column: string-table entry → key word, kept across
+    /// probe chunks.
+    probe_memos: Vec<TableWords>,
     join_type: JoinType,
     schema: SchemaRef,
 }
@@ -121,6 +124,7 @@ impl HashJoinOp {
             probe,
             build_side,
             build: None,
+            probe_memos: TableWords::for_columns(probe_key_idx.len()),
             probe_key_idx,
             join_type,
             schema,
@@ -176,7 +180,7 @@ impl PhysOp for HashJoinOp {
                     .iter()
                     .map(|&ci| probe_chunk.column(ci))
                     .collect();
-                let keys = packed.encode_probe(&cols, probe_chunk.len());
+                let keys = packed.encode_probe(&cols, probe_chunk.len(), &mut self.probe_memos);
                 for row in 0..probe_chunk.len() {
                     let mut matched = false;
                     for br in packed.matches(&keys, row) {

@@ -19,7 +19,9 @@
 //! * `Str`   — collation-normalized, then the small-string fast path packs
 //!   up to 7 bytes inline (`1<<63 | len<<56 | bytes`), longer strings take
 //!   a dict code from the operator-local interner (top bit clear, so the
-//!   two sub-encodings can never collide).
+//!   two sub-encodings can never collide). String vectors arrive
+//!   dictionary-coded, so this translation runs once per referenced table
+//!   entry ([`TableWords`]) and each row is `word_of_entry[code]`.
 //!
 //! One extra word per key carries the per-column null bitmap, so NULL group
 //! keys form groups (SQL GROUP BY) while join encoders mark NULL keys
@@ -27,7 +29,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use tabviz_common::hash::mix64;
 use tabviz_common::{Collation, ColumnVec, DataType, Values};
 use tabviz_obs::Counter;
@@ -206,8 +208,42 @@ fn str_word(s: &str, collation: Collation, mode: &mut InternMode<'_>) -> Option<
     }
 }
 
+/// One key column's memo of string-table entry → key word, owned by the
+/// operator so it survives from chunk to chunk: the chunks of one scan share
+/// the stored column's dictionary (`Arc::ptr_eq`), so an entry is normalized,
+/// packed or interned at most once per operator however many rows hold it.
+/// A chunk over a different table restarts the memo.
+#[derive(Default)]
+pub(crate) struct TableWords {
+    table: Option<Arc<Vec<String>>>,
+    words: Vec<u64>,
+    /// Entries translated so far (distinct referenced entries, not rows).
+    pub translated: u64,
+}
+
+/// Memo slot not filled yet. Neither sentinel is a valid word: inline words
+/// carry a length below 8 in bits 56..63, interned codes fit 32 bits.
+const WORD_UNSET: u64 = u64::MAX;
+/// Memo slot of a string absent from a frozen interner.
+const WORD_UNMATCHABLE: u64 = u64::MAX - 1;
+
+impl TableWords {
+    pub fn for_columns(n: usize) -> Vec<TableWords> {
+        (0..n).map(|_| TableWords::default()).collect()
+    }
+
+    fn bind(&mut self, table: &Arc<Vec<String>>) {
+        if !self.table.as_ref().is_some_and(|t| Arc::ptr_eq(t, table)) {
+            self.words.clear();
+            self.words.resize(table.len(), WORD_UNSET);
+            self.table = Some(Arc::clone(table));
+        }
+    }
+}
+
 /// Encode one chunk's key columns into packed words, column-at-a-time,
-/// folding per-row hashes in the same passes.
+/// folding per-row hashes in the same passes. `memos` holds one
+/// [`TableWords`] per key column.
 ///
 /// `nulls_group`: `true` gives GROUP BY semantics (a NULL key cell sets its
 /// null-bitmap bit and still forms a valid key); `false` gives equi-join
@@ -218,6 +254,7 @@ pub(crate) fn encode_keys(
     len: usize,
     nulls_group: bool,
     mut mode: InternMode<'_>,
+    memos: &mut [TableWords],
 ) -> EncodedKeys {
     let stride = layout.stride;
     let n_cols = cols.len();
@@ -260,7 +297,18 @@ pub(crate) fn encode_keys(
             Values::Date(v) => encode_pass!(|i: usize| Some(i64::from(v[i]) as u64)),
             Values::Str(v) => {
                 let collation = layout.collations[ci];
-                encode_pass!(|i: usize| str_word(&v[i], collation, &mut mode));
+                let memo = &mut memos[ci];
+                memo.bind(v.table());
+                let (table, codes) = (v.table(), v.codes());
+                encode_pass!(|i: usize| {
+                    let c = codes[i] as usize;
+                    if memo.words[c] == WORD_UNSET {
+                        memo.words[c] =
+                            str_word(&table[c], collation, &mut mode).unwrap_or(WORD_UNMATCHABLE);
+                        memo.translated += 1;
+                    }
+                    Some(memo.words[c]).filter(|&w| w != WORD_UNMATCHABLE)
+                });
             }
         }
     }
@@ -279,6 +327,7 @@ pub(crate) fn encode_keys(
 pub(crate) struct GroupTable {
     pub layout: KeyLayout,
     interner: HashMap<String, u32>,
+    memos: Vec<TableWords>,
     arena: Vec<u64>,
     map: PreHashedMap<Vec<u32>>,
     n_groups: u32,
@@ -287,6 +336,7 @@ pub(crate) struct GroupTable {
 impl GroupTable {
     pub fn new(layout: KeyLayout) -> Self {
         GroupTable {
+            memos: TableWords::for_columns(layout.dtypes.len()),
             layout,
             interner: HashMap::new(),
             arena: Vec::new(),
@@ -307,7 +357,15 @@ impl GroupTable {
             len,
             true,
             InternMode::Grow(&mut self.interner),
+            &mut self.memos,
         )
+    }
+
+    /// String-table entries translated into key words so far, over all key
+    /// columns.
+    #[cfg(test)]
+    pub fn translations(&self) -> u64 {
+        self.memos.iter().map(|m| m.translated).sum()
     }
 
     /// Map `row` to its dense group id, inserting a new group when the key
@@ -346,7 +404,9 @@ impl PackedJoinIndex {
     /// Index every matchable build row (NULL keys never match).
     pub fn build(layout: KeyLayout, cols: &[&ColumnVec], len: usize) -> Self {
         let mut interner = HashMap::new();
-        let keys = encode_keys(&layout, cols, len, false, InternMode::Grow(&mut interner));
+        let mut memos = TableWords::for_columns(cols.len());
+        let grow = InternMode::Grow(&mut interner);
+        let keys = encode_keys(&layout, cols, len, false, grow, &mut memos);
         let mut map: PreHashedMap<Vec<u32>> = PreHashedMap::default();
         for i in 0..len {
             if keys.ok[i] {
@@ -361,15 +421,16 @@ impl PackedJoinIndex {
         }
     }
 
-    /// Encode a probe chunk against the frozen interner.
-    pub fn encode_probe(&self, cols: &[&ColumnVec], len: usize) -> EncodedKeys {
-        encode_keys(
-            &self.layout,
-            cols,
-            len,
-            false,
-            InternMode::Frozen(&self.interner),
-        )
+    /// Encode a probe chunk against the frozen interner. `memos` belong to
+    /// the probing operator (the index is shared between probe branches).
+    pub fn encode_probe(
+        &self,
+        cols: &[&ColumnVec],
+        len: usize,
+        memos: &mut [TableWords],
+    ) -> EncodedKeys {
+        let frozen = InternMode::Frozen(&self.interner);
+        encode_keys(&self.layout, cols, len, false, frozen, memos)
     }
 
     /// Build rows whose key equals probe `row` (empty when unmatchable).
@@ -398,10 +459,12 @@ impl PackedJoinIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tabviz_common::NullMask;
+    use tabviz_common::{NullMask, StrVec};
 
     fn str_col(vals: &[&str]) -> ColumnVec {
-        ColumnVec::from_values(Values::Str(vals.iter().map(|s| s.to_string()).collect()))
+        ColumnVec::from_values(Values::Str(StrVec::from_opt_strs(
+            vals.iter().map(|s| Some(*s)),
+        )))
     }
 
     #[test]
@@ -467,7 +530,7 @@ mod tests {
         assert_ne!(g0, g1);
         // Join: the NULL row is unmatchable on both sides.
         let idx = PackedJoinIndex::build(layout, &[&col], 3);
-        let probe = idx.encode_probe(&[&col], 3);
+        let probe = idx.encode_probe(&[&col], 3, &mut TableWords::for_columns(1));
         assert!(!probe.ok[1]);
         assert_eq!(idx.matches(&probe, 0).count(), 2); // rows 0 and 2
         assert_eq!(idx.matches(&probe, 1).count(), 0);
@@ -479,7 +542,7 @@ mod tests {
         let build = str_col(&["a long build-side string"]);
         let idx = PackedJoinIndex::build(layout, &[&build], 1);
         let probe_col = str_col(&["a long probe-only string", "a long build-side string"]);
-        let probe = idx.encode_probe(&[&probe_col], 2);
+        let probe = idx.encode_probe(&[&probe_col], 2, &mut TableWords::for_columns(1));
         assert!(!probe.ok[0]);
         assert!(probe.ok[1]);
         assert_eq!(idx.matches(&probe, 1).count(), 1);

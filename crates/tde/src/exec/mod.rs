@@ -308,12 +308,7 @@ impl ScanOp {
             visited += 1;
             let in_range = interval.is_none_or(|(lo, hi)| block >= lo && block < hi);
             if in_range && preds.zone_allows(&self.table, block) {
-                let mask = preds.eval_segment(&self.table, pos, seg_end - pos)?;
-                selected.extend(
-                    mask.iter()
-                        .enumerate()
-                        .filter_map(|(i, &m)| m.then_some(pos + i)),
-                );
+                preds.select_segment(&self.table, pos, seg_end - pos, &mut selected)?;
             } else {
                 skipped += 1;
                 if !in_range {

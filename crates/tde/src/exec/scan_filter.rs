@@ -11,7 +11,10 @@
 //!    compares `u32` codes against the resulting bitmap.
 //! 3. **Run kernels** — for RLE columns the predicate runs once per run and
 //!    the verdict is broadcast over the run's rows.
-//! 4. Everything else decodes just the block segment and evaluates the
+//! 4. **Typed slice kernels** — a comparison or `BETWEEN` whose literals have
+//!    the column's own type runs on the stored plain Int/Real/Date slice as
+//!    it lies, no decode.
+//! 5. Everything else decodes just the block segment and evaluates the
 //!    vectorized predicate on it.
 //!
 //! Surviving row ids are gathered through `StoredColumn::decode_rows`, so a
@@ -19,11 +22,12 @@
 
 use std::sync::{Arc, OnceLock};
 use tabviz_common::{
-    Chunk, Collation, ColumnVec, DataType, Field, Result, Schema, SchemaRef, TvError, Value,
+    Chunk, Collation, ColumnVec, DataType, Field, Result, Schema, SchemaRef, StrVec, TvError,
+    Value, Values,
 };
 use tabviz_obs::Counter;
 use tabviz_storage::{BlockStats, ColumnData, PhysVec, StoredColumn, Table};
-use tabviz_tql::expr::{BinOp, Expr, UnaryOp};
+use tabviz_tql::expr::{BinOp, Expr, TypedTest, UnaryOp};
 
 /// Counters exported on the global obs registry: whole blocks proven
 /// unsatisfiable by zone maps, and rows removed before materialization
@@ -48,6 +52,25 @@ pub(crate) fn scan_metrics() -> &'static ScanMetrics {
     })
 }
 
+/// A pushed conjunct as a test over the column's native values (see
+/// [`TypedTest`]), for plain Int/Real/Date columns.
+enum TypedKernel {
+    Int(TypedTest<i64>),
+    Real(TypedTest<f64>),
+    Date(TypedTest<i32>),
+}
+
+impl TypedKernel {
+    fn compile(e: &Expr, dtype: DataType) -> Option<Self> {
+        match dtype {
+            DataType::Int => e.int_test().map(|(_, t)| TypedKernel::Int(t)),
+            DataType::Real => e.real_test().map(|(_, t)| TypedKernel::Real(t)),
+            DataType::Date => e.date_test().map(|(_, t)| TypedKernel::Date(t)),
+            _ => None,
+        }
+    }
+}
+
 /// One pushed conjunct, compiled against the scanned table.
 struct CompiledPred {
     expr: Expr,
@@ -58,6 +81,9 @@ struct CompiledPred {
     /// For plain dictionary columns: the predicate's verdict per dictionary
     /// code, computed once at compile time.
     code_bitmap: Option<Vec<bool>>,
+    /// The conjunct as a typed slice test, when its shape and literal types
+    /// allow one.
+    typed: Option<TypedKernel>,
     /// Single-column schema used to evaluate `expr` over run values or
     /// decoded segments (nullable clone of the table field).
     eval_schema: SchemaRef,
@@ -103,8 +129,9 @@ impl ScanPredicates {
             let stored = table.column(col);
             let code_bitmap = match (stored.data(), stored.dictionary()) {
                 (ColumnData::Plain(PhysVec::Code(_)), Some(dict)) => {
-                    let entries: Vec<Value> = dict.iter().map(|s| Value::Str(s.clone())).collect();
-                    let cv = ColumnVec::from_iter_typed(DataType::Str, entries.iter())?;
+                    // The dictionary itself, one row per entry.
+                    let entries = StrVec::new(Arc::clone(dict), (0..dict.len() as u32).collect());
+                    let cv = ColumnVec::from_values(Values::Str(entries));
                     let chunk = Chunk::new(Arc::clone(&eval_schema), vec![cv])?;
                     Some(e.eval_predicate(&chunk)?)
                 }
@@ -116,6 +143,7 @@ impl ScanPredicates {
                 col,
                 pass_on_null,
                 code_bitmap,
+                typed: TypedKernel::compile(e, field.dtype),
                 eval_schema,
             });
         }
@@ -140,56 +168,95 @@ impl ScanPredicates {
             .all(|p| zone_allows_pred(p, table.column(p.col), block))
     }
 
-    /// Evaluate all conjuncts over rows `[start, start + len)`, returning the
-    /// combined pass mask. Callers segment by zone-map block, so RLE run
-    /// enumeration and fallback decodes stay block-sized.
-    pub fn eval_segment(&self, table: &Table, start: usize, len: usize) -> Result<Vec<bool>> {
-        let mut mask = vec![true; len];
-        for p in &self.preds {
+    /// Append to `out` the rows of `[start, start + len)` that pass every
+    /// conjunct (global row ids, ascending). The first conjunct tests every
+    /// row of the segment, later ones only the rows still selected. Callers
+    /// segment by zone-map block, so RLE run enumeration and fallback
+    /// decodes stay block-sized.
+    pub fn select_segment(
+        &self,
+        table: &Table,
+        start: usize,
+        len: usize,
+        out: &mut Vec<usize>,
+    ) -> Result<()> {
+        let from = out.len();
+        for (k, p) in self.preds.iter().enumerate() {
             let col = table.column(p.col);
-            match (&p.code_bitmap, col.data()) {
-                // Predicate-on-codes: u32 compare against the bitmap.
-                (Some(bitmap), ColumnData::Plain(PhysVec::Code(codes))) => {
-                    let nulls = col.null_mask();
-                    for (i, m) in mask.iter_mut().enumerate() {
-                        if !*m {
-                            continue;
-                        }
-                        let row = start + i;
-                        *m = if nulls.is_valid(row) {
-                            bitmap[codes[row] as usize]
-                        } else {
-                            p.pass_on_null
-                        };
-                    }
-                }
-                _ => match col.runs_overlapping(start, len) {
-                    // Run kernel: one verdict per run, broadcast over it.
-                    Some(runs) => {
-                        let values: Vec<Value> = runs.iter().map(|r| r.value.clone()).collect();
-                        let cv = ColumnVec::from_iter_typed(col.field.dtype, values.iter())?;
-                        let chunk = Chunk::new(Arc::clone(&p.eval_schema), vec![cv])?;
-                        let verdicts = p.expr.eval_predicate(&chunk)?;
-                        for (run, pass) in runs.iter().zip(&verdicts) {
-                            if !*pass {
-                                let lo = run.start - start;
-                                mask[lo..lo + run.count].fill(false);
+            let valid = col.null_mask().valid_bits();
+            macro_rules! narrow {
+                ($pass:expr) => {{
+                    let pass = $pass;
+                    if k == 0 {
+                        out.extend((start..start + len).filter(|&row| pass(row)));
+                    } else {
+                        let mut kept = from;
+                        for i in from..out.len() {
+                            if pass(out[i]) {
+                                out[kept] = out[i];
+                                kept += 1;
                             }
                         }
+                        out.truncate(kept);
                     }
-                    // Fallback: decode the segment, vectorized evaluation.
-                    None => {
-                        let cv = col.decode_range(start, len)?;
-                        let chunk = Chunk::new(Arc::clone(&p.eval_schema), vec![cv])?;
-                        let passes = p.expr.eval_predicate(&chunk)?;
-                        for (m, pass) in mask.iter_mut().zip(&passes) {
-                            *m &= pass;
+                }};
+            }
+            // A NULL row passes iff the conjunct accepts NULL.
+            macro_rules! per_value {
+                ($test:expr) => {
+                    narrow!(|row: usize| {
+                        if valid.is_none_or(|v| v[row]) {
+                            $test(row)
+                        } else {
+                            p.pass_on_null
                         }
-                    }
-                },
+                    })
+                };
+            }
+            match (&p.code_bitmap, &p.typed, col.data()) {
+                // Predicate-on-codes: u32 compare against the bitmap.
+                (Some(bitmap), _, ColumnData::Plain(PhysVec::Code(codes))) => {
+                    per_value!(|row: usize| bitmap[codes[row] as usize])
+                }
+                // Typed kernels on the stored slice, no decode.
+                (_, Some(TypedKernel::Int(t)), ColumnData::Plain(PhysVec::Int(v))) => {
+                    per_value!(|row: usize| t.holds(v[row], i64::cmp))
+                }
+                (_, Some(TypedKernel::Real(t)), ColumnData::Plain(PhysVec::Real(v))) => {
+                    per_value!(|row: usize| t.holds(v[row], f64::total_cmp))
+                }
+                (_, Some(TypedKernel::Date(t)), ColumnData::Plain(PhysVec::Date(v))) => {
+                    per_value!(|row: usize| t.holds(v[row], i32::cmp))
+                }
+                _ => {
+                    let mask = match col.runs_overlapping(start, len) {
+                        // Run kernel: one verdict per run, broadcast over it.
+                        Some(runs) => {
+                            let values: Vec<Value> = runs.iter().map(|r| r.value.clone()).collect();
+                            let cv = ColumnVec::from_iter_typed(col.field.dtype, values.iter())?;
+                            let chunk = Chunk::new(Arc::clone(&p.eval_schema), vec![cv])?;
+                            let verdicts = p.expr.eval_predicate(&chunk)?;
+                            let mut mask = vec![true; len];
+                            for (run, pass) in runs.iter().zip(&verdicts) {
+                                if !*pass {
+                                    let lo = run.start - start;
+                                    mask[lo..lo + run.count].fill(false);
+                                }
+                            }
+                            mask
+                        }
+                        // Fallback: decode the segment, vectorized evaluation.
+                        None => {
+                            let cv = col.decode_range(start, len)?;
+                            let chunk = Chunk::new(Arc::clone(&p.eval_schema), vec![cv])?;
+                            p.expr.eval_predicate(&chunk)?
+                        }
+                    };
+                    narrow!(|row: usize| mask[row - start])
+                }
             }
         }
-        Ok(mask)
+        Ok(())
     }
 }
 

@@ -1,18 +1,26 @@
 //! Gold-model oracle: random tables + random aggregate-select queries,
 //! evaluated by a naive row-at-a-time reference implementation and by the
 //! TDE (serial and parallel). Results must match exactly.
+//!
+//! String keys travel through the engine as dictionary codes, so the key
+//! pool holds what the code path must get right: strings past the 7-byte
+//! inline limit, spellings that differ only by case (one group under the
+//! case-insensitive column `c`), an all-null column `z` (empty dictionary),
+//! and a computed key `UPPER(k)` whose every chunk — and, in the parallel
+//! arm, every Exchange branch — carries a string table of its own with
+//! several entries per group.
 
 #![allow(clippy::field_reassign_with_default)]
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tabviz_common::{Chunk, DataType, Field, Schema, Value};
+use tabviz_common::{Chunk, Collation, DataType, Field, Schema, Value};
 use tabviz_storage::{Database, Table};
 use tabviz_tde::cost::CostProfile;
 use tabviz_tde::parallel::ParallelOptions;
 use tabviz_tde::{ExecOptions, Tde};
-use tabviz_tql::expr::{bin, col, lit, Expr};
+use tabviz_tql::expr::{bin, col, lit, Expr, ScalarFunc};
 use tabviz_tql::{AggCall, AggFunc, BinOp, LogicalPlan};
 
 #[derive(Debug, Clone)]
@@ -25,7 +33,16 @@ struct Row {
 fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
     proptest::collection::vec(
         (
-            proptest::sample::select(vec!["a", "b", "c", "d"]),
+            proptest::sample::select(vec![
+                "a",
+                "b",
+                "c",
+                "d",
+                "A",
+                "B",
+                "a key past seven bytes",
+                "A KEY past seven bytes",
+            ]),
             0i64..4,
             proptest::option::of(-20i64..20),
         ),
@@ -133,6 +150,8 @@ fn table_of(rows: &[Row], sorted: bool) -> Arc<Database> {
             Field::new("k", DataType::Str),
             Field::new("g", DataType::Int),
             Field::new("v", DataType::Int),
+            Field::new("c", DataType::Str).with_collation(Collation::CaseInsensitive),
+            Field::new("z", DataType::Str),
         ])
         .unwrap(),
     );
@@ -143,6 +162,8 @@ fn table_of(rows: &[Row], sorted: bool) -> Arc<Database> {
                 Value::Str(r.k.clone()),
                 Value::Int(r.g),
                 r.v.map(Value::Int).unwrap_or(Value::Null),
+                Value::Str(r.k.clone()),
+                Value::Null,
             ]
         })
         .collect();
@@ -188,8 +209,109 @@ fn engine_query(
     rows
 }
 
+/// String-key shapes beyond a plain binary column.
+#[derive(Debug, Clone, Copy)]
+enum StrKey {
+    /// `c`: case-insensitive collation — spellings differing by case merge.
+    CaseInsensitive,
+    /// `z`: every row NULL — one NULL group over an empty dictionary.
+    AllNull,
+    /// `UPPER(k)`: a computed key, several table entries per group.
+    Upper,
+}
+
+impl StrKey {
+    fn expr(self) -> Expr {
+        match self {
+            StrKey::CaseInsensitive => col("c"),
+            StrKey::AllNull => col("z"),
+            StrKey::Upper => Expr::Func {
+                func: ScalarFunc::Upper,
+                args: vec![col("k")],
+            },
+        }
+    }
+
+    /// The group a row falls in. A case-insensitive group is represented by
+    /// whichever spelling the engine met first, so both sides fold case.
+    fn of(self, r: &Row) -> Value {
+        match self {
+            StrKey::CaseInsensitive => Value::Str(r.k.to_ascii_lowercase()),
+            StrKey::AllNull => Value::Null,
+            StrKey::Upper => Value::Str(r.k.to_uppercase()),
+        }
+    }
+
+    fn fold(self, v: Value) -> Value {
+        match (self, v) {
+            (StrKey::CaseInsensitive, Value::Str(s)) => Value::Str(s.to_ascii_lowercase()),
+            (_, v) => v,
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn string_key_shapes_match_reference(
+        rows in arb_rows(),
+        filt in arb_filter(),
+        key in proptest::sample::select(vec![StrKey::CaseInsensitive, StrKey::AllNull, StrKey::Upper]),
+        sorted in any::<bool>(),
+    ) {
+        let mut groups: BTreeMap<Value, (i64, Option<i64>)> = BTreeMap::new();
+        for r in rows.iter().filter(|r| filt.keep(r)) {
+            let slot = groups.entry(key.of(r)).or_default();
+            slot.0 += 1;
+            if let Some(v) = r.v {
+                slot.1 = Some(slot.1.unwrap_or(0) + v);
+            }
+        }
+        let want: Vec<Vec<Value>> = groups
+            .into_iter()
+            .map(|(k, (n, s))| vec![k, Value::Int(n), s.map_or(Value::Null, Value::Int)])
+            .collect();
+
+        let mut plan = LogicalPlan::scan("t");
+        if let Some(f) = filt.expr() {
+            plan = plan.select(f);
+        }
+        let plan = plan.aggregate(
+            vec![(key.expr(), "key".to_string())],
+            vec![
+                AggCall::new(AggFunc::Count, None, "n"),
+                AggCall::new(AggFunc::Sum, Some(col("v")), "s"),
+            ],
+        );
+        let mut par = ExecOptions::default();
+        par.parallel = ParallelOptions {
+            profile: CostProfile { min_work_per_thread: 5, max_dop: 3 },
+            range_partition_min_distinct_per_dop: 1,
+            ..Default::default()
+        };
+        let mut no_kernels = ExecOptions::serial();
+        no_kernels.physical.enable_vector_kernels = false;
+        let tde = Tde::new(table_of(&rows, sorted));
+        for (arm, opts) in [
+            ("serial", ExecOptions::serial()),
+            ("parallel", par),
+            ("value-row fallback", no_kernels),
+        ] {
+            let mut got: Vec<Vec<Value>> = tde
+                .execute_plan(&plan, &opts)
+                .unwrap()
+                .to_rows()
+                .into_iter()
+                .map(|mut r| {
+                    r[0] = key.fold(r[0].clone());
+                    r
+                })
+                .collect();
+            got.sort();
+            prop_assert_eq!(&got, &want, "{} diverged on {:?}", arm, key);
+        }
+    }
 
     #[test]
     fn engine_matches_reference(

@@ -12,10 +12,13 @@
 //! false.
 
 use crate::datefn;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 use tabviz_common::{
-    Chunk, Collation, ColumnVec, DataType, NullMask, Result, Schema, SelVec, TvError, Value, Values,
+    Chunk, Collation, ColumnVec, DataType, NullMask, Result, Schema, SelVec, StrVec, TvError,
+    Value, Values,
 };
 
 /// Unary operators.
@@ -178,6 +181,31 @@ pub enum Expr {
     },
 }
 
+/// A single-column predicate reduced to a test over the column's native
+/// type `T`: `col <cmp> literal` or `col BETWEEN low AND high`, every literal
+/// already of type `T`. Evaluators run it over a raw typed slice (a chunk
+/// column, or a stored plain column the scan has not decoded) without
+/// materializing a [`Value`] per row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TypedTest<T> {
+    Cmp(BinOp, T),
+    Between(T, T),
+}
+
+impl<T: Copy> TypedTest<T> {
+    /// Does the non-null value `x` pass? `cmp` is the type's total order
+    /// (`total_cmp` for reals, as in the generic evaluator).
+    #[inline]
+    pub fn holds(&self, x: T, cmp: impl Fn(&T, &T) -> Ordering) -> bool {
+        match self {
+            TypedTest::Cmp(op, lit) => cmp_holds(*op, cmp(&x, lit)),
+            TypedTest::Between(low, high) => {
+                cmp(&x, low) != Ordering::Less && cmp(&x, high) != Ordering::Greater
+            }
+        }
+    }
+}
+
 /// Shorthand constructors used pervasively in tests and query builders.
 pub fn col(name: impl Into<String>) -> Expr {
     Expr::Column(name.into())
@@ -330,6 +358,49 @@ impl Expr {
         }
     }
 
+    /// This predicate as a [`TypedTest`] over the named column, when it has
+    /// one of the two shapes and `native` accepts every literal (a NULL or
+    /// cross-type literal declines, leaving the generic evaluator's
+    /// semantics in charge).
+    fn typed_test<T>(&self, native: impl Fn(&Value) -> Option<T>) -> Option<(&str, TypedTest<T>)> {
+        match self {
+            Expr::Binary { op, left, right } if op.is_comparison() => {
+                match (left.as_ref(), right.as_ref()) {
+                    (Expr::Column(name), Expr::Literal(v)) => {
+                        Some((name, TypedTest::Cmp(*op, native(v)?)))
+                    }
+                    _ => None,
+                }
+            }
+            Expr::Between { expr, low, high } => match expr.as_ref() {
+                Expr::Column(name) => Some((name, TypedTest::Between(native(low)?, native(high)?))),
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+
+    pub fn int_test(&self) -> Option<(&str, TypedTest<i64>)> {
+        self.typed_test(|v| match v {
+            Value::Int(i) => Some(*i),
+            _ => None,
+        })
+    }
+
+    pub fn real_test(&self) -> Option<(&str, TypedTest<f64>)> {
+        self.typed_test(|v| match v {
+            Value::Real(r) => Some(*r),
+            _ => None,
+        })
+    }
+
+    pub fn date_test(&self) -> Option<(&str, TypedTest<i32>)> {
+        self.typed_test(|v| match v {
+            Value::Date(d) => Some(*d),
+            _ => None,
+        })
+    }
+
     /// Evaluate a constant expression to a single value, or `None` if the
     /// expression references columns.
     pub fn const_eval(&self) -> Option<Value> {
@@ -347,12 +418,7 @@ impl Expr {
     pub fn eval(&self, chunk: &Chunk) -> Result<ColumnVec> {
         match self {
             Expr::Column(n) => Ok(chunk.column_by_name(n)?.clone()),
-            Expr::Literal(v) => {
-                let n = chunk.len();
-                let dtype = v.data_type().unwrap_or(DataType::Bool);
-                let values: Vec<Value> = vec![v.clone(); n];
-                ColumnVec::from_iter_typed(dtype, values.iter())
-            }
+            Expr::Literal(v) => Ok(literal_column(v, chunk.len())),
             Expr::Unary { op, expr } => {
                 let input = expr.eval(chunk)?;
                 eval_unary(*op, &input)
@@ -383,6 +449,14 @@ impl Expr {
                 }
                 sorted.sort();
                 sorted.dedup();
+                if let Values::Str(v) = &input.values {
+                    // One list probe per referenced table entry.
+                    let bits = v.map_rows(input.nulls.valid_bits(), false, |s| {
+                        let found = sorted.binary_search(&Value::Str(collation.key(s))).is_ok();
+                        found != *negated
+                    });
+                    return Ok(ColumnVec::new(Values::Bool(bits), input.nulls.clone()));
+                }
                 let n = input.len();
                 let mut out = Vec::with_capacity(n);
                 let mut valid = Vec::with_capacity(n);
@@ -393,11 +467,7 @@ impl Expr {
                         valid.push(false);
                         continue;
                     }
-                    let probe = match (&v, collation) {
-                        (Value::Str(s), c) if c != Collation::Binary => Value::Str(c.key(s)),
-                        _ => v,
-                    };
-                    let found = sorted.binary_search(&probe).is_ok();
+                    let found = sorted.binary_search(&v).is_ok();
                     out.push(found != *negated);
                     valid.push(true);
                 }
@@ -409,6 +479,9 @@ impl Expr {
             Expr::Between { expr, low, high } => {
                 let input = expr.eval(chunk)?;
                 let collation = expr_collation(expr, chunk.schema());
+                if let Some(bits) = typed_between(&input, low, high, collation) {
+                    return Ok(ColumnVec::new(Values::Bool(bits), input.nulls.clone()));
+                }
                 let n = input.len();
                 let mut out = Vec::with_capacity(n);
                 let mut valid = Vec::with_capacity(n);
@@ -418,8 +491,8 @@ impl Expr {
                         out.push(false);
                         valid.push(false);
                     } else {
-                        let ge = v.cmp_collated(low, collation) != std::cmp::Ordering::Less;
-                        let le = v.cmp_collated(high, collation) != std::cmp::Ordering::Greater;
+                        let ge = v.cmp_collated(low, collation) != Ordering::Less;
+                        let le = v.cmp_collated(high, collation) != Ordering::Greater;
                         out.push(ge && le);
                         valid.push(true);
                     }
@@ -462,18 +535,11 @@ impl Expr {
     /// Evaluate as a filter predicate into a selection vector. Semantics
     /// match [`Expr::eval_predicate`] (NULL ⇒ row rejected), but an all-true
     /// result collapses to [`SelVec::All`] so consumers can skip the gather,
-    /// and simple column-vs-literal comparisons build the id list straight
-    /// from the typed column slice.
+    /// and column-vs-literal comparisons and ranges ([`TypedTest`]) build
+    /// the id list straight from the typed column slice.
     pub fn eval_predicate_sel(&self, chunk: &Chunk) -> Result<SelVec> {
-        if let Expr::Binary { op, left, right } = self {
-            if op.is_comparison() {
-                if let (Expr::Column(name), Expr::Literal(litv)) = (left.as_ref(), right.as_ref()) {
-                    let colv = chunk.column_by_name(name)?;
-                    if let Some(sel) = typed_cmp_sel(*op, colv, litv) {
-                        return Ok(sel);
-                    }
-                }
-            }
+        if let Some(sel) = typed_pred_sel(self, chunk)? {
+            return Ok(sel);
         }
         let out = self.eval(chunk)?;
         let Some(bits) = out.values.as_bool() else {
@@ -500,34 +566,114 @@ impl Expr {
     }
 }
 
-/// Typed selection-vector builder for `column <cmp> literal` over the typed
-/// slice combinations [`eval_binary`]'s fast paths cover (Int/Int, Real/Real).
-/// Returns `None` when the combination needs the generic evaluator.
-fn typed_cmp_sel(op: BinOp, col: &ColumnVec, litv: &Value) -> Option<SelVec> {
-    let n = col.len();
-    let valid = col.nulls.valid_bits();
-    let mut ids = Vec::new();
-    match (&col.values, litv) {
-        (Values::Int(a), Value::Int(b)) => {
-            for (i, x) in a.iter().enumerate() {
-                if valid.is_none_or(|v| v[i]) && cmp_holds(op, x.cmp(b)) {
-                    ids.push(i as u32);
-                }
+/// Selection vector of a [`TypedTest`]-shaped predicate whose literals match
+/// the column's type (Int, Real or Date); `None` when the predicate needs the
+/// generic evaluator.
+fn typed_pred_sel(pred: &Expr, chunk: &Chunk) -> Result<Option<SelVec>> {
+    fn select<T: Copy>(
+        test: &TypedTest<T>,
+        vals: &[T],
+        valid: Option<&[bool]>,
+        cmp: impl Fn(&T, &T) -> Ordering,
+    ) -> SelVec {
+        let mut ids = Vec::new();
+        for (i, x) in vals.iter().enumerate() {
+            if valid.is_none_or(|v| v[i]) && test.holds(*x, &cmp) {
+                ids.push(i as u32);
             }
         }
-        (Values::Real(a), Value::Real(b)) => {
-            for (i, x) in a.iter().enumerate() {
-                if valid.is_none_or(|v| v[i]) && cmp_holds(op, x.total_cmp(b)) {
-                    ids.push(i as u32);
+        if ids.len() == vals.len() {
+            SelVec::all(vals.len())
+        } else {
+            SelVec::Ids(ids)
+        }
+    }
+    macro_rules! attempt {
+        ($test:ident, $variant:ident, $cmp:expr) => {
+            if let Some((name, test)) = pred.$test() {
+                let col = chunk.column_by_name(name)?;
+                if let Values::$variant(v) = &col.values {
+                    return Ok(Some(select(&test, v, col.nulls.valid_bits(), $cmp)));
                 }
             }
+        };
+    }
+    attempt!(int_test, Int, i64::cmp);
+    attempt!(real_test, Real, f64::total_cmp);
+    attempt!(date_test, Date, i32::cmp);
+    Ok(None)
+}
+
+/// `BETWEEN` over a whole column without a `Value` per row: typed slices
+/// when both bounds have the column's type, strings once per referenced
+/// table entry. Null rows come out `false` (the caller reuses the input's
+/// null mask). `None` leaves mixed-type cases to the generic loop.
+fn typed_between(
+    input: &ColumnVec,
+    low: &Value,
+    high: &Value,
+    collation: Collation,
+) -> Option<Vec<bool>> {
+    let valid = input.nulls.valid_bits();
+    macro_rules! run {
+        ($vals:expr, $low:expr, $high:expr, $cmp:expr) => {{
+            let test = TypedTest::Between(*$low, *$high);
+            let bits = $vals
+                .iter()
+                .enumerate()
+                .map(|(i, x)| valid.is_none_or(|v| v[i]) && test.holds(*x, $cmp))
+                .collect();
+            Some(bits)
+        }};
+    }
+    match (&input.values, low, high) {
+        (Values::Int(v), Value::Int(lo), Value::Int(hi)) => run!(v, lo, hi, i64::cmp),
+        (Values::Real(v), Value::Real(lo), Value::Real(hi)) => run!(v, lo, hi, f64::total_cmp),
+        (Values::Date(v), Value::Date(lo), Value::Date(hi)) => run!(v, lo, hi, i32::cmp),
+        (Values::Str(v), _, _) => Some(v.map_rows(valid, false, |s| {
+            cmp_str_value(s, low, collation) != Ordering::Less
+                && cmp_str_value(s, high, collation) != Ordering::Greater
+        })),
+        _ => None,
+    }
+}
+
+/// `Value::Str(s).cmp_collated(v, collation)` without building the `Value`:
+/// NULL sorts below everything and strings rank above every other type.
+fn cmp_str_value(s: &str, v: &Value, collation: Collation) -> Ordering {
+    match v {
+        Value::Str(b) => collation.cmp_str(s, b),
+        _ => Ordering::Greater,
+    }
+}
+
+/// A literal broadcast to `n` rows; a string literal is one table entry.
+fn literal_column(v: &Value, n: usize) -> ColumnVec {
+    let values = match v {
+        Value::Null => {
+            return ColumnVec::new(
+                Values::Bool(vec![false; n]),
+                NullMask::from_valid_bits(vec![false; n]),
+            )
         }
-        _ => return None,
+        Value::Bool(b) => Values::Bool(vec![*b; n]),
+        Value::Int(i) => Values::Int(vec![*i; n]),
+        Value::Real(r) => Values::Real(vec![*r; n]),
+        Value::Date(d) => Values::Date(vec![*d; n]),
+        Value::Str(s) => Values::Str(StrVec::new(Arc::new(vec![s.clone()]), vec![0; n])),
+    };
+    ColumnVec::from_values(values)
+}
+
+/// The one string every row of `col` holds, when `col` is a broadcast
+/// string literal (a one-entry table and no nulls).
+fn constant_str(col: &ColumnVec) -> Option<&str> {
+    match &col.values {
+        Values::Str(v) if v.table().len() == 1 && col.nulls.valid_bits().is_none() => {
+            Some(&v.table()[0])
+        }
+        _ => None,
     }
-    if ids.len() == n {
-        return Some(SelVec::all(n));
-    }
-    Some(SelVec::Ids(ids))
 }
 
 /// Collation to use when comparing the results of two sub-expressions: if
@@ -618,6 +764,24 @@ fn eval_binary(op: BinOp, l: &ColumnVec, r: &ColumnVec, collation: Collation) ->
     }
 
     if op.is_comparison() {
+        // String column against a string literal: one comparison per
+        // referenced table entry, mapped through the codes.
+        if let (Values::Str(a), Some(konst)) = (&l.values, constant_str(r)) {
+            if l.len() == n {
+                let bits = a.map_rows(l.nulls.valid_bits(), false, |s| {
+                    cmp_holds(op, collation.cmp_str(s, konst))
+                });
+                return Ok(ColumnVec::new(Values::Bool(bits), l.nulls.clone()));
+            }
+        }
+        if let (Some(konst), Values::Str(b)) = (constant_str(l), &r.values) {
+            if r.len() == n {
+                let bits = b.map_rows(r.nulls.valid_bits(), false, |s| {
+                    cmp_holds(op, collation.cmp_str(konst, s))
+                });
+                return Ok(ColumnVec::new(Values::Bool(bits), r.nulls.clone()));
+            }
+        }
         // Fast typed paths for the hot combinations.
         let mut out = Vec::with_capacity(n);
         let mut valid = Vec::with_capacity(n);
@@ -639,6 +803,18 @@ fn eval_binary(op: BinOp, l: &ColumnVec, r: &ColumnVec, collation: Collation) ->
                     let (x, y) = (li(i), ri(i));
                     if l.is_valid(x) && r.is_valid(y) {
                         out.push(cmp_holds(op, a[x].total_cmp(&b[y])));
+                        valid.push(true);
+                    } else {
+                        out.push(false);
+                        valid.push(false);
+                    }
+                }
+            }
+            (Values::Str(a), Values::Str(b)) => {
+                for i in 0..n {
+                    let (x, y) = (li(i), ri(i));
+                    if l.is_valid(x) && r.is_valid(y) {
+                        out.push(cmp_holds(op, collation.cmp_str(a.get(x), b.get(y))));
                         valid.push(true);
                     } else {
                         out.push(false);
@@ -730,7 +906,8 @@ fn eval_binary(op: BinOp, l: &ColumnVec, r: &ColumnVec, collation: Collation) ->
     }
 }
 
-fn cmp_holds(op: BinOp, ord: std::cmp::Ordering) -> bool {
+#[inline]
+fn cmp_holds(op: BinOp, ord: Ordering) -> bool {
     use std::cmp::Ordering::*;
     match op {
         BinOp::Eq => ord == Equal,
@@ -787,24 +964,19 @@ fn eval_kleene(
 fn eval_func(func: ScalarFunc, inputs: &[ColumnVec]) -> Result<ColumnVec> {
     let a = &inputs[0];
     let n = a.len();
-    let map_str = |f: &dyn Fn(&str) -> Value| -> Result<ColumnVec> {
-        match &a.values {
-            Values::Str(v) => {
-                let vals: Vec<Value> = (0..n)
-                    .map(|i| if a.is_valid(i) { f(&v[i]) } else { Value::Null })
-                    .collect();
-                let dtype = vals
-                    .iter()
-                    .find_map(|v| v.data_type())
-                    .unwrap_or(DataType::Str);
-                ColumnVec::from_iter_typed(dtype, vals.iter())
-            }
-            other => Err(TvError::Type(format!(
+    // String functions run once per referenced table entry.
+    let str_arg = || -> Result<&StrVec> {
+        a.values.as_str().ok_or_else(|| {
+            TvError::Type(format!(
                 "{} requires a string, got {}",
                 func.name(),
-                other.data_type()
-            ))),
-        }
+                a.data_type()
+            ))
+        })
+    };
+    let map_str = |f: &dyn Fn(&str) -> String| -> Result<ColumnVec> {
+        let mapped = str_arg()?.map_strs(a.nulls.valid_bits(), f);
+        Ok(ColumnVec::new(Values::Str(mapped), a.nulls.clone()))
     };
     let map_date = |f: &dyn Fn(i32) -> i64| -> Result<ColumnVec> {
         match &a.values {
@@ -820,18 +992,12 @@ fn eval_func(func: ScalarFunc, inputs: &[ColumnVec]) -> Result<ColumnVec> {
         }
     };
     match func {
-        ScalarFunc::Upper => map_str(&|s| Value::Str(s.to_uppercase())),
-        ScalarFunc::Lower => map_str(&|s| Value::Str(s.to_lowercase())),
-        ScalarFunc::Strlen => match &a.values {
-            Values::Str(v) => {
-                let out: Vec<i64> = v.iter().map(|s| s.chars().count() as i64).collect();
-                Ok(ColumnVec::new(Values::Int(out), a.nulls.clone()))
-            }
-            other => Err(TvError::Type(format!(
-                "STRLEN requires a string, got {}",
-                other.data_type()
-            ))),
-        },
+        ScalarFunc::Upper => map_str(&|s| s.to_uppercase()),
+        ScalarFunc::Lower => map_str(&|s| s.to_lowercase()),
+        ScalarFunc::Strlen => {
+            let lens = str_arg()?.map_rows(a.nulls.valid_bits(), 0, |s| s.chars().count() as i64);
+            Ok(ColumnVec::new(Values::Int(lens), a.nulls.clone()))
+        }
         ScalarFunc::Abs => match &a.values {
             Values::Int(v) => Ok(ColumnVec::new(
                 Values::Int(v.iter().map(|x| x.abs()).collect()),

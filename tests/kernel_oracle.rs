@@ -6,12 +6,25 @@
 //! `DataType`, null-heavy columns, inline (≤ 7 byte) and interned long
 //! strings, case-insensitive collation, empty inputs, and group keys wide
 //! enough to force the fallback on its own.
+//!
+//! Tables hand the operators tidy string vectors (one sorted dictionary per
+//! column). The last section feeds `HashAggOp` and `HashJoinOp` chunks coded
+//! against arbitrary string tables instead — a different table per chunk,
+//! duplicate and unreferenced entries, out-of-range placeholders on null
+//! rows, an all-null column over an empty table — and checks both arms
+//! against a model computed from the rows.
 
 #![allow(clippy::field_reassign_with_default)]
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
+use tabviz::common::{ColumnVec, NullMask, SchemaRef, StrVec, Values};
 use tabviz::prelude::*;
+use tabviz::tde::exec::agg::HashAggOp;
+use tabviz::tde::exec::join::HashJoinOp;
+use tabviz::tde::exec::PhysOp;
+use tabviz::tde::physical::{agg_schema, AggMode, BuildSide, PhysPlan};
 use tabviz::tql::expr::{bin, col, lit};
 
 const SHORT: [&str; 6] = ["ak", "ca", "ny", "tx", "wa", "or"];
@@ -364,4 +377,251 @@ fn ci_grouping_merges_case_variants() {
         assert_eq!(out.len(), 3, "arm {name} group count");
     }
     check_arms_agree(&tde, &plan);
+}
+
+// ---------------------------------------------------------------------------
+// Operators over arbitrarily coded string vectors.
+
+/// A source operator replaying prepared chunks.
+struct Replay {
+    schema: SchemaRef,
+    chunks: std::collections::VecDeque<Chunk>,
+}
+
+impl PhysOp for Replay {
+    fn schema(&self) -> SchemaRef {
+        Arc::clone(&self.schema)
+    }
+
+    fn next(&mut self) -> tabviz::common::Result<Option<Chunk>> {
+        Ok(self.chunks.pop_front())
+    }
+}
+
+fn coded_schema() -> SchemaRef {
+    Arc::new(
+        Schema::new(vec![
+            Field::new("s", DataType::Str),
+            Field::new("ci", DataType::Str).with_collation(Collation::CaseInsensitive),
+            Field::new("an", DataType::Str),
+            Field::new("v", DataType::Int),
+        ])
+        .unwrap(),
+    )
+}
+
+/// One string column over `words`, coded against a table made for this
+/// chunk alone: rotated by `salt`, every word entered twice, an entry no row
+/// uses in front, and code 1000 (outside any table) on the null rows.
+fn coded_column(words: &[&str], picks: &[Option<usize>], salt: usize) -> ColumnVec {
+    let n = words.len();
+    let mut table = vec!["<unused>".to_string()];
+    table.extend((0..2 * n).map(|j| words[(j + salt) % n].to_string()));
+    let codes = picks
+        .iter()
+        .enumerate()
+        .map(|(row, p)| match p {
+            None => 1_000,
+            // Either of the word's two entries, alternating by row.
+            Some(w) => table
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| *s == words[*w])
+                .map(|(j, _)| j as u32)
+                .nth(row % 2)
+                .expect("every word is entered twice"),
+        })
+        .collect();
+    ColumnVec::new(
+        Values::Str(StrVec::new(Arc::new(table), codes)),
+        NullMask::from_valid_bits(picks.iter().map(Option::is_some).collect()),
+    )
+}
+
+/// Chunks of `coded_schema()` rows, each coded against its own tables.
+fn coded_chunks(seed: u64, sizes: &[usize]) -> Vec<Chunk> {
+    let mixed: Vec<&str> = SHORT.iter().chain(&LONG).copied().collect();
+    let mut h = seed;
+    let mut next = move || {
+        h = h
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(0x1234_5677);
+        (h >> 33) as usize
+    };
+    sizes
+        .iter()
+        .enumerate()
+        .map(|(ci, &rows)| {
+            let mut pick = |words: usize, null_every: usize| -> Vec<Option<usize>> {
+                (0..rows)
+                    .map(|_| {
+                        let r = next();
+                        (r % null_every != 0).then_some(r % words)
+                    })
+                    .collect()
+            };
+            let s = coded_column(&mixed, &pick(mixed.len(), 7), ci + seed as usize);
+            let cased = coded_column(&CASED, &pick(CASED.len(), 9), 2 * ci + 1);
+            let all_null = ColumnVec::new(
+                Values::Str(StrVec::new(Arc::new(Vec::new()), vec![0; rows])),
+                NullMask::from_valid_bits(vec![false; rows]),
+            );
+            let v = (0..rows).map(|_| Value::Int(next() as i64 % 100 - 50));
+            let v = ColumnVec::from_iter_typed(DataType::Int, v.collect::<Vec<_>>().iter());
+            Chunk::new(coded_schema(), vec![s, cased, all_null, v.unwrap()]).unwrap()
+        })
+        .collect()
+}
+
+fn drain(mut op: impl PhysOp) -> Vec<Vec<Value>> {
+    let mut rows = Vec::new();
+    while let Some(c) = op.next().unwrap() {
+        rows.extend(c.to_rows());
+    }
+    rows
+}
+
+/// Lower-case a CI group key so representatives ("Alpha" or "alpha",
+/// whichever a group saw first) compare equal.
+fn fold_case(v: &Value) -> Value {
+    match v {
+        Value::Str(s) => Value::Str(s.to_ascii_lowercase()),
+        other => other.clone(),
+    }
+}
+
+fn check_coded_group_by(chunks: &[Chunk], gcol: &str) {
+    let schema = coded_schema();
+    let gi = schema.index_of(gcol).unwrap();
+    let fold = |v: &Value| {
+        if gcol == "ci" {
+            fold_case(v)
+        } else {
+            v.clone()
+        }
+    };
+    // Model: COUNT(*) and SUM(v) per group, from the materialized rows.
+    let mut want: BTreeMap<Value, (i64, i64)> = BTreeMap::new();
+    for row in chunks.iter().flat_map(Chunk::to_rows) {
+        let slot = want.entry(fold(&row[gi])).or_default();
+        slot.0 += 1;
+        slot.1 += row[3].as_int().unwrap();
+    }
+    let want: Vec<Vec<Value>> = want
+        .into_iter()
+        .map(|(k, (n, sum))| vec![k, Value::Int(n), Value::Int(sum)])
+        .collect();
+    let group_by = vec![(col(gcol), gcol.to_string())];
+    let aggs = vec![
+        AggCall::new(AggFunc::Count, None, "n"),
+        AggCall::new(AggFunc::Sum, Some(col("v")), "sv"),
+    ];
+    let out_schema = agg_schema(&schema, &group_by, &aggs, AggMode::Single).unwrap();
+    // Chunk by chunk (a table per chunk) and merged (tables remapped into one).
+    let merged = [Chunk::concat(Arc::clone(&schema), chunks).unwrap()];
+    for (feed, input) in [("per-chunk", chunks), ("concat", &merged[..])] {
+        for kernels in [true, false] {
+            let source = Replay {
+                schema: Arc::clone(&schema),
+                chunks: input.iter().cloned().collect(),
+            };
+            let op = HashAggOp::new(
+                Box::new(source),
+                group_by.clone(),
+                aggs.clone(),
+                Arc::clone(&out_schema),
+            )
+            .with_kernels(kernels);
+            let mut got = drain(op);
+            for row in &mut got {
+                row[0] = fold(&row[0]);
+            }
+            got.sort();
+            assert_eq!(got, want, "GROUP BY {gcol}, {feed}, kernels={kernels}");
+        }
+    }
+}
+
+fn check_coded_join(chunks: &[Chunk], probe_key: &str, build_key: &str, join_type: JoinType) {
+    let schema = coded_schema();
+    let dim = Arc::new(Table::from_chunk("dim", &dim_chunk(), &[]).unwrap());
+    let bi = dim.schema().index_of(build_key).unwrap();
+    let pi = schema.index_of(probe_key).unwrap();
+    let collation = schema.field(pi).collation;
+    // Model: nested loop over materialized rows; NULL keys never match.
+    let dim_rows = dim_chunk().to_rows();
+    let mut want = Vec::new();
+    for row in chunks.iter().flat_map(Chunk::to_rows) {
+        let matches: Vec<&Vec<Value>> = dim_rows
+            .iter()
+            .filter(|d| {
+                !row[pi].is_null()
+                    && row[pi].cmp_collated(&d[bi], collation) == std::cmp::Ordering::Equal
+            })
+            .collect();
+        for d in &matches {
+            want.push([row.clone(), (*d).clone()].concat());
+        }
+        if matches.is_empty() && join_type == JoinType::Left {
+            want.push([row.clone(), vec![Value::Null; dim_rows[0].len()]].concat());
+        }
+    }
+    want.sort();
+    let out_schema = Arc::new(schema.join(dim.schema()));
+    for kernels in [true, false] {
+        let build_plan = PhysPlan::Scan {
+            table: Arc::clone(&dim),
+            ranges: vec![(0, dim.row_count())],
+            projection: None,
+            via_rle_index: false,
+            pushed: vec![],
+        };
+        let build =
+            BuildSide::new(build_plan, Arc::clone(dim.schema()), vec![bi]).with_kernels(kernels);
+        let source = Replay {
+            schema: Arc::clone(&schema),
+            chunks: chunks.iter().cloned().collect(),
+        };
+        let op = HashJoinOp::new(
+            Box::new(source),
+            Arc::new(build),
+            vec![probe_key.to_string()],
+            join_type,
+            Arc::clone(&out_schema),
+        )
+        .unwrap();
+        let mut got = drain(op);
+        got.sort();
+        assert_eq!(got, want, "JOIN {probe_key}={build_key}, kernels={kernels}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// GROUP BY over short + long strings, case-only variants under CI
+    /// collation (one group per name), and the all-null empty-table column
+    /// (one NULL group) — every chunk over tables of its own.
+    #[test]
+    fn coded_group_by_matches_model(
+        seed in any::<u64>(),
+        sizes in proptest::collection::vec(0usize..200, 1..4),
+        gcol in proptest::sample::select(vec!["s", "ci", "an"]),
+    ) {
+        check_coded_group_by(&coded_chunks(seed, &sizes), gcol);
+    }
+
+    /// Probe chunks over ever-changing tables against one frozen build side:
+    /// long probe strings absent from the build interner must miss, CI keys
+    /// must match across case, NULL and all-null keys never match.
+    #[test]
+    fn coded_join_matches_model(
+        seed in any::<u64>(),
+        sizes in proptest::collection::vec(0usize..150, 1..4),
+        key in proptest::sample::select(vec![("s", "code"), ("s", "lcode"), ("ci", "cicode"), ("an", "code")]),
+        left in any::<bool>(),
+    ) {
+        let jt = if left { JoinType::Left } else { JoinType::Inner };
+        check_coded_join(&coded_chunks(seed, &sizes), key.0, key.1, jt);
+    }
 }
