@@ -2,7 +2,7 @@
 //!
 //! Sect. 3.5: "Tableau manages a certain number of active connections to
 //! each data source to implement concurrent execution of remote queries. The
-//! process of opening a connection ... [is] costly, therefore, connections
+//! process of opening a connection ... \[is\] costly, therefore, connections
 //! are pooled and kept around even if idle. In addition, connection pooling
 //! plays an important role in preserving and reusing temporary structures
 //! stored in remote sessions. ... An age-wise eviction policy is used in

@@ -357,10 +357,6 @@ impl SimDb {
         self.inner.stats.lock().clone()
     }
 
-    pub fn reset_stats(&self) {
-        *self.inner.stats.lock() = SimStats::default();
-    }
-
     /// Make subsequent `create_temp_table` calls fail (until unset).
     pub fn set_fail_temp_tables(&self, fail: bool) {
         self.inner.fail_temp_tables.store(fail, Ordering::SeqCst);

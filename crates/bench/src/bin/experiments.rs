@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tabviz::cache::{ExternalStore, ServerNodeCache};
+use tabviz::cache::{ExternalStore, SingleStoreL2};
 use tabviz::prelude::*;
 use tabviz::tde::cost::CostProfile;
 use tabviz::tde::parallel::ParallelOptions;
@@ -429,15 +429,13 @@ fn e4_literal_cache() {
 fn e5_distributed_cache() {
     let db = faa_db(150_000);
     let external = Arc::new(ExternalStore::new(Duration::from_micros(500)));
-    let nodes: Vec<ServerNodeCache> = (0..2)
-        .map(|i| ServerNodeCache::new(format!("node-{i}"), Arc::clone(&external)))
-        .collect();
-    // Each node computes misses through its own (cache-disabled) processor.
-    let processors: Vec<QueryProcessor> = (0..2)
+    // Two server nodes: each its own processor and node-local L1, both
+    // over the one external store as their shared L2.
+    let nodes: Vec<QueryProcessor> = (0..2)
         .map(|_| {
-            let (mut qp, _) = processor_over(Arc::clone(&db), lan_config(), 8);
-            qp.options.use_intelligent_cache = false;
-            qp.options.use_literal_cache = false;
+            let (qp, _) = processor_over(Arc::clone(&db), lan_config(), 8);
+            qp.caches
+                .set_l2(Arc::new(SingleStoreL2::new(Arc::clone(&external))));
             qp
         })
         .collect();
@@ -447,15 +445,9 @@ fn e5_distributed_cache() {
     let mut rows = Vec::new();
     let serve = |user: usize, label: &str, rows: &mut Vec<Vec<String>>| {
         let node = &nodes[user % 2];
-        let qp = &processors[user % 2];
         let (_, wall) = time_it(|| {
             for (_, spec) in &batch {
-                let text = spec.canonical_text();
-                if node.lookup(spec, &text).0.is_some() {
-                    continue;
-                }
-                let (chunk, _) = qp.execute(spec).expect("compute");
-                node.store(spec.clone(), &text, &chunk, Duration::from_millis(20));
+                node.execute(spec).expect("compute");
             }
         });
         rows.push(vec![
@@ -473,13 +465,17 @@ fn e5_distributed_cache() {
         &["request", "served by", "wall ms"],
         &rows,
     );
+    let local_hits = |qp: &QueryProcessor| {
+        let st = qp.stats();
+        st.intelligent_hits + st.literal_hits
+    };
     println!(
         "external store: {} puts, {} gets ({} hits); node-0 local hits {}, node-1 local hits {}",
         external.stats().puts,
         external.stats().gets,
         external.stats().get_hits,
-        nodes[0].stats().local_hits,
-        nodes[1].stats().local_hits,
+        local_hits(&nodes[0]),
+        local_hits(&nodes[1]),
     );
 
     // Tableau-Public mix: 100 viewers, 90% only load.
@@ -501,7 +497,7 @@ fn e5_distributed_cache() {
     println!("e5_external_get_hits {}", external.stats().get_hits);
     println!(
         "e5_local_hits {}",
-        nodes[0].stats().local_hits + nodes[1].stats().local_hits
+        local_hits(&nodes[0]) + local_hits(&nodes[1])
     );
 }
 
@@ -1275,13 +1271,13 @@ fn e17_observability() {
         time_it(|| execute_batch(&qp, &batch, &BatchOptions::default()).expect("warm"));
     let warm_stats = qp.stats();
 
-    // Aggregate the per-query profiles into a per-stage latency table.
-    let profiles = qp.obs.profiles.all();
+    // Aggregate the per-query traces into a per-stage latency table.
+    let profiles = qp.obs.recorder.recent();
     let mut by_stage: std::collections::BTreeMap<&'static str, Vec<Duration>> =
         std::collections::BTreeMap::new();
     for p in &profiles {
-        for s in &p.stages {
-            by_stage.entry(s.stage).or_default().push(s.dur);
+        for e in &p.events {
+            by_stage.entry(e.stage).or_default().push(e.dur);
         }
     }
     let pct = |durs: &[Duration], q: f64| -> Duration {
@@ -1684,7 +1680,7 @@ fn e19_overload_scheduling() {
 
 /// Flight-recorder overhead: the e17 dashboard workload with trace capture
 /// on (every query assembled into the recorder) versus globally off (spans
-/// fall back to the per-thread ring only). The paper's observability bar:
+/// record nothing). The paper's observability bar:
 /// always-on diagnostics must not move user response times, so the warm
 /// per-render p50 with the recorder on is held within a few percent of the
 /// off arm. Also smoke-checks that the slowest captured trace exports as a

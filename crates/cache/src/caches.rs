@@ -16,8 +16,7 @@ use crate::literal::{LiteralCache, LiteralStats};
 use crate::spec::QuerySpec;
 use crate::tier::L2Cache;
 use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 use tabviz_common::Chunk;
 use tabviz_obs::{Counter, Registry};
@@ -48,32 +47,10 @@ pub struct TierStats {
     pub warmed: u64,
 }
 
+/// The live seam counters, one cell each; [`QueryCaches::bind_obs`] exports
+/// these same cells.
 #[derive(Default)]
-struct AtomicTierStats {
-    l2_hits: AtomicU64,
-    l2_misses: AtomicU64,
-    promotes: AtomicU64,
-    l2_stores: AtomicU64,
-    tag_purged: AtomicU64,
-    warmed: AtomicU64,
-}
-
-impl AtomicTierStats {
-    fn snapshot(&self) -> TierStats {
-        TierStats {
-            l2_hits: self.l2_hits.load(Ordering::Relaxed),
-            l2_misses: self.l2_misses.load(Ordering::Relaxed),
-            promotes: self.promotes.load(Ordering::Relaxed),
-            l2_stores: self.l2_stores.load(Ordering::Relaxed),
-            tag_purged: self.tag_purged.load(Ordering::Relaxed),
-            warmed: self.warmed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Pre-resolved `tv_cache_tier_*` metric handles (see
-/// [`QueryCaches::bind_obs`]).
-struct TierMetrics {
+struct TierCounters {
     l2_hits: Counter,
     l2_misses: Counter,
     promotes: Counter,
@@ -82,16 +59,17 @@ struct TierMetrics {
     warmed: Counter,
 }
 
-impl TierMetrics {
-    fn bind(registry: &Registry) -> Self {
-        TierMetrics {
-            l2_hits: registry.counter("tv_cache_tier_l2_hits_total"),
-            l2_misses: registry.counter("tv_cache_tier_l2_misses_total"),
-            promotes: registry.counter("tv_cache_tier_promotes_total"),
-            l2_stores: registry.counter("tv_cache_tier_stores_total"),
-            tag_purged: registry.counter("tv_cache_tier_tag_purged_total"),
-            warmed: registry.counter("tv_cache_tier_warmed_total"),
-        }
+impl TierCounters {
+    /// Every cell with the name it is exported under.
+    fn named(&self) -> [(&'static str, &Counter); 6] {
+        [
+            ("tv_cache_tier_l2_hits_total", &self.l2_hits),
+            ("tv_cache_tier_l2_misses_total", &self.l2_misses),
+            ("tv_cache_tier_promotes_total", &self.promotes),
+            ("tv_cache_tier_stores_total", &self.l2_stores),
+            ("tv_cache_tier_tag_purged_total", &self.tag_purged),
+            ("tv_cache_tier_warmed_total", &self.warmed),
+        ]
     }
 }
 
@@ -101,8 +79,7 @@ pub struct QueryCaches {
     pub intelligent: IntelligentCache,
     pub literal: LiteralCache,
     l2: RwLock<Option<Arc<dyn L2Cache>>>,
-    tier_stats: AtomicTierStats,
-    tier_metrics: OnceLock<TierMetrics>,
+    tier: TierCounters,
 }
 
 impl QueryCaches {
@@ -111,17 +88,19 @@ impl QueryCaches {
             intelligent: IntelligentCache::new(config),
             literal: LiteralCache::new(literal_capacity),
             l2: RwLock::new(None),
-            tier_stats: AtomicTierStats::default(),
-            tier_metrics: OnceLock::new(),
+            tier: TierCounters::default(),
         }
     }
 
-    /// Resolve both levels' `tv_cache_*` metrics (plus the `tv_cache_tier_*`
-    /// seam counters) against a registry. Idempotent; the first binding wins.
-    pub fn bind_obs(&self, registry: &tabviz_obs::Registry) {
+    /// Export both levels' `tv_cache_*` counters (plus the `tv_cache_tier_*`
+    /// seam counters) on a registry: the cells [`QueryCaches::stats`] and
+    /// [`QueryCaches::tier_stats`] read, so counts made before binding show.
+    pub fn bind_obs(&self, registry: &Registry) {
         self.intelligent.bind_obs(registry);
         self.literal.bind_obs(registry);
-        let _ = self.tier_metrics.set(TierMetrics::bind(registry));
+        for (name, cell) in self.tier.named() {
+            registry.register_counter(name, cell);
+        }
     }
 
     /// Attach (or replace) the shared L2 tier. Standalone deployments use
@@ -158,17 +137,11 @@ impl QueryCaches {
             .and_then(|raw| crate::distributed::decode_chunk(&raw).ok())
         {
             Some(chunk) => {
-                self.tier_stats.l2_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.tier_metrics.get() {
-                    m.l2_hits.inc();
-                }
+                self.tier.l2_hits.inc();
                 Some(chunk)
             }
             None => {
-                self.tier_stats.l2_misses.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = self.tier_metrics.get() {
-                    m.l2_misses.inc();
-                }
+                self.tier.l2_misses.inc();
                 None
             }
         }
@@ -177,10 +150,7 @@ impl QueryCaches {
     /// Copy an L2 hit forward into both L1 levels so the next request on
     /// this node is answered locally (and subsumption can reuse it).
     pub fn l2_promote(&self, spec: QuerySpec, text: &str, result: &Chunk, cost: Duration) {
-        self.tier_stats.promotes.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.tier_metrics.get() {
-            m.promotes.inc();
-        }
+        self.tier.promotes.inc();
         self.store(spec, text, result, cost);
     }
 
@@ -192,19 +162,13 @@ impl QueryCaches {
             return;
         };
         l2.put(&Self::l2_key(spec), raw, &crate::tags::tags_for_spec(spec));
-        self.tier_stats.l2_stores.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.tier_metrics.get() {
-            m.l2_stores.inc();
-        }
+        self.tier.l2_stores.inc();
     }
 
     /// Seed L1 with an entry replayed from another node's hot set (cache
     /// warming on node join). Counted separately from organic stores.
     pub fn warm(&self, spec: QuerySpec, result: &Chunk, cost: Duration) {
-        self.tier_stats.warmed.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = self.tier_metrics.get() {
-            m.warmed.inc();
-        }
+        self.tier.warmed.inc();
         self.intelligent.put(spec, result.clone(), cost);
     }
 
@@ -243,17 +207,20 @@ impl QueryCaches {
         if n == 0 {
             return;
         }
-        self.tier_stats
-            .tag_purged
-            .fetch_add(n as u64, Ordering::Relaxed);
-        if let Some(m) = self.tier_metrics.get() {
-            m.tag_purged.add(n as u64);
-        }
+        self.tier.tag_purged.add(n as u64);
     }
 
     /// Tier-boundary counters snapshot.
     pub fn tier_stats(&self) -> TierStats {
-        self.tier_stats.snapshot()
+        let t = &self.tier;
+        TierStats {
+            l2_hits: t.l2_hits.get(),
+            l2_misses: t.l2_misses.get(),
+            promotes: t.promotes.get(),
+            l2_stores: t.l2_stores.get(),
+            tag_purged: t.tag_purged.get(),
+            warmed: t.warmed.get(),
+        }
     }
 
     /// Two-level lookup. `text` is the compiled query text (produced anyway

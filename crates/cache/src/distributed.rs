@@ -12,11 +12,9 @@
 //! wire as encoded bytes, exactly like Redis values would). Structural
 //! subsumption matching is only possible against the node-local in-memory
 //! caches — the external layer is a dumb KV and serves exact (canonical-key)
-//! matches, which is how the real deployment behaves.
+//! matches, which is how the real deployment behaves. A node reaches it as
+//! the L2 under its [`crate::QueryCaches`] (see [`crate::tier`]).
 
-use crate::caches::{CacheOutcome, QueryCaches};
-use crate::intelligent::CacheConfig;
-use crate::spec::QuerySpec;
 use bytes::Bytes;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -245,74 +243,6 @@ impl ExternalStore {
     }
 }
 
-/// Per-node counters.
-#[derive(Debug, Clone, Default)]
-pub struct NodeStats {
-    pub local_hits: u64,
-    pub external_hits: u64,
-    pub misses: u64,
-}
-
-/// One Tableau Server node's cache stack: local two-level caches over the
-/// shared external store.
-pub struct ServerNodeCache {
-    pub node_id: String,
-    pub local: QueryCaches,
-    external: std::sync::Arc<ExternalStore>,
-    stats: Mutex<NodeStats>,
-}
-
-impl ServerNodeCache {
-    pub fn new(node_id: impl Into<String>, external: std::sync::Arc<ExternalStore>) -> Self {
-        ServerNodeCache {
-            node_id: node_id.into(),
-            local: QueryCaches::new(
-                CacheConfig {
-                    min_cost: Duration::ZERO,
-                    ..Default::default()
-                },
-                64 << 20,
-            ),
-            external,
-            stats: Mutex::new(NodeStats::default()),
-        }
-    }
-
-    /// Node lookup path: local intelligent/literal first, then the external
-    /// store by canonical key. External hits are pulled into local memory
-    /// ("recent entries are also stored in memory on the nodes").
-    pub fn lookup(&self, spec: &QuerySpec, text: &str) -> (Option<Chunk>, CacheOutcome) {
-        if let (Some(hit), outcome) = self.local.lookup(spec, text) {
-            self.stats.lock().local_hits += 1;
-            return (Some(hit), outcome);
-        }
-        let key = spec.canonical_text();
-        if let Some(bytes) = self.external.get(&key) {
-            if let Ok(chunk) = decode_chunk(&bytes) {
-                self.stats.lock().external_hits += 1;
-                self.local
-                    .store(spec.clone(), text, &chunk, Duration::from_millis(1));
-                return (Some(chunk), CacheOutcome::LiteralHit);
-            }
-        }
-        self.stats.lock().misses += 1;
-        (None, CacheOutcome::Miss)
-    }
-
-    /// Store a computed result locally and publish it cluster-wide.
-    pub fn store(&self, spec: QuerySpec, text: &str, result: &Chunk, cost: Duration) {
-        let key = spec.canonical_text();
-        self.local.store(spec, text, result, cost);
-        if let Ok(bytes) = encode_chunk(result) {
-            self.external.put(key, bytes);
-        }
-    }
-
-    pub fn stats(&self) -> NodeStats {
-        self.stats.lock().clone()
-    }
-}
-
 /// Wire encoding for a result chunk crossing the peer tier (the pack
 /// format the extract layer already speaks).
 pub fn encode_chunk(chunk: &Chunk) -> Result<Bytes> {
@@ -329,13 +259,6 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tabviz_common::{DataType, Field, Schema, Value};
-    use tabviz_tql::{AggCall, AggFunc, LogicalPlan};
-
-    fn spec() -> QuerySpec {
-        QuerySpec::new("faa", LogicalPlan::scan("flights"))
-            .group("carrier")
-            .agg(AggCall::new(AggFunc::Count, None, "n"))
-    }
 
     fn chunk() -> Chunk {
         let schema = Arc::new(
@@ -349,44 +272,13 @@ mod tests {
     }
 
     #[test]
-    fn cross_node_sharing() {
-        let external = Arc::new(ExternalStore::new(Duration::ZERO));
-        let node1 = ServerNodeCache::new("n1", Arc::clone(&external));
-        let node2 = ServerNodeCache::new("n2", Arc::clone(&external));
-
-        // Node 1 computes and publishes.
-        node1.store(spec(), "Q", &chunk(), Duration::from_millis(20));
-        // Node 2 never saw the query, but the external layer has it.
-        let (hit, _) = node2.lookup(&spec(), "Q");
-        assert_eq!(hit.unwrap().to_rows(), chunk().to_rows());
-        assert_eq!(node2.stats().external_hits, 1);
-
-        // Second lookup on node 2 is now node-local.
-        let (hit2, outcome) = node2.lookup(&spec(), "Q");
-        assert!(hit2.is_some());
-        assert_eq!(outcome, CacheOutcome::IntelligentHit);
-        assert_eq!(node2.stats().local_hits, 1);
-        // Only one external get round-trip happened on node2's path.
-        assert_eq!(external.stats().get_hits, 1);
-    }
-
-    #[test]
-    fn miss_path_counts() {
-        let external = Arc::new(ExternalStore::new(Duration::ZERO));
-        let node = ServerNodeCache::new("n", external);
-        let (hit, outcome) = node.lookup(&spec(), "Q");
-        assert!(hit.is_none());
-        assert_eq!(outcome, CacheOutcome::Miss);
-        assert_eq!(node.stats().misses, 1);
-    }
-
-    #[test]
     fn external_values_are_serialized_bytes() {
-        let external = Arc::new(ExternalStore::new(Duration::ZERO));
-        let node = ServerNodeCache::new("n", Arc::clone(&external));
-        node.store(spec(), "Q", &chunk(), Duration::from_millis(20));
+        let external = ExternalStore::new(Duration::ZERO);
+        let bytes = encode_chunk(&chunk()).unwrap();
+        external.put("k".into(), bytes.clone());
         assert_eq!(external.len(), 1);
-        assert!(external.stats().bytes_stored > 0);
+        assert_eq!(external.stats().bytes_stored, bytes.len() as u64);
+        assert_eq!(decode_chunk(&external.get("k").unwrap()).unwrap(), chunk());
     }
 
     #[test]
@@ -433,13 +325,12 @@ mod tests {
 
     #[test]
     fn node_outage_drops_puts_and_blinds_gets() {
-        let external = Arc::new(ExternalStore::new(Duration::ZERO));
-        let node = ServerNodeCache::new("n", Arc::clone(&external));
+        let external = ExternalStore::new(Duration::ZERO);
         let mut plan = FaultPlan::seeded(9);
         plan.cache_node_outage = 1.0;
         external.set_fault_plan(Some(plan));
         // The publish is dropped by the unreachable node...
-        node.store(spec(), "Q", &chunk(), Duration::from_millis(20));
+        external.put("q".into(), encode_chunk(&chunk()).unwrap());
         assert!(external.is_empty());
         assert_eq!(external.stats().dropped_puts, 1);
         // ...and even a value that made it in earlier is invisible.
@@ -450,10 +341,6 @@ mod tests {
         external.set_fault_plan(Some(plan));
         assert!(external.get("k").is_none());
         assert_eq!(external.stats().outage_misses, 1);
-        // The node-local copy from store() still answers; only the shared
-        // layer is degraded.
-        let (hit, _) = node.lookup(&spec(), "Q");
-        assert!(hit.is_some());
         // Recovery restores the shared layer.
         external.set_fault_plan(None);
         assert!(external.get("k").is_some());

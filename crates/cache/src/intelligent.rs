@@ -26,7 +26,6 @@ use crate::implication::implies;
 use crate::spec::QuerySpec;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tabviz_common::{Chunk, Result, TvError};
@@ -108,40 +107,45 @@ pub struct IntelligentStats {
     pub swr_serves: u64,
 }
 
-/// Live counters, kept OUTSIDE the entry-map mutex so hot-path bookkeeping
-/// and [`IntelligentCache::stats`] snapshots never contend with lookups
-/// holding the lock. Relaxed ordering suffices: these are monotone counts,
-/// not synchronization points.
+/// Live counters, one cell each, kept OUTSIDE the entry-map mutex so
+/// hot-path bookkeeping and [`IntelligentCache::stats`] snapshots never
+/// contend with lookups holding the lock. [`IntelligentCache::bind_obs`]
+/// exports these same cells, so `stats()` and the registry read one atomic.
 #[derive(Default)]
-struct AtomicStats {
-    exact_hits: AtomicU64,
-    subsumption_hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    rejected_inserts: AtomicU64,
-    evictions: AtomicU64,
-    stale_serves: AtomicU64,
-    swr_serves: AtomicU64,
+struct Counters {
+    exact_hits: Counter,
+    subsumption_hits: Counter,
+    misses: Counter,
+    inserts: Counter,
+    rejected_inserts: Counter,
+    evictions: Counter,
+    stale_serves: Counter,
+    swr_serves: Counter,
 }
 
-impl AtomicStats {
-    fn snapshot(&self) -> IntelligentStats {
-        IntelligentStats {
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            subsumption_hits: self.subsumption_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            rejected_inserts: self.rejected_inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-            swr_serves: self.swr_serves.load(Ordering::Relaxed),
-        }
+impl Counters {
+    /// Every cell with the name it is exported under.
+    fn named(&self) -> [(&'static str, &Counter); 8] {
+        [
+            ("tv_cache_intelligent_exact_hits_total", &self.exact_hits),
+            (
+                "tv_cache_intelligent_subsumption_hits_total",
+                &self.subsumption_hits,
+            ),
+            ("tv_cache_intelligent_misses_total", &self.misses),
+            ("tv_cache_intelligent_inserts_total", &self.inserts),
+            (
+                "tv_cache_intelligent_rejected_inserts_total",
+                &self.rejected_inserts,
+            ),
+            ("tv_cache_intelligent_evictions_total", &self.evictions),
+            (
+                "tv_cache_intelligent_stale_serves_total",
+                &self.stale_serves,
+            ),
+            ("tv_cache_intelligent_swr_serves_total", &self.swr_serves),
+        ]
     }
-}
-
-#[inline]
-fn bump(c: &AtomicU64) {
-    c.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Cache configuration.
@@ -186,43 +190,14 @@ struct Inner {
     bytes: usize,
 }
 
-/// Pre-resolved `tv_cache_intelligent_*` metric handles (see
-/// [`IntelligentCache::bind_obs`]). `stale_age` records age-at-serve of
-/// every degraded (stale) answer — the data the stale-TTL policy needs.
-struct CacheMetrics {
-    exact_hits: Counter,
-    subsumption_hits: Counter,
-    misses: Counter,
-    inserts: Counter,
-    rejected_inserts: Counter,
-    evictions: Counter,
-    stale_serves: Counter,
-    swr_serves: Counter,
-    stale_age: Histogram,
-}
-
-impl CacheMetrics {
-    fn bind(registry: &Registry) -> Self {
-        CacheMetrics {
-            exact_hits: registry.counter("tv_cache_intelligent_exact_hits_total"),
-            subsumption_hits: registry.counter("tv_cache_intelligent_subsumption_hits_total"),
-            misses: registry.counter("tv_cache_intelligent_misses_total"),
-            inserts: registry.counter("tv_cache_intelligent_inserts_total"),
-            rejected_inserts: registry.counter("tv_cache_intelligent_rejected_inserts_total"),
-            evictions: registry.counter("tv_cache_intelligent_evictions_total"),
-            stale_serves: registry.counter("tv_cache_intelligent_stale_serves_total"),
-            swr_serves: registry.counter("tv_cache_intelligent_swr_serves_total"),
-            stale_age: registry.histogram("tv_cache_stale_age_seconds"),
-        }
-    }
-}
-
 /// The intelligent cache. Thread-safe.
 pub struct IntelligentCache {
     config: CacheConfig,
     inner: Mutex<Inner>,
-    stats: AtomicStats,
-    metrics: OnceLock<CacheMetrics>,
+    counters: Counters,
+    /// Age-at-serve of every degraded (stale) answer — the data the
+    /// stale-TTL policy needs. Registry-only: unbound caches skip it.
+    stale_age: OnceLock<Histogram>,
     /// Test seam: runs just before a candidate is post-processed, so a test
     /// can hold a roll-up open and check what else proceeds meanwhile.
     #[cfg(test)]
@@ -245,26 +220,38 @@ impl IntelligentCache {
                 next_id: 0,
                 bytes: 0,
             }),
-            stats: AtomicStats::default(),
-            metrics: OnceLock::new(),
+            counters: Counters::default(),
+            stale_age: OnceLock::new(),
             #[cfg(test)]
             before_post_process: Mutex::new(None),
         }
     }
 
-    /// Resolve this cache's `tv_cache_intelligent_*` metrics against a
-    /// registry. Idempotent; the first binding wins.
+    /// Export this cache's counters under their `tv_cache_intelligent_*`
+    /// names and resolve the shared `tv_cache_stale_age_seconds` histogram
+    /// (the first registry bound keeps receiving the histogram samples).
     pub fn bind_obs(&self, registry: &Registry) {
-        let _ = self.metrics.set(CacheMetrics::bind(registry));
-    }
-
-    fn obs(&self) -> Option<&CacheMetrics> {
-        self.metrics.get()
+        for (name, cell) in self.counters.named() {
+            registry.register_counter(name, cell);
+        }
+        let _ = self
+            .stale_age
+            .set(registry.histogram("tv_cache_stale_age_seconds"));
     }
 
     /// Lock-free snapshot of the live counters.
     pub fn stats(&self) -> IntelligentStats {
-        self.stats.snapshot()
+        let c = &self.counters;
+        IntelligentStats {
+            exact_hits: c.exact_hits.get(),
+            subsumption_hits: c.subsumption_hits.get(),
+            misses: c.misses.get(),
+            inserts: c.inserts.get(),
+            rejected_inserts: c.rejected_inserts.get(),
+            evictions: c.evictions.get(),
+            stale_serves: c.stale_serves.get(),
+            swr_serves: c.swr_serves.get(),
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -282,7 +269,7 @@ impl IntelligentCache {
     /// Look up a query; on a subsumption hit the cached chunk is
     /// post-processed into the requested shape.
     ///
-    /// The paper's shipped version "accept[s] the first match"; its stated
+    /// The paper's shipped version "accept\[s\] the first match"; its stated
     /// plan — "choose the entry that requires the least post-processing" —
     /// is implemented here (and is the default): all matches in the bucket
     /// are ranked by post-processing effort (exact < project/filter <
@@ -440,20 +427,10 @@ impl IntelligentCache {
             }
             if effort == 0 {
                 let exact = Chunk::clone(&cached);
-                if allow_stale {
-                    bump(&self.stats.stale_serves);
-                    self.observe_stale_serve(created);
-                    return (Some(exact), tabviz_obs::reason::CACHE_HIT_STALE);
+                if allow_stale || swr {
+                    return (Some(exact), self.observe_stale_serve(created, swr));
                 }
-                if swr {
-                    bump(&self.stats.swr_serves);
-                    self.observe_swr_serve(created);
-                    return (Some(exact), tabviz_obs::reason::CACHE_SWR_SERVE);
-                }
-                bump(&self.stats.exact_hits);
-                if let Some(m) = self.obs() {
-                    m.exact_hits.inc();
-                }
+                self.counters.exact_hits.inc();
                 return (Some(exact), tabviz_obs::reason::CACHE_HIT_EXACT);
             }
             let same_grouping = plan.same_grouping;
@@ -463,20 +440,10 @@ impl IntelligentCache {
             }
             match post_process(&cached, spec, &plan) {
                 Ok(out) => {
-                    if allow_stale {
-                        bump(&self.stats.stale_serves);
-                        self.observe_stale_serve(created);
-                        return (Some(out), tabviz_obs::reason::CACHE_HIT_STALE);
+                    if allow_stale || swr {
+                        return (Some(out), self.observe_stale_serve(created, swr));
                     }
-                    if swr {
-                        bump(&self.stats.swr_serves);
-                        self.observe_swr_serve(created);
-                        return (Some(out), tabviz_obs::reason::CACHE_SWR_SERVE);
-                    }
-                    bump(&self.stats.subsumption_hits);
-                    if let Some(m) = self.obs() {
-                        m.subsumption_hits.inc();
-                    }
+                    self.counters.subsumption_hits.inc();
                     let why = if same_grouping {
                         tabviz_obs::reason::CACHE_HIT_RESIDUAL
                     } else {
@@ -488,55 +455,50 @@ impl IntelligentCache {
             }
         }
         if !allow_stale {
-            bump(&self.stats.misses);
-            if let Some(m) = self.obs() {
-                m.misses.inc();
-            }
+            self.counters.misses.inc();
         }
         (None, miss_reason)
     }
 
-    /// A stale entry was served degraded: record its age-at-serve (the data
-    /// a future stale-TTL policy needs) and tag the current trace.
-    fn observe_stale_serve(&self, created: Instant) {
+    /// A stale entry answered a lookup: count it, record its age-at-serve
+    /// (the data a future stale-TTL policy needs), tag the current trace and
+    /// return the reason code. `swr` marks a normal lookup served inside the
+    /// grace window — immediate, while the entry stays on the stale list for
+    /// the maintenance lane to revalidate in the Background class; otherwise
+    /// this is the degraded path (`swr` is never set under `allow_stale`).
+    fn observe_stale_serve(&self, created: Instant, swr: bool) -> &'static str {
+        let (cell, label, reason) = if swr {
+            (
+                &self.counters.swr_serves,
+                "swr",
+                tabviz_obs::reason::CACHE_SWR_SERVE,
+            )
+        } else {
+            (
+                &self.counters.stale_serves,
+                "intelligent",
+                tabviz_obs::reason::CACHE_HIT_STALE,
+            )
+        };
+        cell.inc();
         let age = created.elapsed();
-        if let Some(m) = self.obs() {
-            m.stale_serves.inc();
-            m.stale_age.observe(age);
+        if let Some(h) = self.stale_age.get() {
+            h.observe(age);
         }
         tabviz_obs::event_with(
             stage::STALE_SERVE,
-            Some("intelligent"),
+            Some(label),
             Some(age.as_micros().min(u64::MAX as u128) as u64),
-            Some(tabviz_obs::reason::CACHE_HIT_STALE),
+            Some(reason),
         );
-    }
-
-    /// A stale-within-grace entry answered a normal lookup (SWR): the serve
-    /// is immediate, the entry stays on the stale list so the maintenance
-    /// lane revalidates it in the Background class.
-    fn observe_swr_serve(&self, created: Instant) {
-        let age = created.elapsed();
-        if let Some(m) = self.obs() {
-            m.swr_serves.inc();
-            m.stale_age.observe(age);
-        }
-        tabviz_obs::event_with(
-            stage::STALE_SERVE,
-            Some("swr"),
-            Some(age.as_micros().min(u64::MAX as u128) as u64),
-            Some(tabviz_obs::reason::CACHE_SWR_SERVE),
-        );
+        reason
     }
 
     /// Insert a result. `cost` is what computing it took.
     pub fn put(&self, spec: QuerySpec, result: Chunk, cost: Duration) {
         let bytes = result.approx_bytes();
         if bytes > self.config.max_entry_bytes || cost < self.config.min_cost {
-            bump(&self.stats.rejected_inserts);
-            if let Some(m) = self.obs() {
-                m.rejected_inserts.inc();
-            }
+            self.counters.rejected_inserts.inc();
             return;
         }
         let mut inner = self.inner.lock();
@@ -587,10 +549,7 @@ impl IntelligentCache {
         );
         inner.buckets.entry(bucket).or_default().push(id);
         inner.bytes += bytes;
-        bump(&self.stats.inserts);
-        if let Some(m) = self.obs() {
-            m.inserts.inc();
-        }
+        self.counters.inserts.inc();
         self.enforce_capacity(&mut inner);
     }
 
@@ -609,10 +568,7 @@ impl IntelligentCache {
             let Some(id) = victim else { break };
             if let Some(e) = inner.entries.remove(&id) {
                 inner.bytes -= e.bytes;
-                bump(&self.stats.evictions);
-                if let Some(m) = self.obs() {
-                    m.evictions.inc();
-                }
+                self.counters.evictions.inc();
                 let bucket = e.spec.bucket_key();
                 if let Some(ids) = inner.buckets.get_mut(&bucket) {
                     ids.retain(|&i| i != id);

@@ -16,7 +16,7 @@
 //! * [`caches`] — the two levels combined, with shared eviction policy;
 //! * [`persist`] — Desktop-style cache persistence across sessions;
 //! * [`distributed`] — the Server-style external (Redis/Cassandra-like)
-//!   layer with node-local memory;
+//!   store and the chunk wire codec;
 //! * [`tier`] — the L2 abstraction composing the node-local caches with a
 //!   shared store into a true L1 → L2 hierarchy;
 //! * [`tags`] — dependency tags (source + table) for precise invalidation
@@ -33,7 +33,7 @@ pub mod tags;
 pub mod tier;
 
 pub use caches::{CacheOutcome, QueryCaches, TierStats};
-pub use distributed::{decode_chunk, encode_chunk, ExternalStore, ServerNodeCache};
+pub use distributed::{decode_chunk, encode_chunk, ExternalStore};
 pub use intelligent::{subsumes, IntelligentCache};
 pub use literal::LiteralCache;
 pub use spec::QuerySpec;

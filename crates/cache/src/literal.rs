@@ -9,7 +9,6 @@
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 use tabviz_common::Chunk;
@@ -48,33 +47,29 @@ pub struct LiteralStats {
     pub stale_serves: u64,
 }
 
-/// Live counters, outside the entry-map mutex (see the matching comment in
-/// `intelligent.rs`): stats snapshots and hot-path bumps never contend with
-/// lookups holding the lock.
+/// Live counters, one cell each, outside the entry-map mutex (see the
+/// matching comment in `intelligent.rs`); [`LiteralCache::bind_obs`] exports
+/// these same cells.
 #[derive(Default)]
-struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    stale_serves: AtomicU64,
+struct Counters {
+    hits: Counter,
+    misses: Counter,
+    inserts: Counter,
+    evictions: Counter,
+    stale_serves: Counter,
 }
 
-impl AtomicStats {
-    fn snapshot(&self) -> LiteralStats {
-        LiteralStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-        }
+impl Counters {
+    /// Every cell with the name it is exported under.
+    fn named(&self) -> [(&'static str, &Counter); 5] {
+        [
+            ("tv_cache_literal_hits_total", &self.hits),
+            ("tv_cache_literal_misses_total", &self.misses),
+            ("tv_cache_literal_inserts_total", &self.inserts),
+            ("tv_cache_literal_evictions_total", &self.evictions),
+            ("tv_cache_literal_stale_serves_total", &self.stale_serves),
+        ]
     }
-}
-
-#[inline]
-fn bump(c: &AtomicU64) {
-    c.fetch_add(1, Ordering::Relaxed);
 }
 
 struct Inner {
@@ -82,38 +77,14 @@ struct Inner {
     bytes: usize,
 }
 
-/// Pre-resolved `tv_cache_literal_*` metric handles (see
-/// [`LiteralCache::bind_obs`]). `stale_age` shares the cross-cache
-/// `tv_cache_stale_age_seconds` histogram.
-struct CacheMetrics {
-    hits: Counter,
-    misses: Counter,
-    inserts: Counter,
-    evictions: Counter,
-    stale_serves: Counter,
-    stale_age: Histogram,
-}
-
-impl CacheMetrics {
-    fn bind(registry: &Registry) -> Self {
-        CacheMetrics {
-            hits: registry.counter("tv_cache_literal_hits_total"),
-            misses: registry.counter("tv_cache_literal_misses_total"),
-            inserts: registry.counter("tv_cache_literal_inserts_total"),
-            evictions: registry.counter("tv_cache_literal_evictions_total"),
-            stale_serves: registry.counter("tv_cache_literal_stale_serves_total"),
-            stale_age: registry.histogram("tv_cache_stale_age_seconds"),
-        }
-    }
-}
-
 /// Text-keyed result cache. Keys include the source name so identical SQL
 /// against different servers never collides.
 pub struct LiteralCache {
     capacity_bytes: usize,
     inner: Mutex<Inner>,
-    stats: AtomicStats,
-    metrics: OnceLock<CacheMetrics>,
+    counters: Counters,
+    /// The cross-cache `tv_cache_stale_age_seconds` histogram, once bound.
+    stale_age: OnceLock<Histogram>,
 }
 
 impl Default for LiteralCache {
@@ -130,19 +101,21 @@ impl LiteralCache {
                 entries: HashMap::new(),
                 bytes: 0,
             }),
-            stats: AtomicStats::default(),
-            metrics: OnceLock::new(),
+            counters: Counters::default(),
+            stale_age: OnceLock::new(),
         }
     }
 
-    /// Resolve this cache's `tv_cache_literal_*` metrics against a
-    /// registry. Idempotent; the first binding wins.
+    /// Export this cache's counters under their `tv_cache_literal_*` names
+    /// and resolve the shared `tv_cache_stale_age_seconds` histogram (the
+    /// first registry bound keeps receiving the histogram samples).
     pub fn bind_obs(&self, registry: &Registry) {
-        let _ = self.metrics.set(CacheMetrics::bind(registry));
-    }
-
-    fn obs(&self) -> Option<&CacheMetrics> {
-        self.metrics.get()
+        for (name, cell) in self.counters.named() {
+            registry.register_counter(name, cell);
+        }
+        let _ = self
+            .stale_age
+            .set(registry.histogram("tv_cache_stale_age_seconds"));
     }
 
     fn key(source: &str, text: &str) -> String {
@@ -163,17 +136,11 @@ impl LiteralCache {
                 e.use_count += 1;
                 e.last_used = Instant::now();
                 let out = e.result.clone();
-                bump(&self.stats.hits);
-                if let Some(m) = self.obs() {
-                    m.hits.inc();
-                }
+                self.counters.hits.inc();
                 (Some(out), tabviz_obs::reason::LITERAL_HIT)
             }
             _ => {
-                bump(&self.stats.misses);
-                if let Some(m) = self.obs() {
-                    m.misses.inc();
-                }
+                self.counters.misses.inc();
                 (None, tabviz_obs::reason::LITERAL_MISS)
             }
         }
@@ -190,10 +157,9 @@ impl LiteralCache {
         e.last_used = Instant::now();
         let out = e.result.clone();
         let age = e.created.elapsed();
-        bump(&self.stats.stale_serves);
-        if let Some(m) = self.obs() {
-            m.stale_serves.inc();
-            m.stale_age.observe(age);
+        self.counters.stale_serves.inc();
+        if let Some(h) = self.stale_age.get() {
+            h.observe(age);
         }
         tabviz_obs::event_with(
             stage::STALE_SERVE,
@@ -245,10 +211,7 @@ impl LiteralCache {
             inner.bytes -= old.bytes;
         }
         inner.bytes += bytes;
-        bump(&self.stats.inserts);
-        if let Some(m) = self.obs() {
-            m.inserts.inc();
-        }
+        self.counters.inserts.inc();
         while inner.bytes > self.capacity_bytes && inner.entries.len() > 1 {
             let now = Instant::now();
             let victim = inner
@@ -263,10 +226,7 @@ impl LiteralCache {
             let Some(k) = victim else { break };
             if let Some(e) = inner.entries.remove(&k) {
                 inner.bytes -= e.bytes;
-                bump(&self.stats.evictions);
-                if let Some(m) = self.obs() {
-                    m.evictions.inc();
-                }
+                self.counters.evictions.inc();
             }
         }
     }
@@ -341,7 +301,14 @@ impl LiteralCache {
 
     /// Lock-free snapshot of the live counters.
     pub fn stats(&self) -> LiteralStats {
-        self.stats.snapshot()
+        let c = &self.counters;
+        LiteralStats {
+            hits: c.hits.get(),
+            misses: c.misses.get(),
+            inserts: c.inserts.get(),
+            evictions: c.evictions.get(),
+            stale_serves: c.stale_serves.get(),
+        }
     }
 
     pub fn len(&self) -> usize {

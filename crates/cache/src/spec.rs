@@ -1,7 +1,7 @@
 //! The normalized internal query form.
 //!
 //! Sect. 3.1: internal queries "express aggregate-select-project scenarios"
-//! against a view that is "a single table [or] multi-table joins". A
+//! against a view that is "a single table \[or\] multi-table joins". A
 //! [`QuerySpec`] is that shape, normalized: a relation (scans/joins only), a
 //! conjunctive filter set, plain-column grouping, aggregate calls, and an
 //! optional ordering/top-n. The intelligent cache matches over this

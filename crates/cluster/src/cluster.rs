@@ -190,7 +190,7 @@ pub struct Route {
     /// browned out) — the pre-death failover the SLO plane exists for.
     pub demoted_skipped: usize,
     /// This route deliberately passed through a demoted owner to keep its
-    /// health score fed (1 in [`HEALTH_PROBE_EVERY`] skips).
+    /// health score fed (1 in `HEALTH_PROBE_EVERY` skips).
     pub probe: bool,
 }
 
@@ -515,7 +515,7 @@ impl Cluster {
     /// next query (see `join_absorbs_existing_sessions` in
     /// `tests/cluster_sim.rs`).
     ///
-    /// Demoted owners still see 1 in [`HEALTH_PROBE_EVERY`] of the routes
+    /// Demoted owners still see 1 in `HEALTH_PROBE_EVERY` of the routes
     /// that would have skipped them (`probe = true`), so their scores keep
     /// getting observations and recovery is detectable.
     pub fn route(&self, published: &str, session_key: &str) -> Result<Route> {

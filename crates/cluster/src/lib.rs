@@ -2,7 +2,7 @@
 //!
 //! Sect. 3.2 of the paper describes Tableau Server as a cluster of worker
 //! processes sharing a distributed cache layer "based on REDIS or Cassandra"
-//! so "data [stays] warm regardless of which node handles particular
+//! so "data \[stays\] warm regardless of which node handles particular
 //! requests". This crate models that deployment shape on top of the
 //! single-node stack:
 //!

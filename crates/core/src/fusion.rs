@@ -59,7 +59,7 @@ fn fusion_key(spec: &QuerySpec) -> String {
 ///
 /// Queries with ordering or Top-N are left alone (their result shape depends
 /// on the projection, so merging would change semantics); everything else
-/// groups by [`fusion_key`] and unions aggregate lists.
+/// groups by `fusion_key` and unions aggregate lists.
 pub fn fuse(specs: &[QuerySpec]) -> FusionPlan {
     let mut fused: Vec<QuerySpec> = Vec::new();
     let mut assignment = Vec::with_capacity(specs.len());
@@ -228,8 +228,8 @@ fn cover_spec(members: &[&QuerySpec], columns: Vec<String>) -> QuerySpec {
 /// exactly as many pairs as it takes to drop a wave — always the pair whose
 /// cover is estimated smallest, `min(Π ndv(column), rows)` from `stats` —
 /// and keeps going wave by wave until a needed merge has no admissible pair
-/// (different relation or filters, not [`coverable`], or a cover above
-/// [`COVER_MAX_ROW_FRACTION`] of the table). A wave that cannot be removed
+/// (different relation or filters, not `coverable`, or a cover above
+/// `COVER_MAX_ROW_FRACTION` of the table). A wave that cannot be removed
 /// whole is left alone.
 pub fn synthesize_covers(
     remote: &[&QuerySpec],

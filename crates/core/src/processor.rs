@@ -9,7 +9,6 @@
 
 use crate::compile::{apply_local_post, compile_spec, CompiledQuery};
 use crate::registry::{ManagedSource, SourceRegistry};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabviz_backend::Capabilities;
@@ -33,7 +32,8 @@ pub enum ExecOutcome {
 }
 
 /// Cumulative processor counters (a point-in-time copy; see
-/// [`QueryProcessor::stats`]).
+/// [`QueryProcessor::stats`]). `remote_time` is the sum of the
+/// `tv_core_remote_seconds` histogram, so it has microsecond resolution.
 #[derive(Debug, Clone, Default)]
 pub struct ProcessorStats {
     pub intelligent_hits: u64,
@@ -51,53 +51,10 @@ pub struct ProcessorStats {
     pub degraded_serves: u64,
 }
 
-/// Lock-free backing store for [`ProcessorStats`]: per-field atomics instead
-/// of one mutex, so concurrent batch workers never serialize on bookkeeping.
-#[derive(Default)]
-struct AtomicStats {
-    intelligent_hits: AtomicU64,
-    literal_hits: AtomicU64,
-    l2_hits: AtomicU64,
-    remote_queries: AtomicU64,
-    widened_queries: AtomicU64,
-    temp_table_fallbacks: AtomicU64,
-    remote_time_nanos: AtomicU64,
-    transient_retries: AtomicU64,
-    degraded_serves: AtomicU64,
-}
-
-impl AtomicStats {
-    fn snapshot(&self) -> ProcessorStats {
-        ProcessorStats {
-            intelligent_hits: self.intelligent_hits.load(Relaxed),
-            literal_hits: self.literal_hits.load(Relaxed),
-            l2_hits: self.l2_hits.load(Relaxed),
-            remote_queries: self.remote_queries.load(Relaxed),
-            widened_queries: self.widened_queries.load(Relaxed),
-            temp_table_fallbacks: self.temp_table_fallbacks.load(Relaxed),
-            remote_time: Duration::from_nanos(self.remote_time_nanos.load(Relaxed)),
-            transient_retries: self.transient_retries.load(Relaxed),
-            degraded_serves: self.degraded_serves.load(Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        self.intelligent_hits.store(0, Relaxed);
-        self.literal_hits.store(0, Relaxed);
-        self.l2_hits.store(0, Relaxed);
-        self.remote_queries.store(0, Relaxed);
-        self.widened_queries.store(0, Relaxed);
-        self.temp_table_fallbacks.store(0, Relaxed);
-        self.remote_time_nanos.store(0, Relaxed);
-        self.transient_retries.store(0, Relaxed);
-        self.degraded_serves.store(0, Relaxed);
-    }
-}
-
-/// Registry-visible processor metrics (`tv_core_*`), bound once at
-/// construction. These shadow [`AtomicStats`] where the names overlap; the
-/// registry versions are for exposition, the stats struct is the stable
-/// programmatic API.
+/// The processor's live cells (`tv_core_*`), resolved against its registry
+/// once at construction. [`QueryProcessor::stats`] snapshots these same
+/// atomics, so the stats struct and the exposition can never disagree, and
+/// concurrent batch workers never serialize on bookkeeping.
 struct CoreMetrics {
     queries: Counter,
     intelligent_hits: Counter,
@@ -302,7 +259,7 @@ pub struct QueryProcessor {
     pub registry: SourceRegistry,
     pub caches: QueryCaches,
     pub options: ProcessorOptions,
-    /// Per-processor observability: metrics registry + recent profiles.
+    /// Per-processor observability: metrics registry + flight recorder.
     pub obs: Arc<Obs>,
     /// Optional admission controller. When set, every backend-bound query
     /// acquires a [`tabviz_sched::Ticket`] before touching a pool; cache
@@ -313,7 +270,6 @@ pub struct QueryProcessor {
     /// original query directly instead of racing duplicate widened scans
     /// against the backend.
     widen_inflight: std::sync::Mutex<std::collections::HashSet<String>>,
-    stats: AtomicStats,
     metrics: CoreMetrics,
 }
 
@@ -337,7 +293,6 @@ impl QueryProcessor {
             obs,
             scheduler: None,
             widen_inflight: std::sync::Mutex::new(std::collections::HashSet::new()),
-            stats: AtomicStats::default(),
             metrics,
         }
     }
@@ -371,11 +326,18 @@ impl QueryProcessor {
     }
 
     pub fn stats(&self) -> ProcessorStats {
-        self.stats.snapshot()
-    }
-
-    pub fn reset_stats(&self) {
-        self.stats.reset();
+        let m = &self.metrics;
+        ProcessorStats {
+            intelligent_hits: m.intelligent_hits.get(),
+            literal_hits: m.literal_hits.get(),
+            l2_hits: m.l2_hits.get(),
+            remote_queries: m.remote_queries.get(),
+            widened_queries: m.widened_queries.get(),
+            temp_table_fallbacks: m.temp_table_fallbacks.get(),
+            remote_time: Duration::from_micros(m.remote_time.sum_micros()),
+            transient_retries: m.transient_retries.get(),
+            degraded_serves: m.degraded_serves.get(),
+        }
     }
 
     /// The query-class key used for latency-fingerprint baselines: the
@@ -392,9 +354,9 @@ impl QueryProcessor {
         )
     }
 
-    /// Execute one internal query through the full pipeline, recording a
-    /// per-query [`tabviz_obs::QueryProfile`] (timeline of stages, retry
-    /// count, fault attribution, outcome) into [`Self::obs`].
+    /// Execute one internal query through the full pipeline, recording one
+    /// [`tabviz_obs::RecordedTrace`] (timeline of stages, retries, fault
+    /// attribution, outcome) into [`Self::obs`]'s flight recorder.
     pub fn execute(&self, spec: &QuerySpec) -> Result<(Chunk, ExecOutcome)> {
         self.execute_as(spec, &AdmitRequest::interactive("internal"))
     }
@@ -405,10 +367,7 @@ impl QueryProcessor {
     pub fn execute_as(&self, spec: &QuerySpec, req: &AdmitRequest) -> Result<(Chunk, ExecOutcome)> {
         let started = Instant::now();
         // A cross-thread trace assembles this query's spans — including
-        // those recorded on morsel scan workers — into one tree. The
-        // legacy per-thread ring mark is kept as the fallback when trace
-        // capture is globally disabled (the e20 overhead experiment).
-        let trace_mark = tabviz_obs::mark();
+        // those recorded on morsel scan workers — into one tree.
         let trace = tabviz_obs::begin_trace();
         let result = self.execute_inner(spec, req);
         let total = started.elapsed();
@@ -418,42 +377,22 @@ impl QueryProcessor {
             self.metrics.timeouts.inc();
         }
         let finished = trace.finish(total);
-        let events = if finished.is_captured() {
-            finished.events.clone()
-        } else {
-            tabviz_obs::collect_since(&trace_mark)
-        };
-        let outcome = match &result {
-            Ok((_, _, profile_outcome)) => *profile_outcome,
-            Err(_) => ProfileOutcome::Failed,
-        };
-        let retries = events
-            .iter()
-            .filter(|e| e.stage == stage::RETRY && e.label == Some("transient"))
-            .count() as u64;
-        let query_text = spec.canonical_text().replace('\u{1}', " ");
-        let profile = tabviz_obs::assemble(
-            query_text.clone(),
-            spec.source.clone(),
-            outcome,
-            retries,
-            started,
-            total,
-            &events,
-        );
-        self.obs.profiles.record(profile);
-        // Fold this query into its class's latency fingerprint so the
-        // root-cause analyzer can diff tail outliers against the class's
-        // normal stage shape (gated for the e25 overhead arms).
-        let class = Self::query_class(spec);
-        if tabviz_obs::analyze::enabled() {
-            self.obs.baselines.observe(&class, &events, total);
-        }
+        // Nothing below runs when trace capture is globally off (the e20
+        // overhead arm): the query leaves counters behind, no record.
         if finished.is_captured() {
+            let outcome = match &result {
+                Ok((_, _, profile_outcome)) => *profile_outcome,
+                Err(_) => ProfileOutcome::Failed,
+            };
+            // Fold this query into its class's latency fingerprint so the
+            // root-cause analyzer can diff tail outliers against the
+            // class's normal stage shape.
+            let class = Self::query_class(spec);
+            self.obs.baselines.observe(&class, &finished.events, total);
             self.obs.recorder.record(
                 tabviz_obs::RecordedTrace::from_finished(
                     finished,
-                    query_text,
+                    spec.canonical_text().replace('\u{1}', " "),
                     spec.source.clone(),
                     outcome,
                 )
@@ -488,7 +427,6 @@ impl QueryProcessor {
                 hit
             };
             if let Some(hit) = hit {
-                self.stats.intelligent_hits.fetch_add(1, Relaxed);
                 self.metrics.intelligent_hits.inc();
                 tabviz_obs::event_with(
                     stage::CACHE_TIER,
@@ -515,7 +453,6 @@ impl QueryProcessor {
                 hit
             };
             if let Some(hit) = hit {
-                self.stats.literal_hits.fetch_add(1, Relaxed);
                 self.metrics.literal_hits.inc();
                 tabviz_obs::event_with(
                     stage::CACHE_TIER,
@@ -542,7 +479,6 @@ impl QueryProcessor {
                 }
             };
             if let Some(chunk) = hit {
-                self.stats.l2_hits.fetch_add(1, Relaxed);
                 self.metrics.l2_hits.inc();
                 {
                     let mut s = tabviz_obs::span(stage::CACHE_TIER);
@@ -578,11 +514,6 @@ impl QueryProcessor {
                             self.run_remote_admitted(&managed, &widened, &compiled_w, req)
                         {
                             let cost = t0.elapsed();
-                            self.stats.remote_queries.fetch_add(1, Relaxed);
-                            self.stats.widened_queries.fetch_add(1, Relaxed);
-                            self.stats
-                                .remote_time_nanos
-                                .fetch_add(cost.as_nanos() as u64, Relaxed);
                             self.metrics.remote_queries.inc();
                             self.metrics.widened_queries.inc();
                             self.metrics.remote_time.observe(cost);
@@ -625,7 +556,6 @@ impl QueryProcessor {
                 // dashboard when the backend is unavailable.
                 match self.caches.lookup_stale(spec, &compiled.remote.text) {
                     Some(stale) => {
-                        self.stats.degraded_serves.fetch_add(1, Relaxed);
                         self.metrics.degraded_serves.inc();
                         return Ok((
                             stale,
@@ -639,10 +569,6 @@ impl QueryProcessor {
             Err(e) => return Err(e),
         };
         let cost = t0.elapsed();
-        self.stats.remote_queries.fetch_add(1, Relaxed);
-        self.stats
-            .remote_time_nanos
-            .fetch_add(cost.as_nanos() as u64, Relaxed);
         self.metrics.remote_queries.inc();
         self.metrics.remote_time.observe(cost);
         if self.options.use_literal_cache || self.options.use_intelligent_cache {
@@ -723,7 +649,6 @@ impl QueryProcessor {
             match self.run_remote(managed, spec, compiled) {
                 Ok(chunk) => return Ok(chunk),
                 Err(e) if e.is_transient() && attempt < self.options.transient_retries => {
-                    self.stats.transient_retries.fetch_add(1, Relaxed);
                     self.metrics.transient_retries.inc();
                     tabviz_obs::event(stage::RETRY, Some("transient"), Some(attempt as u64));
                     std::thread::sleep(managed.pool.next_backoff(attempt));
@@ -763,7 +688,6 @@ impl QueryProcessor {
                     tspan.label("inline_fallback");
                     drop(tspan);
                     drop(conn);
-                    self.stats.temp_table_fallbacks.fetch_add(1, Relaxed);
                     self.metrics.temp_table_fallbacks.inc();
                     let inline_caps = Capabilities {
                         supports_temp_tables: false,

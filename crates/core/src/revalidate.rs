@@ -4,7 +4,7 @@
 //! stale-marked cache entries while a backend is down — but nothing ever
 //! refreshed them, so a recovered source kept serving old data until the
 //! next organic miss. This module closes that hole: entries stale past a
-//! configurable budget are re-fetched at [`Priority::Background`] — through
+//! configurable budget are re-fetched at [`tabviz_sched::Priority::Background`] — through
 //! the same admission queue as everything else, so revalidation can never
 //! crowd out interactive work (under overload the scheduler sheds it
 //! first).

@@ -588,14 +588,6 @@ impl ClientSession {
     pub fn degraded_serves(&self) -> u64 {
         self.degraded_serves.load(Relaxed)
     }
-
-    /// The response-time profile of the most recently completed query on the
-    /// server's processor. Called right after [`ClientSession::query`]
-    /// returns, this is that query's profile: execution is synchronous, so
-    /// the caller's query is the last one recorded from this thread.
-    pub fn last_profile(&self) -> Option<tabviz_obs::QueryProfile> {
-        self.server.processor.obs.profiles.last()
-    }
 }
 
 impl Drop for ClientSession {

@@ -10,7 +10,7 @@
 //! from non-traced contexts byte-identical to the pre-exemplar format.
 //!
 //! Emission rides on the shared histogram exposition
-//! ([`crate::metrics::emit_histogram_series`]): a populated bucket line
+//! (`metrics::emit_histogram_series`): a populated bucket line
 //! gains a ` # {trace_id="..."} <seconds>` suffix. The suffix starts with
 //! `#` mid-line (never at line start, so comment parsing is unaffected) and
 //! ends with the exemplar value in seconds (so "last token parses as f64"

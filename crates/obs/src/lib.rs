@@ -5,26 +5,28 @@
 //! connection acquire, remote execution, local post-processing. This crate
 //! makes that decomposition measurable per query:
 //!
-//! - [`span`] / [`Span`]: RAII stage guards recorded into a bounded
-//!   per-thread ring buffer ([`span::RING_CAPACITY`]), assembled into
-//!   per-query [`QueryProfile`]s with nesting, retry counts, fault
-//!   attribution and a terminal [`ProfileOutcome`].
-//! - [`trace`]: cross-thread trace assembly — [`begin_trace`] opens a
-//!   per-query trace, [`TraceCtx`] propagates it into morsel workers,
-//!   batch zone threads, prefetch and the maintenance lane, and
-//!   [`TraceHandle::finish`] yields one connected tree per query.
+//! - [`mod@span`] / [`Span`]: RAII stage guards; dropping one moves a
+//!   [`SpanEvent`] into the trace active on the thread (and records
+//!   nothing outside one).
+//! - [`trace`]: cross-thread trace assembly, the only span sink —
+//!   [`begin_trace`] opens a per-query trace, [`TraceCtx`] propagates it
+//!   into morsel workers, batch zone threads, prefetch and the maintenance
+//!   lane, and [`TraceHandle::finish`] yields one connected tree per query.
 //! - [`reason`]: the decision-attribution taxonomy — structured reason
 //!   codes spans carry to say *why* a cache missed, a query queued, a
 //!   connection dialed.
 //! - [`FlightRecorder`]: a bounded store of the last N completed traces
 //!   plus auto-captured slow queries, exportable as Chrome `trace_event`
-//!   JSON via [`to_chrome_trace`].
+//!   JSON via [`to_chrome_trace`]. A [`RecordedTrace`] is the one
+//!   per-query record: nesting, retry count, fault attribution and the
+//!   terminal [`ProfileOutcome`] are all read off it.
 //! - [`Registry`]: lock-free named counters, gauges and log-scale latency
 //!   histograms (p50/p95/p99), with [`Registry::snapshot`] (stable sorted
 //!   map) and [`Registry::render_text`] (Prometheus-style exposition with
 //!   HELP/TYPE lines).
-//! - [`Obs`]: the per-processor bundle of all three, threaded through
-//!   pools, caches, the simulated backend, the TDE and the data server.
+//! - [`Obs`]: the per-processor bundle of registry and recorder, threaded
+//!   through pools, caches, the simulated backend, the TDE and the data
+//!   server.
 //!
 //! Offline-safe by construction: std atomics plus the vendored
 //! `parking_lot` only — no external dependencies.
@@ -36,7 +38,6 @@ pub mod federation;
 pub mod health;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod recorder;
 pub mod slo;
 pub mod span;
@@ -55,13 +56,11 @@ pub use metrics::{
     escape_label_value, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
     TextEmitter, HIST_BUCKETS,
 };
-pub use profile::{assemble, FaultTag, Obs, ProfileOutcome, ProfileStore, QueryProfile, StageSpan};
-pub use recorder::{FlightRecorder, FlightRecorderConfig, RecordedTrace};
-pub use slo::{Objective, ObjectiveKind, ServeEvent, SloConfig, SloStatus, SloTracker};
-pub use span::{
-    collect_since, dropped_events, event, event_with, mark, record, span, Span, SpanEvent,
-    TraceMark,
+pub use recorder::{
+    FaultTag, FlightRecorder, FlightRecorderConfig, Obs, ProfileOutcome, RecordedTrace,
 };
+pub use slo::{Objective, ObjectiveKind, ServeEvent, SloConfig, SloStatus, SloTracker};
+pub use span::{event, event_with, record, span, Span, SpanEvent};
 pub use trace::{begin_trace, FinishedTrace, TraceCtx, TraceGuard, TraceHandle};
 
 /// The process-wide default [`Registry`]. Execution-layer counters with no
@@ -74,7 +73,7 @@ pub fn global() -> &'static Registry {
 }
 
 /// Static stage names used across the workspace. Using these constants
-/// (rather than ad-hoc strings) keeps profiles joinable across crates.
+/// (rather than ad-hoc strings) keeps traces joinable across crates.
 pub mod stage {
     /// Synthetic root span of a per-query trace (see [`crate::trace`]).
     pub const QUERY: &str = "query";

@@ -341,6 +341,16 @@ impl Registry {
         }
     }
 
+    /// Export a cell its component already owns under `name`: the component
+    /// keeps counting on its own handle, and [`Registry::snapshot`] reads
+    /// that same atomic. The cell replaces whatever `name` held, so the
+    /// exported value is always the registering component's.
+    pub fn register_counter(&self, name: &str, counter: &Counter) {
+        self.metrics
+            .write()
+            .insert(name.to_string(), MetricEntry::Counter(counter.clone()));
+    }
+
     pub fn gauge(&self, name: &str) -> Gauge {
         if let Some(MetricEntry::Gauge(g)) = self.metrics.read().get(name) {
             return g.clone();

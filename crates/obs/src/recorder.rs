@@ -1,6 +1,12 @@
 //! The query flight recorder: a bounded store of recently completed
 //! cross-thread traces plus automatic capture of slow queries.
 //!
+//! A [`RecordedTrace`] is the one per-query record: the paper's Sect. 3
+//! pipeline stages (cache lookup → compile → pool acquire → remote
+//! execution → local post-processing) as one timeline, with the terminal
+//! [`ProfileOutcome`]; retry counts, injected-fault attribution and the
+//! rendered timeline are read off its events.
+//!
 //! Recording happens once per query, after execution completes (the cold
 //! path); the hot path — spans on executing threads — never touches the
 //! recorder. Memory is bounded three ways: per-trace event caps
@@ -10,16 +16,55 @@
 //! `tv_obs_recorder_bytes` gauge.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::fmt;
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use crate::metrics::{Counter, Gauge, Registry};
-use crate::profile::ProfileOutcome;
 use crate::span::SpanEvent;
+use crate::stage;
 use crate::trace::FinishedTrace;
+
+/// How a query was ultimately answered.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ProfileOutcome {
+    /// Served from a cache (intelligent or literal).
+    Hit,
+    /// Served by post-processing a widened query's remote result.
+    Derived,
+    /// Executed against the remote backend.
+    Remote,
+    /// Backend unavailable; a stale cached result was served.
+    DegradedStale,
+    /// The query returned an error.
+    Failed,
+}
+
+impl fmt::Display for ProfileOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            ProfileOutcome::Hit => "hit",
+            ProfileOutcome::Derived => "derived",
+            ProfileOutcome::Remote => "remote",
+            ProfileOutcome::DegradedStale => "degraded_stale",
+            ProfileOutcome::Failed => "failed",
+        };
+        f.write_str(s)
+    }
+}
+
+/// An injected fault that fired during a query (see `FaultPlan`): `site`
+/// names the injection site, `ordinal` is the seed-roll index — together
+/// with the plan seed they reproduce the exact fault.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FaultTag {
+    pub site: &'static str,
+    pub ordinal: u64,
+}
 
 /// One completed query's flight record: identity, outcome, and the full
 /// cross-thread event tree.
@@ -105,6 +150,66 @@ impl RecordedTrace {
             .sum()
     }
 
+    /// Transient-failure retries spent by this query.
+    pub fn retries(&self) -> u64 {
+        self.events
+            .iter()
+            .filter(|e| e.stage == stage::RETRY && e.label == Some("transient"))
+            .count() as u64
+    }
+
+    /// Injected faults observed while this query ran (events of stage
+    /// [`stage::FAULT_INJECTED`]: label = site, detail = seed-roll ordinal).
+    pub fn faults(&self) -> Vec<FaultTag> {
+        self.events
+            .iter()
+            .filter(|e| e.stage == stage::FAULT_INJECTED)
+            .map(|e| FaultTag {
+                site: e.label.unwrap_or("unknown"),
+                ordinal: e.detail.unwrap_or(0),
+            })
+            .collect()
+    }
+
+    /// Human-readable timeline, one stage per line, indented by depth.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "query [{}] {:?} retries={} :: {}",
+            self.outcome,
+            self.total,
+            self.retries(),
+            self.query
+        );
+        for e in &self.events {
+            let _ = write!(
+                out,
+                "  {:>9.3}ms {}{}",
+                e.start
+                    .saturating_duration_since(self.started)
+                    .as_secs_f64()
+                    * 1e3,
+                "  ".repeat(e.depth as usize),
+                e.stage
+            );
+            if let Some(l) = e.label {
+                let _ = write!(out, "/{l}");
+            }
+            if let Some(d) = e.detail {
+                let _ = write!(out, " #{d}");
+            }
+            if let Some(r) = e.reason {
+                let _ = write!(out, " [{r}]");
+            }
+            let _ = writeln!(out, " {:>9.3}ms", e.dur.as_secs_f64() * 1e3);
+        }
+        for f in self.faults() {
+            let _ = writeln!(out, "  fault {}#{}", f.site, f.ordinal);
+        }
+        out
+    }
+
     /// Distinct thread lanes that contributed events.
     pub fn lanes(&self) -> Vec<u64> {
         let mut lanes: Vec<u64> = self.events.iter().map(|e| e.lane).collect();
@@ -143,7 +248,6 @@ impl Default for FlightRecorderConfig {
 /// Bounded store of completed query traces; see the module docs.
 pub struct FlightRecorder {
     cfg: FlightRecorderConfig,
-    enabled: AtomicBool,
     slow_threshold_micros: AtomicU64,
     recent: Mutex<VecDeque<Arc<RecordedTrace>>>,
     slow: Mutex<VecDeque<Arc<RecordedTrace>>>,
@@ -164,7 +268,6 @@ impl FlightRecorder {
         let slow_micros = cfg.slow_threshold.as_micros().min(u64::MAX as u128) as u64;
         FlightRecorder {
             cfg,
-            enabled: AtomicBool::new(true),
             slow_threshold_micros: AtomicU64::new(slow_micros),
             recent: Mutex::new(VecDeque::new()),
             slow: Mutex::new(VecDeque::new()),
@@ -205,14 +308,6 @@ impl FlightRecorder {
         rec
     }
 
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
     pub fn set_slow_threshold(&self, t: Duration) {
         self.slow_threshold_micros.store(
             t.as_micros().min(u64::MAX as u128) as u64,
@@ -232,10 +327,10 @@ impl FlightRecorder {
             .unwrap_or_default()
     }
 
-    /// Store a completed trace (no-op when disabled or the trace captured
-    /// nothing). Cold path: called once per query after execution.
+    /// Store a completed trace (no-op when the trace captured nothing).
+    /// Cold path: called once per query after execution.
     pub fn record(&self, trace: RecordedTrace) {
-        if !self.enabled() || trace.trace_id == 0 {
+        if trace.trace_id == 0 {
             return;
         }
         // A ring-evicted trace still referenced by an exemplar is parked
@@ -431,5 +526,34 @@ impl FlightRecorder {
 impl Default for FlightRecorder {
     fn default() -> Self {
         FlightRecorder::new(FlightRecorderConfig::default())
+    }
+}
+
+/// One processor's observability surface: a metrics [`Registry`] and the
+/// query [`FlightRecorder`]. Deliberately per-instance rather than global
+/// so concurrent processors (and tests) never pollute each other.
+pub struct Obs {
+    pub registry: Registry,
+    pub recorder: FlightRecorder,
+    /// Streaming per-query-class latency fingerprints; the root-cause
+    /// analyzer diffs a slow trace against its class baseline.
+    pub baselines: crate::analyze::ClassBaselines,
+}
+
+impl Default for Obs {
+    fn default() -> Self {
+        let registry = Registry::new();
+        let recorder = FlightRecorder::with_registry(FlightRecorderConfig::default(), &registry);
+        Obs {
+            registry,
+            recorder,
+            baselines: crate::analyze::ClassBaselines::new(),
+        }
+    }
+}
+
+impl Obs {
+    pub fn new() -> Self {
+        Obs::default()
     }
 }

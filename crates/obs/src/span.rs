@@ -1,32 +1,17 @@
-//! Span tracer: RAII stage guards recorded into a bounded per-thread ring
-//! and — when a trace is active — into a cross-thread per-query trace.
+//! Span tracer: RAII stage guards recorded into the active per-query trace.
 //!
 //! Every pipeline stage a query passes through opens a [`Span`] with a
-//! static stage name (see [`crate::stage`]); dropping the guard records a
-//! [`SpanEvent`] carrying the entry order, nesting depth, and duration.
-//!
-//! Two collection paths coexist:
-//!
-//! - The legacy per-thread ring: for work that executes wholly on one
-//!   thread, the caller can [`mark`] the ring before executing and
-//!   [`collect_since`] afterwards to obtain exactly that thread's timeline.
-//!   The ring is bounded ([`RING_CAPACITY`] completed events per thread);
-//!   on overflow the oldest events are evicted and counted, never blocking.
-//! - The cross-thread trace (see [`crate::trace`]): when a trace is active
-//!   ([`crate::trace::begin_trace`] on this thread, or a propagated
-//!   [`crate::trace::TraceCtx`] installed on a worker), every event is
-//!   *also* written into the trace's shared buffer at completion time, so
-//!   spans recorded on short-lived worker threads survive the thread and
-//!   assemble into one tree keyed by trace id.
+//! static stage name (see [`crate::stage`]); dropping the guard moves one
+//! [`SpanEvent`] into the trace active on this thread (see
+//! [`crate::trace`]: [`crate::trace::begin_trace`] on the query's driver
+//! thread, or a propagated [`crate::trace::TraceCtx`] installed on a
+//! worker). The trace buffer is the only sink: spans recorded on
+//! short-lived worker threads survive the thread and assemble into one tree
+//! keyed by trace id, and a span or event outside a trace records nothing.
 
-use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::trace;
-
-/// Completed events retained per thread before the oldest are evicted.
-pub const RING_CAPACITY: usize = 4096;
 
 /// A completed (or instantaneous) stage observation.
 #[derive(Clone, Debug)]
@@ -45,18 +30,15 @@ pub struct SpanEvent {
     pub start: Instant,
     /// Zero for instantaneous events.
     pub dur: Duration,
-    /// Nesting depth at entry; 0 for a root span. Per-thread for ring
-    /// events; recomputed from parent links when a trace is assembled.
+    /// Nesting depth in the trace tree; 0 for the root span. Derived from
+    /// parent links when the trace is assembled
+    /// ([`crate::trace::TraceHandle::finish`]).
     pub depth: u32,
-    /// Thread-local entry order. Sorting by this field reconstructs a
-    /// single thread's timeline (parents before children), whereas raw
-    /// ring order is completion order (children before parents).
-    pub enter_seq: u64,
-    /// Owning trace, or 0 when no trace was active at entry.
+    /// Owning trace.
     pub trace_id: u64,
     /// Trace-wide span id, allocated at entry from the trace's counter so
     /// that sorting by `span_id` reconstructs the cross-thread timeline
-    /// (parents before children). 0 when not in a trace.
+    /// (parents before children).
     pub span_id: u64,
     /// Enclosing span id within the trace (`None` for the trace root).
     pub parent: Option<u64>,
@@ -64,45 +46,14 @@ pub struct SpanEvent {
     pub lane: u64,
 }
 
-struct ThreadTracer {
-    events: VecDeque<SpanEvent>,
-    next_seq: u64,
-    depth: u32,
-    dropped: u64,
-}
-
-impl ThreadTracer {
-    const fn new() -> Self {
-        ThreadTracer {
-            events: VecDeque::new(),
-            next_seq: 0,
-            depth: 0,
-            dropped: 0,
-        }
-    }
-
-    fn push(&mut self, ev: SpanEvent) {
-        if self.events.len() >= RING_CAPACITY {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(ev);
-    }
-}
-
-thread_local! {
-    static TRACER: RefCell<ThreadTracer> = const { RefCell::new(ThreadTracer::new()) };
-}
-
-/// RAII guard for a pipeline stage; records a [`SpanEvent`] on drop.
+/// RAII guard for a pipeline stage; records a [`SpanEvent`] on drop. Inert
+/// (no slot, nothing recorded) when no trace was active at entry.
 pub struct Span {
     stage: &'static str,
     label: Option<&'static str>,
     detail: Option<u64>,
     reason: Option<&'static str>,
     start: Instant,
-    depth: u32,
-    enter_seq: u64,
     slot: Option<trace::Slot>,
 }
 
@@ -126,60 +77,38 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let dur = self.start.elapsed();
-        let (trace_id, span_id, parent) = match &self.slot {
-            Some(s) => (s.trace_id(), s.span_id(), s.parent()),
-            None => (0, 0, None),
-        };
+        let Some(slot) = self.slot.take() else { return };
         let ev = SpanEvent {
             stage: self.stage,
             label: self.label,
             detail: self.detail,
             reason: self.reason,
             start: self.start,
-            dur,
-            depth: self.depth,
-            enter_seq: self.enter_seq,
-            trace_id,
-            span_id,
-            parent,
+            dur: self.start.elapsed(),
+            depth: 0,
+            trace_id: slot.trace_id(),
+            span_id: slot.span_id(),
+            parent: slot.parent(),
             lane: trace::lane_id(),
         };
-        TRACER.with(|t| {
-            let mut t = t.borrow_mut();
-            t.depth = t.depth.saturating_sub(1);
-            t.push(ev.clone());
-        });
-        if let Some(slot) = self.slot.take() {
-            trace::exit_span(slot, ev);
-        }
+        trace::exit_span(slot, ev);
     }
 }
 
 /// Enter a stage. The returned guard records the span when dropped.
 pub fn span(stage: &'static str) -> Span {
-    let slot = trace::enter_span();
-    TRACER.with(|t| {
-        let mut t = t.borrow_mut();
-        let depth = t.depth;
-        let enter_seq = t.next_seq;
-        t.next_seq += 1;
-        t.depth += 1;
-        Span {
-            stage,
-            label: None,
-            detail: None,
-            reason: None,
-            start: Instant::now(),
-            depth,
-            enter_seq,
-            slot,
-        }
-    })
+    Span {
+        stage,
+        label: None,
+        detail: None,
+        reason: None,
+        start: Instant::now(),
+        slot: trace::enter_span(),
+    }
 }
 
-/// Record an instantaneous event (a retry, an injected fault, ...) at the
-/// current nesting depth.
+/// Record an instantaneous event (a retry, an injected fault, ...) under
+/// the innermost open span.
 pub fn event(stage: &'static str, label: Option<&'static str>, detail: Option<u64>) {
     event_with(stage, label, detail, None);
 }
@@ -214,64 +143,21 @@ fn sink(
     reason: Option<&'static str>,
     dur: Duration,
 ) {
-    let slot = trace::instant_slot();
-    let (trace_id, span_id, parent) = match &slot {
-        Some(s) => (s.trace_id(), s.span_id(), s.parent()),
-        None => (0, 0, None),
+    let Some(slot) = trace::instant_slot() else {
+        return;
     };
-    let lane = trace::lane_id();
-    let ev = TRACER.with(|t| {
-        let mut t = t.borrow_mut();
-        let ev = SpanEvent {
-            stage,
-            label,
-            detail,
-            reason,
-            start: Instant::now(),
-            dur,
-            depth: t.depth,
-            enter_seq: t.next_seq,
-            trace_id,
-            span_id,
-            parent,
-            lane,
-        };
-        t.next_seq += 1;
-        t.push(ev.clone());
-        ev
-    });
-    if let Some(slot) = slot {
-        trace::sink_instant(slot, ev);
-    }
-}
-
-/// Position in this thread's trace; pair with [`collect_since`].
-#[derive(Clone, Copy, Debug)]
-pub struct TraceMark(u64);
-
-/// Remember the current position in this thread's trace.
-pub fn mark() -> TraceMark {
-    TRACER.with(|t| TraceMark(t.borrow().next_seq))
-}
-
-/// All events entered at or after `mark` on this thread, in entry order.
-/// Events are copied, not drained, so overlapping collections (a query
-/// profile assembled inside a batch) each see the full picture.
-pub fn collect_since(mark: &TraceMark) -> Vec<SpanEvent> {
-    TRACER.with(|t| {
-        let t = t.borrow();
-        let mut out: Vec<SpanEvent> = t
-            .events
-            .iter()
-            .filter(|e| e.enter_seq >= mark.0)
-            .cloned()
-            .collect();
-        out.sort_by_key(|e| e.enter_seq);
-        out
-    })
-}
-
-/// Events evicted from this thread's ring since thread start (diagnostic).
-pub fn dropped_events() -> u64 {
-    TRACER.with(|t| t.borrow().dropped)
+    let ev = SpanEvent {
+        stage,
+        label,
+        detail,
+        reason,
+        start: Instant::now(),
+        dur,
+        depth: 0,
+        trace_id: slot.trace_id(),
+        span_id: slot.span_id(),
+        parent: slot.parent(),
+        lane: trace::lane_id(),
+    };
+    trace::sink_instant(slot, ev);
 }

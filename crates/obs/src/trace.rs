@@ -1,14 +1,14 @@
 //! Cross-thread trace assembly: a propagatable per-query trace context.
 //!
-//! The per-thread ring in [`crate::span`] assumes a query executes wholly
-//! on one thread — false since morsel-parallel scans, batch zone workers,
-//! prefetch and the maintenance lane. This module adds a *trace*: a shared,
-//! bounded event buffer keyed by trace id, plus a thread-local "active
-//! trace" that spans join automatically.
+//! A query does not execute wholly on one thread (morsel-parallel scans,
+//! batch zone workers, prefetch, the maintenance lane), so spans are
+//! collected per *trace*: a shared, bounded event buffer keyed by trace id,
+//! plus a thread-local "active trace" that spans join automatically. It is
+//! the only place a [`crate::span::SpanEvent`] is stored.
 //!
 //! - [`begin_trace`] opens a trace on the current thread (the query's
 //!   driver) and makes it active; every [`crate::span::span`] /
-//!   [`crate::span::event`] on this thread is dual-written into the trace.
+//!   [`crate::span::event`] on this thread is written into the trace.
 //! - [`TraceCtx::current`] captures a cheap handle (trace + the span open
 //!   right now) to move into a worker closure; [`TraceCtx::install`] adopts
 //!   the trace on the worker thread, parenting the worker's spans under the
@@ -50,7 +50,7 @@ static CAPTURE: AtomicBool = AtomicBool::new(true);
 
 /// Globally enable / disable trace capture (the e20 overhead experiment's
 /// "off" arm). When off, [`begin_trace`] returns an inert handle and spans
-/// record only into the legacy per-thread ring.
+/// record nothing.
 pub fn set_capture(on: bool) {
     CAPTURE.store(on, Ordering::Relaxed);
 }
@@ -339,7 +339,6 @@ impl TraceHandle {
             start: inner.started,
             dur: total,
             depth: 0,
-            enter_seq: 0,
             trace_id: inner.trace_id,
             span_id: ROOT_SPAN_ID,
             parent: None,
@@ -366,8 +365,8 @@ impl Drop for TraceHandle {
     }
 }
 
-/// Replace per-thread depths with tree depths derived from parent links
-/// (events must be sorted by `span_id`, so parents precede children).
+/// Fill in tree depths derived from parent links (events must be sorted by
+/// `span_id`, so parents precede children).
 fn recompute_depths(events: &mut [SpanEvent]) {
     let mut depth_of: HashMap<u64, u32> = HashMap::with_capacity(events.len());
     for ev in events.iter_mut() {

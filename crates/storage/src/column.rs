@@ -1,7 +1,7 @@
 //! Encoded column storage.
 //!
 //! The TDE "implements column-level compression ... dictionary-based
-//! compression [where] fixed tokens are stored in the original column [with]
+//! compression \[where\] fixed tokens are stored in the original column \[with\]
 //! an associated dictionary", plus "lightweight compression storage formats,
 //! such as run-length or delta encodings" (Sect. 4.1.1). Dictionary
 //! compression is visible outside the storage layer (the dictionary can be

@@ -6,7 +6,7 @@
 //! (run-length, delta) for fixed-width data, column-level collated strings,
 //! and the ability to "compact a database into a single file".
 //!
-//! * [`column`] — encoded columns ([`column::StoredColumn`]) with
+//! * [`mod@column`] — encoded columns ([`column::StoredColumn`]) with
 //!   dictionary compression and RLE/delta encodings, range decoding (the
 //!   basis of Sect. 4.3 range skipping), and RLE run enumeration (the
 //!   IndexTable source).

@@ -1,7 +1,7 @@
 //! Per-column statistics.
 //!
 //! The paper's query compiler "incorporates information about cardinalities
-//! [and] domains" (Sect. 3.1) and the TDE's parallel planner consults
+//! \[and\] domains" (Sect. 3.1) and the TDE's parallel planner consults
 //! "metadata, such as data volume stored in a table" (Sect. 4.2.2). These
 //! statistics are computed once at load time, when the data is already being
 //! scanned for encoding.

@@ -76,7 +76,7 @@ pub mod prelude {
         FilterAction, MaintenanceLane, QueryProcessor, RevalidateOptions, Zone,
     };
     pub use tabviz_dataserver::{ClientQuery, DataServer, PublishedSource};
-    pub use tabviz_obs::{ProfileOutcome, QueryProfile, Registry};
+    pub use tabviz_obs::{ProfileOutcome, Registry};
     pub use tabviz_sched::{AdmitRequest, Priority, SchedConfig, Scheduler};
     pub use tabviz_storage::{Database, Table};
     pub use tabviz_tde::{ExecOptions, Tde};

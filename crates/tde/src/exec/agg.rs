@@ -447,8 +447,8 @@ impl AggStateCol {
 ///
 /// Two execution paths, chosen once per operator (see `key::fallback_reason`
 /// and DESIGN.md §14): the packed-key fast path encodes group keys into
-/// fixed-width words ([`GroupTable`]) and updates typed columnar accumulators
-/// ([`AggStateCol`]); the retained fallback keys a hash map with
+/// fixed-width words (`GroupTable`) and updates typed columnar accumulators
+/// (`AggStateCol`); the retained fallback keys a hash map with
 /// `Vec<Value>` rows. An optional fused residual predicate (absorbed from a
 /// child `Filter` by `make_op_raw`) is evaluated to a [`SelVec`] so the
 /// fast path never rematerializes filtered chunks.

@@ -29,7 +29,7 @@ pub fn normalize_key(v: Value, collation: Collation) -> Value {
 /// The materialized build side of a hash join: the build chunk plus an index
 /// over its key columns. Exactly one index form is populated, decided by
 /// `key::fallback_reason` at build time: the packed fixed-width form
-/// ([`PackedJoinIndex`], hashes batched column-at-a-time) or the retained
+/// (`PackedJoinIndex`, hashes batched column-at-a-time) or the retained
 /// `Vec<Value>`-keyed map.
 pub struct JoinBuild {
     pub chunk: Chunk,

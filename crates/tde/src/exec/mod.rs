@@ -30,7 +30,7 @@ pub trait PhysOp: Send {
 }
 
 /// Instantiate the operator tree for a physical plan. Every operator is
-/// wrapped in a [`TimedOp`] that records its accumulated busy time (self +
+/// wrapped in a `TimedOp` that records its accumulated busy time (self +
 /// children, minus nothing — wall time inside `next()`) into the thread's
 /// trace when it exhausts, so query profiles show per-operator timings.
 pub fn make_op(plan: &PhysPlan) -> Result<Box<dyn PhysOp>> {

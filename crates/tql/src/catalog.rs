@@ -4,7 +4,7 @@
 //! and overall capabilities of the data source" (Sect. 3.1); the TDE's
 //! parallel planner "relies on metadata, such as data volume stored in a
 //! table" (Sect. 4.2.2). This trait is that metadata surface, implemented by
-//! the TDE over its [`Database`](tabviz_storage) and by backends over their
+//! the TDE over its `tabviz_storage::Database` and by backends over their
 //! simulated schemas.
 
 use std::collections::{BTreeMap, BTreeSet};

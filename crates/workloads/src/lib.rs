@@ -1,7 +1,7 @@
 //! Workloads: synthetic FAA flights data and dashboard interaction traffic.
 //!
 //! The paper's running example is "the popular FAA Flights On-time dataset
-//! ... all the flights in the US in the past decade" (Sect. 3, [43]). The
+//! ... all the flights in the US in the past decade" (Sect. 3, \[43\]). The
 //! real extract is not redistributable, so [`faa`] generates a synthetic
 //! equivalent with matching shape: a dozen carriers with zipf-like volume, a
 //! few hundred airports with state rollups, seasonal/weekday delay effects,

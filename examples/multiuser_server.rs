@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tabviz::cache::{ExternalStore, ServerNodeCache};
+use tabviz::cache::{ExternalStore, SingleStoreL2};
 use tabviz::prelude::*;
 use tabviz::workloads::{generate_flights, FaaConfig};
 
@@ -16,32 +16,39 @@ fn main() -> Result<()> {
     db.put(Table::from_chunk("flights", &flights, &["carrier"])?)?;
 
     // ---------- Cluster-wide cache sharing (Sect. 3.2) ----------
+    // Two server nodes, each with its own processor and node-local caches,
+    // over one external store as their shared L2.
     let external = Arc::new(ExternalStore::new(Duration::from_micros(300)));
-    let node1 = ServerNodeCache::new("node-1", Arc::clone(&external));
-    let node2 = ServerNodeCache::new("node-2", Arc::clone(&external));
+    let node = || {
+        let qp = QueryProcessor::default();
+        qp.registry.register(
+            Arc::new(SimDb::new("faa", Arc::clone(&db), SimConfig::default())),
+            4,
+        );
+        qp.caches
+            .set_l2(Arc::new(SingleStoreL2::new(Arc::clone(&external))));
+        qp
+    };
+    let (node1, node2) = (node(), node());
 
     let spec = QuerySpec::new("faa", LogicalPlan::scan("flights"))
         .group("carrier")
         .agg(AggCall::new(AggFunc::Count, None, "n"));
 
-    // Node 1 computes the initial-load query once (here: directly on a TDE).
-    let tde = Tde::new(Arc::clone(&db));
-    let chunk = tde.execute_plan(&spec.to_plan()?, &ExecOptions::default())?;
-    node1.store(spec.clone(), "Q", &chunk, Duration::from_millis(30));
+    // Node 1 computes the initial-load query once and publishes it.
+    node1.execute(&spec)?;
     println!("node-1 computed and published the initial-load result");
 
     // 50 viewers hit node 2; every request is warm thanks to the external
     // layer, and after the first pull the node answers from local memory.
-    let mut external_hits = 0;
     for _ in 0..50 {
-        let (hit, _) = node2.lookup(&spec, "Q");
-        assert!(hit.is_some());
-        external_hits = node2.stats().external_hits;
+        let (_, outcome) = node2.execute(&spec)?;
+        assert_ne!(outcome, ExecOutcome::Remote);
     }
     println!(
         "node-2 served 50 viewers: {} external fetch(es), {} node-local hits",
-        external_hits,
-        node2.stats().local_hits
+        node2.stats().l2_hits,
+        node2.stats().intelligent_hits
     );
 
     // ---------- Data Server: shared model + row-level security ----------

@@ -27,7 +27,6 @@ fn ev(span_id: u64, parent: Option<u64>, stage: &'static str, dur: Duration) -> 
         start: Instant::now(),
         dur,
         depth: 0,
-        enter_seq: span_id,
         trace_id: 1,
         span_id,
         parent,

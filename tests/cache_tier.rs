@@ -99,6 +99,47 @@ proptest! {
     }
 }
 
+/// Two processors over one external store (the standalone deployment):
+/// the second node's first sight of a query is one external round trip,
+/// its second a node-local hit; an empty store is a counted L2 miss that
+/// falls through to the backend.
+#[test]
+fn single_store_l2_shares_across_processors_and_counts_the_miss_path() {
+    let db = flights_db();
+    let store = Arc::new(ExternalStore::new(Duration::ZERO));
+    let node = || {
+        let qp = processor_over(&db);
+        qp.caches
+            .set_l2(Arc::new(SingleStoreL2::new(Arc::clone(&store))));
+        qp
+    };
+    let (node1, node2) = (node(), node());
+    let spec = QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+        .group("carrier")
+        .agg(AggCall::new(AggFunc::Count, None, "n"));
+
+    // Miss path: nothing anywhere, so node 1 probes L2 once and computes.
+    let (computed, outcome) = node1.execute(&spec).unwrap();
+    assert_eq!(outcome, ExecOutcome::Remote);
+    assert_eq!(node1.caches.tier_stats().l2_misses, 1);
+    assert_eq!(store.stats().get_hits, 0);
+    assert!(
+        store.stats().bytes_stored > 0,
+        "node 1 published the result"
+    );
+
+    // Node 2 never saw the query, but the external layer has it.
+    let (shared, outcome) = node2.execute(&spec).unwrap();
+    assert_eq!(outcome, ExecOutcome::L2Hit);
+    assert_eq!(canonical_bytes(&shared), canonical_bytes(&computed));
+    assert_eq!(node2.stats().l2_hits, 1);
+    // The second lookup on node 2 is node-local: still one external hit.
+    let (_, outcome) = node2.execute(&spec).unwrap();
+    assert_eq!(outcome, ExecOutcome::IntelligentHit);
+    assert_eq!(node2.stats().intelligent_hits, 1);
+    assert_eq!(store.stats().get_hits, 1);
+}
+
 fn kv_chunk(val: i64) -> Chunk {
     let schema = Arc::new(
         Schema::new(vec![
