@@ -1773,9 +1773,9 @@ fn e20_flight_recorder_overhead() {
 // ---------------------------------------------------------------- E21 ----
 
 /// Sharded multi-node Data Server under a seeded Zipf storm. A 4-node
-/// cluster (consistent-hash routing, replicated peer cache, session
-/// affinity) serves an open-loop traffic schedule twice: once healthy, once
-/// with the busiest node killed mid-storm and revived later. Reports
+/// cluster (consistent-hash routing, session affinity, the replicated peer
+/// tier as every node's L2) serves an open-loop traffic schedule twice: once
+/// healthy, once with the busiest node killed mid-storm and revived later. Reports
 /// per-class latency percentiles, shed rate, per-node balance and failover
 /// recovery, and emits `BENCH_cluster.json` so the perf trajectory is
 /// tracked across PRs. The acceptance bar: the kill run completes every
@@ -2852,13 +2852,15 @@ fn e24_cache_hierarchy() {
     // Closed-loop replay (latency buckets per serve path, not tail-under-
     // load — e21/e22 own that): every query lands in exactly one bucket.
     let mut sessions: HashMap<u32, (u32, ClusterSession)> = HashMap::new();
-    let (mut l1, mut l2, mut peer, mut backend) = (
-        Vec::<Duration>::new(),
+    let (mut l1, mut l2, mut backend) = (
         Vec::<Duration>::new(),
         Vec::<Duration>::new(),
         Vec::<Duration>::new(),
     );
     let mut errors = 0usize;
+    // Shared-tier reads issued while an L1 answer was served: the replay is
+    // one client, so the tier's read counter moves only for the query in hand.
+    let mut peer_gets_on_l1 = 0u64;
     for a in &schedule {
         let (_, sess) = sessions.entry(a.session).or_insert_with(|| {
             let user = format!("viewer-{}", a.session % USERS);
@@ -2870,15 +2872,17 @@ fn e24_cache_hierarchy() {
             )
         });
         let query = query_for(&a.kind);
+        let peer_gets = cluster.peer_stats().gets;
         let t0 = Instant::now();
         match sess.query(&query) {
             Ok(r) => {
                 let wall = t0.elapsed();
                 match r.outcome {
-                    ExecOutcome::IntelligentHit => l1.push(wall),
+                    ExecOutcome::IntelligentHit | ExecOutcome::LiteralHit => {
+                        l1.push(wall);
+                        peer_gets_on_l1 += cluster.peer_stats().gets - peer_gets;
+                    }
                     ExecOutcome::L2Hit => l2.push(wall),
-                    ExecOutcome::LiteralHit if r.peer_hit.is_some() => peer.push(wall),
-                    ExecOutcome::LiteralHit => l1.push(wall),
                     ExecOutcome::Remote => backend.push(wall),
                     _ => {}
                 }
@@ -2895,10 +2899,9 @@ fn e24_cache_hierarchy() {
         durs.sort();
         durs[(durs.len() - 1) / 2]
     };
-    let (l1_n, l2_n, peer_n, backend_n) = (l1.len(), l2.len(), peer.len(), backend.len());
+    let (l1_n, l2_n, backend_n) = (l1.len(), l2.len(), backend.len());
     let l1_median = median(&mut l1);
     let l2_median = median(&mut l2);
-    let peer_median = median(&mut peer);
     let backend_median = median(&mut backend);
     let l2_over_backend = l2_median.as_secs_f64() / backend_median.as_secs_f64().max(1e-9);
 
@@ -2918,6 +2921,10 @@ fn e24_cache_hierarchy() {
     };
     let tier = tier_sum(&cluster);
     let l2_hit_rate = tier.l2_hits as f64 / ((tier.l2_hits + tier.l2_misses) as f64).max(1.0);
+    // The node L2 is the tier's only reader: every tier read is one L2 lookup.
+    let peer_gets_per_l1_answer = peer_gets_on_l1 as f64 / l1_n.max(1) as f64;
+    let peer_gets_minus_l2_lookups =
+        cluster.peer_stats().gets as i64 - (tier.l2_hits + tier.l2_misses) as i64;
 
     // Targeted invalidation: refresh ONE of the six tables and compare what
     // the tag purge removed against the whole cached population (node L1s
@@ -2941,9 +2948,9 @@ fn e24_cache_hierarchy() {
 
     // SWR: demote flights_1's dependents to stale (still inside the grace
     // window), then replay each affected dashboard's load query through its
-    // original session. The peer/L2 copies are gone (purged by tag), so the
-    // route lands on the session's affinity node — whose stale L1 entry
-    // answers immediately, flagged as an SWR serve.
+    // original session. The route lands on the session's affinity node,
+    // whose stale L1 entry answers immediately, flagged as an SWR serve (the
+    // L2 copies are gone, purged by tag, and are not asked).
     let swr_before: u64 = cluster
         .nodes()
         .iter()
@@ -3018,7 +3025,6 @@ fn e24_cache_hierarchy() {
         &["serve path", "n", "median ms"],
         &[
             vec!["L1 hit (intelligent/literal)".into(), l1_n.to_string(), ms(l1_median)],
-            vec!["peer exact hit".into(), peer_n.to_string(), ms(peer_median)],
             vec!["L1 miss → L2 hit".into(), l2_n.to_string(), ms(l2_median)],
             vec!["backend round trip".into(), backend_n.to_string(), ms(backend_median)],
         ],
@@ -3044,10 +3050,9 @@ fn e24_cache_hierarchy() {
     );
 
     let json = format!(
-        "{{\n  \"experiment\": \"e24_cache_hierarchy\",\n  \"nodes\": {NODES},\n  \"tables\": {TABLES},\n  \"dashboards\": {DASHBOARDS},\n  \"seed\": {SEED},\n  \"schedule_digest\": \"{digest:016x}\",\n  \"arrivals\": {},\n  \"completed\": {completed},\n  \"errors\": {errors},\n  \"serve_paths\": {{\n    \"l1\": {{\"count\": {l1_n}, \"median_ms\": {}}},\n    \"peer\": {{\"count\": {peer_n}, \"median_ms\": {}}},\n    \"l2\": {{\"count\": {l2_n}, \"median_ms\": {}}},\n    \"backend\": {{\"count\": {backend_n}, \"median_ms\": {}}}\n  }},\n  \"l2_over_backend\": {l2_over_backend:.3},\n  \"tier\": {{\"l2_hits\": {}, \"l2_misses\": {}, \"promotes\": {}, \"l2_stores\": {}, \"l2_hit_rate\": {l2_hit_rate:.3}}},\n  \"entries_before_refresh\": {entries_before},\n  \"purged\": {purged},\n  \"purge_fraction\": {purge_fraction:.4},\n  \"stale_marked\": {stale_marked},\n  \"swr_queries\": {swr_queries},\n  \"swr_serves\": {swr_serves},\n  \"revalidated\": {revalidated},\n  \"stale_after_revalidation\": {stale_left},\n  \"join_keys_moved\": {},\n  \"warmed\": {warmed},\n  \"tier_metrics_present\": {tier_metrics_present}\n}}\n",
+        "{{\n  \"experiment\": \"e24_cache_hierarchy\",\n  \"nodes\": {NODES},\n  \"tables\": {TABLES},\n  \"dashboards\": {DASHBOARDS},\n  \"seed\": {SEED},\n  \"schedule_digest\": \"{digest:016x}\",\n  \"arrivals\": {},\n  \"completed\": {completed},\n  \"errors\": {errors},\n  \"serve_paths\": {{\n    \"l1\": {{\"count\": {l1_n}, \"median_ms\": {}}},\n    \"l2\": {{\"count\": {l2_n}, \"median_ms\": {}}},\n    \"backend\": {{\"count\": {backend_n}, \"median_ms\": {}}}\n  }},\n  \"l2_over_backend\": {l2_over_backend:.3},\n  \"tier\": {{\"l2_hits\": {}, \"l2_misses\": {}, \"promotes\": {}, \"l2_stores\": {}, \"l2_hit_rate\": {l2_hit_rate:.3}}},\n  \"peer_gets_per_l1_answer\": {peer_gets_per_l1_answer:.3},\n  \"peer_gets_minus_l2_lookups\": {peer_gets_minus_l2_lookups},\n  \"entries_before_refresh\": {entries_before},\n  \"purged\": {purged},\n  \"purge_fraction\": {purge_fraction:.4},\n  \"stale_marked\": {stale_marked},\n  \"swr_queries\": {swr_queries},\n  \"swr_serves\": {swr_serves},\n  \"revalidated\": {revalidated},\n  \"stale_after_revalidation\": {stale_left},\n  \"join_keys_moved\": {},\n  \"warmed\": {warmed},\n  \"tier_metrics_present\": {tier_metrics_present}\n}}\n",
         schedule.len(),
         ms(l1_median),
-        ms(peer_median),
         ms(l2_median),
         ms(backend_median),
         tier.l2_hits,
@@ -3064,12 +3069,13 @@ fn e24_cache_hierarchy() {
     println!("e24_errors {errors}");
     println!("e24_l1_median_ms {}", ms(l1_median));
     println!("e24_l2_median_ms {}", ms(l2_median));
-    println!("e24_peer_median_ms {}", ms(peer_median));
     println!("e24_backend_median_ms {}", ms(backend_median));
     println!("e24_l2_over_backend {l2_over_backend:.3}");
     println!("e24_l2_hits {}", tier.l2_hits);
     println!("e24_l2_hit_rate {l2_hit_rate:.3}");
     println!("e24_promotes {}", tier.promotes);
+    println!("e24_peer_gets_per_l1_answer {peer_gets_per_l1_answer:.3}");
+    println!("e24_peer_gets_minus_l2_lookups {peer_gets_minus_l2_lookups}");
     println!("e24_purged {purged}");
     println!("e24_purge_fraction {purge_fraction:.4}");
     println!("e24_stale_marked {stale_marked}");

@@ -25,7 +25,9 @@
 use crate::implication::implies;
 use crate::spec::QuerySpec;
 use parking_lot::Mutex;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tabviz_common::{Chunk, Result, TvError};
@@ -56,7 +58,10 @@ struct MatchPlan {
 
 /// One cached result.
 struct Entry {
+    /// Normalized, and kept inline: the bucket walk reads it per entry.
     spec: QuerySpec,
+    /// Its key in the exact-spec index.
+    spec_hash: u64,
     /// Shared so a lookup can take it out from under the lock for the
     /// price of a reference count.
     result: Arc<Chunk>,
@@ -185,9 +190,52 @@ impl Default for CacheConfig {
 struct Inner {
     /// bucket key → entry ids (the relation-level index).
     buckets: HashMap<String, Vec<u64>>,
+    /// Hash of a normalized spec → the entries stored under a spec with
+    /// that hash: one, since `put` supersedes, bar hash collisions (hence a
+    /// list, checked by equality). What a store replaces and what an exact
+    /// lookup finds without walking the bucket.
+    exact: HashMap<u64, Vec<u64>>,
+    hasher: RandomState,
     entries: HashMap<u64, Entry>,
     next_id: u64,
     bytes: usize,
+}
+
+impl Inner {
+    /// The entry stored under exactly this (normalized) spec.
+    fn exact_id(&self, spec: &QuerySpec) -> Option<u64> {
+        let ids = self.exact.get(&self.hasher.hash_one(spec))?;
+        ids.iter()
+            .copied()
+            .find(|id| self.entries.get(id).is_some_and(|e| e.spec == *spec))
+    }
+
+    /// Take one entry out of the map and the exact-spec index. Its bucket
+    /// is the caller's to fix.
+    fn take(&mut self, id: u64) -> Option<Entry> {
+        let e = self.entries.remove(&id)?;
+        self.bytes -= e.bytes;
+        if let Some(ids) = self.exact.get_mut(&e.spec_hash) {
+            ids.retain(|&i| i != id);
+            if ids.is_empty() {
+                self.exact.remove(&e.spec_hash);
+            }
+        }
+        Some(e)
+    }
+
+    /// Take one entry out of the map, the exact-spec index and its bucket.
+    fn remove(&mut self, id: u64) -> Option<Entry> {
+        let e = self.take(id)?;
+        let bucket = e.spec.bucket_key();
+        if let Some(ids) = self.buckets.get_mut(&bucket) {
+            ids.retain(|&i| i != id);
+            if ids.is_empty() {
+                self.buckets.remove(&bucket);
+            }
+        }
+        Some(e)
+    }
 }
 
 /// The intelligent cache. Thread-safe.
@@ -216,6 +264,8 @@ impl IntelligentCache {
             config,
             inner: Mutex::new(Inner {
                 buckets: HashMap::new(),
+                exact: HashMap::new(),
+                hasher: RandomState::new(),
                 entries: HashMap::new(),
                 next_id: 0,
                 bytes: 0,
@@ -332,8 +382,6 @@ impl IntelligentCache {
         fresh_only: bool,
     ) -> (Option<Chunk>, &'static str) {
         let inner = self.inner.lock();
-        let bucket = spec.bucket_key();
-        let ids: Vec<u64> = inner.buckets.get(&bucket).cloned().unwrap_or_default();
         // Decision attribution: remember the furthest-advancing rejection
         // across candidates, so a miss names the subsumption check that
         // failed on the *closest* entry rather than an arbitrary one.
@@ -353,6 +401,49 @@ impl IntelligentCache {
             created: Instant,
         }
         let mut candidates: Vec<Candidate> = Vec::new();
+        // The entry stored under this very spec, when it may answer as it
+        // stands, is what the walk below would rank first (were an
+        // equivalent entry spelled differently also cached, this prefers the
+        // verbatim one). A stale one is left to the walk's SWR rules.
+        if !self.config.first_match && spec.topn.is_none() && spec.order.is_empty() {
+            let normalized;
+            let key = if spec.is_normalized() {
+                spec
+            } else {
+                normalized = {
+                    let mut s = spec.clone();
+                    s.normalize();
+                    s
+                };
+                &normalized
+            };
+            let hit = inner
+                .exact_id(key)
+                .and_then(|id| Some((id, inner.entries.get(&id)?)));
+            if let Some((id, entry)) = hit.filter(|(_, e)| !e.stale || allow_stale) {
+                candidates.push(Candidate {
+                    id,
+                    plan: MatchPlan {
+                        residual: Vec::new(),
+                        same_grouping: true,
+                        sources: Vec::new(),
+                    },
+                    effort: 0,
+                    swr: false,
+                    cached: Arc::clone(&entry.result),
+                    created: entry.created,
+                });
+            }
+        }
+        // An index hit needs no walk, and no bucket key built for one.
+        let ids: &[u64] = if candidates.is_empty() {
+            inner
+                .buckets
+                .get(&spec.bucket_key())
+                .map_or(&[], Vec::as_slice)
+        } else {
+            &[]
+        };
         for &id in ids.iter().rev() {
             let entry = match inner.entries.get(&id) {
                 Some(e) => e,
@@ -504,38 +595,26 @@ impl IntelligentCache {
         let mut inner = self.inner.lock();
         let mut spec = spec;
         spec.normalize();
-        let bucket = spec.bucket_key();
-        // A fresh result replaces ANY existing entry for the same spec:
-        // stale ones by the revalidation contract ("until a fresh result
-        // replaces it"), fresh ones so concurrent threads racing to store
+        // A fresh result replaces the existing entry for the same spec:
+        // a stale one by the revalidation contract ("until a fresh result
+        // replaces it"), a fresh one so concurrent threads racing to store
         // the same (e.g. widened) result converge on one entry instead of
         // accumulating duplicates — put is idempotent per spec.
-        let superseded: Vec<u64> = inner
-            .buckets
-            .get(&bucket)
-            .map(|ids| {
-                ids.iter()
-                    .copied()
-                    .filter(|id| inner.entries.get(id).is_some_and(|e| e.spec == spec))
-                    .collect()
-            })
-            .unwrap_or_default();
-        for old in superseded {
-            if let Some(e) = inner.entries.remove(&old) {
-                inner.bytes -= e.bytes;
-            }
-            if let Some(ids) = inner.buckets.get_mut(&bucket) {
-                ids.retain(|&i| i != old);
-            }
+        if let Some(old) = inner.exact_id(&spec) {
+            inner.remove(old);
         }
         let id = inner.next_id;
         inner.next_id += 1;
         let now = Instant::now();
         let tags = crate::tags::tags_for_spec(&spec);
+        let bucket = spec.bucket_key();
+        let spec_hash = inner.hasher.hash_one(&spec);
+        inner.exact.entry(spec_hash).or_default().push(id);
         inner.entries.insert(
             id,
             Entry {
                 spec,
+                spec_hash,
                 result: Arc::new(result),
                 bytes,
                 created: now,
@@ -566,13 +645,8 @@ impl IntelligentCache {
                 })
                 .map(|(id, _)| *id);
             let Some(id) = victim else { break };
-            if let Some(e) = inner.entries.remove(&id) {
-                inner.bytes -= e.bytes;
+            if inner.remove(id).is_some() {
                 self.counters.evictions.inc();
-                let bucket = e.spec.bucket_key();
-                if let Some(ids) = inner.buckets.get_mut(&bucket) {
-                    ids.retain(|&i| i != id);
-                }
             }
         }
     }
@@ -636,16 +710,7 @@ impl IntelligentCache {
             .map(|(id, _)| *id)
             .collect();
         for id in &victims {
-            if let Some(e) = inner.entries.remove(id) {
-                inner.bytes -= e.bytes;
-                let bucket = e.spec.bucket_key();
-                if let Some(ids) = inner.buckets.get_mut(&bucket) {
-                    ids.retain(|i| i != id);
-                    if ids.is_empty() {
-                        inner.buckets.remove(&bucket);
-                    }
-                }
-            }
+            inner.remove(*id);
         }
         victims.len()
     }
@@ -664,9 +729,7 @@ impl IntelligentCache {
         for b in buckets {
             if let Some(ids) = inner.buckets.remove(&b) {
                 for id in ids {
-                    if let Some(e) = inner.entries.remove(&id) {
-                        inner.bytes -= e.bytes;
-                    }
+                    inner.take(id);
                 }
             }
         }
@@ -675,6 +738,7 @@ impl IntelligentCache {
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.buckets.clear();
+        inner.exact.clear();
         inner.entries.clear();
         inner.bytes = 0;
     }
@@ -1382,6 +1446,71 @@ mod tests {
         cache.put(cached_spec(), detail_chunk(), Duration::from_millis(100));
         cache.put(cached_spec(), detail_chunk(), Duration::from_millis(100));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn exact_index_follows_every_store_and_removal() {
+        let consistent = |cache: &IntelligentCache| {
+            let inner = cache.inner.lock();
+            let indexed: usize = inner.exact.values().map(Vec::len).sum();
+            assert_eq!(indexed, inner.entries.len());
+            for (id, e) in &inner.entries {
+                assert_eq!(inner.exact_id(&e.spec), Some(*id));
+            }
+        };
+        let spec_on = |source: &str, table: &str| {
+            QuerySpec::new(source, LogicalPlan::scan(table))
+                .group("carrier")
+                .agg(AggCall::new(AggFunc::Count, None, "n"))
+        };
+        let chunk_bytes = detail_chunk().approx_bytes();
+        let cache = IntelligentCache::new(CacheConfig {
+            capacity_bytes: 3 * chunk_bytes,
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
+        // A conjunct order the index must see through, stored twice.
+        let two = |a: i64, b: i64| {
+            cached_spec()
+                .filter(bin(BinOp::Lt, col("delay"), lit(a)))
+                .filter(bin(BinOp::Lt, col("delay"), lit(b)))
+        };
+        cache.put(two(90, 80), detail_chunk(), Duration::from_millis(5));
+        cache.put(two(80, 90), detail_chunk(), Duration::from_millis(5));
+        assert_eq!(cache.len(), 1, "supersede found the entry by its spec");
+        consistent(&cache);
+        let (hit, why) = cache.get_explained(&two(90, 80));
+        assert!(hit.is_some());
+        assert_eq!(why, tabviz_obs::reason::CACHE_HIT_EXACT);
+        let uses: Vec<u64> = cache
+            .inner
+            .lock()
+            .entries
+            .values()
+            .map(|e| e.use_count)
+            .collect();
+        assert_eq!(uses, [1], "the index hit is accounted like a walked one");
+        // Eviction, tag purge, source purge and clear each drop their keys.
+        for t in ["a", "b", "c", "d"] {
+            cache.put(spec_on("faa", t), detail_chunk(), Duration::from_millis(5));
+        }
+        assert!(cache.stats().evictions > 0);
+        consistent(&cache);
+        cache.put(
+            spec_on("warehouse", "w"),
+            detail_chunk(),
+            Duration::from_millis(5),
+        );
+        cache.purge_tag(&crate::tags::table_tag("faa", "d"));
+        consistent(&cache);
+        assert!(cache.get(&spec_on("faa", "d")).is_none());
+        cache.purge_source("faa");
+        consistent(&cache);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get(&spec_on("warehouse", "w")).is_some());
+        cache.clear();
+        consistent(&cache);
+        assert!(cache.get(&spec_on("warehouse", "w")).is_none());
     }
 
     #[test]

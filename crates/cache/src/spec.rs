@@ -12,7 +12,7 @@ use tabviz_tql::expr::{and_all, Expr};
 use tabviz_tql::{write_expr, write_plan, AggCall, LogicalPlan, SortKey};
 
 /// A normalized aggregate-select-project query against one data source.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct QuerySpec {
     /// Data-source identity (cache entries never cross sources).
     pub source: String,
@@ -80,6 +80,15 @@ impl QuerySpec {
     pub fn normalize(&mut self) {
         self.filters.sort_by_key(write_expr);
         self.filters.dedup();
+    }
+
+    /// Whether [`QuerySpec::normalize`] would leave the spec as it is:
+    /// conjunct texts strictly ascending (so none repeats).
+    pub fn is_normalized(&self) -> bool {
+        self.filters.len() < 2 || {
+            let texts: Vec<String> = self.filters.iter().map(write_expr).collect();
+            texts.windows(2).all(|w| w[0] < w[1])
+        }
     }
 
     /// The executable logical plan.

@@ -12,17 +12,21 @@
 //!   any one session keeps hitting the same node (warm node-local caches).
 //!   When the affinity node is marked down, the session fails over to the
 //!   next healthy owner — and if every owner is down, to any healthy member.
-//! - **A shared result tier.** Query results are replicated to the `R` ring
-//!   owners of their *(published, user, query)* key; a routed query probes
-//!   the tier before executing so any node's prior work is reused
-//!   cluster-wide, even while the node that computed it is dead.
+//! - **A shared result tier, behind the node's own caches.** The peer tier
+//!   is every node's L2 (`ClusterL2`): a routed query asks the node's L1
+//!   (intelligent, then literal) first, probes the tier once on a miss —
+//!   promoting a hit into that L1 — and only then goes to the backend, whose
+//!   answer is published once to the `R` ring owners of its canonical text.
+//!   Any node's prior work is thus reused cluster-wide, even while the node
+//!   that computed it is dead, and a local hit never pays a shard round trip.
 //!
-//! Every routing and peer decision is attributed: the cluster opens its own
-//! trace per query (the node's internal trace nests under it via
-//! `parent_trace`), emits [`stage::CLUSTER_ROUTE`] / [`stage::PEER_CACHE`]
-//! events with [`reason`] codes, and records the finished trace in a
-//! cluster-level [`FlightRecorder`]. All placement and routing is a pure
-//! function of the cluster seed, so a fixed seed replays byte-identically.
+//! Every routing decision is attributed: the cluster opens its own trace per
+//! query (the node's internal trace nests under it via `parent_trace` and
+//! carries the tier probe as [`stage::CACHE_TIER`] spans), emits
+//! [`stage::CLUSTER_ROUTE`] events with [`reason`] codes, and records the
+//! finished trace in a cluster-level [`FlightRecorder`]. All placement and
+//! routing is a pure function of the cluster seed, so a fixed seed replays
+//! byte-identically.
 
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -31,18 +35,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use tabviz_cache::{
-    decode_chunk, encode_chunk, source_tag, table_tag, tables_of, ExternalStore, L2Cache,
-};
+use tabviz_cache::{ExternalStore, L2Cache};
 use tabviz_common::hash::hash_str;
 use tabviz_common::{Chunk, Result, TvError};
 use tabviz_core::{ExecOutcome, Priority};
 use tabviz_dataserver::{ClientQuery, ClientSession, DataServer};
 use tabviz_obs::{
-    begin_trace, diagnose, event_with, reason, stage, ClassBaselines, Diagnosis, Federation,
-    FlightRecorder, FlightRecorderConfig, HealthConfig, HealthScorer, HealthState, Objective,
-    ProfileOutcome, RecordedTrace, Registry, ServeEvent, ServeKind, SloConfig, SloStatus,
-    SloTracker,
+    begin_trace, diagnose, event_with, reason, stage, Counter, Diagnosis, Federation,
+    FlightRecorder, FlightRecorderConfig, Gauge, HealthConfig, HealthScorer, HealthState,
+    Objective, ProfileOutcome, RecordedTrace, Registry, ServeEvent, ServeKind, SloConfig,
+    SloStatus, SloTracker,
 };
 
 use crate::peer::{PeerHit, PeerTier, PeerTierStats, RebalanceReport};
@@ -90,7 +92,8 @@ const WARM_TOP_K: usize = 16;
 /// `R` owner shards and reachable from every node. One instance per node is
 /// injected into that node's processor caches at attach time; all instances
 /// share the same ring + peer tier, so a result computed anywhere is an L2
-/// hit everywhere (and one tag purge clears every shard).
+/// hit everywhere (and one tag purge clears every shard). This is the only
+/// reader and writer of the tier on the query path.
 struct ClusterL2 {
     ring: Arc<RwLock<HashRing>>,
     peer: Arc<RwLock<PeerTier>>,
@@ -132,6 +135,8 @@ pub struct ClusterNode {
     demoted: AtomicBool,
     /// Round-robin tick deciding which skipped routes probe the node.
     probe_rr: AtomicU64,
+    /// `tv_cluster_health_<node>_score`, resolved once at attach.
+    health_gauge: Gauge,
 }
 
 impl ClusterNode {
@@ -149,7 +154,7 @@ impl ClusterNode {
         self.health.lock().score()
     }
 
-    /// Queries this node executed (routed to it and past the peer tier).
+    /// Queries routed to this node.
     pub fn query_count(&self) -> u64 {
         self.queries.load(Relaxed)
     }
@@ -198,12 +203,43 @@ pub struct Route {
 pub struct ClusterResponse {
     pub chunk: Chunk,
     pub outcome: ExecOutcome,
-    /// Node that served (or would have served) the query.
+    /// Node that served the query.
     pub node: String,
     pub route: RouteKind,
-    /// `Some` when the replicated peer tier answered before any node
-    /// executed; [`ClusterResponse::outcome`] is `LiteralHit` then.
+    /// Always `None`: the peer tier answers as the node's L2
+    /// ([`ExecOutcome::L2Hit`]), never in front of it. The field goes when
+    /// the `benchmark` package, which builds this struct's shape, next changes.
     pub peer_hit: Option<PeerHit>,
+}
+
+/// The cluster's own hot-path `tv_cluster_*` series, resolved once at build
+/// so a query touches cells, never the registry's name map.
+struct Counters {
+    queries: Counter,
+    unroutable: Counter,
+    failovers: Counter,
+    all_replicas_down: Counter,
+    health_reroutes: Counter,
+    health_probes: Counter,
+    health_demotions: Counter,
+    health_restorations: Counter,
+    nodes_up: Gauge,
+}
+
+impl Counters {
+    fn new(registry: &Registry) -> Self {
+        Counters {
+            queries: registry.counter("tv_cluster_queries_total"),
+            unroutable: registry.counter("tv_cluster_unroutable_total"),
+            failovers: registry.counter("tv_cluster_failovers_total"),
+            all_replicas_down: registry.counter("tv_cluster_all_replicas_down_total"),
+            health_reroutes: registry.counter("tv_cluster_health_reroutes_total"),
+            health_probes: registry.counter("tv_cluster_health_probes_total"),
+            health_demotions: registry.counter("tv_cluster_health_demotions_total"),
+            health_restorations: registry.counter("tv_cluster_health_restorations_total"),
+            nodes_up: registry.gauge("tv_cluster_nodes_up"),
+        }
+    }
 }
 
 type NodeFactory = dyn Fn(&str) -> Result<Arc<DataServer>> + Send + Sync;
@@ -216,13 +252,11 @@ pub struct Cluster {
     peer: Arc<RwLock<PeerTier>>,
     factory: Box<NodeFactory>,
     /// Cluster-level flight recorder: one trace per routed query, carrying
-    /// the routing/peer events; the node's own trace nests beneath it.
+    /// the routing events; the node's own trace nests beneath it.
     pub recorder: FlightRecorder,
     /// Cluster-level metrics (`tv_cluster_*`).
     pub registry: Registry,
-    /// Streaming per-class fingerprints over cluster-scope serves (used to
-    /// diagnose peer-tier serves, which never reach a node pipeline).
-    pub baselines: ClassBaselines,
+    counters: Counters,
     /// SLO tracker over every serve the cluster answers (sim-time driven
     /// off `epoch`).
     slo: Mutex<SloTracker>,
@@ -254,14 +288,16 @@ impl Cluster {
         // pin set: a trace id exported from a cluster-scope histogram
         // (e.g. `tv_slo_serve_latency_seconds`) stays resolvable here.
         let recorder = FlightRecorder::with_registry(FlightRecorderConfig::default(), &registry);
+        let peer = PeerTier::new(config.replication);
+        peer.bind_obs(&registry);
         let cluster = Cluster {
             ring: Arc::new(RwLock::new(HashRing::new(config.seed, config.vnodes))),
             nodes: RwLock::new(HashMap::new()),
-            peer: Arc::new(RwLock::new(PeerTier::new(config.replication))),
+            peer: Arc::new(RwLock::new(peer)),
             factory: Box::new(factory),
             recorder,
+            counters: Counters::new(&registry),
             registry,
-            baselines: ClassBaselines::new(),
             slo: Mutex::new(slo),
             health_config: HealthConfig::default(),
             epoch: Instant::now(),
@@ -271,7 +307,7 @@ impl Cluster {
         for i in 0..n {
             cluster.attach_node(&format!("node-{i}"))?;
         }
-        cluster.registry.gauge("tv_cluster_nodes_up").set(n as i64);
+        cluster.counters.nodes_up.set(n as i64);
         Ok(Arc::new(cluster))
     }
 
@@ -325,6 +361,10 @@ impl Cluster {
                 health: Mutex::new(HealthScorer::new(self.health_config.clone())),
                 demoted: AtomicBool::new(false),
                 probe_rr: AtomicU64::new(0),
+                health_gauge: self.registry.gauge(&format!(
+                    "tv_cluster_health_{}_score",
+                    name.replace('-', "_")
+                )),
             }),
         );
         Ok(())
@@ -360,9 +400,7 @@ impl Cluster {
         node.up.store(false, Relaxed);
         node.shard.set_down(true);
         self.registry.counter("tv_cluster_kills_total").inc();
-        self.registry
-            .gauge("tv_cluster_nodes_up")
-            .set(self.nodes_up() as i64);
+        self.counters.nodes_up.set(self.nodes_up() as i64);
         true
     }
 
@@ -373,9 +411,7 @@ impl Cluster {
         };
         node.up.store(true, Relaxed);
         node.shard.set_down(false);
-        self.registry
-            .gauge("tv_cluster_nodes_up")
-            .set(self.nodes_up() as i64);
+        self.counters.nodes_up.set(self.nodes_up() as i64);
         true
     }
 
@@ -391,9 +427,7 @@ impl Cluster {
         self.attach_node(name)?;
         let new_ring = self.ring.read().clone();
         let report = self.peer.read().rebalance(&old_ring, &new_ring);
-        self.registry
-            .gauge("tv_cluster_nodes_up")
-            .set(self.nodes_up() as i64);
+        self.counters.nodes_up.set(self.nodes_up() as i64);
         self.registry
             .counter("tv_cluster_keys_migrated_total")
             .add(report.keys_moved as u64);
@@ -494,9 +528,7 @@ impl Cluster {
         *self.ring.write() = new_ring;
         self.peer.write().remove_shard(name);
         self.nodes.write().remove(name);
-        self.registry
-            .gauge("tv_cluster_nodes_up")
-            .set(self.nodes_up() as i64);
+        self.counters.nodes_up.set(self.nodes_up() as i64);
         self.registry
             .counter("tv_cluster_keys_migrated_total")
             .add(report.keys_moved as u64);
@@ -690,59 +722,47 @@ impl Cluster {
             .collect()
     }
 
-    /// Fold one serve into the SLO plane: the node's health scorer (when a
-    /// node actually executed) and the cluster SLO windows. Emits
+    /// Fold one serve into the SLO plane: the node's health scorer (when the
+    /// query was routable) and the cluster SLO windows. Emits
     /// `node_health` / `slo_check` events onto the current trace on every
     /// transition, so brown-out detection is attributable per query.
-    fn observe_serve(&self, executed_on: Option<&str>, latency: Duration, kind: ServeKind) {
+    fn observe_serve(&self, executed_on: Option<&ClusterNode>, latency: Duration, kind: ServeKind) {
         let micros = latency.as_micros().min(u64::MAX as u128) as u64;
-        if let Some(name) = executed_on {
-            if let Some(node) = self.node(name) {
-                if kind == ServeKind::Degraded {
-                    node.degraded_serves.fetch_add(1, Relaxed);
-                }
-                let transition = {
-                    let mut health = node.health.lock();
-                    let t = health.observe(micros, kind);
-                    if t.is_some() {
-                        node.demoted
-                            .store(health.state() == HealthState::Demoted, Relaxed);
-                    }
-                    t.map(|state| (state, health.score()))
-                };
-                if let Some((state, score)) = transition {
-                    match state {
-                        HealthState::Demoted => {
-                            self.registry
-                                .counter("tv_cluster_health_demotions_total")
-                                .inc();
-                            event_with(
-                                stage::NODE_HEALTH,
-                                Some("demoted"),
-                                Some(score as u64),
-                                Some(reason::ROUTE_HEALTH_DEMOTED),
-                            );
-                        }
-                        HealthState::Healthy => {
-                            self.registry
-                                .counter("tv_cluster_health_restorations_total")
-                                .inc();
-                            event_with(
-                                stage::NODE_HEALTH,
-                                Some("restored"),
-                                Some(score as u64),
-                                None,
-                            );
-                        }
-                    }
-                }
-                self.registry
-                    .gauge(&format!(
-                        "tv_cluster_health_{}_score",
-                        name.replace('-', "_")
-                    ))
-                    .set(node.health.lock().score() as i64);
+        if let Some(node) = executed_on {
+            if kind == ServeKind::Degraded {
+                node.degraded_serves.fetch_add(1, Relaxed);
             }
+            let (transition, score) = {
+                let mut health = node.health.lock();
+                let t = health.observe(micros, kind);
+                if t.is_some() {
+                    node.demoted
+                        .store(health.state() == HealthState::Demoted, Relaxed);
+                }
+                (t, health.score())
+            };
+            match transition {
+                Some(HealthState::Demoted) => {
+                    self.counters.health_demotions.inc();
+                    event_with(
+                        stage::NODE_HEALTH,
+                        Some("demoted"),
+                        Some(score as u64),
+                        Some(reason::ROUTE_HEALTH_DEMOTED),
+                    );
+                }
+                Some(HealthState::Healthy) => {
+                    self.counters.health_restorations.inc();
+                    event_with(
+                        stage::NODE_HEALTH,
+                        Some("restored"),
+                        Some(score as u64),
+                        None,
+                    );
+                }
+                None => {}
+            }
+            node.health_gauge.set(score as i64);
         }
         let now_ms = self.now_ms();
         let mut slo = self.slo.lock();
@@ -817,19 +837,15 @@ impl Cluster {
                 node.degraded_count(),
             );
         }
-        let snap = self.registry.snapshot();
-        let counter = |name: &str| match snap.get(name) {
-            Some(tabviz_obs::MetricValue::Counter(v)) => *v,
-            _ => 0,
-        };
+        let c = &self.counters;
         let _ = writeln!(
             out,
             "routing: queries={} failovers={} all_replicas_down={} health_reroutes={} probes={}",
-            counter("tv_cluster_queries_total"),
-            counter("tv_cluster_failovers_total"),
-            counter("tv_cluster_all_replicas_down_total"),
-            counter("tv_cluster_health_reroutes_total"),
-            counter("tv_cluster_health_probes_total"),
+            c.queries.get(),
+            c.failovers.get(),
+            c.all_replicas_down.get(),
+            c.health_reroutes.get(),
+            c.health_probes.get(),
         );
         let peer = self.peer_stats();
         let _ = writeln!(
@@ -911,8 +927,8 @@ impl Cluster {
     /// query opened its *own* trace (linked back via `parent_trace`), and
     /// that child holds the pipeline stages — so the join walks node
     /// recorders for the child and diagnoses it against the node's class
-    /// baseline. Peer-tier serves have no child and are diagnosed from
-    /// the cluster trace itself (routing + peer spans).
+    /// baseline. A trace whose child is gone (unroutable, or evicted from
+    /// the node's recorder) is diagnosed from its own routing spans.
     pub fn diagnose_trace(&self, t: &RecordedTrace) -> Diagnosis {
         for node in self.nodes() {
             let rec = node.server.flight_recorder();
@@ -922,8 +938,7 @@ impl Cluster {
                 return diagnose(&child, baseline.as_ref());
             }
         }
-        let baseline = self.baselines.get(&t.class);
-        diagnose(t, baseline.as_ref())
+        diagnose(t, None)
     }
 
     /// Open a cluster session for `user` on `published`. The session key
@@ -956,7 +971,7 @@ impl Cluster {
 }
 
 /// A client's connection to the cluster: routes to the affinity node,
-/// consults the peer tier, fails over when nodes die.
+/// fails over when nodes die.
 pub struct ClusterSession {
     cluster: Arc<Cluster>,
     published: String,
@@ -966,7 +981,7 @@ pub struct ClusterSession {
     weight: f64,
     /// Lazily opened per-node admission sessions (affinity means usually
     /// one; failover adds more).
-    node_sessions: Mutex<HashMap<String, ClientSession>>,
+    node_sessions: Mutex<HashMap<String, Arc<ClientSession>>>,
     failovers: AtomicU64,
 }
 
@@ -1001,52 +1016,20 @@ impl ClusterSession {
         self.node_sessions.lock().clear();
     }
 
-    /// The replicated-tier key for this session's query: published name +
-    /// user (row-level security makes results user-specific) + canonical
-    /// query text.
-    pub fn peer_key(&self, query: &ClientQuery) -> String {
-        let mut key = format!("{}\u{1}{}\u{1}", self.published, self.user);
-        for f in &query.filters {
-            key.push_str(&tabviz_tql::write_expr(f));
-            key.push(';');
-        }
-        key.push('\u{1}');
-        key.push_str(&query.group_by.join(","));
-        key.push('\u{1}');
-        for a in &query.aggs {
-            key.push_str(&a.to_string());
-            key.push(';');
-        }
-        key.push('\u{1}');
-        for o in &query.order {
-            key.push_str(&o.column);
-            key.push(if o.asc { '+' } else { '-' });
-        }
-        if let Some(n) = query.topn {
-            key.push_str(&format!("\u{1}top{n}"));
-        }
-        for s in &query.set_refs {
-            key.push_str(&format!("\u{1}set:{s}"));
-        }
-        key
-    }
-
-    /// Evaluate one client query through the cluster: route → peer tier →
-    /// node execution → replicated publish; fully traced and recorded.
+    /// Evaluate one client query through the cluster: route → the node's
+    /// pipeline (L1 → shared tier → backend, one tagged publish); fully
+    /// traced and recorded.
     pub fn query(&self, query: &ClientQuery) -> Result<ClusterResponse> {
         let cluster = &self.cluster;
         let t0 = Instant::now();
         let trace = begin_trace();
-        cluster.registry.counter("tv_cluster_queries_total").inc();
+        cluster.counters.queries.inc();
 
         let route = match cluster.route(&self.published, &self.session_key) {
             Ok(r) => r,
             Err(e) => {
                 drop(trace);
-                cluster
-                    .registry
-                    .counter("tv_cluster_unroutable_total")
-                    .inc();
+                cluster.counters.unroutable.inc();
                 cluster.observe_serve(None, t0.elapsed(), ServeKind::Error);
                 return Err(e);
             }
@@ -1063,10 +1046,7 @@ impl ClusterSession {
             Some(why),
         );
         if route.demoted_skipped > 0 {
-            cluster
-                .registry
-                .counter("tv_cluster_health_reroutes_total")
-                .inc();
+            cluster.counters.health_reroutes.inc();
             event_with(
                 stage::CLUSTER_ROUTE,
                 Some("health"),
@@ -1075,10 +1055,7 @@ impl ClusterSession {
             );
         }
         if route.probe {
-            cluster
-                .registry
-                .counter("tv_cluster_health_probes_total")
-                .inc();
+            cluster.counters.health_probes.inc();
             event_with(
                 stage::CLUSTER_ROUTE,
                 Some("probe"),
@@ -1088,112 +1065,33 @@ impl ClusterSession {
         }
         if route.kind != RouteKind::Primary {
             self.failovers.fetch_add(1, Relaxed);
-            cluster.registry.counter("tv_cluster_failovers_total").inc();
+            cluster.counters.failovers.inc();
             if route.kind == RouteKind::AllReplicasDown {
-                cluster
-                    .registry
-                    .counter("tv_cluster_all_replicas_down_total")
-                    .inc();
+                cluster.counters.all_replicas_down.inc();
             }
         }
-
-        // Shared result tier: exact-match probe against the key's replica
-        // owners before any node executes.
-        let key = self.peer_key(query);
-        let peer_probe = {
-            let ring = cluster.ring.read();
-            cluster.peer.read().get(&ring, &key)
-        };
-        if let Some((bytes, hit)) = peer_probe {
-            if let Ok(chunk) = decode_chunk(&bytes) {
-                let (why, detail) = match hit {
-                    PeerHit::Primary => (reason::PEER_HIT_PRIMARY, 0),
-                    PeerHit::Replica(i) => (reason::PEER_HIT_REPLICA, i as u64),
-                };
-                event_with(stage::PEER_CACHE, Some("get"), Some(detail), Some(why));
-                cluster.registry.counter("tv_cluster_peer_hits_total").inc();
-                if matches!(hit, PeerHit::Replica(_)) {
-                    cluster
-                        .registry
-                        .counter("tv_cluster_peer_replica_hits_total")
-                        .inc();
-                }
-                // Peer-tier serves count toward the cluster SLO but not
-                // toward any node's health — no node executed.
-                cluster.observe_serve(None, t0.elapsed(), ServeKind::Ok);
-                self.finish_trace(trace, t0, query, ProfileOutcome::Hit);
-                return Ok(ClusterResponse {
-                    chunk,
-                    outcome: ExecOutcome::LiteralHit,
-                    node: route.node,
-                    route: route.kind,
-                    peer_hit: Some(hit),
-                });
-            }
-        }
-        event_with(
-            stage::PEER_CACHE,
-            Some("get"),
-            None,
-            Some(reason::PEER_MISS),
-        );
-        cluster
-            .registry
-            .counter("tv_cluster_peer_misses_total")
-            .inc();
 
         // Execute on the routed node (its own trace nests under ours).
         let node = cluster
             .node(&route.node)
             .ok_or_else(|| TvError::Exec(format!("routed to unknown node '{}'", route.node)))?;
         node.queries.fetch_add(1, Relaxed);
-        let result = self.query_on(&node, query);
-        let (chunk, outcome) = match result {
+        let (chunk, outcome) = match self.query_on(&node, query) {
             Ok(v) => v,
             Err(e) => {
-                cluster.observe_serve(Some(&route.node), t0.elapsed(), ServeKind::Error);
+                cluster.observe_serve(Some(&node), t0.elapsed(), ServeKind::Error);
                 self.finish_trace(trace, t0, query, ProfileOutcome::Remote);
                 return Err(e);
             }
         };
-        cluster.observe_serve(
-            Some(&route.node),
-            t0.elapsed(),
-            if outcome == ExecOutcome::DegradedStale {
-                ServeKind::Degraded
-            } else {
-                ServeKind::Ok
-            },
-        );
-
-        // Publish fresh backend results to the key's replica owners, tagged
-        // with the published source so close/refresh can purge them.
-        if outcome == ExecOutcome::Remote {
-            if let Ok(bytes) = encode_chunk(&chunk) {
-                // Source tag plus one table tag per table the published
-                // relation reads: a table refresh then purges peer-tier
-                // copies as precisely as it purges L1 and canonical L2.
-                let mut tags = vec![source_tag(&self.published)];
-                if let Ok(published) = node.server.published(&self.published) {
-                    for table in tables_of(&published.relation) {
-                        tags.push(table_tag(&published.backing, &table));
-                    }
-                }
-                let ring = cluster.ring.read();
-                let fanout = cluster.peer.read().replication() as u64;
-                cluster.peer.read().put_tagged(&ring, &key, bytes, &tags);
-                drop(ring);
-                event_with(stage::PEER_CACHE, Some("put"), Some(fanout), None);
-            }
-        }
-
-        let profile_outcome = match outcome {
+        let (serve, profile_outcome) = match outcome {
             ExecOutcome::IntelligentHit | ExecOutcome::LiteralHit | ExecOutcome::L2Hit => {
-                ProfileOutcome::Hit
+                (ServeKind::Ok, ProfileOutcome::Hit)
             }
-            ExecOutcome::Remote => ProfileOutcome::Remote,
-            ExecOutcome::DegradedStale => ProfileOutcome::DegradedStale,
+            ExecOutcome::Remote => (ServeKind::Ok, ProfileOutcome::Remote),
+            ExecOutcome::DegradedStale => (ServeKind::Degraded, ProfileOutcome::DegradedStale),
         };
+        cluster.observe_serve(Some(&node), t0.elapsed(), serve);
         self.finish_trace(trace, t0, query, profile_outcome);
         Ok(ClusterResponse {
             chunk,
@@ -1205,16 +1103,24 @@ impl ClusterSession {
     }
 
     /// Run the query through a node's admission session, opening (and
-    /// caching) one on first contact.
+    /// caching) one on first contact. The map lock covers only the lookup:
+    /// a backend trip must not hold up the session's other queries.
     fn query_on(&self, node: &ClusterNode, query: &ClientQuery) -> Result<(Chunk, ExecOutcome)> {
-        let mut sessions = self.node_sessions.lock();
-        if !sessions.contains_key(&node.name) {
-            let mut s = node.server.connect(&self.published, self.user.clone())?;
-            s.set_priority(self.priority);
-            s.set_weight(self.weight);
-            sessions.insert(node.name.clone(), s);
-        }
-        sessions[&node.name].query(query)
+        let session = {
+            let mut sessions = self.node_sessions.lock();
+            match sessions.get(&node.name) {
+                Some(s) => Arc::clone(s),
+                None => {
+                    let mut s = node.server.connect(&self.published, self.user.clone())?;
+                    s.set_priority(self.priority);
+                    s.set_weight(self.weight);
+                    let s = Arc::new(s);
+                    sessions.insert(node.name.clone(), Arc::clone(&s));
+                    s
+                }
+            }
+        };
+        session.query(query)
     }
 
     fn finish_trace(
@@ -1234,20 +1140,13 @@ impl ClusterSession {
                 query.aggs.len(),
                 query.filters.len()
             );
-            // Same shape key as the node-side class (filters excluded):
-            // cluster-scope fingerprints cover peer-tier serves, which
-            // never reach a node pipeline.
+            // Same shape key as the node-side class (filters excluded).
             let class = format!(
                 "{}|g:{}|a:{}",
                 self.published,
                 query.group_by.join(","),
                 query.aggs.len()
             );
-            if tabviz_obs::analyze::enabled() {
-                self.cluster
-                    .baselines
-                    .observe(&class, &finished.events, total);
-            }
             self.cluster.recorder.record(
                 RecordedTrace::from_finished(finished, text, &self.published, outcome)
                     .with_class(class),

@@ -11,6 +11,7 @@ use bytes::Bytes;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tabviz_cache::ExternalStore;
+use tabviz_obs::{Counter, Registry};
 
 use crate::ring::HashRing;
 
@@ -24,7 +25,7 @@ pub enum PeerHit {
     Replica(usize),
 }
 
-/// Counters for tier-level behavior (per-shard stats live on each
+/// Snapshot of the tier-level counters (per-shard stats live on each
 /// [`ExternalStore`]).
 #[derive(Debug, Clone, Default)]
 pub struct PeerTierStats {
@@ -49,10 +50,23 @@ pub struct RebalanceReport {
     pub primary_moved: usize,
 }
 
+/// The live counters, one cell each; [`PeerTier::bind_obs`] exports these
+/// same cells, so [`PeerTier::stats`] and the registry read one atomic.
+#[derive(Default)]
+struct Counters {
+    gets: Counter,
+    /// Reads any owner answered, the primary included.
+    hits: Counter,
+    replica_hits: Counter,
+    misses: Counter,
+    puts: Counter,
+    put_fanout: Counter,
+}
+
 pub struct PeerTier {
     replication: usize,
     shards: HashMap<String, Arc<ExternalStore>>,
-    stats: parking_lot::Mutex<PeerTierStats>,
+    counters: Counters,
 }
 
 impl PeerTier {
@@ -60,7 +74,22 @@ impl PeerTier {
         PeerTier {
             replication: replication.max(1),
             shards: HashMap::new(),
-            stats: parking_lot::Mutex::new(PeerTierStats::default()),
+            counters: Counters::default(),
+        }
+    }
+
+    /// Export the tier's counters under their `tv_cluster_peer_*` names.
+    pub fn bind_obs(&self, registry: &Registry) {
+        let c = &self.counters;
+        for (name, cell) in [
+            ("tv_cluster_peer_gets_total", &c.gets),
+            ("tv_cluster_peer_hits_total", &c.hits),
+            ("tv_cluster_peer_replica_hits_total", &c.replica_hits),
+            ("tv_cluster_peer_misses_total", &c.misses),
+            ("tv_cluster_peer_puts_total", &c.puts),
+            ("tv_cluster_peer_put_fanout_total", &c.put_fanout),
+        ] {
+            registry.register_counter(name, cell);
         }
     }
 
@@ -91,10 +120,8 @@ impl PeerTier {
     /// registers them so a later [`PeerTier::purge_tag`] finds the copies.
     pub fn put_tagged(&self, ring: &HashRing, key: &str, value: Bytes, tags: &[String]) {
         let owners = ring.replicas(key, self.replication);
-        let mut st = self.stats.lock();
-        st.puts += 1;
-        st.put_fanout += owners.len() as u64;
-        drop(st);
+        self.counters.puts.inc();
+        self.counters.put_fanout.add(owners.len() as u64);
         for owner in owners {
             if let Some(shard) = self.shards.get(owner) {
                 shard.put_tagged(key.to_string(), value.clone(), tags);
@@ -118,23 +145,23 @@ impl PeerTier {
     /// answers wins; the hit kind records whether failover happened.
     pub fn get(&self, ring: &HashRing, key: &str) -> Option<(Bytes, PeerHit)> {
         let owners = ring.replicas(key, self.replication);
-        self.stats.lock().gets += 1;
+        self.counters.gets.inc();
         for (i, owner) in owners.iter().enumerate() {
             let Some(shard) = self.shards.get(*owner) else {
                 continue;
             };
             if let Some(bytes) = shard.get(key) {
+                self.counters.hits.inc();
                 let hit = if i == 0 {
-                    self.stats.lock().primary_hits += 1;
                     PeerHit::Primary
                 } else {
-                    self.stats.lock().replica_hits += 1;
+                    self.counters.replica_hits.inc();
                     PeerHit::Replica(i)
                 };
                 return Some((bytes, hit));
             }
         }
-        self.stats.lock().misses += 1;
+        self.counters.misses.inc();
         None
     }
 
@@ -194,7 +221,16 @@ impl PeerTier {
     }
 
     pub fn stats(&self) -> PeerTierStats {
-        self.stats.lock().clone()
+        let c = &self.counters;
+        let replica_hits = c.replica_hits.get();
+        PeerTierStats {
+            gets: c.gets.get(),
+            primary_hits: c.hits.get().saturating_sub(replica_hits),
+            replica_hits,
+            misses: c.misses.get(),
+            puts: c.puts.get(),
+            put_fanout: c.put_fanout.get(),
+        }
     }
 }
 

@@ -243,7 +243,7 @@ pub const FINGERPRINT_STAGES: [&str; 8] = [
     stage::REMOTE_EXEC,
     stage::TDE_EXEC,
     stage::CACHE_LOOKUP,
-    stage::PEER_CACHE,
+    stage::CACHE_TIER,
     stage::POST_PROCESS,
     stage::CACHE_STORE,
 ];
@@ -496,7 +496,7 @@ pub fn diagnose(trace: &RecordedTrace, baseline: Option<&Fingerprint>) -> Diagno
                 // file: keep scanning lower-ranked stages for a signal.
                 continue;
             }
-            s if s == stage::CACHE_LOOKUP || s == stage::PEER_CACHE => {
+            s if s == stage::CACHE_LOOKUP || s == stage::CACHE_TIER => {
                 if l2 {
                     return mk(
                         Verdict::L2MissPromote,

@@ -122,9 +122,6 @@ pub mod stage {
     /// Cluster routing decision for one client query (label =
     /// `"primary"` / `"failover"`, detail = chosen node index).
     pub const CLUSTER_ROUTE: &str = "cluster_route";
-    /// Replicated peer-cache tier probe (label = `"get"` / `"put"`,
-    /// detail = replica fan-out consulted).
-    pub const PEER_CACHE: &str = "peer_cache";
     /// Instantaneous: an SLO evaluation produced an alert transition
     /// (reason = `slo_burn_alert` / `slo_alert_cleared`, detail =
     /// objective ordinal).
@@ -213,19 +210,13 @@ pub mod reason {
     /// Query issued speculatively by the prefetcher.
     pub const PREFETCH_SPECULATIVE: &str = "prefetch_speculative";
 
-    // --- cluster routing / peer cache tier -------------------------------
+    // --- cluster routing ---------------------------------------------------
     /// Routed to the session's affinity node (a healthy replica owner).
     pub const ROUTE_PRIMARY: &str = "route_primary";
     /// Affinity node down: failed over to the next healthy replica.
     pub const ROUTE_FAILOVER: &str = "route_failover";
     /// Every replica owner down: walked the ring to any healthy node.
     pub const ROUTE_ALL_REPLICAS_DOWN: &str = "route_all_replicas_down";
-    /// Peer cache tier answered from the key's primary shard.
-    pub const PEER_HIT_PRIMARY: &str = "peer_hit_primary";
-    /// Primary shard unreachable/empty; a replica shard answered.
-    pub const PEER_HIT_REPLICA: &str = "peer_hit_replica";
-    /// No peer shard held the key; the owning node must execute.
-    pub const PEER_MISS: &str = "peer_miss";
 
     // --- scheduler per-source gate ---------------------------------------
     /// A grant waited because its backend was at its per-source limit.

@@ -46,7 +46,7 @@ impl SortKey {
 }
 
 /// A logical query plan node.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LogicalPlan {
     /// Leaf scan of a stored table, optionally pre-projected.
     TableScan {

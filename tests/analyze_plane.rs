@@ -241,7 +241,7 @@ fn verdict_l2_miss_promote() {
     let mut events = dominated_by(stage::CACHE_LOOKUP, 60);
     events[1] = with_reason(events[1].clone(), reason::CACHE_L2_PROMOTE);
     events.push(with_reason(
-        ev_ms(4, Some(2), stage::PEER_CACHE, 40),
+        ev_ms(4, Some(2), stage::CACHE_TIER, 40),
         reason::CACHE_L2_HIT,
     ));
     let d = diagnose(&trace_of(events, 100), None);

@@ -3,8 +3,10 @@
 //! complete; ring membership changes re-map a bounded fraction of keys.
 
 use proptest::prelude::*;
-use std::sync::Arc;
-use tabviz::cluster::{Cluster, ClusterConfig, HashRing, RouteKind};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use tabviz::cluster::{Cluster, ClusterConfig, ClusterSession, HashRing, RouteKind};
 use tabviz::prelude::*;
 use tabviz::workloads::{generate_storm, schedule_digest, StormConfig, StormStep};
 
@@ -20,9 +22,19 @@ fn sample_db() -> Arc<Database> {
     db
 }
 
-fn build_cluster(db: &Arc<Database>, nodes: usize, seed: u64) -> Arc<Cluster> {
+/// Each node's simulated backend, by node name.
+type Sims = Arc<Mutex<HashMap<String, Arc<SimDb>>>>;
+
+fn build_cluster_over(
+    db: &Arc<Database>,
+    nodes: usize,
+    seed: u64,
+    sim: SimConfig,
+) -> (Arc<Cluster>, Sims) {
     let db = Arc::clone(db);
-    Cluster::build(
+    let sims: Sims = Arc::default();
+    let node_sims = Arc::clone(&sims);
+    let cluster = Cluster::build(
         ClusterConfig {
             nodes,
             replication: 2,
@@ -31,9 +43,13 @@ fn build_cluster(db: &Arc<Database>, nodes: usize, seed: u64) -> Arc<Cluster> {
             peer_op_latency: std::time::Duration::ZERO,
         },
         move |name| {
-            let sim = SimDb::new("warehouse", Arc::clone(&db), SimConfig::default());
+            let sim = Arc::new(SimDb::new("warehouse", Arc::clone(&db), sim.clone()));
+            node_sims
+                .lock()
+                .unwrap()
+                .insert(name.to_string(), Arc::clone(&sim));
             let qp = QueryProcessor::default();
-            qp.registry.register(Arc::new(sim), 4);
+            qp.registry.register(sim, 4);
             let server = Arc::new(DataServer::named(qp, name));
             for d in 0..DASHBOARDS {
                 server.publish(PublishedSource::new(
@@ -45,7 +61,49 @@ fn build_cluster(db: &Arc<Database>, nodes: usize, seed: u64) -> Arc<Cluster> {
             Ok(server)
         },
     )
-    .expect("build cluster")
+    .expect("build cluster");
+    (cluster, sims)
+}
+
+/// A backend whose every query takes at least `dispatch_ms`: dear enough
+/// that the node caches always keep the answer.
+fn slow_backend(dispatch_ms: u64) -> SimConfig {
+    SimConfig {
+        latency: LatencyModel {
+            dispatch: std::time::Duration::from_millis(dispatch_ms),
+            ..LatencyModel::instant()
+        },
+        ..Default::default()
+    }
+}
+
+fn build_cluster(db: &Arc<Database>, nodes: usize, seed: u64) -> Arc<Cluster> {
+    build_cluster_over(db, nodes, seed, SimConfig::default()).0
+}
+
+fn filter_query(selector: i64) -> ClientQuery {
+    ClientQuery {
+        filters: vec![bin(BinOp::Le, col("distance"), lit(200 + selector % 2200))],
+        group_by: vec!["carrier".into()],
+        aggs: vec![AggCall::new(AggFunc::Count, None, "n")],
+        ..Default::default()
+    }
+}
+
+/// Shard operations issued so far, summed over the nodes: (gets, hits, puts).
+fn shard_ops(cluster: &Cluster) -> (u64, u64, u64) {
+    cluster.nodes().iter().fold((0, 0, 0), |(g, h, p), n| {
+        let s = n.shard().stats();
+        (g + s.gets, h + s.get_hits, p + s.puts)
+    })
+}
+
+fn backend_queries(sims: &Sims) -> usize {
+    sims.lock()
+        .unwrap()
+        .values()
+        .map(|s| s.stats().queries)
+        .sum()
 }
 
 fn query_for(kind: &StormStep) -> ClientQuery {
@@ -62,16 +120,7 @@ fn query_for(kind: &StormStep) -> ClientQuery {
             aggs: vec![AggCall::new(AggFunc::Count, None, "n")],
             ..Default::default()
         },
-        StormStep::Filter { selector } => ClientQuery {
-            filters: vec![bin(
-                BinOp::Le,
-                col("distance"),
-                lit(200 + (*selector as i64 % 2200)),
-            )],
-            group_by: vec!["carrier".into()],
-            aggs: vec![AggCall::new(AggFunc::Count, None, "n")],
-            ..Default::default()
-        },
+        StormStep::Filter { selector } => filter_query(*selector as i64),
         StormStep::TopN { n } => ClientQuery {
             group_by: vec!["market".into()],
             aggs: vec![AggCall::new(AggFunc::Count, None, "n")],
@@ -196,7 +245,8 @@ fn node_kill_mid_storm_fails_over_and_completes() {
 }
 
 /// The cluster-level flight recorder attributes routing decisions: traces
-/// carry `cluster_route` events with primary/failover reason codes.
+/// carry `cluster_route` events with primary/failover reason codes, and the
+/// node trace nested beneath carries the shared-tier probe.
 #[test]
 fn flight_recorder_attributes_routing() {
     let db = sample_db();
@@ -228,10 +278,180 @@ fn flight_recorder_attributes_routing() {
         traces.iter().any(|t| t.has_stage("cluster_route")),
         "cluster_route stage present"
     );
+    let node_traces = cluster
+        .node(&affinity)
+        .expect("node")
+        .server
+        .flight_recorder()
+        .recent();
     assert!(
-        traces.iter().any(|t| t.has_stage("peer_cache")),
-        "peer_cache stage present"
+        node_traces.iter().any(|t| t.has_stage("cache_tier")),
+        "cache_tier stage present in the node trace"
     );
+}
+
+/// The read order, in counts: node L1, then the shared tier once, then the
+/// backend and one publish to the R owners.
+#[test]
+fn shared_tier_is_probed_once_behind_l1() {
+    let db = sample_db();
+    let (cluster, sims) = build_cluster_over(&db, 4, 13, slow_backend(1));
+    let sessions: Vec<ClusterSession> = (0..DASHBOARDS)
+        .map(|d| {
+            cluster
+                .open_session(&format!("dash-{d}"), "alice")
+                .expect("open")
+        })
+        .collect();
+    let a = &sessions[0];
+    let node_a = a.affinity_node().expect("affinity");
+    let b = sessions
+        .iter()
+        .find(|s| s.affinity_node().expect("affinity") != node_a)
+        .expect("some dashboard lives elsewhere");
+    let query = filter_query(7);
+
+    // A backend miss: one probe that finds nothing on either owner, one
+    // backend trip, exactly R shard puts.
+    let before = shard_ops(&cluster);
+    let first = a.query(&query).expect("miss");
+    assert_eq!(first.outcome, ExecOutcome::Remote);
+    assert_eq!(first.node, node_a);
+    assert!(first.peer_hit.is_none());
+    let after_miss = shard_ops(&cluster);
+    assert_eq!(after_miss.0 - before.0, 2, "a miss asks both owners");
+    assert_eq!(after_miss.2 - before.2, 2, "one publish to R = 2 owners");
+    assert_eq!(backend_queries(&sims), 1);
+    assert_eq!(cluster.peer_stats().puts, 1);
+
+    // Repeats are local: no shard operation at all.
+    for _ in 0..3 {
+        let again = a.query(&query).expect("l1 hit");
+        assert_eq!(again.outcome, ExecOutcome::IntelligentHit);
+    }
+    assert_eq!(
+        shard_ops(&cluster),
+        after_miss,
+        "an L1 answer costs no shard op"
+    );
+
+    // Another node's session: the tier answers, once, from the primary
+    // owner, with no backend trip — and the answer moves into that node's L1.
+    let remote = b.query(&query).expect("l2 hit");
+    assert_eq!(remote.outcome, ExecOutcome::L2Hit);
+    assert_ne!(remote.node, node_a);
+    assert_eq!(remote.chunk.to_rows(), first.chunk.to_rows());
+    let after_l2 = shard_ops(&cluster);
+    assert_eq!(after_l2.0 - after_miss.0, 1, "one shard get");
+    assert_eq!(after_l2.1 - after_miss.1, 1, "and it hit");
+    assert_eq!(after_l2.2, after_miss.2, "an L2 hit publishes nothing");
+    assert_eq!(backend_queries(&sims), 1);
+    let third = b.query(&query).expect("promoted");
+    assert!(matches!(
+        third.outcome,
+        ExecOutcome::IntelligentHit | ExecOutcome::LiteralHit
+    ));
+    assert_eq!(shard_ops(&cluster), after_l2);
+
+    // The tier's own cells are what the registry exports.
+    let peer = cluster.peer_stats();
+    assert_eq!((peer.gets, peer.primary_hits, peer.misses), (2, 1, 1));
+    let tier_lookups: u64 = cluster
+        .nodes()
+        .iter()
+        .map(|n| {
+            let t = n.server.processor.caches.tier_stats();
+            t.l2_hits + t.l2_misses
+        })
+        .sum();
+    assert_eq!(peer.gets, tier_lookups);
+    let snapshot = cluster.registry.snapshot();
+    for (name, want) in [
+        ("tv_cluster_peer_hits_total", 1),
+        ("tv_cluster_peer_replica_hits_total", 0),
+        ("tv_cluster_peer_misses_total", 1),
+    ] {
+        match snapshot.get(name) {
+            Some(tabviz::obs::MetricValue::Counter(n)) => assert_eq!(*n, want, "{name}"),
+            other => panic!("missing {name}: {other:?}"),
+        }
+    }
+}
+
+/// Kill the node that computed a result: the failover node answers from the
+/// shared tier without a backend trip — from a replica shard when the dead
+/// node was the key's primary owner.
+#[test]
+fn failover_node_answers_from_a_surviving_shard() {
+    let db = sample_db();
+    let (cluster, sims) = build_cluster_over(&db, 4, 17, slow_backend(1));
+    let session = cluster.open_session("dash-0", "alice").expect("open");
+    let owner = session.affinity_node().expect("affinity");
+    let mut replica_serves = 0;
+    for selector in 0..12 {
+        let query = filter_query(selector);
+        let computed = session.query(&query).expect("compute");
+        assert_eq!(computed.outcome, ExecOutcome::Remote);
+        assert_eq!(computed.node, owner);
+        let trips = backend_queries(&sims);
+        let before = cluster.peer_stats();
+
+        assert!(cluster.kill(&owner));
+        let failed_over = session.query(&query).expect("failover");
+        assert_ne!(failed_over.node, owner);
+        assert_eq!(failed_over.outcome, ExecOutcome::L2Hit);
+        assert_eq!(failed_over.chunk.to_rows(), computed.chunk.to_rows());
+        assert_eq!(backend_queries(&sims), trips, "no backend trip");
+        let after = cluster.peer_stats();
+        assert_eq!(after.gets - before.gets, 1);
+        assert_eq!(
+            (after.primary_hits - before.primary_hits) + (after.replica_hits - before.replica_hits),
+            1
+        );
+        replica_serves += after.replica_hits - before.replica_hits;
+        assert!(cluster.revive(&owner));
+    }
+    assert!(
+        replica_serves > 0,
+        "the dead node was primary owner of no key in twelve"
+    );
+}
+
+/// One 400 ms backend trip must not hold up the session's other queries: a
+/// cached answer completes while the miss is still at the backend.
+#[test]
+fn cached_query_completes_while_a_miss_is_in_flight() {
+    let db = sample_db();
+    let (cluster, sims) = build_cluster_over(&db, 2, 19, slow_backend(400));
+    let session = cluster.open_session("dash-0", "alice").expect("open");
+    let node = session.affinity_node().expect("affinity");
+    let sim = Arc::clone(&sims.lock().unwrap()[&node]);
+    let cached = filter_query(1);
+    session.query(&cached).expect("fill L1");
+    assert_eq!(
+        session.query(&cached).expect("l1").outcome,
+        ExecOutcome::IntelligentHit
+    );
+
+    let miss_done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let started = sim.stats().queries;
+        let miss = scope.spawn(|| {
+            let r = session.query(&filter_query(2));
+            miss_done.store(true, Ordering::SeqCst);
+            r
+        });
+        // The backend counts a query as it arrives, before its latency.
+        while sim.stats().queries == started {
+            std::thread::yield_now();
+        }
+        let hit = session.query(&cached).expect("hit beside the miss");
+        let overtook = !miss_done.load(Ordering::SeqCst);
+        assert_eq!(hit.outcome, ExecOutcome::IntelligentHit);
+        let missed = miss.join().expect("miss thread").expect("miss");
+        assert_eq!(missed.outcome, ExecOutcome::Remote);
+        assert!(overtook, "the cached query waited for the backend trip");
+    });
 }
 
 /// Affinity is *lazily* recomputed: `route()` reads the live ring on every
@@ -290,51 +510,10 @@ fn join_absorbs_existing_sessions() {
 #[test]
 fn brownout_demotes_reroutes_then_probes_restore() {
     let db = sample_db();
-    let dbs: Arc<std::sync::Mutex<std::collections::HashMap<String, Arc<SimDb>>>> =
-        Arc::new(std::sync::Mutex::new(std::collections::HashMap::new()));
-    let cluster = {
-        let db = Arc::clone(&db);
-        let dbs = Arc::clone(&dbs);
-        Cluster::build(
-            ClusterConfig {
-                nodes: 3,
-                replication: 2,
-                vnodes: 32,
-                seed: 5,
-                peer_op_latency: std::time::Duration::ZERO,
-            },
-            move |name| {
-                let sim = Arc::new(SimDb::new(
-                    "warehouse",
-                    Arc::clone(&db),
-                    SimConfig::default(),
-                ));
-                dbs.lock()
-                    .unwrap()
-                    .insert(name.to_string(), Arc::clone(&sim));
-                let qp = QueryProcessor::default();
-                qp.registry.register(Arc::clone(&sim) as Arc<_>, 4);
-                let server = Arc::new(DataServer::named(qp, name));
-                for d in 0..DASHBOARDS {
-                    server.publish(PublishedSource::new(
-                        format!("dash-{d}"),
-                        "warehouse",
-                        LogicalPlan::scan("flights"),
-                    ));
-                }
-                Ok(server)
-            },
-        )
-        .expect("build cluster")
-    };
+    let (cluster, dbs) = build_cluster_over(&db, 3, 5, SimConfig::default());
     let session = cluster.open_session("dash-0", "alice").expect("open");
     let victim = session.affinity_node().expect("affinity");
-    let filter_q = |selector: i64| ClientQuery {
-        filters: vec![bin(BinOp::Le, col("distance"), lit(200 + selector % 2200))],
-        group_by: vec!["carrier".into()],
-        aggs: vec![AggCall::new(AggFunc::Count, None, "n")],
-        ..Default::default()
-    };
+    let filter_q = filter_query;
 
     // Warm the victim's baseline with fast serves (distinct selectors force
     // backend hits, so the scorer sees real latencies, not cache echoes).
