@@ -22,13 +22,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("serial_hash", |b| {
         b.iter(|| tde.query_with(q, &serial).unwrap())
     });
-    // Same HashAgg plan with the vectorized kernels disabled: isolates the
-    // packed-key + typed-state win from the plan-shape comparisons below.
-    let mut hash_no_kernels = ExecOptions::serial();
-    hash_no_kernels.physical.enable_vector_kernels = false;
-    group.bench_function("serial_hash_no_kernels", |b| {
-        b.iter(|| tde.query_with(q, &hash_no_kernels).unwrap())
-    });
     // A range-filtered two-column string key (Fig. 1's state-by-state
     // zone): grouped on dictionary codes end to end.
     let q_str = "(aggregate ((origin_state) (dest_state)) ((count as n) (sum distance as dist))

@@ -1,7 +1,5 @@
-//! Criterion bench for E23: hash-join build+probe with and without the
-//! type-specialized vectorized kernels (packed keys + batch hashing).
-
-#![allow(clippy::field_reassign_with_default)]
+//! Criterion bench for E23: hash-join build+probe through the packed-key
+//! kernels (packed keys + batch hashing).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tabviz::prelude::*;
@@ -20,11 +18,6 @@ fn bench(c: &mut Criterion) {
 
     group.bench_function("packed_kernels", |b| {
         b.iter(|| tde.query_with(q, &ExecOptions::serial()).unwrap())
-    });
-    let mut no_kernels = ExecOptions::serial();
-    no_kernels.physical.enable_vector_kernels = false;
-    group.bench_function("value_row_fallback", |b| {
-        b.iter(|| tde.query_with(q, &no_kernels).unwrap())
     });
     group.finish();
 }

@@ -104,7 +104,7 @@ impl QueryCaches {
     }
 
     /// Attach (or replace) the shared L2 tier. Standalone deployments use
-    /// [`crate::tier::SingleStoreL2`]; the cluster injects its ring-routed
+    /// one [`crate::ExternalStore`]; the cluster injects its ring-routed
     /// peer tier at node attach time.
     pub fn set_l2(&self, l2: Arc<dyn L2Cache>) {
         *self.l2.write() = Some(l2);
@@ -415,7 +415,6 @@ mod tests {
     #[test]
     fn l2_round_trip_promote_and_tag_purge() {
         use crate::distributed::ExternalStore;
-        use crate::tier::SingleStoreL2;
         let caches = QueryCaches::new(
             CacheConfig {
                 min_cost: Duration::ZERO,
@@ -428,7 +427,7 @@ mod tests {
         assert_eq!(caches.tier_stats(), TierStats::default());
 
         let store = Arc::new(ExternalStore::new(Duration::ZERO));
-        caches.set_l2(Arc::new(SingleStoreL2::new(store)));
+        caches.set_l2(store);
         assert!(caches.l2_lookup(&spec()).is_none());
         assert_eq!(caches.tier_stats().l2_misses, 1);
 
@@ -453,7 +452,6 @@ mod tests {
     #[test]
     fn mark_table_stale_keeps_l1_for_degraded_serving() {
         use crate::distributed::ExternalStore;
-        use crate::tier::SingleStoreL2;
         let caches = QueryCaches::new(
             CacheConfig {
                 min_cost: Duration::ZERO,
@@ -461,9 +459,7 @@ mod tests {
             },
             1 << 20,
         );
-        caches.set_l2(Arc::new(SingleStoreL2::new(Arc::new(ExternalStore::new(
-            Duration::ZERO,
-        )))));
+        caches.set_l2(Arc::new(ExternalStore::new(Duration::ZERO)));
         caches.store(spec(), "SQL", &chunk(), Duration::from_millis(5));
         caches.l2_store(&spec(), &chunk());
         assert_eq!(caches.mark_table_stale("faa", "flights"), 2);

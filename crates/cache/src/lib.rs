@@ -38,7 +38,7 @@ pub use intelligent::{subsumes, IntelligentCache};
 pub use literal::LiteralCache;
 pub use spec::QuerySpec;
 pub use tags::{source_tag, table_tag, tables_of, tags_for_spec};
-pub use tier::{L2Cache, SingleStoreL2};
+pub use tier::L2Cache;
 
 use tabviz_tql::expr::Expr;
 use tabviz_tql::BinOp;

@@ -14,7 +14,6 @@
 //! time.
 
 use bytes::Bytes;
-use std::sync::Arc;
 
 use crate::distributed::ExternalStore;
 
@@ -40,46 +39,33 @@ pub trait L2Cache: Send + Sync {
 
 /// The standalone L2: one shared [`ExternalStore`], as a single-node
 /// deployment (or a test) would run Redis next to the server.
-pub struct SingleStoreL2 {
-    store: Arc<ExternalStore>,
-}
-
-impl SingleStoreL2 {
-    pub fn new(store: Arc<ExternalStore>) -> Self {
-        SingleStoreL2 { store }
-    }
-
-    pub fn store(&self) -> &Arc<ExternalStore> {
-        &self.store
-    }
-}
-
-impl L2Cache for SingleStoreL2 {
+impl L2Cache for ExternalStore {
     fn get(&self, key: &str) -> Option<Bytes> {
-        self.store.get(key)
+        ExternalStore::get(self, key)
     }
 
     fn put(&self, key: &str, value: Bytes, tags: &[String]) {
-        self.store.put_tagged(key.to_string(), value, tags);
+        self.put_tagged(key.to_string(), value, tags);
     }
 
     fn purge_tag(&self, tag: &str) -> usize {
-        self.store.purge_tag(tag)
+        ExternalStore::purge_tag(self, tag)
     }
 
     fn entry_count(&self) -> usize {
-        self.store.len()
+        self.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
     fn single_store_round_trip_and_tag_purge() {
-        let l2 = SingleStoreL2::new(Arc::new(ExternalStore::new(Duration::ZERO)));
+        let l2: Arc<dyn L2Cache> = Arc::new(ExternalStore::new(Duration::ZERO));
         let tags = vec!["src:s".to_string(), "tbl:s\u{1}a".to_string()];
         l2.put("k1", Bytes::from_static(b"v1"), &tags);
         l2.put("k2", Bytes::from_static(b"v2"), &["src:s".to_string()]);

@@ -165,8 +165,8 @@ impl DataServer {
 
     /// Prometheus-style exposition of every metric the server's processor
     /// (and the pools, caches and backends beneath it) has registered, plus
-    /// the process-wide registry (the TDE's kernel-selection counters
-    /// `tv_tde_kernel_fastpath_total` / `tv_tde_kernel_fallback_total` live
+    /// the process-wide registry (the TDE's scan-pruning counters
+    /// `tv_tde_blocks_skipped_total` / `tv_tde_rows_prefiltered_total` live
     /// there — executor code has no handle to a per-server registry).
     pub fn metrics_text(&self) -> String {
         let mut text = self.processor.obs.registry.render_text();

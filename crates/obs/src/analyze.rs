@@ -69,8 +69,6 @@ pub enum Verdict {
     /// The local scan did far less block pruning than usual for a scan of
     /// this shape — zone maps stopped helping.
     PruneRegression,
-    /// A keyed operator fell off the typed kernel fast path.
-    KernelFallback,
     /// A stale-while-revalidate serve was slow: contention with the
     /// background revalidation lane.
     SwrRevalidateContention,
@@ -88,7 +86,6 @@ impl Verdict {
             Verdict::CacheMissStorm => "cache_miss_storm",
             Verdict::L2MissPromote => "l2_miss_promote",
             Verdict::PruneRegression => "prune_regression",
-            Verdict::KernelFallback => "kernel_fallback",
             Verdict::SwrRevalidateContention => "swr_revalidate_contention",
             Verdict::Unclassified => "unclassified",
         }
@@ -479,14 +476,6 @@ pub fn diagnose(trace: &RecordedTrace, baseline: Option<&Fingerprint>) -> Diagno
                 );
             }
             s if s == stage::TDE_EXEC => {
-                for r in [
-                    reason::KERNEL_FALLBACK_DISABLED,
-                    reason::KERNEL_FALLBACK_WIDE_KEY,
-                ] {
-                    if has(r) {
-                        return mk(Verdict::KernelFallback, stage::TDE_EXEC, vec![r]);
-                    }
-                }
                 if let Some((skipped, total)) = prune_skip_fraction(trace) {
                     if total >= 4 && (skipped as f64) < 0.25 * total as f64 {
                         return mk(Verdict::PruneRegression, stage::TDE_EXEC, vec![]);

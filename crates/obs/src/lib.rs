@@ -129,10 +129,6 @@ pub mod stage {
     /// Instantaneous: a node's health score crossed the demote/restore
     /// band (detail = score at transition).
     pub const NODE_HEALTH: &str = "node_health";
-    /// Instantaneous: a keyed operator (hash agg / hash join) chose its
-    /// kernel implementation at construction (reason =
-    /// `kernel_fastpath` / `kernel_fallback_*`, label = operator stage).
-    pub const KERNEL_SELECT: &str = "kernel_select";
     /// Shared L2 result-tier interaction on the node-local lookup path
     /// (label = `"get"` / `"put"` / `"promote"` / `"purge"` / `"warm"`,
     /// detail = payload bytes or purged-entry count).
@@ -232,16 +228,6 @@ pub mod reason {
     /// Routing deliberately sent a probe through a demoted owner so its
     /// score keeps getting fresh observations (recovery detection).
     pub const ROUTE_HEALTH_PROBE: &str = "route_health_probe";
-
-    // --- vectorized execution kernels -------------------------------------
-    /// A keyed operator selected the typed `KeyBuf` fast path: every key
-    /// column packs into one fixed-width word per row.
-    pub const KERNEL_FASTPATH: &str = "kernel_fastpath";
-    /// Fallback to the `Value`-row path: kernels disabled by options.
-    pub const KERNEL_FALLBACK_DISABLED: &str = "kernel_fallback_disabled";
-    /// Fallback to the `Value`-row path: the composite key is wider than
-    /// the packed-key column budget.
-    pub const KERNEL_FALLBACK_WIDE_KEY: &str = "kernel_fallback_wide_key";
 
     // --- multi-tier cache hierarchy ---------------------------------------
     /// Served from the node-local L1 (intelligent or literal) cache.

@@ -538,6 +538,8 @@ impl StoredColumn {
         data: ColumnData,
         dict: Option<Arc<Vec<String>>>,
     ) -> Result<Self> {
+        check_parts(&field, len, &nulls, &data, dict.is_some())
+            .map_err(|why| TvError::Storage(format!("column '{}': {why}", field.name)))?;
         // Recompute stats from a full decode: pack files do not store stats.
         let tmp = StoredColumn {
             field,
@@ -572,6 +574,72 @@ impl StoredColumn {
             zones,
             ..tmp
         })
+    }
+}
+
+/// The invariants the decoders index by, checked before the first decode of
+/// parts read from bytes: every vector covers exactly `len` rows, RLE runs
+/// tile `0..len` in order, delta prefix sums stay in range, and the physical
+/// type matches the declared one (codes, with a dictionary, for strings).
+fn check_parts(
+    field: &Field,
+    len: usize,
+    nulls: &NullMask,
+    data: &ColumnData,
+    has_dict: bool,
+) -> std::result::Result<(), &'static str> {
+    let phys_fits = |p: &PhysVec| match (field.dtype, p) {
+        (DataType::Bool, PhysVec::Bool(_))
+        | (DataType::Int, PhysVec::Int(_))
+        | (DataType::Real, PhysVec::Real(_))
+        | (DataType::Date, PhysVec::Date(_)) => true,
+        (DataType::Str, PhysVec::Code(_)) => has_dict,
+        _ => false,
+    };
+    if nulls.valid_bits().is_some_and(|b| b.len() != len) {
+        return Err("null mask length differs from column length");
+    }
+    match data {
+        ColumnData::Plain(p) if !phys_fits(p) => Err("physical type does not match field"),
+        ColumnData::Plain(p) if p.len() != len => Err("value count differs from column length"),
+        ColumnData::Plain(_) => Ok(()),
+        ColumnData::Rle {
+            values,
+            counts,
+            starts,
+        } => {
+            if !phys_fits(values) {
+                return Err("physical type does not match field");
+            }
+            if values.len() != counts.len() || starts.len() != counts.len() {
+                return Err("run vectors differ in length");
+            }
+            let mut end = 0u64;
+            for (&start, &count) in starts.iter().zip(counts) {
+                if start != end || count == 0 {
+                    return Err("runs do not tile the column");
+                }
+                end += u64::from(count);
+            }
+            if end != len as u64 {
+                return Err("runs do not cover the column");
+            }
+            Ok(())
+        }
+        ColumnData::Delta { first, deltas } => {
+            if !matches!(field.dtype, DataType::Int | DataType::Date) {
+                return Err("delta encoding over a non-integer field");
+            }
+            if deltas.len() != len.saturating_sub(1) {
+                return Err("delta count differs from column length");
+            }
+            let mut sum = 0i64;
+            for &d in deltas {
+                sum = sum.checked_add(d).ok_or("delta sum overflows")?;
+                first.checked_add(sum).ok_or("delta sum overflows")?;
+            }
+            Ok(())
+        }
     }
 }
 

@@ -76,22 +76,7 @@ pub fn unpack(mut buf: &[u8]) -> Result<Database> {
     let table_count = checked_u32(&mut buf)? as usize;
     for _ in 0..table_count {
         let schema_name = get_str(&mut buf)?;
-        let table_name = get_str(&mut buf)?;
-        let row_count = checked_u64(&mut buf)? as usize;
-        let key_len = checked_u16(&mut buf)? as usize;
-        let mut sort_key = Vec::with_capacity(key_len);
-        for _ in 0..key_len {
-            sort_key.push(checked_u16(&mut buf)? as usize);
-        }
-        let col_count = checked_u16(&mut buf)? as usize;
-        let mut columns = Vec::with_capacity(col_count);
-        for _ in 0..col_count {
-            columns.push(get_column(&mut buf)?);
-        }
-        let schema = Arc::new(Schema::new(
-            columns.iter().map(|c| c.field.clone()).collect(),
-        )?);
-        let table = Table::from_encoded(table_name, schema, columns, sort_key, row_count);
+        let table = get_table(&mut buf)?;
         if !db.schema_names().iter().any(|s| s == &schema_name) {
             db.create_schema(&schema_name)?;
         }
@@ -125,17 +110,31 @@ pub fn pack_table(table: &Table) -> Bytes {
 
 /// Deserialize a single table written by [`pack_table`].
 pub fn unpack_table(mut buf: &[u8]) -> Result<Table> {
-    let name = get_str(&mut buf)?;
-    let row_count = checked_u64(&mut buf)? as usize;
-    let key_len = checked_u16(&mut buf)? as usize;
-    let mut sort_key = Vec::with_capacity(key_len);
+    get_table(&mut buf)
+}
+
+/// One table: name | row-count | sort-key | fields. Every column must hold
+/// `row-count` rows and every sort-key entry must name a column.
+fn get_table(buf: &mut &[u8]) -> Result<Table> {
+    let name = get_str(buf)?;
+    let row_count = checked_u64(buf)? as usize;
+    let key_len = checked_u16(buf)? as usize;
+    let mut sort_key = Vec::with_capacity(capacity(buf, key_len, 2));
     for _ in 0..key_len {
-        sort_key.push(checked_u16(&mut buf)? as usize);
+        sort_key.push(checked_u16(buf)? as usize);
     }
-    let col_count = checked_u16(&mut buf)? as usize;
-    let mut columns = Vec::with_capacity(col_count);
+    let col_count = checked_u16(buf)? as usize;
+    let mut columns = Vec::with_capacity(capacity(buf, col_count, MIN_COLUMN_BYTES));
     for _ in 0..col_count {
-        columns.push(get_column(&mut buf)?);
+        columns.push(get_column(buf)?);
+    }
+    if columns.iter().any(|c| c.len() != row_count) {
+        return Err(TvError::Storage(
+            "column length differs from row count".into(),
+        ));
+    }
+    if sort_key.iter().any(|&k| k >= columns.len()) {
+        return Err(TvError::Storage("sort key names no column".into()));
     }
     let schema = Arc::new(Schema::new(
         columns.iter().map(|c| c.field.clone()).collect(),
@@ -143,6 +142,17 @@ pub fn unpack_table(mut buf: &[u8]) -> Result<Table> {
     Ok(Table::from_encoded(
         name, schema, columns, sort_key, row_count,
     ))
+}
+
+/// Smallest encoded column: empty name, three field bytes, length, null
+/// tag, data tag, phys tag and count, dictionary tag.
+const MIN_COLUMN_BYTES: usize = 4 + 3 + 8 + 1 + 1 + 5 + 1;
+
+/// Pre-allocation for `n` elements read from the image: never more than the
+/// remaining bytes can hold at `width` bytes per element, so a corrupt count
+/// fails on the truncated read instead of allocating.
+fn capacity(buf: &[u8], n: usize, width: usize) -> usize {
+    n.min(buf.len() / width)
 }
 
 fn put_str(buf: &mut BytesMut, s: &str) {
@@ -301,11 +311,11 @@ fn get_column(buf: &mut &[u8]) -> Result<StoredColumn> {
         1 => {
             let values = get_phys(buf)?;
             let n = checked_u32(buf)? as usize;
-            let mut counts = Vec::with_capacity(n);
+            let mut counts = Vec::with_capacity(capacity(buf, n, 4 + 8));
             for _ in 0..n {
                 counts.push(checked_u32(buf)?);
             }
-            let mut starts = Vec::with_capacity(n);
+            let mut starts = Vec::with_capacity(capacity(buf, n, 8));
             for _ in 0..n {
                 starts.push(checked_u64(buf)?);
             }
@@ -321,7 +331,7 @@ fn get_column(buf: &mut &[u8]) -> Result<StoredColumn> {
             }
             let first = buf.get_i64_le();
             let n = checked_u32(buf)? as usize;
-            let mut deltas = Vec::with_capacity(n);
+            let mut deltas = Vec::with_capacity(capacity(buf, n, 8));
             for _ in 0..n {
                 if buf.remaining() < 8 {
                     return Err(TvError::Storage("truncated delta".into()));
@@ -339,7 +349,7 @@ fn get_column(buf: &mut &[u8]) -> Result<StoredColumn> {
         0 => None,
         1 => {
             let n = checked_u32(buf)? as usize;
-            let mut d = Vec::with_capacity(n);
+            let mut d = Vec::with_capacity(capacity(buf, n, 4));
             for _ in 0..n {
                 d.push(get_str(buf)?);
             }
@@ -398,7 +408,7 @@ fn get_phys(buf: &mut &[u8]) -> Result<PhysVec> {
     let n = checked_u32(buf)? as usize;
     macro_rules! read_n {
         ($reader:ident, $width:expr) => {{
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::with_capacity(capacity(buf, n, $width));
             for _ in 0..n {
                 if buf.remaining() < $width {
                     return Err(TvError::Storage("truncated physical vector".into()));
@@ -409,16 +419,7 @@ fn get_phys(buf: &mut &[u8]) -> Result<PhysVec> {
         }};
     }
     Ok(match tag {
-        0 => {
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                if buf.remaining() < 1 {
-                    return Err(TvError::Storage("truncated physical vector".into()));
-                }
-                v.push(buf.get_u8() != 0);
-            }
-            PhysVec::Bool(v)
-        }
+        0 => PhysVec::Bool(read_n!(get_u8, 1).into_iter().map(|b| b != 0).collect()),
         1 => PhysVec::Int(read_n!(get_i64_le, 8)),
         2 => PhysVec::Real(read_n!(get_f64_le, 8)),
         3 => PhysVec::Date(read_n!(get_i32_le, 4)),
@@ -510,6 +511,46 @@ mod tests {
         let img = pack(&sample_db());
         let truncated = &img[..img.len() / 2];
         assert!(unpack(truncated).is_err());
+    }
+
+    #[test]
+    fn corrupt_lengths_are_rejected_without_allocating() {
+        // Table "t", one row, no sort key, one binary non-nullable Int
+        // column "x" of length 1, no null mask, Plain, whose physical
+        // vector claims u32::MAX values: 32 GiB if pre-allocated.
+        let mut img = Vec::new();
+        img.extend_from_slice(&1u32.to_le_bytes());
+        img.push(b't');
+        img.extend_from_slice(&1u64.to_le_bytes());
+        img.extend_from_slice(&0u16.to_le_bytes());
+        img.extend_from_slice(&1u16.to_le_bytes());
+        img.extend_from_slice(&1u32.to_le_bytes());
+        img.push(b'x');
+        img.extend_from_slice(&[1, 0, 0]);
+        img.extend_from_slice(&1u64.to_le_bytes());
+        img.extend_from_slice(&[0, 0, 1]);
+        img.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(img.len(), 40);
+        assert!(unpack_table(&img).is_err());
+    }
+
+    #[test]
+    fn inconsistent_parts_are_rejected() {
+        let schema = Arc::new(Schema::new(vec![Field::new("x", DataType::Int)]).unwrap());
+        let rows: Vec<Vec<Value>> = (0..4).map(|i| vec![Value::Int(i)]).collect();
+        let chunk = Chunk::from_rows(schema, &rows).unwrap();
+        let img = pack_table(&Table::from_chunk("t", &chunk, &[]).unwrap()).to_vec();
+        assert!(unpack_table(&img).is_ok());
+        // The row count (bytes 5..13) no longer matches the column.
+        let mut bad = img.clone();
+        bad[5] = 9;
+        assert!(unpack_table(&bad).is_err());
+        // The column length (after name, field bytes) no longer matches its
+        // data.
+        let mut bad = img.clone();
+        bad[5] = 9;
+        bad[5 + 8 + 2 + 2 + 5 + 3] = 9;
+        assert!(unpack_table(&bad).is_err());
     }
 
     #[test]

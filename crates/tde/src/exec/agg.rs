@@ -15,8 +15,7 @@ use tabviz_tql::agg::{AggFunc, AggState};
 use tabviz_tql::expr::Expr;
 use tabviz_tql::AggCall;
 
-use super::join::normalize_key;
-use super::key::{self, GroupTable, KeyLayout};
+use super::key::{GroupTable, KeyLayout};
 use super::PhysOp;
 
 /// Evaluate group expressions and aggregate arguments for one chunk.
@@ -35,6 +34,15 @@ fn eval_set(chunk: &Chunk, group_by: &[(Expr, String)], aggs: &[AggCall]) -> Res
         .map(|a| a.arg.as_ref().map(|e| e.eval(chunk)).transpose())
         .collect::<Result<Vec<_>>>()?;
     Ok(EvalSet { groups, args })
+}
+
+/// Normalize a group key value under a collation so hash equality matches
+/// comparison equality (`Int(2)` vs `Real(2.0)` already hash alike).
+fn normalize_key(v: Value, collation: Collation) -> Value {
+    match v {
+        Value::Str(s) if collation != Collation::Binary => Value::Str(collation.key(&s)),
+        other => other,
+    }
 }
 
 /// Group collations come from the output schema's group fields.
@@ -444,19 +452,16 @@ impl AggStateCol {
 
 /// Stop-and-go hash aggregation.
 ///
-/// Two execution paths, chosen once per operator (see `key::fallback_reason`
-/// and DESIGN.md §14): the packed-key fast path encodes group keys into
-/// fixed-width words (`GroupTable`) and updates typed columnar accumulators
-/// (`AggStateCol`); the retained fallback keys a hash map with
-/// `Vec<Value>` rows. An optional fused residual predicate (absorbed from a
-/// child `Filter` by `make_op_raw`) is evaluated to a [`SelVec`] so the
-/// fast path never rematerializes filtered chunks.
+/// Group keys are encoded into packed words (`GroupTable`, DESIGN.md §14)
+/// and aggregates update typed columnar accumulators (`AggStateCol`). An
+/// optional fused residual predicate (absorbed from a child `Filter` by
+/// `make_op_raw`) is evaluated to a [`SelVec`] so filtered chunks are never
+/// rematerialized.
 pub struct HashAggOp {
     input: Box<dyn PhysOp>,
     group_by: Vec<(Expr, String)>,
     aggs: Vec<AggCall>,
     schema: SchemaRef,
-    kernels: bool,
     residual: Option<Expr>,
     done: bool,
 }
@@ -473,15 +478,9 @@ impl HashAggOp {
             group_by,
             aggs,
             schema,
-            kernels: true,
             residual: None,
             done: false,
         }
-    }
-
-    pub fn with_kernels(mut self, kernels: bool) -> Self {
-        self.kernels = kernels;
-        self
     }
 
     pub fn with_residual(mut self, predicate: Expr) -> Self {
@@ -489,9 +488,9 @@ impl HashAggOp {
         self
     }
 
-    /// Packed-key fast path: fixed-width group keys, dense group ids,
-    /// typed columnar accumulators, direct output-column assembly.
-    fn drain_fast(&mut self) -> Result<Option<Chunk>> {
+    /// Packed group keys, dense group ids, typed columnar accumulators,
+    /// direct output-column assembly.
+    fn drain(&mut self) -> Result<Option<Chunk>> {
         let n_keys = self.group_by.len();
         let dtypes: Vec<DataType> = (0..n_keys).map(|i| self.schema.field(i).dtype).collect();
         let collations = group_collations(&self.schema, n_keys);
@@ -560,63 +559,6 @@ impl HashAggOp {
         }
         Ok(Some(Chunk::new(Arc::clone(&self.schema), cols)?))
     }
-
-    /// Retained `Vec<Value>`-keyed path (disabled kernels, wide keys).
-    fn drain_fallback(&mut self) -> Result<Option<Chunk>> {
-        let collations = group_collations(&self.schema, self.group_by.len());
-        // key → (representative raw values, states)
-        let mut table: HashMap<Vec<Value>, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-        // Preserve first-seen group order for deterministic output.
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        while let Some(chunk) = self.input.next()? {
-            let chunk = match &self.residual {
-                None => chunk,
-                Some(p) => {
-                    let sel = p.eval_predicate_sel(&chunk)?;
-                    chunk.take_sel(&sel)
-                }
-            };
-            if chunk.is_empty() {
-                continue;
-            }
-            let ev = eval_set(&chunk, &self.group_by, &self.aggs)?;
-            for row in 0..chunk.len() {
-                let mut key = Vec::with_capacity(ev.groups.len());
-                let mut reps = Vec::with_capacity(ev.groups.len());
-                for (gi, g) in ev.groups.iter().enumerate() {
-                    let raw = g.get(row);
-                    key.push(normalize_key(raw.clone(), collations[gi]));
-                    reps.push(raw);
-                }
-                let entry = table.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    (
-                        reps,
-                        self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    )
-                });
-                for (ai, st) in entry.1.iter_mut().enumerate() {
-                    match &ev.args[ai] {
-                        None => st.update(None)?,
-                        Some(col) => st.update(Some(&col.get(row)))?,
-                    }
-                }
-            }
-        }
-        // Global (no GROUP BY) aggregates emit one row even on empty input.
-        if table.is_empty() && self.group_by.is_empty() {
-            let states: Vec<AggState> = self.aggs.iter().map(|a| AggState::new(a.func)).collect();
-            return Ok(Some(finish_groups(&self.schema, vec![(vec![], states)])?));
-        }
-        if table.is_empty() {
-            return Ok(None);
-        }
-        let groups: Vec<(Vec<Value>, Vec<AggState>)> = order
-            .into_iter()
-            .map(|k| table.remove(&k).expect("ordered key present"))
-            .collect();
-        Ok(Some(finish_groups(&self.schema, groups)?))
-    }
 }
 
 /// Append `src` to `dst`, coercing through `Value`s only when the evaluated
@@ -641,12 +583,7 @@ impl PhysOp for HashAggOp {
             return Ok(None);
         }
         self.done = true;
-        let fallback = key::fallback_reason(self.group_by.len(), self.kernels);
-        key::report_kernel_choice("tde_hash_agg", fallback);
-        match fallback {
-            None => self.drain_fast(),
-            Some(_) => self.drain_fallback(),
-        }
+        self.drain()
     }
 }
 
@@ -768,9 +705,7 @@ impl PhysOp for RunAggOp {
                 ))),
             })
             .collect::<Result<_>>()?;
-        let collations: Vec<_> = (0..self.group_cols.len())
-            .map(|i| self.schema.field(i).collation)
-            .collect();
+        let collations = group_collations(&self.schema, self.group_cols.len());
         let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
         let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
         for &(start, len) in &self.ranges {

@@ -8,83 +8,32 @@
 //! [`crate::physical::BuildSide`]; this module holds the hash table itself
 //! and the probe operator.
 
-use std::collections::HashMap;
 use std::sync::Arc;
-use tabviz_common::{Chunk, Collation, ColumnVec, DataType, Result, SchemaRef, TvError, Value};
+use tabviz_common::{Chunk, ColumnVec, DataType, Result, SchemaRef, TvError};
 use tabviz_tql::JoinType;
 
-use super::key::{self, KeyLayout, PackedJoinIndex, TableWords};
+use super::key::{KeyLayout, PackedJoinIndex, TableWords};
 use super::PhysOp;
 use crate::physical::BuildSide;
 
-/// Normalize a join/group key value under a collation so hash equality
-/// matches comparison equality (`Int(2)` vs `Real(2.0)` already hash alike).
-pub fn normalize_key(v: Value, collation: Collation) -> Value {
-    match v {
-        Value::Str(s) if collation != Collation::Binary => Value::Str(collation.key(&s)),
-        other => other,
-    }
-}
-
-/// The materialized build side of a hash join: the build chunk plus an index
-/// over its key columns. Exactly one index form is populated, decided by
-/// `key::fallback_reason` at build time: the packed fixed-width form
-/// (`PackedJoinIndex`, hashes batched column-at-a-time) or the retained
-/// `Vec<Value>`-keyed map.
+/// The materialized build side of a hash join: the build chunk plus a
+/// packed-key index over its key columns (hashes batched
+/// column-at-a-time, DESIGN.md §14).
 pub struct JoinBuild {
     pub chunk: Chunk,
-    pub index: HashMap<Vec<Value>, Vec<u32>>,
-    pub key_collations: Vec<Collation>,
-    pub(crate) packed: Option<PackedJoinIndex>,
+    pub(crate) packed: PackedJoinIndex,
 }
 
 impl JoinBuild {
     /// Build the hash table over `key_cols` of `chunk`.
-    pub fn build(
-        chunk: Chunk,
-        key_cols: &[usize],
-        schema: &SchemaRef,
-        kernels: bool,
-    ) -> Result<Self> {
-        let key_collations: Vec<Collation> = key_cols
+    pub fn build(chunk: Chunk, key_cols: &[usize], schema: &SchemaRef) -> Self {
+        let (dtypes, collations): (Vec<DataType>, Vec<_>) = key_cols
             .iter()
-            .map(|&i| schema.field(i).collation)
-            .collect();
-        if key::fallback_reason(key_cols.len(), kernels).is_none() {
-            let dtypes: Vec<DataType> = key_cols.iter().map(|&i| schema.field(i).dtype).collect();
-            let layout = KeyLayout::new(dtypes, key_collations.clone());
-            let cols: Vec<&ColumnVec> = key_cols.iter().map(|&i| chunk.column(i)).collect();
-            let packed = PackedJoinIndex::build(layout, &cols, chunk.len());
-            return Ok(JoinBuild {
-                chunk,
-                index: HashMap::new(),
-                key_collations,
-                packed: Some(packed),
-            });
-        }
-        let mut index: HashMap<Vec<Value>, Vec<u32>> = HashMap::with_capacity(chunk.len());
-        for row in 0..chunk.len() {
-            let mut key = Vec::with_capacity(key_cols.len());
-            let mut has_null = false;
-            for (k, &ci) in key_cols.iter().enumerate() {
-                let v = chunk.column(ci).get(row);
-                if v.is_null() {
-                    has_null = true;
-                    break;
-                }
-                key.push(normalize_key(v, key_collations[k]));
-            }
-            if has_null {
-                continue; // SQL: NULL keys never match
-            }
-            index.entry(key).or_default().push(row as u32);
-        }
-        Ok(JoinBuild {
-            chunk,
-            index,
-            key_collations,
-            packed: None,
-        })
+            .map(|&i| (schema.field(i).dtype, schema.field(i).collation))
+            .unzip();
+        let cols: Vec<&ColumnVec> = key_cols.iter().map(|&i| chunk.column(i)).collect();
+        let packed = PackedJoinIndex::build(KeyLayout::new(dtypes, collations), &cols, chunk.len());
+        JoinBuild { chunk, packed }
     }
 }
 
@@ -114,12 +63,6 @@ impl HashJoinOp {
             .iter()
             .map(|k| probe_schema.index_of(k))
             .collect::<Result<Vec<_>>>()?;
-        // Same decision JoinBuild::build makes for the index form, attributed
-        // once per probe operator.
-        key::report_kernel_choice(
-            "tde_hash_join",
-            key::fallback_reason(build_side.key_cols.len(), build_side.kernels),
-        );
         Ok(HashJoinOp {
             probe,
             build_side,
@@ -172,58 +115,26 @@ impl PhysOp for HashJoinOp {
             };
             let mut probe_rows: Vec<usize> = Vec::new();
             let mut build_rows: Vec<Option<u32>> = Vec::new();
-            if let Some(packed) = &build.packed {
-                // Packed fast path: encode the whole probe chunk's keys
-                // column-at-a-time, then walk hash matches per row.
-                let cols: Vec<&ColumnVec> = self
-                    .probe_key_idx
-                    .iter()
-                    .map(|&ci| probe_chunk.column(ci))
-                    .collect();
-                let keys = packed.encode_probe(&cols, probe_chunk.len(), &mut self.probe_memos);
-                for row in 0..probe_chunk.len() {
-                    let mut matched = false;
-                    for br in packed.matches(&keys, row) {
-                        matched = true;
-                        probe_rows.push(row);
-                        build_rows.push(Some(br));
-                    }
-                    if !matched && self.join_type == JoinType::Left {
-                        probe_rows.push(row);
-                        build_rows.push(None);
-                    }
+            // Encode the whole probe chunk's keys column-at-a-time, then
+            // walk hash matches per row.
+            let cols: Vec<&ColumnVec> = self
+                .probe_key_idx
+                .iter()
+                .map(|&ci| probe_chunk.column(ci))
+                .collect();
+            let keys = build
+                .packed
+                .encode_probe(&cols, probe_chunk.len(), &mut self.probe_memos);
+            for row in 0..probe_chunk.len() {
+                let mut matched = false;
+                for br in build.packed.matches(&keys, row) {
+                    matched = true;
+                    probe_rows.push(row);
+                    build_rows.push(Some(br));
                 }
-            } else {
-                for row in 0..probe_chunk.len() {
-                    let mut key = Vec::with_capacity(self.probe_key_idx.len());
-                    let mut has_null = false;
-                    for (k, &ci) in self.probe_key_idx.iter().enumerate() {
-                        let v = probe_chunk.column(ci).get(row);
-                        if v.is_null() {
-                            has_null = true;
-                            break;
-                        }
-                        key.push(normalize_key(v, build.key_collations[k]));
-                    }
-                    let matches = if has_null {
-                        None
-                    } else {
-                        build.index.get(&key)
-                    };
-                    match matches {
-                        Some(rows) => {
-                            for &br in rows {
-                                probe_rows.push(row);
-                                build_rows.push(Some(br));
-                            }
-                        }
-                        None => {
-                            if self.join_type == JoinType::Left {
-                                probe_rows.push(row);
-                                build_rows.push(None);
-                            }
-                        }
-                    }
+                if !matched && self.join_type == JoinType::Left {
+                    probe_rows.push(row);
+                    build_rows.push(None);
                 }
             }
             if probe_rows.is_empty() {
@@ -244,7 +155,7 @@ mod tests {
     use super::*;
     use crate::exec::make_op;
     use crate::physical::PhysPlan;
-    use tabviz_common::{DataType, Field, Schema};
+    use tabviz_common::{Collation, Field, Schema, Value};
     use tabviz_storage::Table;
 
     fn fact() -> Arc<Table> {

@@ -1,10 +1,9 @@
 //! Packed composite keys for the keyed operators (hash agg, hash join).
 //!
-//! The row-at-a-time path keys its hash tables on `Vec<Value>` — one heap
-//! allocation plus an enum-dispatched `Hash` per row. This module replaces
-//! that on the hot path with a fixed-width `KeyBuf`: each key column packs
-//! into one `u64` word per row, encoded column-at-a-time into a row-major
-//! arena, with hashes folded in the same batched passes. Equality is plain
+//! Instead of keying hash tables on `Vec<Value>` (one heap allocation plus
+//! an enum-dispatched `Hash` per row), each key column packs into one `u64`
+//! word per row, encoded column-at-a-time into a row-major arena, with
+//! hashes folded in the same batched passes. Equality is plain
 //! word-slice comparison, so the table maps `hash -> candidate ids` and
 //! disambiguates collisions against the arena.
 //!
@@ -23,73 +22,17 @@
 //!   dictionary-coded, so this translation runs once per referenced table
 //!   entry ([`TableWords`]) and each row is `word_of_entry[code]`.
 //!
-//! One extra word per key carries the per-column null bitmap, so NULL group
-//! keys form groups (SQL GROUP BY) while join encoders mark NULL keys
-//! unmatchable (SQL equi-join) via the `ok` flags instead.
+//! After the column words, `max(1, n_cols.div_ceil(64))` words carry the
+//! per-column null bitmap (so a key of any width packs, and the zero-column
+//! global aggregate still has stride 1). NULL group keys form groups (SQL
+//! GROUP BY) while join encoders mark NULL keys unmatchable (SQL equi-join)
+//! via the `ok` flags instead.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use tabviz_common::hash::mix64;
 use tabviz_common::{Collation, ColumnVec, DataType, Values};
-use tabviz_obs::Counter;
-
-/// Packed keys cover at most this many key columns; wider composites fall
-/// back to the `Value`-row path (`kernel_fallback_wide_key`).
-pub(crate) const MAX_KEY_COLS: usize = 8;
-
-/// Why a keyed operator could not take the packed-key fast path, or `None`
-/// when it can. Decided once per operator from its key schema.
-pub(crate) fn fallback_reason(n_key_cols: usize, kernels_enabled: bool) -> Option<&'static str> {
-    if !kernels_enabled {
-        Some(tabviz_obs::reason::KERNEL_FALLBACK_DISABLED)
-    } else if n_key_cols > MAX_KEY_COLS {
-        Some(tabviz_obs::reason::KERNEL_FALLBACK_WIDE_KEY)
-    } else {
-        None
-    }
-}
-
-/// Process-wide kernel-selection counters (same pattern as the scan's
-/// pruning counters): how many keyed operators took each path.
-pub(crate) struct KernelMetrics {
-    pub fastpath: Counter,
-    pub fallback: Counter,
-}
-
-pub(crate) fn kernel_metrics() -> &'static KernelMetrics {
-    static METRICS: OnceLock<KernelMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = tabviz_obs::global();
-        KernelMetrics {
-            fastpath: reg.counter("tv_tde_kernel_fastpath_total"),
-            fallback: reg.counter("tv_tde_kernel_fallback_total"),
-        }
-    })
-}
-
-/// Record one operator's kernel choice: bump the counter and attribute the
-/// decision into the flight recorder (label = operator stage, reason =
-/// `kernel_fastpath` / `kernel_fallback_*`).
-pub(crate) fn report_kernel_choice(op_stage: &'static str, fallback: Option<&'static str>) {
-    let m = kernel_metrics();
-    let reason = match fallback {
-        None => {
-            m.fastpath.inc();
-            tabviz_obs::reason::KERNEL_FASTPATH
-        }
-        Some(why) => {
-            m.fallback.inc();
-            why
-        }
-    };
-    tabviz_obs::event_with(
-        tabviz_obs::stage::KERNEL_SELECT,
-        Some(op_stage),
-        None,
-        Some(reason),
-    );
-}
 
 /// Identity hasher for already-mixed `u64` keys: the packed-key hashes are
 /// `mix64` outputs, so re-hashing through SipHash would only burn cycles.
@@ -120,7 +63,7 @@ const STR_INLINE: u64 = 1 << 63;
 const HASH_SEED: u64 = 0x7462_7669_7a6b_6579; // "tabvizkey"
 
 /// Fixed per-operator key layout: column types/collations plus the word
-/// stride (one word per column + the trailing null-bitmap word).
+/// stride (one word per column + the trailing null-bitmap words).
 #[derive(Debug, Clone)]
 pub(crate) struct KeyLayout {
     pub dtypes: Vec<DataType>,
@@ -131,8 +74,7 @@ pub(crate) struct KeyLayout {
 impl KeyLayout {
     pub fn new(dtypes: Vec<DataType>, collations: Vec<Collation>) -> Self {
         debug_assert_eq!(dtypes.len(), collations.len());
-        debug_assert!(dtypes.len() <= MAX_KEY_COLS);
-        let stride = dtypes.len() + 1;
+        let stride = dtypes.len() + dtypes.len().div_ceil(64).max(1);
         KeyLayout {
             dtypes,
             collations,
@@ -279,7 +221,7 @@ pub(crate) fn encode_keys(
                             }
                         }
                     } else if nulls_group {
-                        words[i * stride + n_cols] |= 1 << ci;
+                        words[i * stride + n_cols + ci / 64] |= 1 << (ci % 64);
                         0
                     } else {
                         ok[i] = false;
@@ -313,10 +255,12 @@ pub(crate) fn encode_keys(
         }
     }
 
-    // Fold the null-bitmap word so NULL-in-different-columns keys hash
+    // Fold the null-bitmap words so NULL-in-different-columns keys hash
     // apart.
-    for i in 0..len {
-        hashes[i] = mix64(hashes[i] ^ words[i * stride + n_cols]);
+    for (h, key) in hashes.iter_mut().zip(words.chunks_exact(stride)) {
+        for &w in &key[n_cols..] {
+            *h = mix64(*h ^ w);
+        }
     }
 
     EncodedKeys { words, hashes, ok }
@@ -546,18 +490,5 @@ mod tests {
         assert!(!probe.ok[0]);
         assert!(probe.ok[1]);
         assert_eq!(idx.matches(&probe, 1).count(), 1);
-    }
-
-    #[test]
-    fn fallback_reasons() {
-        assert_eq!(fallback_reason(2, true), None);
-        assert_eq!(
-            fallback_reason(2, false),
-            Some(tabviz_obs::reason::KERNEL_FALLBACK_DISABLED)
-        );
-        assert_eq!(
-            fallback_reason(MAX_KEY_COLS + 1, true),
-            Some(tabviz_obs::reason::KERNEL_FALLBACK_WIDE_KEY)
-        );
     }
 }

@@ -166,25 +166,20 @@ fn make_op_raw(plan: &PhysPlan) -> Result<Box<dyn PhysOp>> {
             input,
             group_by,
             aggs,
-            kernels,
             ..
         } => {
             let schema = plan.schema()?;
             // Filter fusion: a residual Filter directly under the aggregate
             // is absorbed as a selection vector — surviving rows feed the
             // grouping kernel without rematerializing a chunk.
-            let (child, residual) = match (input.as_ref(), *kernels) {
-                (
-                    PhysPlan::Filter {
-                        input: finput,
-                        predicate,
-                    },
-                    true,
-                ) => (make_op(finput)?, Some(predicate.clone())),
+            let (child, residual) = match input.as_ref() {
+                PhysPlan::Filter {
+                    input: finput,
+                    predicate,
+                } => (make_op(finput)?, Some(predicate.clone())),
                 _ => (make_op(input)?, None),
             };
-            let mut op = agg::HashAggOp::new(child, group_by.clone(), aggs.clone(), schema)
-                .with_kernels(*kernels);
+            let mut op = agg::HashAggOp::new(child, group_by.clone(), aggs.clone(), schema);
             if let Some(pred) = residual {
                 op = op.with_residual(pred);
             }

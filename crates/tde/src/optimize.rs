@@ -595,8 +595,7 @@ pub fn push_scan_predicates(plan: PhysPlan) -> PhysPlan {
                 push_scan_predicates(build.plan.clone()),
                 std::sync::Arc::clone(&build.schema),
                 build.key_cols.clone(),
-            )
-            .with_kernels(build.kernels);
+            );
             PhysPlan::HashJoin {
                 probe: Box::new(push_scan_predicates(*probe)),
                 build: std::sync::Arc::new(rebuilt),
@@ -609,13 +608,11 @@ pub fn push_scan_predicates(plan: PhysPlan) -> PhysPlan {
             group_by,
             aggs,
             mode,
-            kernels,
         } => PhysPlan::HashAgg {
             input: Box::new(push_scan_predicates(*input)),
             group_by,
             aggs,
             mode,
-            kernels,
         },
         PhysPlan::Sort { input, keys } => PhysPlan::Sort {
             input: Box::new(push_scan_predicates(*input)),

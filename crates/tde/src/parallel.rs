@@ -231,14 +231,11 @@ fn go(
             join_type,
         } => {
             let built_plan = parallelize(&build.plan, opts)?;
-            let shared = Arc::new(
-                BuildSide::new(
-                    built_plan,
-                    Arc::clone(&build.schema),
-                    build.key_cols.clone(),
-                )
-                .with_kernels(build.kernels),
-            );
+            let shared = Arc::new(BuildSide::new(
+                built_plan,
+                Arc::clone(&build.schema),
+                build.key_cols.clone(),
+            ));
             let child = go(probe, opts, expr_cost + 2, agg_groups)?;
             // Conservative: a join may introduce build-side group columns,
             // so the partition guarantee is dropped.
@@ -261,9 +258,8 @@ fn go(
             input,
             group_by,
             aggs,
-            kernels,
             ..
-        } => parallel_aggregate(input, group_by, aggs, *kernels, opts, expr_cost),
+        } => parallel_aggregate(input, group_by, aggs, opts, expr_cost),
 
         // Stop-and-go: close parallelism below.
         PhysPlan::Sort { input, keys } => {
@@ -348,7 +344,6 @@ fn parallel_aggregate(
     input: &PhysPlan,
     group_by: &[(Expr, String)],
     aggs: &[AggCall],
-    kernels: bool,
     opts: &ParallelOptions,
     expr_cost: u32,
 ) -> Result<Par> {
@@ -378,7 +373,6 @@ fn parallel_aggregate(
         group_by: group_by.to_vec(),
         aggs: aggs.to_vec(),
         mode: AggMode::Single,
-        kernels,
     };
     match child {
         Par::Serial(p) => Ok(Par::Serial(hash_agg(p))),
@@ -406,7 +400,7 @@ fn parallel_aggregate(
             }
 
             // Local/global split.
-            let plan = build_local_global(branches, group_by, aggs, kernels);
+            let plan = build_local_global(branches, group_by, aggs);
             Ok(Par::Serial(plan))
         }
     }
@@ -418,7 +412,6 @@ fn build_local_global(
     branches: Vec<PhysPlan>,
     group_by: &[(Expr, String)],
     aggs: &[AggCall],
-    kernels: bool,
 ) -> PhysPlan {
     let mut partial_calls: Vec<AggCall> = Vec::new();
     let mut final_calls: Vec<AggCall> = Vec::new();
@@ -454,7 +447,6 @@ fn build_local_global(
             group_by: group_by.to_vec(),
             aggs: partial_calls.clone(),
             mode: AggMode::Partial,
-            kernels,
         })
         .collect();
 
@@ -468,7 +460,6 @@ fn build_local_global(
         group_by: final_groups,
         aggs: final_calls,
         mode: AggMode::Final,
-        kernels,
     };
 
     if !needs_recombine {

@@ -36,9 +36,6 @@ pub struct BuildSide {
     pub plan: PhysPlan,
     pub schema: SchemaRef,
     pub key_cols: Vec<usize>,
-    /// Allow the packed-key probe kernel (set from
-    /// [`PhysicalOptions::enable_vector_kernels`]).
-    pub kernels: bool,
     cell: OnceLock<Result<Arc<JoinBuild>>>,
 }
 
@@ -48,14 +45,8 @@ impl BuildSide {
             plan,
             schema,
             key_cols,
-            kernels: true,
             cell: OnceLock::new(),
         }
-    }
-
-    pub fn with_kernels(mut self, kernels: bool) -> Self {
-        self.kernels = kernels;
-        self
     }
 
     /// Execute the build plan (once) and return the shared hash table.
@@ -67,8 +58,7 @@ impl BuildSide {
                     chunk,
                     &self.key_cols,
                     &self.schema,
-                    self.kernels,
-                )?))
+                )))
             })
             .clone()
     }
@@ -130,9 +120,6 @@ pub enum PhysPlan {
         group_by: Vec<(Expr, String)>,
         aggs: Vec<AggCall>,
         mode: AggMode,
-        /// Allow the packed-key / typed-state aggregation kernel (set from
-        /// [`PhysicalOptions::enable_vector_kernels`]).
-        kernels: bool,
     },
     Sort {
         input: Box<PhysPlan>,
@@ -371,10 +358,6 @@ pub struct PhysicalOptions {
     /// Plan [`PhysPlan::RunAgg`]: COUNT/SUM/MIN/MAX over RLE runs without
     /// decoding.
     pub enable_run_agg: bool,
-    /// Use the type-specialized vectorized kernels (packed composite keys,
-    /// batched hashing, typed aggregate-state loops) in hash agg / hash
-    /// join. Off forces the retained `Value`-row fallback everywhere.
-    pub enable_vector_kernels: bool,
 }
 
 impl Default for PhysicalOptions {
@@ -384,7 +367,6 @@ impl Default for PhysicalOptions {
             rle_max_run_fraction: 0.5,
             enable_scan_pushdown: true,
             enable_run_agg: true,
-            enable_vector_kernels: true,
         }
     }
 }
@@ -466,10 +448,7 @@ pub fn create_physical(
             let probe_keys: Vec<String> = on.iter().map(|(l, _)| l.clone()).collect();
             Ok(PhysPlan::HashJoin {
                 probe: Box::new(probe),
-                build: Arc::new(
-                    BuildSide::new(build_plan, build_schema, key_cols)
-                        .with_kernels(options.enable_vector_kernels),
-                ),
+                build: Arc::new(BuildSide::new(build_plan, build_schema, key_cols)),
                 probe_keys,
                 join_type: *join_type,
             })
@@ -498,7 +477,6 @@ pub fn create_physical(
                 group_by: group_by.clone(),
                 aggs: aggs.clone(),
                 mode: AggMode::Single,
-                kernels: options.enable_vector_kernels,
             })
         }
         LogicalPlan::Order { input, keys } => Ok(PhysPlan::Sort {

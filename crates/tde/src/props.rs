@@ -3,66 +3,15 @@
 //! Sect. 4.1.2: "The TDE optimizer ... derives properties, such as column
 //! dependencies, equivalence sets, uniqueness, sorting properties and
 //! utilizes them to perform a series of optimizations." This module derives
-//! the two properties the rest of the engine consumes:
-//!
-//! * **sort order** — the order a plan's output is known to arrive in (no
-//!   planner rule reads it: aggregation is hash-only, and range-partitioned
-//!   aggregation, Sect. 4.2.3, reads the stored table's sort key directly);
-//! * **unique columns** — licenses join culling (Sect. 4.1.2).
+//! the one property the rest of the engine consumes: **unique columns**,
+//! which license join culling (Sect. 4.1.2). No planner rule reads a sort
+//! order: aggregation is hash-only, and range-partitioned aggregation
+//! (Sect. 4.2.3) reads the stored table's sort key directly.
 
 use std::collections::BTreeSet;
 use tabviz_common::Result;
 use tabviz_tql::expr::Expr;
 use tabviz_tql::{Catalog, LogicalPlan};
-
-/// The ordered list of column names the plan's output is sorted by (a
-/// prefix-valid ordering: output rows are non-decreasing in `out[0]`, ties
-/// broken by `out[1]`, ...). Empty when no useful order is known.
-pub fn sort_order(plan: &LogicalPlan, catalog: &dyn Catalog) -> Result<Vec<String>> {
-    Ok(match plan {
-        LogicalPlan::TableScan { table, projection } => {
-            let meta = catalog.table_meta(table)?;
-            let mut key = meta.sort_key;
-            if let Some(proj) = projection {
-                // The order survives only while its prefix is projected.
-                let keep: usize = key
-                    .iter()
-                    .take_while(|k| proj.iter().any(|p| p == *k))
-                    .count();
-                key.truncate(keep);
-            }
-            key
-        }
-        // Filters preserve order.
-        LogicalPlan::Select { input, .. } => sort_order(input, catalog)?,
-        LogicalPlan::Project { input, exprs } => {
-            // Order survives through pass-through column references, under
-            // the output name.
-            let inner = sort_order(input, catalog)?;
-            let mut out = Vec::new();
-            'key: for k in inner {
-                for (e, name) in exprs {
-                    if let Expr::Column(c) = e {
-                        if *c == k {
-                            out.push(name.clone());
-                            continue 'key;
-                        }
-                    }
-                }
-                break; // prefix broken
-            }
-            out
-        }
-        // Hash join preserves the probe (left) side's order.
-        LogicalPlan::Join { left, .. } => sort_order(left, catalog)?,
-        // Hash aggregation destroys order.
-        LogicalPlan::Aggregate { .. } => vec![],
-        LogicalPlan::Order { keys, .. } | LogicalPlan::TopN { keys, .. } => {
-            keys.iter().map(|k| k.column.clone()).collect()
-        }
-        LogicalPlan::Distinct { input } => sort_order(input, catalog)?,
-    })
-}
 
 /// Columns of the plan's output known to hold unique values.
 pub fn unique_columns(plan: &LogicalPlan, catalog: &dyn Catalog) -> Result<BTreeSet<String>> {
@@ -122,8 +71,7 @@ mod tests {
     use std::sync::Arc;
     use tabviz_common::{DataType, Field, Schema};
     use tabviz_tql::catalog::{MemoryCatalog, TableMeta};
-    use tabviz_tql::expr::{bin, col, lit, BinOp};
-    use tabviz_tql::SortKey;
+    use tabviz_tql::expr::col;
 
     fn catalog() -> MemoryCatalog {
         let mut cat = MemoryCatalog::new();
@@ -135,9 +83,7 @@ mod tests {
             ])
             .unwrap(),
         );
-        let mut meta = TableMeta::new(schema, 1_000);
-        meta.sort_key = vec!["carrier".into(), "day".into()];
-        cat.add("flights", meta);
+        cat.add("flights", TableMeta::new(schema, 1_000));
 
         let dim = Arc::new(
             Schema::new(vec![
@@ -150,52 +96,6 @@ mod tests {
         dmeta.unique_columns = std::iter::once("code".to_string()).collect();
         cat.add("carriers", dmeta);
         cat
-    }
-
-    #[test]
-    fn scan_order_from_metadata() {
-        let cat = catalog();
-        let p = LogicalPlan::scan("flights");
-        assert_eq!(sort_order(&p, &cat).unwrap(), vec!["carrier", "day"]);
-    }
-
-    #[test]
-    fn projection_truncates_order() {
-        let cat = catalog();
-        let p = LogicalPlan::TableScan {
-            table: "flights".into(),
-            projection: Some(vec!["carrier".into(), "delay".into()]),
-        };
-        assert_eq!(sort_order(&p, &cat).unwrap(), vec!["carrier"]);
-    }
-
-    #[test]
-    fn select_preserves_project_renames() {
-        let cat = catalog();
-        let p = LogicalPlan::scan("flights")
-            .select(bin(BinOp::Gt, col("delay"), lit(0i64)))
-            .project(vec![(col("carrier"), "c".into()), (col("day"), "d".into())]);
-        assert_eq!(sort_order(&p, &cat).unwrap(), vec!["c", "d"]);
-    }
-
-    #[test]
-    fn computed_column_breaks_prefix() {
-        let cat = catalog();
-        let p = LogicalPlan::scan("flights").project(vec![
-            (bin(BinOp::Add, col("delay"), lit(1i64)), "x".into()),
-            (col("day"), "d".into()),
-        ]);
-        assert!(sort_order(&p, &cat).unwrap().is_empty());
-    }
-
-    #[test]
-    fn order_and_aggregate() {
-        let cat = catalog();
-        let o = LogicalPlan::scan("flights").order(vec![SortKey::desc("delay")]);
-        assert_eq!(sort_order(&o, &cat).unwrap(), vec!["delay"]);
-        let a = LogicalPlan::scan("flights")
-            .aggregate(vec![(col("carrier"), "carrier".into())], vec![]);
-        assert!(sort_order(&a, &cat).unwrap().is_empty());
     }
 
     #[test]

@@ -290,14 +290,8 @@ proptest! {
             range_partition_min_distinct_per_dop: 1,
             ..Default::default()
         };
-        let mut no_kernels = ExecOptions::serial();
-        no_kernels.physical.enable_vector_kernels = false;
         let tde = Tde::new(table_of(&rows, sorted));
-        for (arm, opts) in [
-            ("serial", ExecOptions::serial()),
-            ("parallel", par),
-            ("value-row fallback", no_kernels),
-        ] {
+        for (arm, opts) in [("serial", ExecOptions::serial()), ("parallel", par)] {
             let mut got: Vec<Vec<Value>> = tde
                 .execute_plan(&plan, &opts)
                 .unwrap()

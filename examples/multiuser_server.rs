@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use tabviz::cache::{ExternalStore, SingleStoreL2};
+use tabviz::cache::ExternalStore;
 use tabviz::prelude::*;
 use tabviz::workloads::{generate_flights, FaaConfig};
 
@@ -25,8 +25,7 @@ fn main() -> Result<()> {
             Arc::new(SimDb::new("faa", Arc::clone(&db), SimConfig::default())),
             4,
         );
-        qp.caches
-            .set_l2(Arc::new(SingleStoreL2::new(Arc::clone(&external))));
+        qp.caches.set_l2(external.clone());
         qp
     };
     let (node1, node2) = (node(), node());

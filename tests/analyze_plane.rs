@@ -258,19 +258,6 @@ fn verdict_swr_revalidate_contention() {
 }
 
 #[test]
-fn verdict_kernel_fallback() {
-    let mut events = dominated_by(stage::TDE_EXEC, 80);
-    events.push(with_reason(
-        ev_ms(4, Some(2), stage::KERNEL_SELECT, 0),
-        reason::KERNEL_FALLBACK_WIDE_KEY,
-    ));
-    let d = diagnose(&trace_of(events, 100), None);
-    assert_eq!(d.verdict, Verdict::KernelFallback);
-    assert_eq!(d.culprit_stage, stage::TDE_EXEC);
-    assert_eq!(d.evidence, vec![reason::KERNEL_FALLBACK_WIDE_KEY]);
-}
-
-#[test]
 fn verdict_prune_regression() {
     let mut events = dominated_by(stage::TDE_EXEC, 80);
     events.push(with_label(

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 use tabviz::cache::intelligent::CacheConfig;
-use tabviz::cache::{encode_chunk, ExternalStore, SingleStoreL2};
+use tabviz::cache::{encode_chunk, ExternalStore};
 use tabviz::prelude::*;
 use tabviz::workloads::{generate_flights, FaaConfig};
 
@@ -79,10 +79,10 @@ proptest! {
         let store = Arc::new(ExternalStore::new(Duration::ZERO));
         let mut writer = processor_over(&db);
         writer.options.widen_for_reuse = false;
-        writer.caches.set_l2(Arc::new(SingleStoreL2::new(Arc::clone(&store))));
+        writer.caches.set_l2(store.clone());
         let mut reader = processor_over(&db);
         reader.options.widen_for_reuse = false;
-        reader.caches.set_l2(Arc::new(SingleStoreL2::new(Arc::clone(&store))));
+        reader.caches.set_l2(store.clone());
 
         for spec in &specs {
             let (a, _) = flat.execute(spec).unwrap();
@@ -109,8 +109,7 @@ fn single_store_l2_shares_across_processors_and_counts_the_miss_path() {
     let store = Arc::new(ExternalStore::new(Duration::ZERO));
     let node = || {
         let qp = processor_over(&db);
-        qp.caches
-            .set_l2(Arc::new(SingleStoreL2::new(Arc::clone(&store))));
+        qp.caches.set_l2(store.clone());
         qp
     };
     let (node1, node2) = (node(), node());
@@ -174,9 +173,7 @@ fn concurrent_tag_purge_never_serves_stale() {
     let qp = Arc::new({
         let qp = processor_over(&db);
         qp.caches
-            .set_l2(Arc::new(SingleStoreL2::new(Arc::new(ExternalStore::new(
-                Duration::ZERO,
-            )))));
+            .set_l2(Arc::new(ExternalStore::new(Duration::ZERO)));
         qp
     });
 

@@ -1,18 +1,19 @@
-//! Vectorized-kernel oracle: every aggregation and join runs twice — once
-//! through the type-specialized fast path (packed keys, batch hashing, typed
-//! aggregate states, selection vectors) and once through the retained
-//! Value-row fallback (`enable_vector_kernels = false`) — and the two arms
-//! must produce identical result sets. The generated tables cover every
-//! `DataType`, null-heavy columns, inline (≤ 7 byte) and interned long
-//! strings, case-insensitive collation, empty inputs, and group keys wide
-//! enough to force the fallback on its own.
+//! Keyed-operator oracle: every aggregation and join runs through the
+//! engine (packed keys, batch hashing, typed aggregate states, selection
+//! vectors) and is compared, as a result set, with a naive row model written
+//! here: a `BTreeMap` over the input's `to_rows()` for GROUP BY, a nested
+//! loop for equi-joins. The model never calls into the executor. The
+//! generated tables cover every `DataType`, null-heavy columns, inline
+//! (≤ 7 byte) and interned long strings, case-insensitive collation, empty
+//! inputs, and keys of 9, 64, 65 and 70 columns with NULLs past column 63
+//! (where the packed key's null bitmap spills into a second word).
 //!
 //! Tables hand the operators tidy string vectors (one sorted dictionary per
 //! column). The last section feeds `HashAggOp` and `HashJoinOp` chunks coded
 //! against arbitrary string tables instead — a different table per chunk,
 //! duplicate and unreferenced entries, out-of-range placeholders on null
-//! rows, an all-null column over an empty table — and checks both arms
-//! against a model computed from the rows.
+//! rows, an all-null column over an empty table — and checks them against
+//! the same kind of model.
 
 #![allow(clippy::field_reassign_with_default)]
 
@@ -25,7 +26,7 @@ use tabviz::tde::exec::agg::HashAggOp;
 use tabviz::tde::exec::join::HashJoinOp;
 use tabviz::tde::exec::PhysOp;
 use tabviz::tde::physical::{agg_schema, BuildSide, PhysPlan};
-use tabviz::tql::expr::{bin, col, lit};
+use tabviz::tql::expr::{bin, col, lit, Expr};
 
 const SHORT: [&str; 6] = ["ak", "ca", "ny", "tx", "wa", "or"];
 const LONG: [&str; 5] = [
@@ -36,7 +37,7 @@ const LONG: [&str; 5] = [
     "central-region-echo",
 ];
 // Pairs differing only by case: under CI collation they must land in the
-// same group / join partition, under the kernels and the fallback alike.
+// same group / join partition.
 const CASED: [&str; 6] = ["Alpha", "alpha", "BETA", "beta", "Gamma", "GAMMA"];
 
 /// Fact table exercising every value type the packed-key encoder handles:
@@ -180,39 +181,178 @@ fn oracle_tde(rows: usize) -> Tde {
     db.put(Table::from_chunk("t", &fact, &[]).unwrap()).unwrap();
     db.put(Table::from_chunk("dim", &dim_chunk(), &[]).unwrap())
         .unwrap();
+    put_wide_tables(&db);
     Tde::new(db)
 }
 
-/// The two arms under comparison. Run aggregation is disabled in BOTH so
-/// every aggregate actually goes through HashAgg — the operator the kernels
-/// specialize — rather than the RLE-run plan shape.
-fn arms() -> Vec<(&'static str, ExecOptions)> {
-    let mut fast = ExecOptions::serial();
-    fast.physical.enable_run_agg = false;
-    let mut slow = fast.clone();
-    slow.physical.enable_vector_kernels = false;
-    vec![("kernels", fast), ("value-row-fallback", slow)]
+/// Serial execution with run aggregation disabled, so every aggregate
+/// actually goes through HashAgg rather than the RLE-run plan shape.
+fn engine_opts() -> ExecOptions {
+    let mut opts = ExecOptions::serial();
+    opts.physical.enable_run_agg = false;
+    opts
 }
 
-fn check_arms_agree(tde: &Tde, plan: &LogicalPlan) {
-    let mut results = Vec::new();
-    for (name, opts) in arms() {
-        let mut rows = tde.execute_plan(plan, &opts).unwrap().to_rows();
-        rows.sort();
-        results.push((name, rows));
-    }
-    let (base_name, expected) = &results[0];
-    for (name, rows) in &results[1..] {
-        assert_eq!(
-            rows, expected,
-            "arm {name} diverged from {base_name} on {plan}"
-        );
+fn check_matches_model(tde: &Tde, plan: &LogicalPlan, mut want: Vec<Vec<Value>>) {
+    let mut got = tde.execute_plan(plan, &engine_opts()).unwrap().to_rows();
+    got.sort();
+    want.sort();
+    assert_eq!(got, want, "engine diverged from the row model on {plan}");
+}
+
+// ---------------------------------------------------------------------------
+// The row model.
+
+fn column_name(e: &Expr) -> &str {
+    match e {
+        Expr::Column(c) => c,
+        other => panic!("the model reads plain columns only, not {other}"),
     }
 }
 
-/// The full aggregate spread: typed fast-path states (COUNT, COUNT(col),
-/// SUM int/real, MIN/MAX int/real, AVG) plus calls that stay on the
-/// Value-row state even under the kernels (MIN over Str, MAX over Date).
+/// A group key cell as the model compares it: case-folded under CI.
+fn key_cell(v: &Value, collation: Collation) -> Value {
+    match v {
+        Value::Str(s) if collation == Collation::CaseInsensitive => {
+            Value::Str(s.to_ascii_lowercase())
+        }
+        other => other.clone(),
+    }
+}
+
+/// One aggregate over a group's rows, the textbook way: NULL arguments are
+/// skipped, SUM/MIN/MAX/AVG of no values is NULL, sums run in row order.
+fn model_agg(call: &AggCall, schema: &Schema, rows: &[&Vec<Value>]) -> Value {
+    let Some(arg) = &call.arg else {
+        return Value::Int(rows.len() as i64);
+    };
+    let ai = schema.index_of(column_name(arg)).unwrap();
+    let vals: Vec<&Value> = rows
+        .iter()
+        .map(|r| &r[ai])
+        .filter(|v| !v.is_null())
+        .collect();
+    let real_sum = || {
+        vals.iter().fold(0.0, |acc, v| match v {
+            Value::Int(i) => acc + *i as f64,
+            Value::Real(r) => acc + r,
+            other => panic!("numeric aggregate over {other:?}"),
+        })
+    };
+    if vals.is_empty() && call.func != AggFunc::Count {
+        return Value::Null;
+    }
+    match call.func {
+        AggFunc::Count => Value::Int(vals.len() as i64),
+        AggFunc::Sum => match vals[0] {
+            Value::Int(_) => Value::Int(vals.iter().map(|v| v.as_int().unwrap()).sum()),
+            _ => Value::Real(real_sum()),
+        },
+        AggFunc::Min => (*vals.iter().min().unwrap()).clone(),
+        AggFunc::Max => (*vals.iter().max().unwrap()).clone(),
+        AggFunc::Avg => Value::Real(real_sum() / vals.len() as f64),
+        other => panic!("the model has no {other:?}"),
+    }
+}
+
+/// GROUP BY `keys` over `rows`: one output row per distinct (collated) key,
+/// carrying the first-seen spelling of each key cell, then `aggs`. With no
+/// keys, one row even over no input.
+fn model_group_by(
+    schema: &Schema,
+    rows: &[Vec<Value>],
+    keys: &[&str],
+    aggs: &[AggCall],
+) -> Vec<Vec<Value>> {
+    let key_cols: Vec<(usize, Collation)> = keys
+        .iter()
+        .map(|k| {
+            let i = schema.index_of(k).unwrap();
+            (i, schema.field(i).collation)
+        })
+        .collect();
+    let mut groups: BTreeMap<Vec<Value>, Vec<&Vec<Value>>> = BTreeMap::new();
+    for row in rows {
+        let key = key_cols
+            .iter()
+            .map(|&(i, c)| key_cell(&row[i], c))
+            .collect();
+        groups.entry(key).or_default().push(row);
+    }
+    if keys.is_empty() && groups.is_empty() {
+        groups.insert(vec![], vec![]);
+    }
+    groups
+        .into_values()
+        .map(|members| {
+            let reps = key_cols.iter().map(|&(i, _)| members[0][i].clone());
+            let states = aggs.iter().map(|a| model_agg(a, schema, &members));
+            reps.chain(states).collect()
+        })
+        .collect()
+}
+
+/// Equi-join by nested loop: a pair matches when every key pair compares
+/// equal under the build column's collation; NULL keys never match; a left
+/// join null-fills probe rows without a match.
+fn model_join(
+    probe: (&Schema, &[Vec<Value>]),
+    build: (&Schema, &[Vec<Value>]),
+    on: &[(String, String)],
+    join_type: JoinType,
+) -> Vec<Vec<Value>> {
+    let keys: Vec<(usize, usize, Collation)> = on
+        .iter()
+        .map(|(l, r)| {
+            let bi = build.0.index_of(r).unwrap();
+            (
+                probe.0.index_of(l).unwrap(),
+                bi,
+                build.0.field(bi).collation,
+            )
+        })
+        .collect();
+    let mut out = Vec::new();
+    for p in probe.1 {
+        let mut matched = false;
+        for b in build.1 {
+            if keys.iter().all(|&(pi, bi, c)| {
+                !p[pi].is_null() && p[pi].cmp_collated(&b[bi], c) == std::cmp::Ordering::Equal
+            }) {
+                matched = true;
+                out.push([p.clone(), b.clone()].concat());
+            }
+        }
+        if !matched && join_type == JoinType::Left {
+            out.push([p.clone(), vec![Value::Null; build.0.len()]].concat());
+        }
+    }
+    out
+}
+
+fn dim_schema() -> SchemaRef {
+    Arc::clone(dim_chunk().schema())
+}
+
+/// Fact ⋈ dim on one key pair: the plan and its modelled rows.
+fn fact_join(rows: usize, on: (&str, &str), join_type: JoinType) -> (LogicalPlan, Vec<Vec<Value>>) {
+    let on = vec![(on.0.to_string(), on.1.to_string())];
+    let plan = LogicalPlan::scan("t").join(LogicalPlan::scan("dim"), on.clone(), join_type);
+    let want = model_join(
+        (&fact_schema(), &fact_rows(rows)),
+        (&dim_schema(), &dim_chunk().to_rows()),
+        &on,
+        join_type,
+    );
+    (plan, want)
+}
+
+// ---------------------------------------------------------------------------
+// The mixed-type fact table.
+
+/// The full aggregate spread: typed states (COUNT, COUNT(col), SUM int/real,
+/// MIN/MAX int/real, AVG) plus calls kept on the row-wise state (MIN over
+/// Str, MAX over Date).
 fn agg_calls() -> Vec<AggCall> {
     vec![
         AggCall::new(AggFunc::Count, None, "n"),
@@ -229,12 +369,18 @@ fn agg_calls() -> Vec<AggCall> {
     ]
 }
 
-fn group_plan(group_cols: &[&str]) -> LogicalPlan {
+fn group_plan(table: &str, group_cols: &[&str], aggs: Vec<AggCall>) -> LogicalPlan {
     let group_by = group_cols
         .iter()
         .map(|c| (col(*c), (*c).to_string()))
         .collect();
-    LogicalPlan::scan("t").aggregate(group_by, agg_calls())
+    LogicalPlan::scan(table).aggregate(group_by, aggs)
+}
+
+/// GROUP BY `group_cols` of the fact table against the model.
+fn check_fact_group_by(tde: &Tde, rows: usize, group_cols: &[&str]) {
+    let want = model_group_by(&fact_schema(), &fact_rows(rows), group_cols, &agg_calls());
+    check_matches_model(tde, &group_plan("t", group_cols, agg_calls()), want);
 }
 
 fn groupable_col() -> impl Strategy<Value = &'static str> {
@@ -253,30 +399,35 @@ proptest! {
         let mut seen = std::collections::HashSet::new();
         let mut cols = cols;
         cols.retain(|c| seen.insert(*c));
-        let tde = oracle_tde(rows);
-        check_arms_agree(&tde, &group_plan(&cols));
+        check_fact_group_by(&oracle_tde(rows), rows, &cols);
     }
 
     /// A residual (non-sargable-into-scan) filter under the aggregate: the
-    /// kernels evaluate it into a selection vector and fuse it into the
-    /// HashAgg; the fallback rematerializes. Results must not differ.
+    /// engine evaluates it into a selection vector fused into the HashAgg.
     #[test]
     fn filtered_agg_arms_agree(
         gcol in groupable_col(),
         bound in -3i64..=3i64,
         ge in any::<bool>(),
     ) {
-        let tde = oracle_tde(2_048);
-        let pred = if ge {
-            bin(BinOp::Ge, col("i"), lit(bound))
+        let rows = 2_048;
+        let tde = oracle_tde(rows);
+        let (pred, keep): (_, fn(i64, i64) -> bool) = if ge {
+            (bin(BinOp::Ge, col("i"), lit(bound)), |x, b| x >= b)
         } else {
-            bin(BinOp::Lt, col("i"), lit(bound))
+            (bin(BinOp::Lt, col("i"), lit(bound)), |x, b| x < b)
         };
         let plan = LogicalPlan::scan("t").select(pred).aggregate(
             vec![(col(gcol), gcol.to_string())],
             agg_calls(),
         );
-        check_arms_agree(&tde, &plan);
+        let ii = fact_schema().index_of("i").unwrap();
+        let kept: Vec<Vec<Value>> = fact_rows(rows)
+            .into_iter()
+            .filter(|r| matches!(r[ii], Value::Int(x) if keep(x, bound)))
+            .collect();
+        let want = model_group_by(&fact_schema(), &kept, &[gcol], &agg_calls());
+        check_matches_model(&tde, &plan, want);
     }
 
     /// Joins on each key type (inline Str, interned long Str, CI-collated
@@ -293,89 +444,212 @@ proptest! {
         left in any::<bool>(),
         rows in proptest::sample::select(vec![1usize, 513, 3_000]),
     ) {
-        let tde = oracle_tde(rows);
         let jt = if left { JoinType::Left } else { JoinType::Inner };
-        let plan = LogicalPlan::scan("t").join(
-            LogicalPlan::scan("dim"),
-            vec![(key.0.to_string(), key.1.to_string())],
-            jt,
-        );
-        check_arms_agree(&tde, &plan);
+        let (plan, want) = fact_join(rows, key, jt);
+        check_matches_model(&oracle_tde(rows), &plan, want);
     }
 }
 
-/// Group keys wider than the packed-key budget (`MAX_KEY_COLS = 8`) make the
-/// kernels' own selection logic fall back; 8 columns is the widest fast-path
-/// key. Both widths must agree across arms.
-#[test]
-fn wide_keys_agree_at_and_past_the_fastpath_limit() {
-    let tde = oracle_tde(1_500);
-    // Exactly at the limit: fast path vs forced fallback.
-    check_arms_agree(
-        &tde,
-        &group_plan(&["b", "i", "s", "ls", "ci", "d", "nh", "v"]),
-    );
-    // Past the limit: the kernels arm itself selects the fallback.
-    check_arms_agree(
-        &tde,
-        &group_plan(&["b", "i", "s", "ls", "ci", "d", "nh", "v", "w"]),
-    );
-}
-
 /// Empty inputs: a grouped aggregate yields no rows, a global aggregate
-/// yields exactly one row of identity values, and a join yields nothing —
-/// identically in both arms.
+/// yields exactly one row of identity values, and a join yields nothing.
 #[test]
 fn empty_input_arms_agree() {
     let tde = oracle_tde(0);
-    check_arms_agree(&tde, &group_plan(&["s", "i"]));
-    check_arms_agree(&tde, &LogicalPlan::scan("t").aggregate(vec![], agg_calls()));
+    check_fact_group_by(&tde, 0, &["s", "i"]);
+    check_fact_group_by(&tde, 0, &[]);
     for jt in [JoinType::Inner, JoinType::Left] {
-        let plan = LogicalPlan::scan("t").join(
-            LogicalPlan::scan("dim"),
-            vec![("s".to_string(), "code".to_string())],
-            jt,
-        );
-        check_arms_agree(&tde, &plan);
+        let (plan, want) = fact_join(0, ("s", "code"), jt);
+        check_matches_model(&tde, &plan, want);
     }
 }
 
 /// Join followed by aggregation over the dimension payload — the e23 shape:
-/// probe-side kernels feed a packed-key aggregate over build-side columns.
+/// a packed-key probe feeds a packed-key aggregate over build-side columns.
 #[test]
 fn join_then_agg_arms_agree() {
-    let tde = oracle_tde(3_000);
-    for (probe, build) in [("s", "code"), ("ls", "lcode"), ("i", "k")] {
-        let plan = LogicalPlan::scan("t")
-            .join(
-                LogicalPlan::scan("dim"),
-                vec![(probe.to_string(), build.to_string())],
-                JoinType::Inner,
-            )
-            .aggregate(
-                vec![(col("label"), "label".into())],
-                vec![
-                    AggCall::new(AggFunc::Count, None, "n"),
-                    AggCall::new(AggFunc::Sum, Some(col("v")), "sv"),
-                    AggCall::new(AggFunc::Min, Some(col("weight")), "lo"),
-                ],
-            );
-        check_arms_agree(&tde, &plan);
+    let rows = 3_000;
+    let tde = oracle_tde(rows);
+    let aggs = vec![
+        AggCall::new(AggFunc::Count, None, "n"),
+        AggCall::new(AggFunc::Sum, Some(col("v")), "sv"),
+        AggCall::new(AggFunc::Min, Some(col("weight")), "lo"),
+    ];
+    for key in [("s", "code"), ("ls", "lcode"), ("i", "k")] {
+        let (join, joined) = fact_join(rows, key, JoinType::Inner);
+        let plan = join.aggregate(vec![(col("label"), "label".into())], aggs.clone());
+        let schema = fact_schema().join(&dim_schema());
+        let want = model_group_by(&schema, &joined, &["label"], &aggs);
+        check_matches_model(&tde, &plan, want);
     }
 }
 
-/// Case-insensitive grouping must merge case variants into one group — and
-/// produce the same representative set in both arms.
+/// Case-insensitive grouping must merge case variants into one group.
 #[test]
 fn ci_grouping_merges_case_variants() {
-    let tde = oracle_tde(1_200);
-    let plan = group_plan(&["ci"]);
-    for (name, opts) in arms() {
-        let out = tde.execute_plan(&plan, &opts).unwrap();
-        // CASED holds 3 distinct names under CI collation.
-        assert_eq!(out.len(), 3, "arm {name} group count");
+    let rows = 1_200;
+    let tde = oracle_tde(rows);
+    let out = tde
+        .execute_plan(&group_plan("t", &["ci"], agg_calls()), &engine_opts())
+        .unwrap();
+    // CASED holds 3 distinct names under CI collation.
+    assert_eq!(out.len(), 3);
+    check_fact_group_by(&tde, rows, &["ci"]);
+}
+
+// ---------------------------------------------------------------------------
+// Wide keys: 9, 64, 65 and 70 columns.
+
+const WIDE: usize = 70;
+
+/// Key column `i` of the wide tables: Int at 0 and 64, otherwise cycling
+/// Int / short Str / long Str / Date / Bool.
+fn wide_field(prefix: &str, i: usize) -> Field {
+    let dtype = match (i, i % 5) {
+        (0 | 64, _) | (_, 0) => DataType::Int,
+        (_, 1 | 2) => DataType::Str,
+        (_, 3) => DataType::Date,
+        _ => DataType::Bool,
+    };
+    Field::new(format!("{prefix}{i}"), dtype)
+}
+
+fn wide_schema(prefix: &str, payload: Field) -> Arc<Schema> {
+    let mut fields: Vec<Field> = (0..WIDE).map(|i| wide_field(prefix, i)).collect();
+    fields.push(payload);
+    Arc::new(Schema::new(fields).unwrap())
+}
+
+/// Wide row `r`: every key cell derives from one of 13 base groups, so rows
+/// repeat keys; one of four NULL patterns then decides which cells are NULL.
+/// Pattern 1 nulls column 0 and pattern 2 column 64, both Int 0 otherwise:
+/// the two keys differ only in which null bit is set, one in each bitmap
+/// word. Pattern 3 nulls every odd column past 63.
+fn wide_row(r: u64, payload: Value) -> Vec<Value> {
+    let h = r.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 33;
+    let (g, pattern) = ((h % 13) as i64, (h >> 8) % 4);
+    let mut row: Vec<Value> = (0..WIDE)
+        .map(|i| {
+            let null = match pattern {
+                1 => i == 0,
+                2 => i == 64,
+                3 => i >= 64 && i % 2 == 1,
+                _ => false,
+            };
+            let c = i as i64;
+            match (i, i % 5) {
+                _ if null => Value::Null,
+                (0 | 64, _) => Value::Int(0),
+                (_, 0) => Value::Int((g * 7 + c) % 11),
+                (_, 1) => Value::Str(format!("g{}", (g + c) % 13)),
+                (_, 2) => Value::Str(format!("wide-group-{g}-column-{i}")),
+                (_, 3) => Value::Date(((g * 3 + c) % 40) as i32),
+                _ => Value::Bool((g + c) % 2 == 0),
+            }
+        })
+        .collect();
+    row.push(payload);
+    row
+}
+
+fn wide_rows() -> Vec<Vec<Value>> {
+    (0..600)
+        .map(|r| {
+            let v = if r % 17 == 0 {
+                Value::Null
+            } else {
+                Value::Int((r % 50) as i64 - 25)
+            };
+            wide_row(r, v)
+        })
+        .collect()
+}
+
+fn wide_dim_rows() -> Vec<Vec<Value>> {
+    (1_000..1_040)
+        .map(|r| wide_row(r, Value::Str(format!("L{r}"))))
+        .collect()
+}
+
+fn wide_fact_schema() -> Arc<Schema> {
+    wide_schema("k", Field::new("v", DataType::Int))
+}
+
+fn wide_dim_schema() -> Arc<Schema> {
+    wide_schema("d", Field::new("label", DataType::Str))
+}
+
+fn put_wide_tables(db: &Database) {
+    for (name, schema, rows) in [
+        ("wide", wide_fact_schema(), wide_rows()),
+        ("wide_dim", wide_dim_schema(), wide_dim_rows()),
+    ] {
+        let chunk = Chunk::from_rows(schema, &rows).unwrap();
+        db.put(Table::from_chunk(name, &chunk, &[]).unwrap())
+            .unwrap();
     }
-    check_arms_agree(&tde, &plan);
+}
+
+/// Key widths: one null-bitmap word (9, 64 columns), then two (65, 70).
+const WIDTHS: [usize; 4] = [9, 64, 65, 70];
+
+/// The fact table's widest keys, 8 and 9 columns (the name recalls the
+/// former 8-column packed-key limit).
+#[test]
+fn wide_keys_agree_at_and_past_the_fastpath_limit() {
+    let tde = oracle_tde(1_500);
+    check_fact_group_by(&tde, 1_500, &["b", "i", "s", "ls", "ci", "d", "nh", "v"]);
+    check_fact_group_by(
+        &tde,
+        1_500,
+        &["b", "i", "s", "ls", "ci", "d", "nh", "v", "w"],
+    );
+}
+
+#[test]
+fn wide_group_keys_match_model() {
+    let tde = oracle_tde(0);
+    let aggs = vec![
+        AggCall::new(AggFunc::Count, None, "n"),
+        AggCall::new(AggFunc::Sum, Some(col("v")), "sv"),
+        AggCall::new(AggFunc::Max, Some(col("v")), "hiv"),
+    ];
+    for width in WIDTHS {
+        let names: Vec<String> = (0..width).map(|i| format!("k{i}")).collect();
+        let keys: Vec<&str> = names.iter().map(String::as_str).collect();
+        let want = model_group_by(&wide_fact_schema(), &wide_rows(), &keys, &aggs);
+        if width > 64 {
+            // Patterns 1 and 2 differ only in a null bit of each bitmap word.
+            assert!(
+                want.len()
+                    > model_group_by(&wide_fact_schema(), &wide_rows(), &keys[..64], &aggs).len()
+            );
+        }
+        check_matches_model(&tde, &group_plan("wide", &keys, aggs.clone()), want);
+    }
+}
+
+#[test]
+fn wide_join_keys_match_model() {
+    let tde = oracle_tde(0);
+    for width in WIDTHS {
+        let on: Vec<(String, String)> = (0..width)
+            .map(|i| (format!("k{i}"), format!("d{i}")))
+            .collect();
+        for jt in [JoinType::Inner, JoinType::Left] {
+            let plan =
+                LogicalPlan::scan("wide").join(LogicalPlan::scan("wide_dim"), on.clone(), jt);
+            let want = model_join(
+                (&wide_fact_schema(), &wide_rows()),
+                (&wide_dim_schema(), &wide_dim_rows()),
+                &on,
+                jt,
+            );
+            if jt == JoinType::Inner {
+                assert!(!want.is_empty(), "{width}-column join must match some rows");
+            }
+            check_matches_model(&tde, &plan, want);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -480,25 +754,12 @@ fn drain(mut op: impl PhysOp) -> Vec<Vec<Value>> {
     rows
 }
 
-/// Lower-case a CI group key so representatives ("Alpha" or "alpha",
-/// whichever a group saw first) compare equal.
-fn fold_case(v: &Value) -> Value {
-    match v {
-        Value::Str(s) => Value::Str(s.to_ascii_lowercase()),
-        other => other.clone(),
-    }
-}
-
 fn check_coded_group_by(chunks: &[Chunk], gcol: &str) {
     let schema = coded_schema();
     let gi = schema.index_of(gcol).unwrap();
-    let fold = |v: &Value| {
-        if gcol == "ci" {
-            fold_case(v)
-        } else {
-            v.clone()
-        }
-    };
+    // Representatives ("Alpha" or "alpha", whichever a group saw first)
+    // compare case-folded under CI.
+    let fold = |v: &Value| key_cell(v, schema.field(gi).collation);
     // Model: COUNT(*) and SUM(v) per group, from the materialized rows.
     let mut want: BTreeMap<Value, (i64, i64)> = BTreeMap::new();
     for row in chunks.iter().flat_map(Chunk::to_rows) {
@@ -519,25 +780,22 @@ fn check_coded_group_by(chunks: &[Chunk], gcol: &str) {
     // Chunk by chunk (a table per chunk) and merged (tables remapped into one).
     let merged = [Chunk::concat(Arc::clone(&schema), chunks).unwrap()];
     for (feed, input) in [("per-chunk", chunks), ("concat", &merged[..])] {
-        for kernels in [true, false] {
-            let source = Replay {
-                schema: Arc::clone(&schema),
-                chunks: input.iter().cloned().collect(),
-            };
-            let op = HashAggOp::new(
-                Box::new(source),
-                group_by.clone(),
-                aggs.clone(),
-                Arc::clone(&out_schema),
-            )
-            .with_kernels(kernels);
-            let mut got = drain(op);
-            for row in &mut got {
-                row[0] = fold(&row[0]);
-            }
-            got.sort();
-            assert_eq!(got, want, "GROUP BY {gcol}, {feed}, kernels={kernels}");
+        let source = Replay {
+            schema: Arc::clone(&schema),
+            chunks: input.iter().cloned().collect(),
+        };
+        let op = HashAggOp::new(
+            Box::new(source),
+            group_by.clone(),
+            aggs.clone(),
+            Arc::clone(&out_schema),
+        );
+        let mut got = drain(op);
+        for row in &mut got {
+            row[0] = fold(&row[0]);
         }
+        got.sort();
+        assert_eq!(got, want, "GROUP BY {gcol}, {feed}");
     }
 }
 
@@ -567,32 +825,29 @@ fn check_coded_join(chunks: &[Chunk], probe_key: &str, build_key: &str, join_typ
     }
     want.sort();
     let out_schema = Arc::new(schema.join(dim.schema()));
-    for kernels in [true, false] {
-        let build_plan = PhysPlan::Scan {
-            table: Arc::clone(&dim),
-            ranges: vec![(0, dim.row_count())],
-            projection: None,
-            via_rle_index: false,
-            pushed: vec![],
-        };
-        let build =
-            BuildSide::new(build_plan, Arc::clone(dim.schema()), vec![bi]).with_kernels(kernels);
-        let source = Replay {
-            schema: Arc::clone(&schema),
-            chunks: chunks.iter().cloned().collect(),
-        };
-        let op = HashJoinOp::new(
-            Box::new(source),
-            Arc::new(build),
-            vec![probe_key.to_string()],
-            join_type,
-            Arc::clone(&out_schema),
-        )
-        .unwrap();
-        let mut got = drain(op);
-        got.sort();
-        assert_eq!(got, want, "JOIN {probe_key}={build_key}, kernels={kernels}");
-    }
+    let build_plan = PhysPlan::Scan {
+        table: Arc::clone(&dim),
+        ranges: vec![(0, dim.row_count())],
+        projection: None,
+        via_rle_index: false,
+        pushed: vec![],
+    };
+    let build = BuildSide::new(build_plan, Arc::clone(dim.schema()), vec![bi]);
+    let source = Replay {
+        schema: Arc::clone(&schema),
+        chunks: chunks.iter().cloned().collect(),
+    };
+    let op = HashJoinOp::new(
+        Box::new(source),
+        Arc::new(build),
+        vec![probe_key.to_string()],
+        join_type,
+        Arc::clone(&out_schema),
+    )
+    .unwrap();
+    let mut got = drain(op);
+    got.sort();
+    assert_eq!(got, want, "JOIN {probe_key}={build_key}");
 }
 
 proptest! {

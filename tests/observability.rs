@@ -6,7 +6,7 @@
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 use tabviz::cache::intelligent::CacheConfig;
-use tabviz::cache::{ExternalStore, SingleStoreL2};
+use tabviz::cache::ExternalStore;
 use tabviz::obs::{stage, MetricValue, ProfileOutcome};
 use tabviz::prelude::*;
 
@@ -244,9 +244,7 @@ fn stats_and_registry_read_one_cell() {
         },
         room,
     );
-    caches.set_l2(Arc::new(SingleStoreL2::new(Arc::new(ExternalStore::new(
-        Duration::ZERO,
-    )))));
+    caches.set_l2(Arc::new(ExternalStore::new(Duration::ZERO)));
     // Misses, inserts (one rejected as too cheap), evictions, an exact hit,
     // an L2 store / miss / hit / promote, a warm-up and a tag purge.
     let drive = |caches: &QueryCaches, round: usize| {
