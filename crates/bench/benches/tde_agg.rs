@@ -29,6 +29,19 @@ fn bench(c: &mut Criterion) {
     group.bench_function("str_key", |b| {
         b.iter(|| tde.query_with(q_str, &serial).unwrap())
     });
+    // Fig. 1's CancellationsByWeekday zone under the same range filter:
+    // COUNTD over a Date argument, one (group, date) pair table.
+    let q_countd = "(aggregate ((weekday)) ((count as n) (countd date as days))
+                      (select (between distance 700 1300) (scan flights)))";
+    group.bench_function("countd_date", |b| {
+        b.iter(|| tde.query_with(q_countd, &serial).unwrap())
+    });
+    // MIN/MAX over a string argument: each group keeps its winning string.
+    let q_minmax = "(aggregate ((origin_state)) ((min dest as lo) (max dest as hi))
+                      (select (between distance 700 1300) (scan flights)))";
+    group.bench_function("minmax_str", |b| {
+        b.iter(|| tde.query_with(q_minmax, &serial).unwrap())
+    });
     let mut lg = ExecOptions::default();
     lg.parallel = ParallelOptions {
         profile: forced,

@@ -1,7 +1,8 @@
 //! Byte-mutation property tests for the decoders of external bytes: a
-//! packed table (`unpack_table`), an L2 value (`decode_chunk`) and a cache
-//! file (`persist::load`). Whatever the bytes, each returns `Ok` or `Err`;
-//! none panics, and none pre-allocates from a corrupt length.
+//! packed table (`unpack_table`), an L2 value (`decode_chunk`), a cache
+//! file (`persist::load`) and TQL text (`parse_plan`, `parse_expr`).
+//! Whatever the bytes, each returns `Ok` or `Err`; none panics, and none
+//! pre-allocates from a corrupt length or recurses without bound.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -10,7 +11,8 @@ use tabviz_cache::intelligent::CacheConfig;
 use tabviz_cache::{decode_chunk, encode_chunk, persist, QueryCaches, QuerySpec};
 use tabviz_common::{Chunk, Collation, DataType, Field, Schema, Value};
 use tabviz_storage::pack::unpack_table;
-use tabviz_tql::{AggCall, AggFunc, LogicalPlan};
+use tabviz_tql::parser::parse_expr;
+use tabviz_tql::{parse_plan, write_plan, AggCall, AggFunc, LogicalPlan};
 
 /// 300 rows whose columns take every stored form: a sorted string (RLE
 /// over a dictionary), an ascending integer (delta), a nullable real
@@ -110,6 +112,64 @@ proptest! {
         mutate(&mut img, &edits);
         let _ = persist::load(&caches(), &img);
     }
+
+    #[test]
+    fn mutated_plan_text_parses_or_fails(edits in edits()) {
+        let mut text = plan_text().into_bytes();
+        mutate(&mut text, &edits);
+        let text = String::from_utf8_lossy(&text);
+        let _ = parse_plan(&text);
+        let _ = parse_expr(&text);
+    }
+}
+
+/// A plan touching most of the grammar, as the cache file stores it.
+fn plan_text() -> String {
+    let plan = parse_plan(
+        r#"(topn 5 ((n desc))
+             (aggregate ((carrier) ((year date) as y))
+                        ((count as n) (countd origin as o) (avg delay as d))
+               (select (and (between distance 100 900)
+                            (in carrier "AA" "DL")
+                            (not (isnull delay)))
+                 (join left ((carrier code)) (scan flights) (scan carriers code name)))))"#,
+    )
+    .unwrap();
+    write_plan(&plan)
+}
+
+/// Where the first intelligent-cache entry's plan text sits in a cache
+/// image: the image is magic + version, an entry count, then per entry a
+/// length-prefixed source and a length-prefixed plan text. Returns the
+/// offset of the text's length prefix and the end of the text.
+fn plan_span(img: &[u8]) -> (usize, usize) {
+    let u32_at = |at: usize| u32::from_le_bytes(img[at..at + 4].try_into().unwrap()) as usize;
+    let at = 9 + 4 + u32_at(9);
+    (at, at + 4 + u32_at(at))
+}
+
+fn with_plan_text(img: &[u8], text: &str) -> Vec<u8> {
+    let (at, end) = plan_span(img);
+    let mut out = img[..at].to_vec();
+    out.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    out.extend_from_slice(text.as_bytes());
+    out.extend_from_slice(&img[end..]);
+    out
+}
+
+#[test]
+fn deeply_nested_plan_in_a_cache_file_is_skipped() {
+    let img = cache_image();
+    let (at, end) = plan_span(&img);
+    let stored = std::str::from_utf8(&img[at + 4..end]).unwrap();
+    assert!(parse_plan(stored).is_ok(), "{stored}");
+    assert_eq!(
+        persist::load(&caches(), &with_plan_text(&img, stored)).unwrap(),
+        2
+    );
+    // The entry whose plan does not parse is skipped; the literal one loads.
+    let deep = with_plan_text(&img, &"(".repeat(100_000));
+    assert_eq!(persist::load(&caches(), &deep).unwrap(), 1);
 }
 
 #[test]
@@ -119,4 +179,5 @@ fn unmutated_images_decode() {
         chunk()
     );
     assert_eq!(persist::load(&caches(), &cache_image()).unwrap(), 2);
+    assert!(parse_plan(&plan_text()).is_ok());
 }

@@ -3,15 +3,18 @@
 //! [`HashAggOp`] is the stop-and-go hash aggregate ("normal aggregate
 //! (currently based on hashing only in the TDE)", Sect. 4.2.4) and the one
 //! operator for every row-level GROUP BY, grouped (sorted) input included.
-//! [`RunAggOp`] aggregates RLE runs without decoding rows.
+//! [`RunAggOp`] aggregates RLE runs without decoding rows. Both fold their
+//! input into one `Grouping`: packed group keys plus one typed columnar
+//! accumulator (`AggStateCol`) per aggregate call.
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 use tabviz_common::{
-    Chunk, Collation, ColumnVec, DataType, NullMask, Result, SchemaRef, SelVec, Value, Values,
+    Chunk, Collation, ColumnVec, DataType, NullMask, Result, Schema, SchemaRef, SelVec, StrVec,
+    TvError, Value, Values,
 };
-use tabviz_storage::Table;
-use tabviz_tql::agg::{AggFunc, AggState};
+use tabviz_storage::{ColumnData, Table};
+use tabviz_tql::agg::AggFunc;
 use tabviz_tql::expr::Expr;
 use tabviz_tql::AggCall;
 
@@ -36,56 +39,78 @@ fn eval_set(chunk: &Chunk, group_by: &[(Expr, String)], aggs: &[AggCall]) -> Res
     Ok(EvalSet { groups, args })
 }
 
-/// Normalize a group key value under a collation so hash equality matches
-/// comparison equality (`Int(2)` vs `Real(2.0)` already hash alike).
-fn normalize_key(v: Value, collation: Collation) -> Value {
-    match v {
-        Value::Str(s) if collation != Collation::Binary => Value::Str(collation.key(&s)),
-        other => other,
+/// `col` as a column of `dtype`: borrowed when the evaluated variant already
+/// is `dtype`, converted value by value otherwise (an Int-valued expression
+/// in a Real-typed field). The one conversion from delivered to declared
+/// type, for group representatives and aggregate arguments alike.
+fn conform(col: &ColumnVec, dtype: DataType) -> Result<Cow<'_, ColumnVec>> {
+    if col.values.data_type() == dtype {
+        return Ok(Cow::Borrowed(col));
+    }
+    let vals: Vec<Value> = (0..col.len()).map(|i| col.get(i)).collect();
+    ColumnVec::from_iter_typed(dtype, vals.iter()).map(Cow::Owned)
+}
+
+fn type_mismatch() -> TvError {
+    TvError::Exec("aggregate argument does not match its declared type".into())
+}
+
+/// Int, Date and Bool values as the `i64`s one accumulator holds.
+fn i64s(values: &Values) -> Result<Cow<'_, [i64]>> {
+    Ok(match values {
+        Values::Int(v) => Cow::Borrowed(v),
+        Values::Date(v) => Cow::Owned(v.iter().map(|&d| i64::from(d)).collect()),
+        Values::Bool(v) => Cow::Owned(v.iter().map(|&b| i64::from(b)).collect()),
+        _ => return Err(type_mismatch()),
+    })
+}
+
+/// How many input rows the k-th selected row of an update stands for: one
+/// for row input, the segment length for RunAgg's run segments. Generic,
+/// so the unweighted loops compile without the multiply.
+trait Weight: Copy {
+    fn at(self, k: usize) -> i64;
+}
+
+/// Every row counts once.
+#[derive(Clone, Copy)]
+struct Unit;
+
+impl Weight for Unit {
+    #[inline(always)]
+    fn at(self, _: usize) -> i64 {
+        1
     }
 }
 
-/// Group collations come from the output schema's group fields.
-fn group_collations(schema: &SchemaRef, n_groups: usize) -> Vec<Collation> {
-    (0..n_groups).map(|i| schema.field(i).collation).collect()
+impl Weight for &[i64] {
+    #[inline(always)]
+    fn at(self, k: usize) -> i64 {
+        self[k]
+    }
 }
 
-/// Assemble the output chunk from per-group representative values + states,
-/// column-at-a-time: each output column is built directly (group
-/// representatives first, then finished aggregates) — no intermediate
-/// row-major `Vec<Vec<Value>>`.
-fn finish_groups(schema: &SchemaRef, groups: Vec<(Vec<Value>, Vec<AggState>)>) -> Result<Chunk> {
-    let n_group_cols = groups.first().map_or(0, |(reps, _)| reps.len());
-    let mut cols = Vec::with_capacity(schema.len());
-    for ci in 0..schema.len() {
-        let dtype = schema.field(ci).dtype;
-        let vals: Vec<Value> = if ci < n_group_cols {
-            groups.iter().map(|(reps, _)| reps[ci].clone()).collect()
-        } else {
-            groups
-                .iter()
-                .map(|(_, states)| states[ci - n_group_cols].finish())
-                .collect()
-        };
-        cols.push(ColumnVec::from_iter_typed(dtype, vals.iter())?);
-    }
-    Chunk::new(Arc::clone(schema), cols)
-}
+/// Selected rows per COUNTD pair encoding.
+const COUNTD_SLICE: usize = 4096;
 
 /// Typed columnar accumulator for one aggregate call across all groups.
 ///
-/// The variant is chosen once at operator construction from the declared
-/// argument type; `update_batch` then runs a tight loop over the typed
-/// slice. If a chunk ever delivers a different `Values` variant than the
-/// declared type promised (exotic expressions, untyped NULL literals), the
-/// accumulated state migrates losslessly into the row-wise [`AggState`]
-/// fallback (`Rows`) and processing continues — never an error the old
-/// row path would not have raised.
+/// The variant is chosen once, from the declared argument type, and
+/// [`Grouping::update`] conforms every argument chunk to that type, so
+/// `update` is a tight loop over one typed slice.
 enum AggStateCol {
     CountStar {
         counts: Vec<i64>,
     },
     CountCol {
+        counts: Vec<i64>,
+    },
+    /// Distinct (group id, argument) pairs in one packed-key table; a
+    /// group's count is its number of first insertions. The argument keys
+    /// under Binary collation — Real by bits, Int by its `i64`, strings byte
+    /// for byte — which is the equality of `Value`.
+    CountD {
+        pairs: GroupTable,
         counts: Vec<i64>,
     },
     SumInt {
@@ -96,179 +121,187 @@ enum AggStateCol {
         sums: Vec<f64>,
         seen: Vec<bool>,
     },
+    /// MIN/MAX over Int, Date or Bool on one `i64` accumulator; the output
+    /// is built back in `dtype`.
     MinMaxInt {
         vals: Vec<i64>,
         seen: Vec<bool>,
         is_min: bool,
+        dtype: DataType,
     },
     MinMaxReal {
         vals: Vec<f64>,
         seen: Vec<bool>,
         is_min: bool,
     },
+    /// MIN/MAX over Str: each group's winning string, compared byte-wise as
+    /// `Value::cmp` does.
+    MinMaxStr {
+        vals: Vec<Option<String>>,
+        is_min: bool,
+    },
     AvgNum {
         sums: Vec<f64>,
         counts: Vec<i64>,
     },
-    Rows {
-        func: AggFunc,
-        states: Vec<AggState>,
-    },
 }
 
 impl AggStateCol {
-    fn new(call: &AggCall, input_schema: &SchemaRef) -> Self {
-        let arg_dtype = call
-            .arg
-            .as_ref()
-            .and_then(|e| e.data_type(input_schema).ok());
-        match (call.func, call.arg.is_some(), arg_dtype) {
-            (AggFunc::Count, false, _) => AggStateCol::CountStar { counts: Vec::new() },
-            (AggFunc::Count, true, _) => AggStateCol::CountCol { counts: Vec::new() },
-            (AggFunc::Sum, _, Some(DataType::Int)) => AggStateCol::SumInt {
-                sums: Vec::new(),
-                seen: Vec::new(),
+    /// `arg_type` is `None` for `COUNT(*)` and for an argument of unknown
+    /// type (an untyped NULL literal), which never delivers a value.
+    fn new(call: &AggCall, arg_type: Option<DataType>) -> Result<Self> {
+        use DataType::{Bool, Date, Int, Real, Str};
+        let is_min = call.func == AggFunc::Min;
+        Ok(match (call.func, arg_type) {
+            (AggFunc::Count, _) if call.arg.is_none() => AggStateCol::CountStar { counts: vec![] },
+            (AggFunc::Count, _) | (AggFunc::CountD, None) => {
+                AggStateCol::CountCol { counts: vec![] }
+            }
+            (AggFunc::CountD, Some(t)) => AggStateCol::CountD {
+                pairs: GroupTable::new(KeyLayout::new(vec![Int, t], vec![Collation::Binary; 2])),
+                counts: vec![],
             },
-            (AggFunc::Sum, _, Some(DataType::Real)) => AggStateCol::SumReal {
-                sums: Vec::new(),
-                seen: Vec::new(),
+            (AggFunc::Sum, Some(Int)) => AggStateCol::SumInt {
+                sums: vec![],
+                seen: vec![],
             },
-            (AggFunc::Min, _, Some(DataType::Int)) | (AggFunc::Max, _, Some(DataType::Int)) => {
+            (AggFunc::Sum, Some(Real)) => AggStateCol::SumReal {
+                sums: vec![],
+                seen: vec![],
+            },
+            (AggFunc::Min | AggFunc::Max, Some(dtype @ (Int | Date | Bool))) => {
                 AggStateCol::MinMaxInt {
-                    vals: Vec::new(),
-                    seen: Vec::new(),
-                    is_min: call.func == AggFunc::Min,
+                    vals: vec![],
+                    seen: vec![],
+                    is_min,
+                    dtype,
                 }
             }
-            (AggFunc::Min, _, Some(DataType::Real)) | (AggFunc::Max, _, Some(DataType::Real)) => {
-                AggStateCol::MinMaxReal {
-                    vals: Vec::new(),
-                    seen: Vec::new(),
-                    is_min: call.func == AggFunc::Min,
-                }
+            (AggFunc::Min | AggFunc::Max, Some(Real)) => AggStateCol::MinMaxReal {
+                vals: vec![],
+                seen: vec![],
+                is_min,
+            },
+            (AggFunc::Min | AggFunc::Max, Some(Str)) => AggStateCol::MinMaxStr {
+                vals: vec![],
+                is_min,
+            },
+            (AggFunc::Avg, None | Some(Int | Real | Date)) => AggStateCol::AvgNum {
+                sums: vec![],
+                counts: vec![],
+            },
+            (func, t) => {
+                let over = t.map_or("an untyped NULL".to_string(), |t| t.to_string());
+                return Err(TvError::Type(format!("{} over {over}", func.name())));
             }
-            (AggFunc::Avg, _, Some(DataType::Int | DataType::Real)) => AggStateCol::AvgNum {
-                sums: Vec::new(),
-                counts: Vec::new(),
-            },
-            (func, _, _) => AggStateCol::Rows {
-                func,
-                states: Vec::new(),
-            },
-        }
+        })
     }
 
     /// Grow every per-group slot to `n` groups (identity elements).
     fn resize(&mut self, n: usize) {
         match self {
-            AggStateCol::CountStar { counts } | AggStateCol::CountCol { counts } => {
-                counts.resize(n, 0)
-            }
-            AggStateCol::SumInt { sums, seen } => {
-                sums.resize(n, 0);
-                seen.resize(n, false);
-            }
-            AggStateCol::SumReal { sums, seen } => {
-                sums.resize(n, 0.0);
-                seen.resize(n, false);
-            }
-            AggStateCol::MinMaxInt { vals, seen, .. } => {
+            AggStateCol::CountStar { counts }
+            | AggStateCol::CountCol { counts }
+            | AggStateCol::CountD { counts, .. } => counts.resize(n, 0),
+            AggStateCol::SumInt { sums: vals, seen }
+            | AggStateCol::MinMaxInt { vals, seen, .. } => {
                 vals.resize(n, 0);
                 seen.resize(n, false);
             }
-            AggStateCol::MinMaxReal { vals, seen, .. } => {
+            AggStateCol::SumReal { sums: vals, seen }
+            | AggStateCol::MinMaxReal { vals, seen, .. } => {
                 vals.resize(n, 0.0);
                 seen.resize(n, false);
             }
+            AggStateCol::MinMaxStr { vals, .. } => vals.resize(n, None),
             AggStateCol::AvgNum { sums, counts } => {
                 sums.resize(n, 0.0);
                 counts.resize(n, 0);
             }
-            AggStateCol::Rows { func, states } => {
-                let f = *func;
-                states.resize_with(n, || AggState::new(f));
-            }
         }
-    }
-
-    fn update_batch(&mut self, arg: Option<&ColumnVec>, sel: &SelVec, gids: &[u32]) -> Result<()> {
-        if self.try_update_typed(arg, sel, gids)? {
-            return Ok(());
-        }
-        // Declared type and delivered Values variant disagree: migrate the
-        // accumulated state into the row-wise path and retry (always taken).
-        self.migrate_to_rows();
-        self.try_update_typed(arg, sel, gids)?;
-        Ok(())
     }
 
     /// One chunk's worth of updates. `gids[k]` is the group of the k-th
-    /// *selected* row (parallel to `sel.iter()`). Returns `false` when the
-    /// typed variant does not match the delivered column.
-    fn try_update_typed(
+    /// *selected* row (parallel to `sel.iter()`) and `w.at(k)` how many
+    /// input rows it stands for (COUNT adds it, SUM and AVG multiply by it,
+    /// MIN/MAX and COUNTD ignore it). `arg` is in the declared type.
+    fn update<W: Weight>(
         &mut self,
         arg: Option<&ColumnVec>,
         sel: &SelVec,
         gids: &[u32],
-    ) -> Result<bool> {
-        match self {
-            AggStateCol::CountStar { counts } => {
-                for &g in gids {
-                    counts[g as usize] += 1;
+        w: W,
+    ) -> Result<()> {
+        let valid = arg.and_then(|c| c.nulls.valid_bits());
+        let is_valid = |row: usize| valid.is_none_or(|v| v[row]);
+        match (self, arg, arg.map(|c| &c.values)) {
+            (AggStateCol::CountStar { counts }, ..) => {
+                for (k, &g) in gids.iter().enumerate() {
+                    counts[g as usize] += w.at(k);
                 }
             }
-            AggStateCol::CountCol { counts } => {
-                let col = arg.expect("COUNT(col) has an argument");
-                match col.nulls.valid_bits() {
-                    None => {
-                        for &g in gids {
+            (AggStateCol::CountCol { counts }, Some(_), _) => {
+                for (k, (row, &g)) in sel.iter().zip(gids).enumerate() {
+                    if is_valid(row) {
+                        counts[g as usize] += w.at(k);
+                    }
+                }
+            }
+            (AggStateCol::CountD { pairs, counts }, Some(col), _) => {
+                let (rows, owners): (Vec<usize>, Vec<u32>) = sel
+                    .iter()
+                    .zip(gids)
+                    .filter(|&(row, _)| is_valid(row))
+                    .unzip();
+                // Pairs are encoded a slice at a time: the packed words of a
+                // whole chunk would be a chunk-sized allocation per call.
+                for (rows, owners) in rows.chunks(COUNTD_SLICE).zip(owners.chunks(COUNTD_SLICE)) {
+                    let owner_col = ColumnVec::from_values(Values::Int(
+                        owners.iter().map(|&g| i64::from(g)).collect(),
+                    ));
+                    let keys = pairs.encode(&[&owner_col, &col.take(rows)], rows.len());
+                    for (k, &g) in owners.iter().enumerate() {
+                        if pairs.lookup_or_insert(&keys, k).1 {
                             counts[g as usize] += 1;
                         }
                     }
-                    Some(valid) => {
-                        for (row, &g) in sel.iter().zip(gids) {
-                            if valid[row] {
-                                counts[g as usize] += 1;
-                            }
-                        }
-                    }
                 }
             }
-            AggStateCol::SumInt { sums, seen } => {
-                let col = arg.expect("SUM has an argument");
-                let Some(xs) = col.values.as_int() else {
-                    return Ok(false);
-                };
-                let valid = col.nulls.valid_bits();
-                for (row, &g) in sel.iter().zip(gids) {
-                    if valid.is_none_or(|v| v[row]) {
-                        sums[g as usize] += xs[row];
+            (AggStateCol::SumInt { sums, seen }, _, Some(Values::Int(xs))) => {
+                let mut overflow = false;
+                for (k, (row, &g)) in sel.iter().zip(gids).enumerate() {
+                    if is_valid(row) {
+                        let g = g as usize;
+                        let x = xs[row].checked_mul(w.at(k));
+                        let (sum, o) = sums[g].overflowing_add(x.unwrap_or(0));
+                        sums[g] = sum;
+                        seen[g] = true;
+                        overflow |= o | x.is_none();
+                    }
+                }
+                if overflow {
+                    return Err(TvError::Exec("SUM overflows a 64-bit integer".into()));
+                }
+            }
+            (AggStateCol::SumReal { sums, seen }, _, Some(Values::Real(xs))) => {
+                for (k, (row, &g)) in sel.iter().zip(gids).enumerate() {
+                    if is_valid(row) {
+                        sums[g as usize] += xs[row] * w.at(k) as f64;
                         seen[g as usize] = true;
                     }
                 }
             }
-            AggStateCol::SumReal { sums, seen } => {
-                let col = arg.expect("SUM has an argument");
-                let Some(xs) = col.values.as_real() else {
-                    return Ok(false);
-                };
-                let valid = col.nulls.valid_bits();
-                for (row, &g) in sel.iter().zip(gids) {
-                    if valid.is_none_or(|v| v[row]) {
-                        sums[g as usize] += xs[row];
-                        seen[g as usize] = true;
-                    }
-                }
-            }
-            AggStateCol::MinMaxInt { vals, seen, is_min } => {
-                let col = arg.expect("MIN/MAX has an argument");
-                let Some(xs) = col.values.as_int() else {
-                    return Ok(false);
-                };
-                let valid = col.nulls.valid_bits();
+            (
+                AggStateCol::MinMaxInt {
+                    vals, seen, is_min, ..
+                },
+                _,
+                Some(values),
+            ) => {
+                let xs = i64s(values)?;
                 let is_min = *is_min;
                 for (row, &g) in sel.iter().zip(gids) {
-                    if valid.is_none_or(|v| v[row]) {
+                    if is_valid(row) {
                         let g = g as usize;
                         let x = xs[row];
                         if !seen[g] || (is_min && x < vals[g]) || (!is_min && x > vals[g]) {
@@ -278,15 +311,10 @@ impl AggStateCol {
                     }
                 }
             }
-            AggStateCol::MinMaxReal { vals, seen, is_min } => {
-                let col = arg.expect("MIN/MAX has an argument");
-                let Some(xs) = col.values.as_real() else {
-                    return Ok(false);
-                };
-                let valid = col.nulls.valid_bits();
+            (AggStateCol::MinMaxReal { vals, seen, is_min }, _, Some(Values::Real(xs))) => {
                 let is_min = *is_min;
                 for (row, &g) in sel.iter().zip(gids) {
-                    if valid.is_none_or(|v| v[row]) {
+                    if is_valid(row) {
                         let g = g as usize;
                         let x = xs[row];
                         let better = if is_min {
@@ -301,137 +329,71 @@ impl AggStateCol {
                     }
                 }
             }
-            AggStateCol::AvgNum { sums, counts } => {
-                let col = arg.expect("AVG has an argument");
-                let valid = col.nulls.valid_bits();
-                if let Some(xs) = col.values.as_int() {
-                    for (row, &g) in sel.iter().zip(gids) {
-                        if valid.is_none_or(|v| v[row]) {
-                            sums[g as usize] += xs[row] as f64;
-                            counts[g as usize] += 1;
-                        }
-                    }
-                } else if let Some(xs) = col.values.as_real() {
-                    for (row, &g) in sel.iter().zip(gids) {
-                        if valid.is_none_or(|v| v[row]) {
-                            sums[g as usize] += xs[row];
-                            counts[g as usize] += 1;
-                        }
-                    }
-                } else {
-                    return Ok(false);
-                }
-            }
-            AggStateCol::Rows { states, .. } => {
+            (AggStateCol::MinMaxStr { vals, is_min }, _, Some(Values::Str(strs))) => {
                 for (row, &g) in sel.iter().zip(gids) {
-                    match arg {
-                        None => states[g as usize].update(None)?,
-                        Some(col) => {
-                            let v = col.get(row);
-                            states[g as usize].update(Some(&v))?;
+                    if is_valid(row) {
+                        let s = strs.get(row);
+                        let slot = &mut vals[g as usize];
+                        if slot
+                            .as_deref()
+                            .is_none_or(|cur| if *is_min { s < cur } else { s > cur })
+                        {
+                            *slot = Some(s.to_owned());
                         }
                     }
                 }
             }
+            (AggStateCol::AvgNum { sums, counts }, _, Some(Values::Real(xs))) => {
+                for (k, (row, &g)) in sel.iter().zip(gids).enumerate() {
+                    if is_valid(row) {
+                        sums[g as usize] += xs[row] * w.at(k) as f64;
+                        counts[g as usize] += w.at(k);
+                    }
+                }
+            }
+            (AggStateCol::AvgNum { sums, counts }, _, Some(values)) => {
+                let xs = i64s(values)?;
+                for (k, (row, &g)) in sel.iter().zip(gids).enumerate() {
+                    if is_valid(row) {
+                        sums[g as usize] += xs[row] as f64 * w.at(k) as f64;
+                        counts[g as usize] += w.at(k);
+                    }
+                }
+            }
+            _ => return Err(type_mismatch()),
         }
-        Ok(true)
+        Ok(())
     }
 
-    /// Convert accumulated typed state into equivalent [`AggState`]s.
-    fn migrate_to_rows(&mut self) {
-        let (func, states): (AggFunc, Vec<AggState>) = match self {
-            AggStateCol::CountStar { counts } | AggStateCol::CountCol { counts } => (
-                AggFunc::Count,
-                counts.iter().map(|&c| AggState::Count(c)).collect(),
-            ),
-            AggStateCol::SumInt { sums, seen } => (
-                AggFunc::Sum,
-                sums.iter()
-                    .zip(seen.iter())
-                    .map(|(&s, &sn)| AggState::Sum {
-                        int: s,
-                        real: s as f64,
-                        is_real: false,
-                        seen: sn,
-                    })
-                    .collect(),
-            ),
-            AggStateCol::SumReal { sums, seen } => (
-                AggFunc::Sum,
-                sums.iter()
-                    .zip(seen.iter())
-                    .map(|(&s, &sn)| AggState::Sum {
-                        int: 0,
-                        real: s,
-                        is_real: sn,
-                        seen: sn,
-                    })
-                    .collect(),
-            ),
-            AggStateCol::MinMaxInt { vals, seen, is_min } => {
-                let f = if *is_min { AggFunc::Min } else { AggFunc::Max };
-                let mk = |v: Option<Value>| {
-                    if *is_min {
-                        AggState::Min(v)
-                    } else {
-                        AggState::Max(v)
-                    }
-                };
-                (
-                    f,
-                    vals.iter()
-                        .zip(seen.iter())
-                        .map(|(&v, &sn)| mk(sn.then_some(Value::Int(v))))
-                        .collect(),
-                )
-            }
-            AggStateCol::MinMaxReal { vals, seen, is_min } => {
-                let f = if *is_min { AggFunc::Min } else { AggFunc::Max };
-                let mk = |v: Option<Value>| {
-                    if *is_min {
-                        AggState::Min(v)
-                    } else {
-                        AggState::Max(v)
-                    }
-                };
-                (
-                    f,
-                    vals.iter()
-                        .zip(seen.iter())
-                        .map(|(&v, &sn)| mk(sn.then_some(Value::Real(v))))
-                        .collect(),
-                )
-            }
-            AggStateCol::AvgNum { sums, counts } => (
-                AggFunc::Avg,
-                sums.iter()
-                    .zip(counts.iter())
-                    .map(|(&s, &c)| AggState::Avg { sum: s, count: c })
-                    .collect(),
-            ),
-            AggStateCol::Rows { .. } => return,
-        };
-        *self = AggStateCol::Rows { func, states };
-    }
-
-    /// Build the output column directly — no per-group `Value` round trip
-    /// for the typed variants.
-    fn finish_column(self, dtype: DataType) -> Result<ColumnVec> {
-        Ok(match self {
-            AggStateCol::CountStar { counts } | AggStateCol::CountCol { counts } => {
-                ColumnVec::from_values(Values::Int(counts))
-            }
+    /// Build the output column directly — no per-group `Value` round trip.
+    fn finish_column(self) -> ColumnVec {
+        match self {
+            AggStateCol::CountStar { counts }
+            | AggStateCol::CountCol { counts }
+            | AggStateCol::CountD { counts, .. } => ColumnVec::from_values(Values::Int(counts)),
             AggStateCol::SumInt { sums, seen } => {
                 ColumnVec::new(Values::Int(sums), NullMask::from_valid_bits(seen))
             }
             AggStateCol::SumReal { sums, seen } => {
                 ColumnVec::new(Values::Real(sums), NullMask::from_valid_bits(seen))
             }
-            AggStateCol::MinMaxInt { vals, seen, .. } => {
-                ColumnVec::new(Values::Int(vals), NullMask::from_valid_bits(seen))
+            AggStateCol::MinMaxInt {
+                vals, seen, dtype, ..
+            } => {
+                let values = match dtype {
+                    DataType::Date => Values::Date(vals.iter().map(|&v| v as i32).collect()),
+                    DataType::Bool => Values::Bool(vals.iter().map(|&v| v != 0).collect()),
+                    _ => Values::Int(vals),
+                };
+                ColumnVec::new(values, NullMask::from_valid_bits(seen))
             }
             AggStateCol::MinMaxReal { vals, seen, .. } => {
                 ColumnVec::new(Values::Real(vals), NullMask::from_valid_bits(seen))
+            }
+            AggStateCol::MinMaxStr { vals, .. } => {
+                let valid = vals.iter().map(Option::is_some).collect();
+                let strs = StrVec::from_opt_strs(vals.iter().map(Option::as_deref));
+                ColumnVec::new(Values::Str(strs), NullMask::from_valid_bits(valid))
             }
             AggStateCol::AvgNum { sums, counts } => {
                 let valid: Vec<bool> = counts.iter().map(|&c| c > 0).collect();
@@ -442,11 +404,112 @@ impl AggStateCol {
                     .collect();
                 ColumnVec::new(Values::Real(avgs), NullMask::from_valid_bits(valid))
             }
-            AggStateCol::Rows { states, .. } => {
-                let vals: Vec<Value> = states.iter().map(AggState::finish).collect();
-                ColumnVec::from_iter_typed(dtype, vals.iter())?
-            }
+        }
+    }
+}
+
+/// What both aggregate operators fold their input into: packed group keys
+/// (dense ids in first-seen order), each group's first-seen key values, and
+/// one typed accumulator per aggregate call beside the type its argument is
+/// read in.
+struct Grouping {
+    schema: SchemaRef,
+    table: GroupTable,
+    reps: Vec<ColumnVec>,
+    states: Vec<(AggStateCol, Option<DataType>)>,
+    gids: Vec<u32>,
+    fresh: Vec<usize>,
+}
+
+impl Grouping {
+    /// `schema` is the operator's output (group fields, then one field per
+    /// call); `input` types the aggregate arguments.
+    fn new(schema: &SchemaRef, aggs: &[AggCall], input: &Schema) -> Result<Self> {
+        let keys = &schema.fields()[..schema.len() - aggs.len()];
+        let layout = KeyLayout::new(
+            keys.iter().map(|f| f.dtype).collect(),
+            keys.iter().map(|f| f.collation).collect(),
+        );
+        let reps = keys
+            .iter()
+            .map(|f| ColumnVec::from_values(Values::with_capacity(f.dtype, 0)))
+            .collect();
+        let states = aggs
+            .iter()
+            .map(|a| {
+                let arg_type = a.arg.as_ref().and_then(|e| e.data_type(input).ok());
+                Ok((AggStateCol::new(a, arg_type)?, arg_type))
+            })
+            .collect::<Result<_>>()?;
+        Ok(Grouping {
+            schema: Arc::clone(schema),
+            table: GroupTable::new(layout),
+            reps,
+            states,
+            gids: Vec::new(),
+            fresh: Vec::new(),
         })
+    }
+
+    /// Fold in the selected rows of one `len`-row chunk: `groups` and `args`
+    /// are its evaluated group keys and aggregate arguments, `weights` how
+    /// many input rows each selected row stands for (RunAgg's segments).
+    fn update(
+        &mut self,
+        groups: &[ColumnVec],
+        args: &[Option<ColumnVec>],
+        len: usize,
+        sel: &SelVec,
+        weights: Option<&[i64]>,
+    ) -> Result<()> {
+        let gcols: Vec<&ColumnVec> = groups.iter().collect();
+        let keys = self.table.encode(&gcols, len);
+        self.gids.clear();
+        self.fresh.clear();
+        for row in sel.iter() {
+            let (gid, new) = self.table.lookup_or_insert(&keys, row);
+            self.gids.push(gid);
+            if new {
+                self.fresh.push(row);
+            }
+        }
+        if !self.fresh.is_empty() {
+            for ((rep, group), field) in self.reps.iter_mut().zip(groups).zip(self.schema.fields())
+            {
+                rep.append(&*conform(&group.take(&self.fresh), field.dtype)?)?;
+            }
+        }
+        let n_groups = self.table.n_groups();
+        for ((st, arg_type), arg) in self.states.iter_mut().zip(args) {
+            st.resize(n_groups);
+            let arg = match (arg, *arg_type) {
+                (None, _) => None,
+                (Some(col), Some(t)) => Some(conform(col, t)?),
+                // An untyped NULL literal: nothing to aggregate.
+                (Some(_), None) => continue,
+            };
+            match weights {
+                None => st.update(arg.as_deref(), sel, &self.gids, Unit)?,
+                Some(w) => st.update(arg.as_deref(), sel, &self.gids, w)?,
+            }
+        }
+        Ok(())
+    }
+
+    /// The output chunk; `None` for a grouped aggregate over no rows (a
+    /// global aggregate still emits one row of identity values).
+    fn finish(mut self) -> Result<Option<Chunk>> {
+        if self.table.n_groups() == 0 {
+            if !self.reps.is_empty() {
+                return Ok(None);
+            }
+            for (st, _) in &mut self.states {
+                st.resize(1);
+            }
+        }
+        let mut cols = self.reps;
+        cols.extend(self.states.into_iter().map(|(st, _)| st.finish_column()));
+        Chunk::new(self.schema, cols).map(Some)
     }
 }
 
@@ -488,24 +551,8 @@ impl HashAggOp {
         self
     }
 
-    /// Packed group keys, dense group ids, typed columnar accumulators,
-    /// direct output-column assembly.
     fn drain(&mut self) -> Result<Option<Chunk>> {
-        let n_keys = self.group_by.len();
-        let dtypes: Vec<DataType> = (0..n_keys).map(|i| self.schema.field(i).dtype).collect();
-        let collations = group_collations(&self.schema, n_keys);
-        let mut table = GroupTable::new(KeyLayout::new(dtypes, collations));
-        // Group representative columns, grown in first-seen group order.
-        let mut reps: Vec<ColumnVec> = (0..n_keys)
-            .map(|i| ColumnVec::from_values(Values::with_capacity(self.schema.field(i).dtype, 0)))
-            .collect();
-        let input_schema = self.input.schema();
-        let mut states: Vec<AggStateCol> = self
-            .aggs
-            .iter()
-            .map(|a| AggStateCol::new(a, &input_schema))
-            .collect();
-        let mut gids: Vec<u32> = Vec::new();
+        let mut grouping = Grouping::new(&self.schema, &self.aggs, &self.input.schema())?;
         while let Some(chunk) = self.input.next()? {
             if chunk.is_empty() {
                 continue;
@@ -518,58 +565,9 @@ impl HashAggOp {
                 continue;
             }
             let ev = eval_set(&chunk, &self.group_by, &self.aggs)?;
-            let gcols: Vec<&ColumnVec> = ev.groups.iter().collect();
-            let keys = table.encode(&gcols, chunk.len());
-            gids.clear();
-            let mut fresh: Vec<usize> = Vec::new();
-            for row in sel.iter() {
-                let (gid, new) = table.lookup_or_insert(&keys, row);
-                gids.push(gid);
-                if new {
-                    fresh.push(row);
-                }
-            }
-            if !fresh.is_empty() {
-                for (ci, rep) in reps.iter_mut().enumerate() {
-                    append_coerced(
-                        rep,
-                        &ev.groups[ci].take(&fresh),
-                        self.schema.field(ci).dtype,
-                    )?;
-                }
-            }
-            let n_groups = table.n_groups();
-            for (st, arg) in states.iter_mut().zip(&ev.args) {
-                st.resize(n_groups);
-                st.update_batch(arg.as_ref(), &sel, &gids)?;
-            }
+            grouping.update(&ev.groups, &ev.args, chunk.len(), &sel, None)?;
         }
-        if table.n_groups() == 0 {
-            if !self.group_by.is_empty() {
-                return Ok(None);
-            }
-            // Global aggregate on empty input still emits one row.
-            for st in states.iter_mut() {
-                st.resize(1);
-            }
-        }
-        let mut cols = reps;
-        for (ai, st) in states.into_iter().enumerate() {
-            cols.push(st.finish_column(self.schema.field(n_keys + ai).dtype)?);
-        }
-        Ok(Some(Chunk::new(Arc::clone(&self.schema), cols)?))
-    }
-}
-
-/// Append `src` to `dst`, coercing through `Value`s only when the evaluated
-/// variant differs from the schema dtype (e.g. an Int-valued expression in a
-/// Real-typed field).
-fn append_coerced(dst: &mut ColumnVec, src: &ColumnVec, dtype: DataType) -> Result<()> {
-    if src.values.data_type() == dtype {
-        dst.append(src)
-    } else {
-        let vals: Vec<Value> = (0..src.len()).map(|i| src.get(i)).collect();
-        dst.append(&ColumnVec::from_iter_typed(dtype, vals.iter())?)
+        grouping.finish()
     }
 }
 
@@ -587,13 +585,12 @@ impl PhysOp for HashAggOp {
     }
 }
 
-/// Run-granularity COUNT/SUM straight over a table's RLE runs — no row is
-/// ever decoded. The group columns' runs identify the groups: with one
-/// group column each run is a segment; with several the executor
-/// merge-walks the intersected run boundaries, so every segment is a
-/// maximal row range where all group columns are constant. Aggregate
-/// arguments (also RLE, guaranteed by the planner) contribute
-/// `value × run length` per overlapping run.
+/// Run-granularity aggregation straight over a table's RLE runs — no row is
+/// ever decoded. Each range is cut at the union of the run boundaries of
+/// the group *and* argument columns (all RLE, guaranteed by the planner), so
+/// every segment is constant in every column. One value per segment and
+/// column, with the segment length as its weight, then goes through the
+/// same `Grouping` as [`HashAggOp`].
 pub struct RunAggOp {
     table: Arc<Table>,
     ranges: Vec<(usize, usize)>,
@@ -622,66 +619,6 @@ impl RunAggOp {
     }
 }
 
-/// Feed `n` identical rows of `v` into an accumulator in O(1).
-/// Mirrors `AggState::update` exactly (COUNT/SUM/MIN/MAX only — the planner
-/// guarantees no other function reaches a RunAgg). For MIN/MAX the run
-/// length is irrelevant: `n` identical values have the same extremum as one.
-fn update_run(st: &mut AggState, v: Option<&Value>, n: usize) -> Result<()> {
-    let n = n as i64;
-    match st {
-        AggState::Count(c) => match v {
-            None => *c += n,
-            Some(val) if !val.is_null() => *c += n,
-            _ => {}
-        },
-        AggState::Sum {
-            int,
-            real,
-            is_real,
-            seen,
-        } => {
-            if let Some(val) = v {
-                match val {
-                    Value::Null => {}
-                    Value::Int(i) => {
-                        *int += i * n;
-                        *real += *i as f64 * n as f64;
-                        *seen = true;
-                    }
-                    Value::Real(r) => {
-                        *real += r * n as f64;
-                        *is_real = true;
-                        *seen = true;
-                    }
-                    other => {
-                        return Err(tabviz_common::TvError::Type(format!("SUM over {other:?}")))
-                    }
-                }
-            }
-        }
-        AggState::Min(m) => {
-            if let Some(val) = v {
-                if !val.is_null() && m.as_ref().is_none_or(|cur| val < cur) {
-                    *m = Some(val.clone());
-                }
-            }
-        }
-        AggState::Max(m) => {
-            if let Some(val) = v {
-                if !val.is_null() && m.as_ref().is_none_or(|cur| val > cur) {
-                    *m = Some(val.clone());
-                }
-            }
-        }
-        _ => {
-            return Err(tabviz_common::TvError::Exec(
-                "RunAgg supports only COUNT/SUM/MIN/MAX".into(),
-            ))
-        }
-    }
-    Ok(())
-}
-
 impl PhysOp for RunAggOp {
     fn schema(&self) -> SchemaRef {
         Arc::clone(&self.schema)
@@ -692,88 +629,53 @@ impl PhysOp for RunAggOp {
             return Ok(None);
         }
         self.done = true;
-        let non_rle =
-            || tabviz_common::TvError::Exec("RunAgg planned over a non-RLE column".into());
         let arg_cols: Vec<Option<usize>> = self
             .aggs
             .iter()
             .map(|a| match &a.arg {
                 None => Ok(None),
                 Some(Expr::Column(c)) => self.table.schema().index_of(c).map(Some),
-                Some(e) => Err(tabviz_common::TvError::Exec(format!(
+                Some(e) => Err(TvError::Exec(format!(
                     "RunAgg argument must be a column: {e}"
                 ))),
             })
             .collect::<Result<_>>()?;
-        let collations = group_collations(&self.schema, self.group_cols.len());
-        let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-        let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
+        let mut grouping = Grouping::new(&self.schema, &self.aggs, self.table.schema())?;
         for &(start, len) in &self.ranges {
-            // Window-clipped runs for every group column; the walk below
-            // segments the range at the union of their boundaries, so each
-            // segment has one constant value per group column.
-            let col_runs: Vec<Vec<_>> = self
+            let end = (start + len).min(self.table.row_count());
+            if start >= end {
+                continue;
+            }
+            let mut cuts = vec![start];
+            for &ci in self.group_cols.iter().chain(arg_cols.iter().flatten()) {
+                let ColumnData::Rle { starts, .. } = self.table.column(ci).data() else {
+                    return Err(TvError::Exec("RunAgg planned over a non-RLE column".into()));
+                };
+                let first = starts.partition_point(|&s| s as usize <= start);
+                let inside = starts[first..].iter().map(|&s| s as usize);
+                cuts.extend(inside.take_while(|&s| s < end));
+            }
+            cuts.sort_unstable();
+            cuts.dedup();
+            let weights: Vec<i64> = cuts
+                .iter()
+                .zip(cuts[1..].iter().chain([&end]))
+                .map(|(a, b)| (b - a) as i64)
+                .collect();
+            let decode = |ci: usize| self.table.column(ci).decode_rows(&cuts);
+            let groups = self
                 .group_cols
                 .iter()
-                .map(|&ci| {
-                    self.table
-                        .column(ci)
-                        .runs_overlapping(start, len)
-                        .ok_or_else(non_rle)
-                })
-                .collect::<Result<_>>()?;
-            let mut cursors = vec![0usize; col_runs.len()];
-            let end = (start + len).min(self.table.row_count());
-            let mut pos = start;
-            while pos < end {
-                let mut seg_end = end;
-                let mut raw = Vec::with_capacity(col_runs.len());
-                for (c, runs) in col_runs.iter().enumerate() {
-                    while runs
-                        .get(cursors[c])
-                        .is_some_and(|r| r.start + r.count <= pos)
-                    {
-                        cursors[c] += 1;
-                    }
-                    let run = runs.get(cursors[c]).ok_or_else(non_rle)?;
-                    raw.push(run.value.clone());
-                    seg_end = seg_end.min(run.start + run.count);
-                }
-                let seg_len = seg_end - pos;
-                let key: Vec<Value> = raw
-                    .iter()
-                    .zip(&collations)
-                    .map(|(v, &coll)| normalize_key(v.clone(), coll))
-                    .collect();
-                let gi = *index.entry(key).or_insert_with(|| {
-                    groups.push((
-                        raw.clone(),
-                        self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    ));
-                    groups.len() - 1
-                });
-                for (ai, st) in groups[gi].1.iter_mut().enumerate() {
-                    match arg_cols[ai] {
-                        None => update_run(st, None, seg_len)?,
-                        Some(ci) => {
-                            let arg_runs = self
-                                .table
-                                .column(ci)
-                                .runs_overlapping(pos, seg_len)
-                                .ok_or_else(non_rle)?;
-                            for ar in &arg_runs {
-                                update_run(st, Some(&ar.value), ar.count)?;
-                            }
-                        }
-                    }
-                }
-                pos = seg_end;
-            }
+                .map(|&ci| decode(ci))
+                .collect::<Result<Vec<_>>>()?;
+            let args = arg_cols
+                .iter()
+                .map(|ci| ci.map(decode).transpose())
+                .collect::<Result<Vec<_>>>()?;
+            let sel = SelVec::all(cuts.len());
+            grouping.update(&groups, &args, cuts.len(), &sel, Some(&weights))?;
         }
-        if groups.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(finish_groups(&self.schema, groups)?))
+        grouping.finish()
     }
 }
 
@@ -785,6 +687,109 @@ mod tests {
     use tabviz_storage::Table;
     use tabviz_tql::expr::col;
     use tabviz_tql::AggFunc;
+
+    /// `func` over `vals` (a `dtype` column, or `COUNT(*)` when `dtype` is
+    /// `None`), rows `groups[i]` apart, through one typed state.
+    fn run_grouped(
+        func: AggFunc,
+        dtype: Option<DataType>,
+        vals: &[Value],
+        groups: &[u32],
+    ) -> Result<Vec<Value>> {
+        let call = AggCall::new(func, dtype.map(|_| col("x")), "out");
+        let mut st = AggStateCol::new(&call, dtype)?;
+        let arg = dtype
+            .map(|t| ColumnVec::from_iter_typed(t, vals.iter()))
+            .transpose()?;
+        let n = groups.iter().max().map_or(1, |&g| g as usize + 1);
+        st.resize(n);
+        st.update(arg.as_ref(), &SelVec::all(vals.len()), groups, Unit)?;
+        let out = st.finish_column();
+        Ok((0..n).map(|g| out.get(g)).collect())
+    }
+
+    fn run(func: AggFunc, dtype: DataType, vals: &[Value]) -> Value {
+        run_grouped(func, Some(dtype), vals, &vec![0; vals.len()]).unwrap()[0].clone()
+    }
+
+    #[test]
+    fn sum_int_and_real() {
+        let ints = [Value::Int(1), Value::Int(2)];
+        assert_eq!(run(AggFunc::Sum, DataType::Int, &ints), Value::Int(3));
+        let reals = [Value::Real(1.0), Value::Real(0.5)];
+        assert_eq!(run(AggFunc::Sum, DataType::Real, &reals), Value::Real(1.5));
+        assert_eq!(
+            run(AggFunc::Sum, DataType::Int, &[Value::Null]),
+            Value::Null
+        );
+        let over = [Value::Int(i64::MAX), Value::Int(1)];
+        let err = run_grouped(AggFunc::Sum, Some(DataType::Int), &over, &[0, 0]).unwrap_err();
+        assert!(matches!(err, TvError::Exec(_)), "{err:?}");
+    }
+
+    #[test]
+    fn count_star_vs_count_arg() {
+        let rows = [Value::Int(1), Value::Null];
+        let star = run_grouped(AggFunc::Count, None, &rows, &[0, 0]).unwrap();
+        assert_eq!(star, [Value::Int(2)]);
+        assert_eq!(run(AggFunc::Count, DataType::Int, &rows), Value::Int(1));
+    }
+
+    #[test]
+    fn countd_dedups() {
+        let strs = ["a", "a", "b"].map(Value::from);
+        assert_eq!(run(AggFunc::CountD, DataType::Str, &strs), Value::Int(2));
+        // Per group, NULLs skipped.
+        let vals = [1, 1, 2, 1].map(Value::Int);
+        let nulls = [Value::Null, Value::Null];
+        assert_eq!(
+            run_grouped(AggFunc::CountD, Some(DataType::Int), &vals, &[0, 1, 0, 0]).unwrap(),
+            [Value::Int(2), Value::Int(1)]
+        );
+        assert_eq!(run(AggFunc::CountD, DataType::Date, &nulls), Value::Int(0));
+        // Equality is `Value`'s: exact integers, reals by bits.
+        let wide = [1i64 << 53, (1 << 53) + 1].map(Value::Int);
+        assert_eq!(run(AggFunc::CountD, DataType::Int, &wide), Value::Int(2));
+        let zeros = [0.0, -0.0, 0.0].map(Value::Real);
+        assert_eq!(run(AggFunc::CountD, DataType::Real, &zeros), Value::Int(2));
+        // A pair seen in one slice of a chunk is known in the next.
+        let many: Vec<Value> = (0..10_000).map(|i| Value::Int(i % 3_000)).collect();
+        let halves: Vec<u32> = (0..10_000).map(|i| i % 2).collect();
+        assert_eq!(
+            run_grouped(AggFunc::CountD, Some(DataType::Int), &many, &halves).unwrap(),
+            [Value::Int(1_500), Value::Int(1_500)]
+        );
+    }
+
+    #[test]
+    fn min_max_skip_nulls() {
+        let ints = [Value::Null, Value::Int(5), Value::Int(2), Value::Int(9)];
+        assert_eq!(run(AggFunc::Min, DataType::Int, &ints), Value::Int(2));
+        assert_eq!(run(AggFunc::Max, DataType::Int, &ints), Value::Int(9));
+        assert_eq!(
+            run(AggFunc::Min, DataType::Int, &[Value::Null]),
+            Value::Null
+        );
+        let strs = [Value::Null, "b".into(), "B".into(), "ab".into()];
+        assert_eq!(run(AggFunc::Min, DataType::Str, &strs), Value::from("B"));
+        assert_eq!(run(AggFunc::Max, DataType::Str, &strs), Value::from("b"));
+        let dates = [Value::Date(-3), Value::Null, Value::Date(7)];
+        assert_eq!(run(AggFunc::Min, DataType::Date, &dates), Value::Date(-3));
+        assert_eq!(run(AggFunc::Max, DataType::Date, &dates), Value::Date(7));
+        let bools = [Value::Bool(true), Value::Null, Value::Bool(false)];
+        assert_eq!(
+            run(AggFunc::Min, DataType::Bool, &bools),
+            Value::Bool(false)
+        );
+        assert_eq!(run(AggFunc::Max, DataType::Bool, &bools), Value::Bool(true));
+    }
+
+    #[test]
+    fn avg_divides() {
+        let vals = [Value::Int(1), Value::Int(2), Value::Null];
+        assert_eq!(run(AggFunc::Avg, DataType::Int, &vals), Value::Real(1.5));
+        assert_eq!(run(AggFunc::Avg, DataType::Real, &[]), Value::Null);
+    }
 
     fn flights(sorted: bool) -> Arc<Table> {
         let schema = Arc::new(

@@ -1,4 +1,4 @@
-//! Aggregate functions, their accumulators, and roll-up algebra.
+//! Aggregate functions, their calls, and roll-up algebra.
 //!
 //! Two parts of the paper depend on aggregates being *re-aggregatable*:
 //!
@@ -13,9 +13,8 @@
 //! and the cache are allowed to do.
 
 use crate::expr::Expr;
-use std::collections::HashSet;
 use std::fmt;
-use tabviz_common::{DataType, Result, Schema, TvError, Value};
+use tabviz_common::{DataType, Result, Schema, TvError};
 
 /// Supported aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -125,296 +124,9 @@ impl fmt::Display for AggCall {
     }
 }
 
-/// A running accumulator for one aggregate over one group.
-#[derive(Debug, Clone)]
-pub enum AggState {
-    Sum {
-        int: i64,
-        real: f64,
-        is_real: bool,
-        seen: bool,
-    },
-    Count(i64),
-    CountD(HashSet<Value>),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg {
-        sum: f64,
-        count: i64,
-    },
-}
-
-impl AggState {
-    pub fn new(func: AggFunc) -> Self {
-        match func {
-            AggFunc::Sum => AggState::Sum {
-                int: 0,
-                real: 0.0,
-                is_real: false,
-                seen: false,
-            },
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::CountD => AggState::CountD(HashSet::new()),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::Avg { sum: 0.0, count: 0 },
-        }
-    }
-
-    /// Feed one row. `v = None` means the aggregate has no argument
-    /// (`COUNT(*)` counts every row); NULL arguments are skipped by all
-    /// functions except `COUNT(*)`.
-    pub fn update(&mut self, v: Option<&Value>) -> Result<()> {
-        match self {
-            AggState::Count(c) => match v {
-                None => *c += 1,
-                Some(val) if !val.is_null() => *c += 1,
-                _ => {}
-            },
-            AggState::Sum {
-                int,
-                real,
-                is_real,
-                seen,
-            } => {
-                if let Some(val) = v {
-                    match val {
-                        Value::Null => {}
-                        Value::Int(i) => {
-                            *int += i;
-                            *real += *i as f64;
-                            *seen = true;
-                        }
-                        Value::Real(r) => {
-                            *real += r;
-                            *is_real = true;
-                            *seen = true;
-                        }
-                        other => {
-                            return Err(TvError::Type(format!("SUM over {other:?}")));
-                        }
-                    }
-                }
-            }
-            AggState::CountD(set) => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        set.insert(val.clone());
-                    }
-                }
-            }
-            AggState::Min(m) => {
-                if let Some(val) = v {
-                    if !val.is_null() && m.as_ref().is_none_or(|cur| val < cur) {
-                        *m = Some(val.clone());
-                    }
-                }
-            }
-            AggState::Max(m) => {
-                if let Some(val) = v {
-                    if !val.is_null() && m.as_ref().is_none_or(|cur| val > cur) {
-                        *m = Some(val.clone());
-                    }
-                }
-            }
-            AggState::Avg { sum, count } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *sum += val.as_real()?;
-                        *count += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Merge another partial state into this one (the "global" half of
-    /// local/global aggregation).
-    pub fn merge(&mut self, other: &AggState) -> Result<()> {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (
-                AggState::Sum {
-                    int,
-                    real,
-                    is_real,
-                    seen,
-                },
-                AggState::Sum {
-                    int: bi,
-                    real: br,
-                    is_real: bir,
-                    seen: bs,
-                },
-            ) => {
-                *int += bi;
-                *real += br;
-                *is_real |= bir;
-                *seen |= bs;
-            }
-            (AggState::CountD(a), AggState::CountD(b)) => a.extend(b.iter().cloned()),
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv < av) {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv > av) {
-                        *a = Some(bv.clone());
-                    }
-                }
-            }
-            (AggState::Avg { sum, count }, AggState::Avg { sum: bs, count: bc }) => {
-                *sum += bs;
-                *count += bc;
-            }
-            _ => return Err(TvError::Exec("merging mismatched aggregate states".into())),
-        }
-        Ok(())
-    }
-
-    /// Produce the final value.
-    pub fn finish(&self) -> Value {
-        match self {
-            AggState::Count(c) => Value::Int(*c),
-            AggState::Sum {
-                int,
-                real,
-                is_real,
-                seen,
-            } => {
-                if !seen {
-                    Value::Null
-                } else if *is_real {
-                    Value::Real(*real)
-                } else {
-                    Value::Int(*int)
-                }
-            }
-            AggState::CountD(set) => Value::Int(set.len() as i64),
-            AggState::Min(m) | AggState::Max(m) => m.clone().unwrap_or(Value::Null),
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Real(sum / *count as f64)
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn run(func: AggFunc, vals: &[Value]) -> Value {
-        let mut st = AggState::new(func);
-        for v in vals {
-            st.update(Some(v)).unwrap();
-        }
-        st.finish()
-    }
-
-    #[test]
-    fn sum_int_and_real() {
-        assert_eq!(
-            run(AggFunc::Sum, &[Value::Int(1), Value::Int(2)]),
-            Value::Int(3)
-        );
-        assert_eq!(
-            run(AggFunc::Sum, &[Value::Int(1), Value::Real(0.5)]),
-            Value::Real(1.5)
-        );
-        assert_eq!(run(AggFunc::Sum, &[Value::Null]), Value::Null);
-    }
-
-    #[test]
-    fn count_star_vs_count_arg() {
-        let mut star = AggState::new(AggFunc::Count);
-        star.update(None).unwrap();
-        star.update(None).unwrap();
-        assert_eq!(star.finish(), Value::Int(2));
-        assert_eq!(
-            run(AggFunc::Count, &[Value::Int(1), Value::Null]),
-            Value::Int(1)
-        );
-    }
-
-    #[test]
-    fn countd_dedups() {
-        assert_eq!(
-            run(
-                AggFunc::CountD,
-                &[
-                    Value::Str("a".into()),
-                    Value::Str("a".into()),
-                    Value::Str("b".into())
-                ]
-            ),
-            Value::Int(2)
-        );
-    }
-
-    #[test]
-    fn min_max_skip_nulls() {
-        assert_eq!(
-            run(AggFunc::Min, &[Value::Null, Value::Int(5), Value::Int(2)]),
-            Value::Int(2)
-        );
-        assert_eq!(
-            run(AggFunc::Max, &[Value::Int(5), Value::Null, Value::Int(9)]),
-            Value::Int(9)
-        );
-        assert_eq!(run(AggFunc::Min, &[Value::Null]), Value::Null);
-    }
-
-    #[test]
-    fn avg_divides() {
-        assert_eq!(
-            run(AggFunc::Avg, &[Value::Int(1), Value::Int(2), Value::Null]),
-            Value::Real(1.5)
-        );
-        assert_eq!(run(AggFunc::Avg, &[]), Value::Null);
-    }
-
-    #[test]
-    fn merge_equals_single_pass() {
-        for func in [
-            AggFunc::Sum,
-            AggFunc::Count,
-            AggFunc::CountD,
-            AggFunc::Min,
-            AggFunc::Max,
-            AggFunc::Avg,
-        ] {
-            let vals: Vec<Value> = (0..10).map(|i| Value::Int(i % 4)).collect();
-            let mut whole = AggState::new(func);
-            for v in &vals {
-                whole.update(Some(v)).unwrap();
-            }
-            let mut a = AggState::new(func);
-            let mut b = AggState::new(func);
-            for v in &vals[..5] {
-                a.update(Some(v)).unwrap();
-            }
-            for v in &vals[5..] {
-                b.update(Some(v)).unwrap();
-            }
-            a.merge(&b).unwrap();
-            assert_eq!(a.finish(), whole.finish(), "{func:?}");
-        }
-    }
-
-    #[test]
-    fn merge_rejects_mismatch() {
-        let mut a = AggState::new(AggFunc::Sum);
-        assert!(a.merge(&AggState::new(AggFunc::Count)).is_err());
-    }
 
     #[test]
     fn rollup_algebra() {

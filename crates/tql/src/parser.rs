@@ -35,11 +35,17 @@ use crate::expr::{and_all, BinOp, Expr, ScalarFunc, UnaryOp};
 use crate::plan::{JoinType, LogicalPlan, SortKey};
 use tabviz_common::{Result, TvError, Value};
 
+/// Deepest list nesting the parser accepts. Parsing recurses once per
+/// level, so unbounded nesting in untrusted text (a persisted cache file)
+/// would overflow the stack; the plans and expressions the engine writes
+/// stay far below this.
+const MAX_NESTING: usize = 256;
+
 /// Parse a TQL plan from text.
 pub fn parse_plan(text: &str) -> Result<LogicalPlan> {
     let tokens = tokenize(text)?;
     let mut pos = 0usize;
-    let sexp = parse_sexp(&tokens, &mut pos)?;
+    let sexp = parse_sexp(&tokens, &mut pos, 0)?;
     if pos != tokens.len() {
         return Err(TvError::Parse(format!(
             "trailing input after plan: {:?}",
@@ -53,7 +59,7 @@ pub fn parse_plan(text: &str) -> Result<LogicalPlan> {
 pub fn parse_expr(text: &str) -> Result<Expr> {
     let tokens = tokenize(text)?;
     let mut pos = 0usize;
-    let sexp = parse_sexp(&tokens, &mut pos)?;
+    let sexp = parse_sexp(&tokens, &mut pos, 0)?;
     if pos != tokens.len() {
         return Err(TvError::Parse("trailing input after expression".into()));
     }
@@ -147,7 +153,8 @@ impl Sexp {
     }
 }
 
-fn parse_sexp(tokens: &[Token], pos: &mut usize) -> Result<Sexp> {
+/// One s-expression at `tokens[*pos]`, nested `depth` lists deep.
+fn parse_sexp(tokens: &[Token], pos: &mut usize, depth: usize) -> Result<Sexp> {
     match tokens.get(*pos) {
         None => Err(TvError::Parse("unexpected end of input".into())),
         Some(Token::Close) => Err(TvError::Parse("unexpected ')'".into())),
@@ -160,6 +167,11 @@ fn parse_sexp(tokens: &[Token], pos: &mut usize) -> Result<Sexp> {
             Ok(Sexp::Str(s.clone()))
         }
         Some(Token::Open) => {
+            if depth == MAX_NESTING {
+                return Err(TvError::Parse(format!(
+                    "lists nested deeper than {MAX_NESTING}"
+                )));
+            }
             *pos += 1;
             let mut items = Vec::new();
             loop {
@@ -169,7 +181,7 @@ fn parse_sexp(tokens: &[Token], pos: &mut usize) -> Result<Sexp> {
                         *pos += 1;
                         return Ok(Sexp::List(items));
                     }
-                    _ => items.push(parse_sexp(tokens, pos)?),
+                    _ => items.push(parse_sexp(tokens, pos, depth + 1)?),
                 }
             }
         }
@@ -677,5 +689,21 @@ mod tests {
         } else {
             panic!("expected aggregate");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // Hostile depth is a parse error, not a stack overflow.
+        let deep = "(".repeat(100_000);
+        for err in [
+            parse_plan(&deep).unwrap_err(),
+            parse_expr(&deep).unwrap_err(),
+        ] {
+            assert!(matches!(err, TvError::Parse(_)), "{err:?}");
+        }
+        // Nesting at the limit still parses.
+        let nots = |n: usize| format!("{}a{}", "(not ".repeat(n), ")".repeat(n));
+        assert!(parse_expr(&nots(MAX_NESTING)).is_ok());
+        assert!(parse_expr(&nots(MAX_NESTING + 1)).is_err());
     }
 }

@@ -149,28 +149,4 @@ proptest! {
             }
         }
     }
-
-    /// AggState::merge is associative-compatible with sequential update for
-    /// arbitrary splits.
-    #[test]
-    fn agg_merge_any_split(values in proptest::collection::vec(-50i64..50, 0..60), cut in 0usize..60) {
-        use tabviz_tql::agg::AggState;
-        let cut = cut.min(values.len());
-        for func in [AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max, AggFunc::Avg, AggFunc::CountD] {
-            let mut whole = AggState::new(func);
-            for v in &values {
-                whole.update(Some(&Value::Int(*v))).unwrap();
-            }
-            let mut left = AggState::new(func);
-            for v in &values[..cut] {
-                left.update(Some(&Value::Int(*v))).unwrap();
-            }
-            let mut right = AggState::new(func);
-            for v in &values[cut..] {
-                right.update(Some(&Value::Int(*v))).unwrap();
-            }
-            left.merge(&right).unwrap();
-            prop_assert_eq!(left.finish(), whole.finish(), "func {:?}", func);
-        }
-    }
 }

@@ -6,7 +6,10 @@
 //! generated tables cover every `DataType`, null-heavy columns, inline
 //! (≤ 7 byte) and interned long strings, case-insensitive collation, empty
 //! inputs, and keys of 9, 64, 65 and 70 columns with NULLs past column 63
-//! (where the packed key's null bitmap spills into a second word).
+//! (where the packed key's null bitmap spills into a second word). A table
+//! whose every column is run-length encoded checks `RunAggOp`, which feeds
+//! the same aggregate states one weighted row per run segment, against the
+//! same model.
 //!
 //! Tables hand the operators tidy string vectors (one sorted dictionary per
 //! column). The last section feeds `HashAggOp` and `HashJoinOp` chunks coded
@@ -18,7 +21,7 @@
 #![allow(clippy::field_reassign_with_default)]
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tabviz::common::{ColumnVec, NullMask, SchemaRef, StrVec, Values};
 use tabviz::prelude::*;
@@ -221,7 +224,8 @@ fn key_cell(v: &Value, collation: Collation) -> Value {
 }
 
 /// One aggregate over a group's rows, the textbook way: NULL arguments are
-/// skipped, SUM/MIN/MAX/AVG of no values is NULL, sums run in row order.
+/// skipped, SUM/MIN/MAX/AVG of no values is NULL, sums run in row order,
+/// COUNTD counts values distinct under `Value`'s own (binary) equality.
 fn model_agg(call: &AggCall, schema: &Schema, rows: &[&Vec<Value>]) -> Value {
     let Some(arg) = &call.arg else {
         return Value::Int(rows.len() as i64);
@@ -239,11 +243,13 @@ fn model_agg(call: &AggCall, schema: &Schema, rows: &[&Vec<Value>]) -> Value {
             other => panic!("numeric aggregate over {other:?}"),
         })
     };
-    if vals.is_empty() && call.func != AggFunc::Count {
-        return Value::Null;
+    match call.func {
+        AggFunc::Count => return Value::Int(vals.len() as i64),
+        AggFunc::CountD => return Value::Int(BTreeSet::from_iter(&vals).len() as i64),
+        _ if vals.is_empty() => return Value::Null,
+        _ => {}
     }
     match call.func {
-        AggFunc::Count => Value::Int(vals.len() as i64),
         AggFunc::Sum => match vals[0] {
             Value::Int(_) => Value::Int(vals.iter().map(|v| v.as_int().unwrap()).sum()),
             _ => Value::Real(real_sum()),
@@ -350,11 +356,12 @@ fn fact_join(rows: usize, on: (&str, &str), join_type: JoinType) -> (LogicalPlan
 // ---------------------------------------------------------------------------
 // The mixed-type fact table.
 
-/// The full aggregate spread: typed states (COUNT, COUNT(col), SUM int/real,
-/// MIN/MAX int/real, AVG) plus calls kept on the row-wise state (MIN over
-/// Str, MAX over Date).
+/// The full aggregate spread: COUNT, COUNT(col), SUM int/real, MIN/MAX over
+/// Int, Real, Str, Date and Bool, AVG, and COUNTD over every key type. As
+/// arguments, the case variants of `ci` are distinct values: MIN/MAX and
+/// COUNTD compare binary.
 fn agg_calls() -> Vec<AggCall> {
-    vec![
+    let mut calls = vec![
         AggCall::new(AggFunc::Count, None, "n"),
         AggCall::new(AggFunc::Count, Some(col("v")), "cv"),
         AggCall::new(AggFunc::Sum, Some(col("v")), "sv"),
@@ -366,7 +373,19 @@ fn agg_calls() -> Vec<AggCall> {
         AggCall::new(AggFunc::Avg, Some(col("v")), "av"),
         AggCall::new(AggFunc::Min, Some(col("s")), "los"),
         AggCall::new(AggFunc::Max, Some(col("d")), "hid"),
-    ]
+        AggCall::new(AggFunc::Min, Some(col("b")), "lob"),
+        AggCall::new(AggFunc::Max, Some(col("b")), "hib"),
+        AggCall::new(AggFunc::Min, Some(col("ci")), "loci"),
+        AggCall::new(AggFunc::Max, Some(col("ci")), "hici"),
+    ];
+    for c in ["s", "ls", "ci", "d", "i", "w", "nh"] {
+        calls.push(AggCall::new(
+            AggFunc::CountD,
+            Some(col(c)),
+            format!("nd_{c}"),
+        ));
+    }
+    calls
 }
 
 fn group_plan(table: &str, group_cols: &[&str], aggs: Vec<AggCall>) -> LogicalPlan {
@@ -494,6 +513,90 @@ fn ci_grouping_merges_case_variants() {
     // CASED holds 3 distinct names under CI collation.
     assert_eq!(out.len(), 3);
     check_fact_group_by(&tde, rows, &["ci"]);
+}
+
+/// COUNTD of an untyped NULL literal counts nothing, in every group and
+/// in the global aggregate.
+#[test]
+fn countd_of_untyped_null_is_zero() {
+    let tde = oracle_tde(500);
+    let calls = vec![
+        AggCall::new(AggFunc::CountD, Some(lit(Value::Null)), "nd"),
+        AggCall::new(AggFunc::Count, Some(lit(Value::Null)), "n"),
+    ];
+    for keys in [&["s"][..], &[]] {
+        let out = tde
+            .execute_plan(&group_plan("t", keys, calls.clone()), &engine_opts())
+            .unwrap();
+        assert!(!out.is_empty());
+        for row in out.to_rows() {
+            assert_eq!(
+                row[keys.len()..],
+                [Value::Int(0), Value::Int(0)],
+                "{keys:?}"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RunAgg: the same states, fed one weighted row per run segment.
+
+/// `rows` rows in which every column is piecewise constant with its own run
+/// length (so run boundaries of different columns interleave), taking its
+/// values, NULL runs included, from the fact generator. Stored unsorted,
+/// every column is run-length encoded.
+fn run_rows(rows: usize) -> Vec<Vec<Value>> {
+    const RUN: [usize; 9] = [61, 43, 31, 53, 97, 41, 37, 29, 23];
+    let base = fact_rows(211);
+    (0..rows)
+        .map(|r| {
+            RUN.iter()
+                .enumerate()
+                .map(|(c, len)| base[(r / len) % base.len()][c].clone())
+                .collect()
+        })
+        .collect()
+}
+
+/// The aggregates RunAgg plans: COUNT, SUM, MIN and MAX over plain columns.
+fn run_agg_calls() -> Vec<AggCall> {
+    let mut calls = vec![
+        AggCall::new(AggFunc::Count, None, "n"),
+        AggCall::new(AggFunc::Count, Some(col("nh")), "cnh"),
+        AggCall::new(AggFunc::Sum, Some(col("v")), "sv"),
+        AggCall::new(AggFunc::Sum, Some(col("w")), "sw"),
+    ];
+    for c in ["v", "w", "s", "ls", "ci", "d", "b"] {
+        calls.push(AggCall::new(AggFunc::Min, Some(col(c)), format!("lo_{c}")));
+        calls.push(AggCall::new(AggFunc::Max, Some(col(c)), format!("hi_{c}")));
+    }
+    calls
+}
+
+#[test]
+fn run_agg_matches_model() {
+    let rows = 3_000;
+    let data = run_rows(rows);
+    let db = Arc::new(Database::new("run_oracle"));
+    let chunk = Chunk::from_rows(fact_schema(), &data).unwrap();
+    let table = Table::from_chunk("runs", &chunk, &[]).unwrap();
+    for c in 0..table.schema().len() {
+        assert!(table.column(c).codec_name().ends_with("rle"), "column {c}");
+    }
+    db.put(table).unwrap();
+    let tde = Tde::new(db);
+    let opts = ExecOptions::serial();
+    for keys in [&["ci"][..], &["i"], &["ci", "d"], &["b", "s", "nh"]] {
+        let plan = group_plan("runs", keys, run_agg_calls());
+        let explain = tde.plan_physical(&plan, &opts).unwrap().explain();
+        assert!(explain.contains("RunAgg"), "{explain}");
+        let mut got = tde.execute_plan(&plan, &opts).unwrap().to_rows();
+        let mut want = model_group_by(&fact_schema(), &data, keys, &run_agg_calls());
+        got.sort();
+        want.sort();
+        assert_eq!(got, want, "RunAgg diverged from the row model on {keys:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -312,3 +312,70 @@ fn parallel_join_correctness() {
     let total: i64 = a.iter().map(|r| r[1].as_int().unwrap()).sum();
     assert_eq!(total, 20_000);
 }
+
+/// An integer SUM that leaves `i64` is an error on every plan shape, in
+/// debug and release alike: no wrapped total, no panic.
+#[test]
+fn integer_sum_overflow_is_an_error() {
+    let tde_over = |vals: &[i64]| {
+        let schema = Arc::new(
+            Schema::new(vec![
+                Field::new("g", DataType::Int),
+                Field::new("v", DataType::Int),
+            ])
+            .unwrap(),
+        );
+        let rows: Vec<Vec<Value>> = vals
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| vec![Value::Int(i as i64 % 3), Value::Int(v)])
+            .collect();
+        let chunk = Chunk::from_rows(schema, &rows).unwrap();
+        let db = Arc::new(Database::new("overflow"));
+        db.put(Table::from_chunk("t", &chunk, &[]).unwrap())
+            .unwrap();
+        Tde::new(db)
+    };
+    let global = "(aggregate () ((sum v as s)) (scan t))";
+    let grouped = "(aggregate (g) ((sum v as s)) (scan t))";
+    let serial = ExecOptions::serial();
+    let small = tde_over(&[i64::MAX, 1]);
+    for q in [
+        global,
+        "(aggregate () ((sum v as s)) (select (> v 0) (scan t)))",
+    ] {
+        let err = small.query_with(q, &serial).unwrap_err();
+        assert!(matches!(err, TvError::Exec(_)), "{q}: {err:?}");
+    }
+    // Local/global: each partition's partial sum fits, their total does
+    // not (rows 0 and 5 997 are both in group 0).
+    let mut vals = vec![0i64; 6_000];
+    vals[0] = i64::MAX / 2 + 1;
+    vals[5_997] = i64::MAX / 2 + 1;
+    let (_, local_global) = configs()
+        .into_iter()
+        .find(|(name, _)| *name == "local-global")
+        .unwrap();
+    for q in [global, grouped] {
+        let big = tde_over(&vals);
+        let plan = big.explain(q, &local_global).unwrap();
+        assert!(plan.contains("Partial"), "{plan}");
+        for opts in [&serial, &local_global] {
+            let err = big.query_with(q, opts).unwrap_err();
+            assert!(matches!(err, TvError::Exec(_)), "{q}: {err:?}");
+        }
+        // One less and the total fits, on both plans.
+        let mut fits = vals.clone();
+        fits[5_997] -= 1;
+        let fits = tde_over(&fits);
+        for opts in [&serial, &local_global] {
+            let out = fits.query_with(q, opts).unwrap();
+            let total = out
+                .to_rows()
+                .iter()
+                .map(|r| r.last().unwrap().as_int().unwrap())
+                .max();
+            assert_eq!(total, Some(i64::MAX), "{q}");
+        }
+    }
+}
