@@ -12,7 +12,7 @@
 use std::collections::BTreeSet;
 use tabviz_common::Value;
 use tabviz_tql::expr::Expr;
-use tabviz_tql::{write_expr, BinOp};
+use tabviz_tql::BinOp;
 
 /// Does `premise` (the new query's conjunct) imply `conclusion` (the cached
 /// query's conjunct)? Sound: `true` only when every row satisfying `premise`
@@ -21,7 +21,10 @@ pub fn implies(premise: &Expr, conclusion: &Expr) -> bool {
     if let Expr::Literal(Value::Bool(true)) = conclusion {
         return true;
     }
-    if write_expr(premise) == write_expr(conclusion) {
+    // Structural equality, compared without rendering either side. Literals
+    // compare as `Value`s do: Int and Real numerically, which is the same
+    // equality the set and range reasoning below applies.
+    if premise == conclusion {
         return true;
     }
     let (Some(p), Some(c)) = (Constraint::of(premise), Constraint::of(conclusion)) else {

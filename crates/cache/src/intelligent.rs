@@ -19,23 +19,26 @@
 //! * a cached Top-N result is reusable only for the structurally identical
 //!   request (truncation loses rows).
 //!
-//! Post-processing executes a real TDE plan over the cached chunk, reusing
-//! the tested engine rather than a second aggregation path.
+//! A probe does not walk its bucket: the candidate index (DESIGN.md §19)
+//! hands the matcher only entries the grouping and residual-column rules
+//! leave. Post-processing works on the cached chunk itself — a selection,
+//! expression evaluation, the engine's chunk-level aggregate and a sort —
+//! with no table built and no plan run.
 
 use crate::implication::implies;
 use crate::spec::QuerySpec;
 use parking_lot::Mutex;
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use tabviz_common::{Chunk, Result, TvError};
 use tabviz_obs::{stage, Counter, Histogram, Registry};
-use tabviz_storage::{Database, Table};
-use tabviz_tde::{ExecOptions, Tde};
+use tabviz_tde::aggregate_chunk;
+use tabviz_tde::physical::project_schema;
 use tabviz_tql::expr::{and_all, bin, col, lit, Expr, ScalarFunc};
-use tabviz_tql::{write_expr, AggCall, AggFunc, BinOp, LogicalPlan};
+use tabviz_tql::{write_expr, AggCall, AggFunc, BinOp};
 
 /// How a requested aggregate is produced from the cached columns.
 #[derive(Debug, Clone)]
@@ -58,8 +61,11 @@ struct MatchPlan {
 
 /// One cached result.
 struct Entry {
-    /// Normalized, and kept inline: the bucket walk reads it per entry.
+    /// Normalized, and kept inline: the matcher reads it per candidate.
     spec: QuerySpec,
+    /// The text of each of `spec`'s filter conjuncts, rendered once here:
+    /// the residual test compares them and the candidate index posts them.
+    conjuncts: Vec<String>,
     /// Its key in the exact-spec index.
     spec_hash: u64,
     /// Shared so a lookup can take it out from under the lock for the
@@ -187,13 +193,71 @@ impl Default for CacheConfig {
     }
 }
 
+/// The entries of one (source, relation) bucket that share a grouping
+/// set: one level of the candidate index.
+struct Slot {
+    /// The grouping columns, sorted and deduplicated.
+    grouping: Vec<String>,
+    /// Entry ids, oldest first (ids only grow).
+    ids: Vec<u64>,
+    /// Conjunct text → the ids (oldest first) of the entries that cache
+    /// that conjunct verbatim.
+    postings: HashMap<String, Vec<u64>>,
+}
+
+/// The sorted, deduplicated grouping set a slot is keyed by.
+fn grouping_set(spec: &QuerySpec) -> Vec<String> {
+    let mut g = spec.group_by.clone();
+    g.sort_unstable();
+    g.dedup();
+    g
+}
+
+/// Retire `id` from an ascending id list.
+fn drop_id(ids: &mut Vec<u64>, id: u64) {
+    if let Ok(k) = ids.binary_search(&id) {
+        ids.remove(k);
+    }
+}
+
+/// A request's filter conjuncts as a probe reads them: each one's text,
+/// rendered once per probe rather than once per candidate, and the columns
+/// it references.
+struct Conjuncts {
+    texts: Vec<String>,
+    columns: Vec<BTreeSet<String>>,
+}
+
+impl Conjuncts {
+    fn of(spec: &QuerySpec) -> Self {
+        Conjuncts {
+            texts: spec.filters.iter().map(write_expr).collect(),
+            columns: spec.filters.iter().map(Expr::columns).collect(),
+        }
+    }
+}
+
+/// The more informative of two miss reasons (see [`miss_rank`]).
+fn further(a: &'static str, b: &'static str) -> &'static str {
+    if miss_rank(b) > miss_rank(a) {
+        b
+    } else {
+        a
+    }
+}
+
+/// How a probe picks the entries it matches: their ids, most recent first,
+/// and the miss reason for the entries it left out.
+type Probe = fn(&Inner, &QuerySpec, &Conjuncts) -> (Vec<u64>, &'static str);
+
 struct Inner {
-    /// bucket key → entry ids (the relation-level index).
-    buckets: HashMap<String, Vec<u64>>,
+    /// Bucket key → one slot per grouping set: the candidate index, and
+    /// the only per-bucket list of entries.
+    index: HashMap<String, Vec<Slot>>,
     /// Hash of a normalized spec → the entries stored under a spec with
     /// that hash: one, since `put` supersedes, bar hash collisions (hence a
     /// list, checked by equality). What a store replaces and what an exact
-    /// lookup finds without walking the bucket.
+    /// lookup finds without consulting the candidate index.
     exact: HashMap<u64, Vec<u64>>,
     hasher: RandomState,
     entries: HashMap<u64, Entry>,
@@ -210,7 +274,72 @@ impl Inner {
             .find(|id| self.entries.get(id).is_some_and(|e| e.spec == *spec))
     }
 
-    /// Take one entry out of the map and the exact-spec index. Its bucket
+    /// The candidate index's answer for `req`: the entries of its bucket
+    /// that can pass [`match_specs_explained`], most recent first.
+    ///
+    /// Only slots whose grouping covers the request's are visited. Inside
+    /// one, a request conjunct that reads an ungrouped column cannot be a
+    /// residual (the residual-column rule), so every match caches it
+    /// verbatim: the shortest posting among such conjuncts bounds the
+    /// candidates, and with none of them every entry of the slot is one.
+    /// The reason returned names the rule that pruned the rest.
+    fn candidates(&self, req: &QuerySpec, conj: &Conjuncts) -> (Vec<u64>, &'static str) {
+        use tabviz_obs::reason as why;
+        let Some(slots) = self.index.get(&req.bucket_key()) else {
+            return (Vec::new(), why::CACHE_MISS_NO_CANDIDATE);
+        };
+        let mut pruned = why::CACHE_MISS_NO_CANDIDATE;
+        let mut ids = Vec::new();
+        for slot in slots {
+            let grouped = |c: &String| slot.grouping.binary_search(c).is_ok();
+            if !req.group_by.iter().all(grouped) {
+                pruned = further(pruned, why::CACHE_MISS_GROUP_NOT_SUBSET);
+                continue;
+            }
+            let mut shortest: &[u64] = &slot.ids;
+            for (text, cols) in conj.texts.iter().zip(&conj.columns) {
+                if !cols.iter().all(grouped) {
+                    let posting = slot.postings.get(text).map_or(&[][..], Vec::as_slice);
+                    if posting.len() < shortest.len() {
+                        shortest = posting;
+                    }
+                }
+            }
+            if shortest.len() < slot.ids.len() {
+                pruned = further(pruned, why::CACHE_MISS_RESIDUAL_COLUMN);
+            }
+            ids.extend_from_slice(shortest);
+        }
+        ids.sort_unstable_by(|a, b| b.cmp(a));
+        (ids, pruned)
+    }
+
+    /// Index a new entry under its bucket and grouping slot.
+    fn add_to_index(&mut self, id: u64, spec: &QuerySpec, conjuncts: &[String]) {
+        let grouping = grouping_set(spec);
+        let slots = self.index.entry(spec.bucket_key()).or_default();
+        let k = match slots.iter().position(|s| s.grouping == grouping) {
+            Some(k) => k,
+            None => {
+                slots.push(Slot {
+                    grouping,
+                    ids: Vec::new(),
+                    postings: HashMap::new(),
+                });
+                slots.len() - 1
+            }
+        };
+        let slot = &mut slots[k];
+        slot.ids.push(id);
+        for text in conjuncts {
+            let posting = slot.postings.entry(text.clone()).or_default();
+            if posting.last() != Some(&id) {
+                posting.push(id);
+            }
+        }
+    }
+
+    /// Take one entry out of the map and the exact-spec index. Its slot
     /// is the caller's to fix.
     fn take(&mut self, id: u64) -> Option<Entry> {
         let e = self.entries.remove(&id)?;
@@ -224,17 +353,43 @@ impl Inner {
         Some(e)
     }
 
-    /// Take one entry out of the map, the exact-spec index and its bucket.
+    /// Take one entry out of the map, the exact-spec index and its slot.
     fn remove(&mut self, id: u64) -> Option<Entry> {
         let e = self.take(id)?;
         let bucket = e.spec.bucket_key();
-        if let Some(ids) = self.buckets.get_mut(&bucket) {
-            ids.retain(|&i| i != id);
-            if ids.is_empty() {
-                self.buckets.remove(&bucket);
+        let Some(slots) = self.index.get_mut(&bucket) else {
+            return Some(e);
+        };
+        let grouping = grouping_set(&e.spec);
+        if let Some(k) = slots.iter().position(|s| s.grouping == grouping) {
+            let slot = &mut slots[k];
+            drop_id(&mut slot.ids, id);
+            for text in &e.conjuncts {
+                if let Some(posting) = slot.postings.get_mut(text) {
+                    drop_id(posting, id);
+                    if posting.is_empty() {
+                        slot.postings.remove(text);
+                    }
+                }
+            }
+            if slot.ids.is_empty() {
+                slots.swap_remove(k);
             }
         }
+        if slots.is_empty() {
+            self.index.remove(&bucket);
+        }
         Some(e)
+    }
+
+    /// Every entry id of a source's buckets.
+    fn source_ids(&self, source: &str) -> Vec<u64> {
+        let prefix = format!("{source}\u{1}");
+        self.index
+            .iter()
+            .filter(|(k, _)| k.starts_with(&prefix))
+            .flat_map(|(_, slots)| slots.iter().flat_map(|s| s.ids.iter().copied()))
+            .collect()
     }
 }
 
@@ -263,7 +418,7 @@ impl IntelligentCache {
         IntelligentCache {
             config,
             inner: Mutex::new(Inner {
-                buckets: HashMap::new(),
+                index: HashMap::new(),
                 exact: HashMap::new(),
                 hasher: RandomState::new(),
                 entries: HashMap::new(),
@@ -321,11 +476,12 @@ impl IntelligentCache {
     ///
     /// The paper's shipped version "accept\[s\] the first match"; its stated
     /// plan — "choose the entry that requires the least post-processing" —
-    /// is implemented here (and is the default): all matches in the bucket
-    /// are ranked by post-processing effort (exact < project/filter <
+    /// is implemented here (and is the default): every matching candidate
+    /// is ranked by post-processing effort (exact < project/filter <
     /// roll-up, ties broken by fewer cached rows) and the cheapest wins.
     /// Set [`CacheConfig::first_match`] to reproduce the paper's shipped
-    /// behavior.
+    /// behavior. Both read the candidate index's entries only, which hold
+    /// every entry of the bucket that could match.
     pub fn get(&self, spec: &QuerySpec) -> Option<Chunk> {
         self.lookup(spec, false, false).0
     }
@@ -333,7 +489,7 @@ impl IntelligentCache {
     /// [`IntelligentCache::get`] with decision attribution: also returns
     /// the verdict reason code (see [`tabviz_obs::reason`]) — which kind of
     /// hit, or for a miss *which subsumption check* rejected the closest
-    /// candidate.
+    /// candidate (or pruned every entry out of the candidate set).
     pub fn get_explained(&self, spec: &QuerySpec) -> (Option<Chunk>, &'static str) {
         self.lookup(spec, false, false)
     }
@@ -358,34 +514,42 @@ impl IntelligentCache {
     }
 
     /// Whether a fresh entry could answer `spec` right now — the matching
-    /// half of a lookup, with no post-processing, usage accounting or
-    /// counters. Batch planning asks this before it prices a query as a
-    /// backend trip.
+    /// half of a lookup over the same candidates, with no post-processing,
+    /// usage accounting or counters. Batch planning asks this before it
+    /// prices a query as a backend trip.
     pub fn can_answer(&self, spec: &QuerySpec) -> bool {
+        let conj = Conjuncts::of(spec);
         let inner = self.inner.lock();
-        inner.buckets.get(&spec.bucket_key()).is_some_and(|ids| {
-            ids.iter()
-                .filter_map(|id| inner.entries.get(id))
-                .any(|e| !e.stale && match_specs(&e.spec, spec).is_some())
-        })
+        let (ids, _) = inner.candidates(spec, &conj);
+        ids.iter()
+            .filter_map(|id| inner.entries.get(id))
+            .any(|e| !e.stale && match_specs_explained(&e.spec, &e.conjuncts, spec, &conj).is_ok())
     }
 
-    /// Matching runs under the entry-map lock; post-processing (a table
-    /// encode plus a TDE execution) does not, so a roll-up never stalls the
-    /// node's other lookups and stores. Candidates are taken out under the
-    /// lock (shared chunks, no copy), and the lock is retaken only to
-    /// record the use of each entry tried.
     fn lookup(
         &self,
         spec: &QuerySpec,
         allow_stale: bool,
         fresh_only: bool,
     ) -> (Option<Chunk>, &'static str) {
+        self.lookup_via(spec, allow_stale, fresh_only, Inner::candidates)
+    }
+
+    /// Matching runs under the entry-map lock; post-processing does not, so
+    /// a roll-up never stalls the node's other lookups and stores.
+    /// Candidates are taken out under the lock (shared chunks, no copy), and
+    /// the lock is retaken only to record the use of each entry tried.
+    /// `probe` picks the entries to match when the exact-spec index has
+    /// none ([`Inner::candidates`]; tests compare it with a bucket walk).
+    fn lookup_via(
+        &self,
+        spec: &QuerySpec,
+        allow_stale: bool,
+        fresh_only: bool,
+        probe: Probe,
+    ) -> (Option<Chunk>, &'static str) {
+        let conj = Conjuncts::of(spec);
         let inner = self.inner.lock();
-        // Decision attribution: remember the furthest-advancing rejection
-        // across candidates, so a miss names the subsumption check that
-        // failed on the *closest* entry rather than an arbitrary one.
-        let mut miss_reason = tabviz_obs::reason::CACHE_MISS_NO_CANDIDATE;
         // Collect candidate matches (most recent first — interactions tend
         // to refine the latest view, so recency breaks exact ties). The
         // final bool marks SWR candidates: stale, but inside the grace
@@ -402,12 +566,13 @@ impl IntelligentCache {
         }
         let mut candidates: Vec<Candidate> = Vec::new();
         // The entry stored under this very spec, when it may answer as it
-        // stands, is what the walk below would rank first (were an
-        // equivalent entry spelled differently also cached, this prefers the
-        // verbatim one). A stale one is left to the walk's SWR rules.
+        // stands, is what the candidate walk below would rank first (were
+        // an equivalent entry spelled differently also cached, this prefers
+        // the verbatim one). A stale one is left to the walk's SWR rules.
         if !self.config.first_match && spec.topn.is_none() && spec.order.is_empty() {
             let normalized;
-            let key = if spec.is_normalized() {
+            // Normalized already when the conjunct texts strictly ascend.
+            let key = if conj.texts.windows(2).all(|w| w[0] < w[1]) {
                 spec
             } else {
                 normalized = {
@@ -435,16 +600,16 @@ impl IntelligentCache {
                 });
             }
         }
-        // An index hit needs no walk, and no bucket key built for one.
-        let ids: &[u64] = if candidates.is_empty() {
-            inner
-                .buckets
-                .get(&spec.bucket_key())
-                .map_or(&[], Vec::as_slice)
+        // An exact hit needs no candidate walk, and no bucket key built for
+        // one. Otherwise a miss names the furthest-advancing rejection: the
+        // rule that pruned entries from the candidate set, or the check
+        // that failed on the closest candidate.
+        let (ids, mut miss_reason) = if candidates.is_empty() {
+            probe(&inner, spec, &conj)
         } else {
-            &[]
+            (Vec::new(), tabviz_obs::reason::CACHE_MISS_NO_CANDIDATE)
         };
-        for &id in ids.iter().rev() {
+        for id in ids {
             let entry = match inner.entries.get(&id) {
                 Some(e) => e,
                 None => continue,
@@ -457,12 +622,10 @@ impl IntelligentCache {
             if entry.stale && !allow_stale && !swr {
                 continue;
             }
-            let plan = match match_specs_explained(&entry.spec, spec) {
+            let plan = match match_specs_explained(&entry.spec, &entry.conjuncts, spec, &conj) {
                 Ok(plan) => plan,
                 Err(why) => {
-                    if miss_rank(why) > miss_rank(miss_reason) {
-                        miss_reason = why;
-                    }
+                    miss_reason = further(miss_reason, why);
                     continue;
                 }
             };
@@ -586,34 +749,44 @@ impl IntelligentCache {
     }
 
     /// Insert a result. `cost` is what computing it took.
+    ///
+    /// A fresh result always retires a stale entry stored under the same
+    /// spec — the revalidation contract ("until a fresh result replaces
+    /// it"): it takes the entry's place when admissible, and when it is
+    /// rejected (too cheap or too large to keep) the stale entry goes all
+    /// the same, so revalidation never leaves stale data serving. A fresh
+    /// entry is replaced only by an admissible result, so that concurrent
+    /// threads racing to store the same (e.g. widened) result converge on
+    /// one entry instead of accumulating duplicates — put is idempotent per
+    /// spec.
     pub fn put(&self, spec: QuerySpec, result: Chunk, cost: Duration) {
         let bytes = result.approx_bytes();
-        if bytes > self.config.max_entry_bytes || cost < self.config.min_cost {
-            self.counters.rejected_inserts.inc();
-            return;
-        }
-        let mut inner = self.inner.lock();
+        let admissible = bytes <= self.config.max_entry_bytes && cost >= self.config.min_cost;
         let mut spec = spec;
         spec.normalize();
-        // A fresh result replaces the existing entry for the same spec:
-        // a stale one by the revalidation contract ("until a fresh result
-        // replaces it"), a fresh one so concurrent threads racing to store
-        // the same (e.g. widened) result converge on one entry instead of
-        // accumulating duplicates — put is idempotent per spec.
+        let mut inner = self.inner.lock();
         if let Some(old) = inner.exact_id(&spec) {
-            inner.remove(old);
+            if admissible || inner.entries.get(&old).is_some_and(|e| e.stale) {
+                inner.remove(old);
+            }
+        }
+        if !admissible {
+            self.counters.rejected_inserts.inc();
+            return;
         }
         let id = inner.next_id;
         inner.next_id += 1;
         let now = Instant::now();
         let tags = crate::tags::tags_for_spec(&spec);
-        let bucket = spec.bucket_key();
+        let conjuncts: Vec<String> = spec.filters.iter().map(write_expr).collect();
         let spec_hash = inner.hasher.hash_one(&spec);
         inner.exact.entry(spec_hash).or_default().push(id);
+        inner.add_to_index(id, &spec, &conjuncts);
         inner.entries.insert(
             id,
             Entry {
                 spec,
+                conjuncts,
                 spec_hash,
                 result: Arc::new(result),
                 bytes,
@@ -626,7 +799,6 @@ impl IntelligentCache {
                 tags,
             },
         );
-        inner.buckets.entry(bucket).or_default().push(id);
         inner.bytes += bytes;
         self.counters.inserts.inc();
         self.enforce_capacity(&mut inner);
@@ -657,13 +829,7 @@ impl IntelligentCache {
     /// were newly marked.
     pub fn mark_source_stale(&self, source: &str) -> usize {
         let mut inner = self.inner.lock();
-        let prefix = format!("{source}\u{1}");
-        let ids: Vec<u64> = inner
-            .buckets
-            .iter()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect();
+        let ids = inner.source_ids(source);
         let mut marked = 0;
         let now = Instant::now();
         for id in ids {
@@ -719,25 +885,17 @@ impl IntelligentCache {
     /// when a connection to a data source is closed or refreshed").
     pub fn purge_source(&self, source: &str) {
         let mut inner = self.inner.lock();
+        let ids = inner.source_ids(source);
         let prefix = format!("{source}\u{1}");
-        let buckets: Vec<String> = inner
-            .buckets
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        for b in buckets {
-            if let Some(ids) = inner.buckets.remove(&b) {
-                for id in ids {
-                    inner.take(id);
-                }
-            }
+        inner.index.retain(|k, _| !k.starts_with(&prefix));
+        for id in ids {
+            inner.take(id);
         }
     }
 
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        inner.buckets.clear();
+        inner.index.clear();
         inner.exact.clear();
         inner.entries.clear();
         inner.bytes = 0;
@@ -796,12 +954,8 @@ impl IntelligentCache {
 /// the Fig. 3 cache-hit-opportunity graph ("the latter is determined by the
 /// matching logic of the intelligent query cache", Sect. 3.3).
 pub fn subsumes(cached: &QuerySpec, req: &QuerySpec) -> bool {
-    match_specs(cached, req).is_some()
-}
-
-/// Try to match a cached spec against a request.
-fn match_specs(cached: &QuerySpec, req: &QuerySpec) -> Option<MatchPlan> {
-    match_specs_explained(cached, req).ok()
+    let cached_texts: Vec<String> = cached.filters.iter().map(write_expr).collect();
+    match_specs_explained(cached, &cached_texts, req, &Conjuncts::of(req)).is_ok()
 }
 
 /// How far a rejection got through the subsumption checks — used to pick
@@ -819,12 +973,15 @@ fn miss_rank(reason: &'static str) -> u32 {
     }
 }
 
-/// [`match_specs`] with the failed check named: `Err` carries the
+/// Try to match a cached spec against a request; `Err` carries the
 /// [`tabviz_obs::reason`] code of the first subsumption rule that rejected
-/// this candidate.
+/// this candidate. `cached_texts` are the texts of `cached`'s conjuncts and
+/// `conj` describes `req`'s, so no expression is rendered per candidate.
 fn match_specs_explained(
     cached: &QuerySpec,
+    cached_texts: &[String],
     req: &QuerySpec,
+    conj: &Conjuncts,
 ) -> std::result::Result<MatchPlan, &'static str> {
     use tabviz_obs::reason as why;
     if cached.source != req.source {
@@ -846,20 +1003,18 @@ fn match_specs_explained(
             return Err(why::CACHE_MISS_FILTER_NOT_IMPLIED);
         }
     }
-    // Residual: requested conjuncts not already enforced verbatim.
-    let cached_texts: Vec<String> = cached.filters.iter().map(write_expr).collect();
-    let residual: Vec<Expr> = req
-        .filters
-        .iter()
-        .filter(|r| !cached_texts.contains(&write_expr(r)))
-        .cloned()
-        .collect();
-    // Residual conjuncts must be evaluable on the aggregated cache rows:
-    // they may touch cached group columns only.
-    for r in &residual {
-        if !r.columns().iter().all(|c| cached.group_by.contains(c)) {
+    // Residual: requested conjuncts not already enforced verbatim. They
+    // must be evaluable on the aggregated cache rows: they may touch cached
+    // group columns only.
+    let mut residual: Vec<Expr> = Vec::new();
+    for ((r, text), cols) in req.filters.iter().zip(&conj.texts).zip(&conj.columns) {
+        if cached_texts.contains(text) {
+            continue;
+        }
+        if !cols.iter().all(|c| cached.group_by.contains(c)) {
             return Err(why::CACHE_MISS_RESIDUAL_COLUMN);
         }
+        residual.push(r.clone());
     }
 
     // Aggregates.
@@ -907,22 +1062,25 @@ fn avg_parts(cached: &QuerySpec, avg: &AggCall) -> Option<AggSource> {
     })
 }
 
-/// Execute the post-processing (filter → roll-up → project → order/top-n)
-/// over the cached chunk with a throwaway TDE.
+/// Post-process the cached chunk into the requested shape: residual
+/// filter → projection or roll-up → order/top-n, directly on the chunk
+/// under one `post_process` span.
 fn post_process(cached: &Chunk, req: &QuerySpec, mp: &MatchPlan) -> Result<Chunk> {
-    let db = Arc::new(Database::new("__cache"));
-    db.put(Table::from_chunk("__cached", cached, &[])?)?;
-    let mut plan = LogicalPlan::scan("__cached");
+    let mut span = tabviz_obs::span(stage::POST_PROCESS);
+    span.label("cache");
+    let filtered;
+    let mut input = cached;
     if !mp.residual.is_empty() {
-        plan = plan.select(and_all(mp.residual.clone()));
+        let sel = and_all(mp.residual.clone()).eval_predicate_sel(cached)?;
+        if !sel.is_all() {
+            filtered = cached.take(&sel.iter().collect::<Vec<_>>());
+            input = &filtered;
+        }
     }
-    if mp.same_grouping {
+    let group_cols = || req.group_by.iter().map(|g| (col(g.clone()), g.clone()));
+    let mut out = if mp.same_grouping {
         // Pure filter + projection.
-        let mut exprs: Vec<(Expr, String)> = req
-            .group_by
-            .iter()
-            .map(|g| (col(g.clone()), g.clone()))
-            .collect();
+        let mut exprs: Vec<(Expr, String)> = group_cols().collect();
         for (a, src) in req.aggs.iter().zip(&mp.sources) {
             let e = match src {
                 AggSource::Column(c) => col(c.clone()),
@@ -935,14 +1093,10 @@ fn post_process(cached: &Chunk, req: &QuerySpec, mp: &MatchPlan) -> Result<Chunk
             };
             exprs.push((e, a.alias.clone()));
         }
-        plan = plan.project(exprs);
+        project(input, &exprs)?
     } else {
         // Roll up to the coarser grouping.
-        let group_by: Vec<(Expr, String)> = req
-            .group_by
-            .iter()
-            .map(|g| (col(g.clone()), g.clone()))
-            .collect();
+        let group_by: Vec<(Expr, String)> = group_cols().collect();
         // An ungrouped aggregate over no rows still yields one row, in which
         // COUNT is 0 — but the SUM of no partial counts is NULL.
         let ungrouped = req.group_by.is_empty();
@@ -989,30 +1143,470 @@ fn post_process(cached: &Chunk, req: &QuerySpec, mp: &MatchPlan) -> Result<Chunk
                 }
             }
         }
-        plan = plan.aggregate(group_by, calls);
+        let rolled = aggregate_chunk(input, &group_by, &calls)?;
         if fixups {
-            plan = plan.project(exprs);
+            project(&rolled, &exprs)?
+        } else {
+            rolled
         }
-    }
+    };
     if !req.order.is_empty() {
-        plan = plan.order(req.order.clone());
+        let keys = req
+            .order
+            .iter()
+            .map(|k| Ok((out.schema().index_of(&k.column)?, k.asc)))
+            .collect::<Result<Vec<_>>>()?;
+        out = out.sort_by(&keys);
     }
     if let Some(n) = req.topn {
-        plan = match plan {
-            LogicalPlan::Order { input, keys } => input.topn(n, keys),
-            other => other.topn(n, req.order.clone()),
-        };
+        out = out.slice(0, n.min(out.len()));
     }
-    Tde::new(db).execute_plan(&plan, &ExecOptions::serial())
+    span.detail(out.len() as u64);
+    Ok(out.compact_strings())
+}
+
+/// Evaluate `(expr, name)` pairs over `chunk`, typed as the engine's
+/// projection types them.
+fn project(chunk: &Chunk, exprs: &[(Expr, String)]) -> Result<Chunk> {
+    let schema = project_schema(chunk.schema(), exprs)?;
+    let cols = exprs
+        .iter()
+        .map(|(e, _)| e.eval(chunk))
+        .collect::<Result<_>>()?;
+    Chunk::new(schema, cols)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc as StdArc;
-    use tabviz_common::{DataType, Field, Schema, Value};
+    use tabviz_common::{Collation, DataType, Field, Schema, Value};
+    use tabviz_storage::{Database, Table};
+    use tabviz_tde::{ExecOptions, Tde};
     use tabviz_tql::expr::lit;
-    use tabviz_tql::SortKey;
+    use tabviz_tql::{LogicalPlan, SortKey};
+
+    /// The post-processing the cache ran before it worked on chunks: the
+    /// cached chunk stored as a table and the request planned and run by a
+    /// throwaway TDE. The reference [`post_process`] is checked against.
+    fn reference_post_process(cached: &Chunk, req: &QuerySpec, mp: &MatchPlan) -> Result<Chunk> {
+        let db = Arc::new(Database::new("__cache"));
+        db.put(Table::from_chunk("__cached", cached, &[])?)?;
+        let mut plan = LogicalPlan::scan("__cached");
+        if !mp.residual.is_empty() {
+            plan = plan.select(and_all(mp.residual.clone()));
+        }
+        if mp.same_grouping {
+            let mut exprs: Vec<(Expr, String)> = req
+                .group_by
+                .iter()
+                .map(|g| (col(g.clone()), g.clone()))
+                .collect();
+            for (a, src) in req.aggs.iter().zip(&mp.sources) {
+                let e = match src {
+                    AggSource::Column(c) => col(c.clone()),
+                    AggSource::AvgOf { sum_col, cnt_col } => {
+                        bin(BinOp::Div, col(sum_col.clone()), col(cnt_col.clone()))
+                    }
+                    AggSource::Rollup(..) => {
+                        return Err(TvError::Plan("rollup with same grouping".into()))
+                    }
+                };
+                exprs.push((e, a.alias.clone()));
+            }
+            plan = plan.project(exprs);
+        } else {
+            let group_by: Vec<(Expr, String)> = req
+                .group_by
+                .iter()
+                .map(|g| (col(g.clone()), g.clone()))
+                .collect();
+            let ungrouped = req.group_by.is_empty();
+            let mut calls: Vec<AggCall> = Vec::new();
+            let mut exprs = group_by.clone();
+            let mut fixups = false;
+            for (a, src) in req.aggs.iter().zip(&mp.sources) {
+                match src {
+                    AggSource::Rollup(f, c) => {
+                        calls.push(AggCall::new(*f, Some(col(c.clone())), a.alias.clone()));
+                        let out = if ungrouped && a.func == AggFunc::Count {
+                            fixups = true;
+                            Expr::Func {
+                                func: ScalarFunc::IfNull,
+                                args: vec![col(&a.alias), lit(0i64)],
+                            }
+                        } else {
+                            col(&a.alias)
+                        };
+                        exprs.push((out, a.alias.clone()));
+                    }
+                    AggSource::AvgOf { sum_col, cnt_col } => {
+                        let s_alias = format!("__{}_s", a.alias);
+                        let c_alias = format!("__{}_c", a.alias);
+                        calls.push(AggCall::new(
+                            AggFunc::Sum,
+                            Some(col(sum_col.clone())),
+                            s_alias.clone(),
+                        ));
+                        calls.push(AggCall::new(
+                            AggFunc::Sum,
+                            Some(col(cnt_col.clone())),
+                            c_alias.clone(),
+                        ));
+                        fixups = true;
+                        exprs.push((bin(BinOp::Div, col(s_alias), col(c_alias)), a.alias.clone()));
+                    }
+                    AggSource::Column(_) => {
+                        return Err(TvError::Plan(
+                            "column passthrough at coarser grouping".into(),
+                        ))
+                    }
+                }
+            }
+            plan = plan.aggregate(group_by, calls);
+            if fixups {
+                plan = plan.project(exprs);
+            }
+        }
+        if !req.order.is_empty() {
+            plan = plan.order(req.order.clone());
+        }
+        if let Some(n) = req.topn {
+            plan = match plan {
+                LogicalPlan::Order { input, keys } => input.topn(n, keys),
+                other => other.topn(n, req.order.clone()),
+            };
+        }
+        Tde::new(db).execute_plan(&plan, &ExecOptions::serial())
+    }
+
+    /// [`Inner::candidates`]'s reference: every entry of the request's
+    /// bucket, most recent first — the walk the index replaced.
+    fn bucket_walk(inner: &Inner, req: &QuerySpec, _: &Conjuncts) -> (Vec<u64>, &'static str) {
+        let mut ids: Vec<u64> = inner
+            .index
+            .get(&req.bucket_key())
+            .into_iter()
+            .flatten()
+            .flat_map(|slot| slot.ids.iter().copied())
+            .collect();
+        ids.sort_unstable_by(|a, b| b.cmp(a));
+        (ids, tabviz_obs::reason::CACHE_MISS_NO_CANDIDATE)
+    }
+
+    /// Detail rows for the oracles: a case-insensitive `origin` and a
+    /// NULL-heavy `delay` and `dest`. Stored as `flights` and `flights2`.
+    fn oracle_db() -> Arc<Database> {
+        let schema = StdArc::new(
+            Schema::new(vec![
+                Field::new("carrier", DataType::Str),
+                Field::new("origin", DataType::Str).with_collation(Collation::CaseInsensitive),
+                Field::new("dest", DataType::Str),
+                Field::new("distance", DataType::Int),
+                Field::new("delay", DataType::Int),
+            ])
+            .unwrap(),
+        );
+        let carriers = ["AA", "DL", "WN"];
+        let origins = ["JFK", "jfk", "LAX", "SFO"];
+        let dests = ["BOS", "ORD", "DEN"];
+        let rows: Vec<Vec<Value>> = (0..60i64)
+            .map(|i| {
+                let u = i as usize;
+                vec![
+                    Value::Str(carriers[u % 3].into()),
+                    Value::Str(origins[(u * 7) % 4].into()),
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Str(dests[(u * 5) % 3].into())
+                    },
+                    Value::Int(100 + (i * 37) % 900),
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int((i * 13) % 41 - 10)
+                    },
+                ]
+            })
+            .collect();
+        let chunk = Chunk::from_rows(schema, &rows).unwrap();
+        let db = Arc::new(Database::new("faa"));
+        for name in ["flights", "flights2"] {
+            db.put(Table::from_chunk(name, &chunk, &[]).unwrap())
+                .unwrap();
+        }
+        db
+    }
+
+    /// A conjunct over a grouped-or-not column, by index into a fixed pool:
+    /// equality, `IN` and ranges on group columns and on `distance`/`delay`,
+    /// which no oracle spec groups by.
+    fn conjunct(k: usize) -> Expr {
+        let s = |v: &str| Value::Str(v.into());
+        let in_list = |c: &str, vals: &[&str]| Expr::In {
+            expr: Box::new(col(c)),
+            list: vals.iter().map(|v| s(v)).collect(),
+            negated: false,
+        };
+        let between = |lo: i64, hi: i64| Expr::Between {
+            expr: Box::new(col("distance")),
+            low: Value::Int(lo),
+            high: Value::Int(hi),
+        };
+        match k % 12 {
+            0 => bin(BinOp::Eq, col("carrier"), lit("AA")),
+            1 => in_list("carrier", &["AA", "DL"]),
+            2 => bin(BinOp::Eq, col("origin"), lit("JFK")),
+            3 => in_list("origin", &["jfk", "LAX"]),
+            4 => in_list("dest", &["BOS", "ORD"]),
+            5 => bin(BinOp::Eq, col("carrier"), lit("ZZ")),
+            6 => between(100, 600),
+            7 => between(300, 800),
+            8 => between(350, 500),
+            9 => bin(BinOp::Gt, col("delay"), lit(0i64)),
+            10 => bin(BinOp::Ge, col("delay"), lit(5i64)),
+            _ => bin(BinOp::Le, col("distance"), lit(700i64)),
+        }
+    }
+
+    const GROUP_COLS: [&str; 3] = ["carrier", "origin", "dest"];
+
+    /// A spec over `table` from drawn bits: grouping, conjuncts, aggregates
+    /// and an optional order / top-n.
+    fn oracle_spec(
+        table: &str,
+        groups: u8,
+        conjuncts: &[usize],
+        aggs: u8,
+        topn: Option<u8>,
+    ) -> QuerySpec {
+        let mut spec = QuerySpec::new("faa", LogicalPlan::scan(table));
+        for (i, g) in GROUP_COLS.iter().enumerate() {
+            if groups & (1 << i) != 0 {
+                spec = spec.group(*g);
+            }
+        }
+        for &k in conjuncts {
+            spec = spec.filter(conjunct(k));
+        }
+        let calls = [
+            AggCall::new(AggFunc::Count, None, "n"),
+            AggCall::new(AggFunc::Sum, Some(col("delay")), "total"),
+            AggCall::new(AggFunc::Count, Some(col("delay")), "cnt"),
+            AggCall::new(AggFunc::Avg, Some(col("delay")), "avg"),
+            AggCall::new(AggFunc::Min, Some(col("delay")), "lo"),
+            AggCall::new(AggFunc::Max, Some(col("distance")), "far"),
+            AggCall::new(AggFunc::CountD, Some(col("dest")), "dests"),
+        ];
+        for (i, call) in calls.into_iter().enumerate() {
+            if aggs & (1 << i) != 0 {
+                spec = spec.agg(call);
+            }
+        }
+        if spec.aggs.is_empty() {
+            spec = spec.agg(AggCall::new(AggFunc::Count, None, "n"));
+        }
+        if let Some(t) = topn {
+            let key = spec.output_columns()[t as usize % spec.output_columns().len()].clone();
+            let key = if t % 2 == 0 {
+                SortKey::asc(key)
+            } else {
+                SortKey::desc(key)
+            };
+            spec = spec.order_by(vec![key]);
+            if t % 3 != 0 {
+                spec = spec.top(1 + (t as usize % 4));
+            }
+        }
+        spec
+    }
+
+    type SpecBits = (u8, Vec<usize>, u8, Option<u8>);
+
+    fn spec_bits() -> impl Strategy<Value = SpecBits> {
+        (
+            0u8..8,
+            proptest::collection::vec(0usize..12, 0..4),
+            0u8..=255,
+            proptest::option::of(0u8..=255),
+        )
+    }
+
+    /// A chunk's fields and rows: what two post-processing paths must agree
+    /// on, whatever string tables they built along the way.
+    fn row_view(chunk: &Chunk) -> (Vec<Field>, Vec<Vec<Value>>) {
+        (chunk.schema().fields().to_vec(), chunk.to_rows())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Index completeness: over random contents (groupings, `=`/`IN`/range
+        /// conjuncts on grouped and ungrouped columns, top-n and stale
+        /// entries), the indexed probe answers every request as the bucket
+        /// walk does, and `can_answer` agrees with the walk.
+        #[test]
+        fn indexed_lookup_matches_the_bucket_walk(
+            stored in proptest::collection::vec((spec_bits(), any::<bool>(), any::<bool>()), 1..14),
+            requests in proptest::collection::vec((spec_bits(), any::<bool>(), 0usize..64, proptest::option::of(0usize..6)), 1..10),
+            first_match in any::<bool>(),
+            stale_mode in 0u8..3,
+        ) {
+            let db = oracle_db();
+            let tde = Tde::new(Arc::clone(&db));
+            let cache = IntelligentCache::new(CacheConfig {
+                min_cost: Duration::ZERO,
+                first_match,
+                swr_grace: if stale_mode == 2 { Duration::from_secs(60) } else { Duration::ZERO },
+                ..Default::default()
+            });
+            let table = |other: bool| if other { "flights2" } else { "flights" };
+            for ((g, f, a, t), other, _) in &stored {
+                let spec = oracle_spec(table(*other), *g, f, *a, *t);
+                let out = tde.execute_plan(&spec.to_plan().unwrap(), &ExecOptions::serial()).unwrap();
+                cache.put(spec, out, Duration::from_millis(1));
+            }
+            if stale_mode > 0 {
+                cache.mark_tag_stale(&crate::tags::table_tag("faa", "flights2"));
+            }
+            for ((g, f, a, t), other, pick, extra) in &requests {
+                // Half the requests refine a stored entry (coarser grouping,
+                // fewer aggregates, an extra conjunct), so that hits occur.
+                let req = if pick % 2 == 0 {
+                    let ((sg, sf, sa, st), s_other, _) = &stored[pick / 2 % stored.len()];
+                    let mut sf = sf.clone();
+                    sf.extend(extra);
+                    let t = if g % 2 == 0 { *st } else { *t };
+                    oracle_spec(table(*s_other), sg & (g | 1), &sf, sa & (a | 1), t)
+                } else {
+                    oracle_spec(table(*other), *g, f, *a, *t)
+                };
+                for (allow_stale, fresh_only) in [(false, false), (true, false), (false, true)] {
+                    let (hit, why) = cache.lookup_via(&req, allow_stale, fresh_only, Inner::candidates);
+                    let (want, want_why) = cache.lookup_via(&req, allow_stale, fresh_only, bucket_walk);
+                    prop_assert_eq!(hit.as_ref().map(row_view), want.as_ref().map(row_view), "{}", req.canonical_text());
+                    if want.is_some() {
+                        prop_assert_eq!(why, want_why);
+                    }
+                }
+                let walk = {
+                    let conj = Conjuncts::of(&req);
+                    let inner = cache.inner.lock();
+                    bucket_walk(&inner, &req, &conj).0.iter().filter_map(|id| inner.entries.get(id)).any(|e| {
+                        !e.stale && match_specs_explained(&e.spec, &e.conjuncts, &req, &conj).is_ok()
+                    })
+                };
+                prop_assert_eq!(cache.can_answer(&req), walk);
+            }
+        }
+
+        /// Post-process differential: chunk-level post-processing equals the
+        /// table-and-plan reference for residuals, roll-ups, AVG from
+        /// SUM+COUNT, ungrouped COUNT over no rows, NULL-heavy and
+        /// case-insensitive group columns, and order + top-n.
+        #[test]
+        fn chunk_post_process_matches_the_engine(
+            cached_bits in (1u8..8, proptest::collection::vec(6usize..12, 0..3)),
+            req_bits in (0u8..8, proptest::collection::vec(0usize..6, 0..3), 0u8..=255, proptest::option::of(0u8..=255)),
+        ) {
+            let db = oracle_db();
+            let tde = Tde::new(db);
+            let (g, f) = cached_bits;
+            // Every aggregate but AVG is cached, so AVG has to be derived.
+            let cached = oracle_spec("flights", g, &f, 0b111_0111, None);
+            let chunk = tde.execute_plan(&cached.to_plan().unwrap(), &ExecOptions::serial()).unwrap();
+            let (rg, rf, ra, rt) = req_bits;
+            let rg = rg & g;
+            // Residuals on group columns the request keeps, so that they
+            // stay evaluable; COUNTD only where the grouping does not change.
+            let grouped = |k: &usize| {
+                let c = conjunct(*k).columns();
+                c.iter().all(|c| GROUP_COLS.iter().position(|g| g == c).is_some_and(|i| rg & (1 << i) != 0))
+            };
+            let rf: Vec<usize> = rf.into_iter().filter(grouped).collect();
+            let ra = if rg == g { ra } else { ra & 0b011_1111 };
+            let mut req = oracle_spec("flights", rg, &rf, ra, rt);
+            req.filters.extend(cached.filters.iter().cloned());
+            let conj = Conjuncts::of(&req);
+            let texts: Vec<String> = cached.filters.iter().map(write_expr).collect();
+            let Ok(plan) = match_specs_explained(&cached, &texts, &req, &conj) else {
+                return Ok(());
+            };
+            let got = post_process(&chunk, &req, &plan).map(|c| row_view(&c));
+            let want = reference_post_process(&chunk, &req, &plan).map(|c| row_view(&c));
+            prop_assert_eq!(got.ok(), want.ok(), "{}", req.canonical_text());
+        }
+    }
+
+    #[test]
+    fn ungrouped_count_over_no_rows_is_zero_on_both_paths() {
+        let tde = Tde::new(oracle_db());
+        let cached = oracle_spec("flights", 0b001, &[], 0b000_0011, None);
+        let chunk = tde
+            .execute_plan(&cached.to_plan().unwrap(), &ExecOptions::serial())
+            .unwrap();
+        let req = oracle_spec("flights", 0, &[5], 0b000_0011, None);
+        let conj = Conjuncts::of(&req);
+        let plan = match_specs_explained(&cached, &[], &req, &conj).unwrap();
+        let got = post_process(&chunk, &req, &plan).unwrap();
+        assert_eq!(got.to_rows(), [[Value::Int(0), Value::Null]]);
+        let want = reference_post_process(&chunk, &req, &plan).unwrap();
+        assert_eq!(row_view(&got), row_view(&want));
+    }
+
+    #[test]
+    fn pruned_probes_name_the_rule() {
+        use tabviz_obs::reason as why;
+        let cache = cache_with_entry();
+        // Nothing cached over this relation.
+        let mut req = cached_spec();
+        req.relation = LogicalPlan::scan("elsewhere");
+        assert_eq!(cache.get_explained(&req).1, why::CACHE_MISS_NO_CANDIDATE);
+        // No slot groups by `dest`.
+        let req = cached_spec().group("dest");
+        assert_eq!(
+            cache.get_explained(&req).1,
+            why::CACHE_MISS_GROUP_NOT_SUBSET
+        );
+        // The slot covers the grouping, but no entry caches `delay > 5`.
+        let req = cached_spec().filter(bin(BinOp::Gt, col("delay"), lit(5i64)));
+        assert_eq!(cache.get_explained(&req).1, why::CACHE_MISS_RESIDUAL_COLUMN);
+        let inner = cache.inner.lock();
+        let conj = Conjuncts::of(&req);
+        assert!(inner.candidates(&req, &conj).0.is_empty());
+    }
+
+    #[test]
+    fn fresh_result_below_min_cost_retires_the_stale_entry() {
+        let cache = IntelligentCache::new(CacheConfig {
+            min_cost: Duration::from_micros(50),
+            swr_grace: Duration::from_secs(10),
+            ..Default::default()
+        });
+        cache.put(cached_spec(), detail_chunk(), Duration::from_millis(100));
+        assert_eq!(cache.mark_source_stale("faa"), 1);
+        // The revalidated result is cheap, so the cache will not keep it —
+        // but it must not keep serving the stale six rows either.
+        let fresh = detail_chunk().slice(0, 1);
+        cache.put(cached_spec(), fresh.clone(), Duration::from_micros(10));
+        let (hit, why) = cache.get_explained(&cached_spec());
+        assert!(hit.is_none(), "stale rows served after revalidation: {why}");
+        assert!(cache.stale_entries().is_empty());
+        assert_eq!(cache.stats().rejected_inserts, 1);
+        // An admissible fresh result takes the stale entry's place.
+        cache.put(cached_spec(), detail_chunk(), Duration::from_millis(100));
+        cache.mark_source_stale("faa");
+        cache.put(cached_spec(), fresh, Duration::from_millis(100));
+        let (hit, why) = cache.get_explained(&cached_spec());
+        assert_eq!(hit.map(|c| c.len()), Some(1));
+        assert_eq!(why, tabviz_obs::reason::CACHE_HIT_EXACT);
+        assert!(cache.stale_entries().is_empty());
+        // A cheap result leaves a fresh entry alone.
+        cache.put(cached_spec(), detail_chunk(), Duration::from_micros(10));
+        assert_eq!(cache.get(&cached_spec()).map(|c| c.len()), Some(1));
+    }
 
     /// Ten rows per (carrier, origin) pair over 3 carriers × 2 origins.
     fn detail_chunk() -> Chunk {
@@ -1457,6 +2051,31 @@ mod tests {
             for (id, e) in &inner.entries {
                 assert_eq!(inner.exact_id(&e.spec), Some(*id));
             }
+            // The candidate index holds every entry once, under its bucket
+            // and grouping, and posts exactly its conjuncts.
+            let mut slotted = 0;
+            for (bucket, slots) in &inner.index {
+                assert!(!slots.is_empty());
+                for slot in slots {
+                    assert!(!slot.ids.is_empty());
+                    slotted += slot.ids.len();
+                    for id in &slot.ids {
+                        let e = &inner.entries[id];
+                        assert_eq!(&e.spec.bucket_key(), bucket);
+                        assert_eq!(grouping_set(&e.spec), slot.grouping);
+                        for text in &e.conjuncts {
+                            assert!(slot.postings[text].contains(id));
+                        }
+                    }
+                    for (text, ids) in &slot.postings {
+                        assert!(!ids.is_empty());
+                        assert!(ids
+                            .iter()
+                            .all(|id| inner.entries[id].conjuncts.contains(text)));
+                    }
+                }
+            }
+            assert_eq!(slotted, inner.entries.len());
         };
         let spec_on = |source: &str, table: &str| {
             QuerySpec::new(source, LogicalPlan::scan(table))

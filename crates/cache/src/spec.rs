@@ -82,15 +82,6 @@ impl QuerySpec {
         self.filters.dedup();
     }
 
-    /// Whether [`QuerySpec::normalize`] would leave the spec as it is:
-    /// conjunct texts strictly ascending (so none repeats).
-    pub fn is_normalized(&self) -> bool {
-        self.filters.len() < 2 || {
-            let texts: Vec<String> = self.filters.iter().map(write_expr).collect();
-            texts.windows(2).all(|w| w[0] < w[1])
-        }
-    }
-
     /// The executable logical plan.
     pub fn to_plan(&self) -> Result<LogicalPlan> {
         if self.group_by.is_empty() && self.aggs.is_empty() {

@@ -513,6 +513,27 @@ impl Grouping {
     }
 }
 
+/// Aggregate one in-memory chunk through the `Grouping` [`HashAggOp`] uses,
+/// with no table, plan or operator tree around it — the roll-up the
+/// intelligent cache runs over a cached result. The output schema is
+/// [`crate::physical::agg_schema`]'s and groups come out in first-seen
+/// order. Over no rows a grouped aggregate is empty and a global one is a
+/// single row of identity values, as in the engine.
+pub fn aggregate_chunk(
+    chunk: &Chunk,
+    group_by: &[(Expr, String)],
+    aggs: &[AggCall],
+) -> Result<Chunk> {
+    let schema = crate::physical::agg_schema(chunk.schema(), group_by, aggs)?;
+    let mut grouping = Grouping::new(&schema, aggs, chunk.schema())?;
+    if !chunk.is_empty() {
+        let ev = eval_set(chunk, group_by, aggs)?;
+        let sel = SelVec::all(chunk.len());
+        grouping.update(&ev.groups, &ev.args, chunk.len(), &sel, None)?;
+    }
+    Ok(grouping.finish()?.unwrap_or_else(|| Chunk::empty(schema)))
+}
+
 /// Stop-and-go hash aggregation.
 ///
 /// Group keys are encoded into packed words (`GroupTable`, DESIGN.md §14)
@@ -880,6 +901,32 @@ mod tests {
             rows
         };
         assert_eq!(run(flights(true)), run(flights(false)));
+    }
+
+    #[test]
+    fn chunk_aggregate_matches_the_operator() {
+        let t = flights(false);
+        let chunk = t.scan_range(0, t.row_count(), None).unwrap();
+        let by_carrier = [(col("carrier"), "carrier".to_string())];
+        let mut op = HashAggOp::new(
+            Box::new(ScanOp::new(Arc::clone(&t), vec![(0, t.row_count())], None)),
+            by_carrier.to_vec(),
+            agg_calls(),
+            out_schema(&t),
+        );
+        let out = aggregate_chunk(&chunk, &by_carrier, &agg_calls()).unwrap();
+        assert_eq!(out.schema(), &out_schema(&t));
+        assert_eq!(out.to_rows(), collect(&mut op));
+        // No rows: a grouped aggregate is empty, a global one is one row.
+        let none = chunk.slice(0, 0);
+        assert!(aggregate_chunk(&none, &by_carrier, &agg_calls())
+            .unwrap()
+            .is_empty());
+        let global = aggregate_chunk(&none, &[], &agg_calls()).unwrap();
+        assert_eq!(
+            global.to_rows(),
+            [[Value::Int(0), Value::Null, Value::Null]]
+        );
     }
 
     #[test]

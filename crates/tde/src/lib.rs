@@ -30,3 +30,4 @@ pub mod props;
 
 pub use catalog::TdeCatalog;
 pub use engine::{ExecOptions, Tde};
+pub use exec::agg::aggregate_chunk;

@@ -164,19 +164,7 @@ impl PhysPlan {
                 agg_schema(table.schema(), &gb, aggs)
             }
             PhysPlan::Filter { input, .. } => input.schema(),
-            PhysPlan::Project { input, exprs } => {
-                let in_schema = input.schema()?;
-                let mut fields = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    let dtype = e.data_type(&in_schema)?;
-                    let collation = match e {
-                        Expr::Column(c) => in_schema.field_by_name(c)?.collation,
-                        _ => Default::default(),
-                    };
-                    fields.push(Field::new(name.clone(), dtype).with_collation(collation));
-                }
-                Ok(Arc::new(Schema::new_unchecked(fields)))
-            }
+            PhysPlan::Project { input, exprs } => project_schema(&*input.schema()?, exprs),
             PhysPlan::HashJoin { probe, build, .. } => {
                 Ok(Arc::new(probe.schema()?.join(&build.schema)))
             }
@@ -321,6 +309,25 @@ fn fmt_keys(keys: &[SortKey]) -> String {
         .join(", ")
 }
 
+/// The field `name` that evaluating `e` over `in_schema` produces: the
+/// expression's type, and a plain column's collation.
+fn expr_field(in_schema: &Schema, e: &Expr, name: &str) -> Result<Field> {
+    let collation = match e {
+        Expr::Column(c) => in_schema.field_by_name(c)?.collation,
+        _ => Default::default(),
+    };
+    Ok(Field::new(name, e.data_type(in_schema)?).with_collation(collation))
+}
+
+/// Output schema of a projection: one field per `(expr, name)` pair.
+pub fn project_schema(in_schema: &Schema, exprs: &[(Expr, String)]) -> Result<SchemaRef> {
+    let fields = exprs
+        .iter()
+        .map(|(e, name)| expr_field(in_schema, e, name))
+        .collect::<Result<_>>()?;
+    Ok(Arc::new(Schema::new_unchecked(fields)))
+}
+
 /// Output schema of an aggregate node (hash in every mode, and
 /// run-granularity): the group columns, then one column per call.
 pub fn agg_schema(
@@ -330,12 +337,7 @@ pub fn agg_schema(
 ) -> Result<SchemaRef> {
     let mut fields = Vec::with_capacity(group_by.len() + aggs.len());
     for (e, name) in group_by {
-        let dtype = e.data_type(in_schema)?;
-        let collation = match e {
-            Expr::Column(c) => in_schema.field_by_name(c)?.collation,
-            _ => Default::default(),
-        };
-        fields.push(Field::new(name.clone(), dtype).with_collation(collation));
+        fields.push(expr_field(in_schema, e, name)?);
     }
     for a in aggs {
         fields.push(Field::new(a.alias.clone(), a.output_type(in_schema)?));

@@ -19,16 +19,24 @@ fn flights_db() -> Arc<Database> {
     db
 }
 
+/// A simulated warehouse whose every query takes at least a fixed dispatch
+/// time, above the intelligent cache's default `min_cost` (50 µs): whether
+/// a result is admitted then does not depend on how fast the host runs the
+/// instant backend.
+fn warehouse(db: &Arc<Database>) -> Arc<SimDb> {
+    let config = SimConfig {
+        latency: LatencyModel {
+            dispatch: Duration::from_micros(200),
+            ..LatencyModel::instant()
+        },
+        ..SimConfig::default()
+    };
+    Arc::new(SimDb::new("warehouse", Arc::clone(db), config))
+}
+
 fn processor_over(db: &Arc<Database>) -> QueryProcessor {
     let qp = QueryProcessor::default();
-    qp.registry.register(
-        Arc::new(SimDb::new(
-            "warehouse",
-            Arc::clone(db),
-            SimConfig::default(),
-        )),
-        4,
-    );
+    qp.registry.register(warehouse(db), 4);
     qp
 }
 
@@ -245,14 +253,7 @@ fn swr_serves_within_grace_until_revalidated() {
         64,
     );
     let qp = QueryProcessor::new(caches);
-    qp.registry.register(
-        Arc::new(SimDb::new(
-            "warehouse",
-            Arc::clone(&db),
-            SimConfig::default(),
-        )),
-        4,
-    );
+    qp.registry.register(warehouse(&db), 4);
 
     let (old, outcome) = qp.execute(&kv_spec("t")).unwrap();
     assert_eq!(outcome, ExecOutcome::Remote);
