@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     let configs = [
         (
-            "serial_naive",
+            "serial",
             BatchOptions {
                 fuse: false,
                 concurrent: false,
@@ -36,19 +36,11 @@ fn bench(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let (mut qp, _) = processor_over(
-                        Arc::clone(&db),
-                        SimConfig {
-                            latency: LatencyModel::lan(),
-                            ..Default::default()
-                        },
-                        8,
-                    );
-                    if name == "serial_naive" {
-                        qp.options.use_intelligent_cache = false;
-                        qp.options.use_literal_cache = false;
-                    }
-                    qp
+                    let config = SimConfig {
+                        latency: LatencyModel::lan(),
+                        ..Default::default()
+                    };
+                    processor_over(Arc::clone(&db), config, 8).0
                 },
                 |qp| {
                     let mut state = DashboardState::default();

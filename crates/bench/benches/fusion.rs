@@ -44,17 +44,11 @@ fn bench(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let (mut qp, _) = processor_over(
-                        Arc::clone(&db),
-                        SimConfig {
-                            latency: LatencyModel::lan(),
-                            ..Default::default()
-                        },
-                        8,
-                    );
-                    qp.options.use_intelligent_cache = fuse;
-                    qp.options.use_literal_cache = false;
-                    qp
+                    let config = SimConfig {
+                        latency: LatencyModel::lan(),
+                        ..Default::default()
+                    };
+                    processor_over(Arc::clone(&db), config, 8).0
                 },
                 |qp| {
                     let opts = BatchOptions {

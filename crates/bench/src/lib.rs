@@ -1,7 +1,6 @@
-//! Shared harness utilities for the experiment binary and criterion benches.
+//! Fixtures shared by the criterion stand-in benches.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 use tabviz::prelude::*;
 use tabviz::workloads::{carriers_dim, generate_flights, FaaConfig};
 
@@ -11,17 +10,6 @@ pub fn faa_db(rows: usize) -> Arc<Database> {
     let flights = generate_flights(&FaaConfig::with_rows(rows)).expect("generate");
     let db = Arc::new(Database::new("faa"));
     db.put(Table::from_chunk("flights", &flights, &["carrier", "date"]).expect("flights"))
-        .expect("put flights");
-    db.put(Table::from_chunk("carriers", &carriers_dim().expect("dim"), &["code"]).expect("dim"))
-        .expect("put carriers");
-    db
-}
-
-/// An unsorted variant (for aggregation-strategy comparisons).
-pub fn faa_db_unsorted(rows: usize) -> Arc<Database> {
-    let flights = generate_flights(&FaaConfig::with_rows(rows)).expect("generate");
-    let db = Arc::new(Database::new("faa"));
-    db.put(Table::from_chunk("flights", &flights, &[]).expect("flights"))
         .expect("put flights");
     db.put(Table::from_chunk("carriers", &carriers_dim().expect("dim"), &["code"]).expect("dim"))
         .expect("put carriers");
@@ -38,46 +26,4 @@ pub fn processor_over(
     let qp = QueryProcessor::default();
     qp.registry.register(Arc::new(sim.clone()), pool);
     (qp, sim)
-}
-
-/// Wall-clock a closure.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let out = f();
-    (out, t0.elapsed())
-}
-
-/// Milliseconds with two decimals.
-pub fn ms(d: Duration) -> String {
-    format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-pub mod trend;
-
-/// Print an aligned text table (the harness's "paper table" output).
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n### {title}");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for r in rows {
-        for (i, c) in r.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(c.len());
-            }
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        let padded: Vec<String> = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect();
-        format!("| {} |", padded.join(" | "))
-    };
-    let head: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&head));
-    let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-    println!("{}", fmt_row(&sep));
-    for r in rows {
-        println!("{}", fmt_row(r));
-    }
 }

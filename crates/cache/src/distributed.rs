@@ -243,8 +243,9 @@ impl ExternalStore {
     }
 }
 
-/// Wire encoding for a result chunk crossing the peer tier (the pack
-/// format the extract layer already speaks).
+/// The one encoding for a result chunk that leaves the process: crossing
+/// the shared tier, or written into a persisted cache file (the pack format
+/// the extract layer already speaks).
 pub fn encode_chunk(chunk: &Chunk) -> Result<Bytes> {
     Ok(pack_table(&Table::from_chunk("__d", chunk, &[])?))
 }

@@ -102,7 +102,7 @@ impl Entry {
     }
 }
 
-/// Counters for experiments.
+/// Intelligent-cache counters (a point-in-time copy).
 #[derive(Debug, Clone, Default)]
 pub struct IntelligentStats {
     pub exact_hits: u64,

@@ -6,13 +6,12 @@
 //! into fresh caches on the next session.
 
 use crate::caches::QueryCaches;
+use crate::distributed::{decode_chunk, encode_chunk};
 use crate::spec::QuerySpec;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::Path;
 use std::time::Duration;
 use tabviz_common::{Chunk, Result, TvError};
-use tabviz_storage::pack::{pack_table, unpack_table};
-use tabviz_storage::Table;
 use tabviz_tql::{parse_plan, write_plan};
 
 const MAGIC: &[u8; 4] = b"TVQC";
@@ -132,8 +131,7 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64> {
 }
 
 fn put_chunk(buf: &mut BytesMut, chunk: &Chunk) -> Result<()> {
-    let table = Table::from_chunk("__c", chunk, &[])?;
-    let bytes = pack_table(&table);
+    let bytes = encode_chunk(chunk)?;
     buf.put_u32_le(bytes.len() as u32);
     buf.put_slice(&bytes);
     Ok(())
@@ -144,9 +142,9 @@ fn get_chunk(buf: &mut &[u8]) -> Result<Chunk> {
     if buf.remaining() < len {
         return Err(TvError::Io("truncated cache chunk".into()));
     }
-    let table = unpack_table(&buf[..len])?;
+    let chunk = decode_chunk(&buf[..len])?;
     buf.advance(len);
-    table.scan(None)
+    Ok(chunk)
 }
 
 #[cfg(test)]

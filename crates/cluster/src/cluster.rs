@@ -311,9 +311,9 @@ impl Cluster {
         Ok(Arc::new(cluster))
     }
 
-    /// Replace the SLO tracker (window shape + objectives). Experiments
-    /// call this right after build, before traffic, so the sim-time
-    /// windows match their compressed horizon.
+    /// Replace the SLO tracker (window shape + objectives). The new
+    /// tracker's windows start empty, so only traffic served after the
+    /// call is judged against the new objectives.
     pub fn configure_slo(&self, config: SloConfig, objectives: Vec<Objective>) {
         let mut tracker = SloTracker::new(config, objectives);
         tracker.bind_obs(&self.registry);

@@ -37,8 +37,7 @@ pub struct BatchOptions {
     /// (vs sending every query to the backend).
     pub cache_aware: bool,
     /// Workload class the batch's zones are admitted under. Dashboard
-    /// batches default to [`Priority::Batch`]; prefetch submits at
-    /// [`Priority::Background`].
+    /// batches default to [`Priority::Batch`].
     pub priority: Priority,
 }
 
@@ -235,7 +234,7 @@ pub fn execute_batch(
 
     // Phase 1b: level-of-detail fusion. Its members are answered through the
     // intelligent cache, like every local node and every fused original.
-    if options.fuse && options.cache_aware && processor.options.use_intelligent_cache {
+    if options.fuse && options.cache_aware {
         let mut cspan = tabviz_obs::span(tabviz_obs::stage::FUSION);
         cspan.label("cover");
         let members = plan_covers(processor, &mut nodes, &mut remote_idx, &mut local_idx);
@@ -537,14 +536,17 @@ mod tests {
 
     #[test]
     fn naive_mode_sends_everything() {
-        // The full pre-optimization baseline: no fusion, no graph, no
-        // processor-level caches — every zone query reaches the backend.
-        let (mut qp, sim) = processor(LatencyModel::instant());
-        qp.options = crate::processor::ProcessorOptions {
-            use_intelligent_cache: false,
-            use_literal_cache: false,
+        // The full pre-optimization baseline: no fusion, no graph, and
+        // caches that admit nothing (no entry fits a zero-byte budget, and
+        // a zero-capacity literal level keeps only the latest of the five
+        // distinct texts) — every zone query reaches the backend.
+        let sim = SimDb::new("warehouse", flights_db(3000), SimConfig::default());
+        let no_room = tabviz_cache::intelligent::CacheConfig {
+            max_entry_bytes: 0,
             ..Default::default()
         };
+        let qp = QueryProcessor::new(tabviz_cache::QueryCaches::new(no_room, 0));
+        qp.registry.register(Arc::new(sim.clone()), 8);
         let batch = dashboard_batch();
         let opts = BatchOptions {
             fuse: false,
@@ -772,6 +774,38 @@ mod tests {
                 e.is_degradable() || matches!(e, TvError::Cancelled(_)),
                 "unexpected error class: {e:?}"
             );
+        }
+    }
+
+    /// Sect. 3.4: zones over one relation and one filter that differ only
+    /// in their measures travel as one fused remote query.
+    #[test]
+    fn zones_differing_only_in_measures_fuse_into_one_remote_query() {
+        let zone = |alias: &str, func: AggFunc, arg: Option<&str>| {
+            let spec = QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+                .filter(bin(BinOp::Ge, col("delay"), lit(0i64)))
+                .group("carrier")
+                .agg(AggCall::new(func, arg.map(col), alias));
+            (alias.to_string(), spec)
+        };
+        let batch = vec![
+            zone("n", AggFunc::Count, None),
+            zone("total", AggFunc::Sum, Some("delay")),
+            zone("lo", AggFunc::Min, Some("delay")),
+            zone("hi", AggFunc::Max, Some("delay")),
+        ];
+        for (fuse, remote) in [(false, 4), (true, 1)] {
+            let (qp, sim) = processor(LatencyModel::instant());
+            let opts = BatchOptions {
+                fuse,
+                concurrent: false,
+                cache_aware: false,
+                ..Default::default()
+            };
+            let out = execute_batch(&qp, &batch, &opts).unwrap();
+            assert_eq!(out.results.len(), 4);
+            assert_eq!(sim.stats().queries, remote, "fuse = {fuse}");
+            assert_eq!(out.report.fused_away, 4 - remote);
         }
     }
 

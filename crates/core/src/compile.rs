@@ -16,6 +16,7 @@ use tabviz_tde::compile::simplify_expr;
 use tabviz_tql::expr::Expr;
 use tabviz_tql::{JoinType, LogicalPlan, SortKey};
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -51,6 +52,19 @@ pub struct CompiledQuery {
     /// `(name, single-column rows)`.
     pub temp_tables: Vec<(String, Chunk)>,
     pub local_post: LocalPost,
+}
+
+impl CompiledQuery {
+    /// The literal cache's key for this query. The literal level stores rows
+    /// *after* local post-processing, and a backend without TopN receives
+    /// the same text for "top 3" and "top 10", so the local TopN is part of
+    /// what the entry holds and of its key.
+    pub fn literal_key(&self) -> Cow<'_, str> {
+        match &self.local_post.topn {
+            None => Cow::Borrowed(&self.remote.text),
+            Some((n, _)) => Cow::Owned(format!("{}\u{1}local top {n}", self.remote.text)),
+        }
+    }
 }
 
 /// Compile a spec for a backend with the given capabilities.

@@ -23,7 +23,6 @@ pub mod batch;
 pub mod compile;
 pub mod dashboard;
 pub mod fusion;
-pub mod prefetch;
 pub mod processor;
 pub mod registry;
 pub mod revalidate;
@@ -31,7 +30,6 @@ pub mod revalidate;
 pub use batch::{execute_batch, BatchOptions, BatchResult};
 pub use compile::{compile_spec, CompileOptions, CompiledQuery};
 pub use dashboard::{Dashboard, DashboardState, FilterAction, RenderReport, Zone};
-pub use prefetch::{predict_states, prefetch, PrefetchReport};
 pub use processor::{ExecOutcome, QueryProcessor};
 pub use registry::{ManagedSource, SourceRegistry};
 pub use revalidate::{revalidate_pass, MaintenanceLane, RevalidateOptions, RevalidateReport};

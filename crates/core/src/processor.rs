@@ -89,14 +89,9 @@ impl CoreMetrics {
     }
 }
 
-/// Feature switches (each is an experiment baseline).
+/// Processor policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcessorOptions {
-    pub use_intelligent_cache: bool,
-    pub use_literal_cache: bool,
-    /// Consult the shared L2 tier (when one is attached) after both L1
-    /// levels miss, and publish fresh backend results to it.
-    pub use_l2_cache: bool,
     /// Sect. 3.2: "The query processor might choose to adjust queries before
     /// sending, in order to make the results more useful for future reuse."
     /// On a miss, single-value-set filters are folded into the grouping of
@@ -119,9 +114,6 @@ pub struct ProcessorOptions {
 impl Default for ProcessorOptions {
     fn default() -> Self {
         ProcessorOptions {
-            use_intelligent_cache: true,
-            use_literal_cache: true,
-            use_l2_cache: true,
             widen_for_reuse: true,
             widen_max_extra_columns: 2,
             query_timeout: Some(Duration::from_secs(30)),
@@ -411,61 +403,58 @@ impl QueryProcessor {
         req: &AdmitRequest,
     ) -> Result<(Chunk, ExecOutcome, ProfileOutcome)> {
         let managed = self.registry.get(&spec.source)?;
-        if self.options.use_intelligent_cache {
-            let hit = {
-                let mut s = tabviz_obs::span(stage::CACHE_LOOKUP);
-                s.label("intelligent");
-                // Background work is the revalidation lane SWR serving
-                // depends on: it must see through grace-window entries to
-                // the backend, or stale data would revalidate itself.
-                let (hit, why) = if req.priority == Priority::Background {
-                    self.caches.intelligent.get_explained_fresh_only(spec)
-                } else {
-                    self.caches.intelligent.get_explained(spec)
-                };
-                s.reason(why);
-                hit
+        let hit = {
+            let mut s = tabviz_obs::span(stage::CACHE_LOOKUP);
+            s.label("intelligent");
+            // Background work is the revalidation lane SWR serving
+            // depends on: it must see through grace-window entries to
+            // the backend, or stale data would revalidate itself.
+            let (hit, why) = if req.priority == Priority::Background {
+                self.caches.intelligent.get_explained_fresh_only(spec)
+            } else {
+                self.caches.intelligent.get_explained(spec)
             };
-            if let Some(hit) = hit {
-                self.metrics.intelligent_hits.inc();
-                tabviz_obs::event_with(
-                    stage::CACHE_TIER,
-                    Some("l1"),
-                    Some(hit.len() as u64),
-                    Some(tabviz_obs::reason::CACHE_L1_HIT),
-                );
-                return Ok((hit, ExecOutcome::IntelligentHit, ProfileOutcome::Hit));
-            }
+            s.reason(why);
+            hit
+        };
+        if let Some(hit) = hit {
+            self.metrics.intelligent_hits.inc();
+            tabviz_obs::event_with(
+                stage::CACHE_TIER,
+                Some("l1"),
+                Some(hit.len() as u64),
+                Some(tabviz_obs::reason::CACHE_L1_HIT),
+            );
+            return Ok((hit, ExecOutcome::IntelligentHit, ProfileOutcome::Hit));
         }
         let compiled = {
             let _s = tabviz_obs::span(stage::COMPILE);
             compile_spec(spec, managed.capabilities(), &managed.compile_options)?
         };
-        if self.options.use_literal_cache {
-            let hit = {
-                let mut s = tabviz_obs::span(stage::CACHE_LOOKUP);
-                s.label("literal");
-                let (hit, why) = self
-                    .caches
-                    .literal
-                    .get_explained(&spec.source, &compiled.remote.text);
-                s.reason(why);
-                hit
-            };
-            if let Some(hit) = hit {
-                self.metrics.literal_hits.inc();
-                tabviz_obs::event_with(
-                    stage::CACHE_TIER,
-                    Some("l1"),
-                    Some(hit.len() as u64),
-                    Some(tabviz_obs::reason::CACHE_L1_HIT),
-                );
-                return Ok((hit, ExecOutcome::LiteralHit, ProfileOutcome::Hit));
-            }
+        let literal_key = compiled.literal_key();
+        let hit = {
+            let mut s = tabviz_obs::span(stage::CACHE_LOOKUP);
+            s.label("literal");
+            let (hit, why) = self
+                .caches
+                .literal
+                .get_explained(&spec.source, &literal_key);
+            s.reason(why);
+            hit
+        };
+        if let Some(hit) = hit {
+            self.metrics.literal_hits.inc();
+            tabviz_obs::event_with(
+                stage::CACHE_TIER,
+                Some("l1"),
+                Some(hit.len() as u64),
+                Some(tabviz_obs::reason::CACHE_L1_HIT),
+            );
+            return Ok((hit, ExecOutcome::LiteralHit, ProfileOutcome::Hit));
         }
         // Both L1 levels missed: consult the shared L2 tier before paying
         // the backend round trip, and promote a hit into L1 for next time.
-        if self.options.use_l2_cache && self.caches.has_l2() {
+        if self.caches.has_l2() {
             let hit = {
                 let mut s = tabviz_obs::span(stage::CACHE_TIER);
                 s.label("get");
@@ -488,7 +477,7 @@ impl QueryProcessor {
                     // worth caching when the producing node stored it.
                     self.caches.l2_promote(
                         spec.clone(),
-                        &compiled.remote.text,
+                        &literal_key,
                         &chunk,
                         Duration::from_millis(1),
                     );
@@ -498,7 +487,7 @@ impl QueryProcessor {
         }
         // Widening: send a more reusable remote query and answer this (and
         // future filter variations) from its cached result.
-        if self.options.widen_for_reuse && self.options.use_intelligent_cache {
+        if self.options.widen_for_reuse {
             if let Some(widened) = widen_spec(spec, self.options.widen_max_extra_columns) {
                 // Single-flight: only one concurrent miss per widened shape
                 // runs the widened query; losers fall through to a direct
@@ -525,7 +514,7 @@ impl QueryProcessor {
                                     cost.max(Duration::from_millis(1)),
                                 );
                             }
-                            if self.options.use_l2_cache && self.caches.has_l2() {
+                            if self.caches.has_l2() {
                                 let mut s = tabviz_obs::span(stage::CACHE_TIER);
                                 s.label("put");
                                 s.detail(chunk_w.len() as u64);
@@ -554,7 +543,7 @@ impl QueryProcessor {
             Err(e) if e.is_degradable() && self.options.serve_stale_on_failure => {
                 // Degraded rendering: a stale cached answer beats a failed
                 // dashboard when the backend is unavailable.
-                match self.caches.lookup_stale(spec, &compiled.remote.text) {
+                match self.caches.lookup_stale(spec, &literal_key) {
                     Some(stale) => {
                         self.metrics.degraded_serves.inc();
                         return Ok((
@@ -571,27 +560,13 @@ impl QueryProcessor {
         let cost = t0.elapsed();
         self.metrics.remote_queries.inc();
         self.metrics.remote_time.observe(cost);
-        if self.options.use_literal_cache || self.options.use_intelligent_cache {
+        {
+            // Tagged with source + table dependencies so a table refresh
+            // purges literal entries as precisely as intelligent ones.
             let _s = tabviz_obs::span(stage::CACHE_STORE);
-            if self.options.use_literal_cache {
-                // Tagged with source + table dependencies so a table
-                // refresh purges literal entries as precisely as
-                // intelligent ones.
-                self.caches.literal.put_tagged(
-                    &spec.source,
-                    &compiled.remote.text,
-                    chunk.clone(),
-                    cost,
-                    tabviz_cache::tags_for_spec(spec),
-                );
-            }
-            if self.options.use_intelligent_cache {
-                self.caches
-                    .intelligent
-                    .put(spec.clone(), chunk.clone(), cost);
-            }
+            self.caches.store(spec.clone(), &literal_key, &chunk, cost);
         }
-        if self.options.use_l2_cache && self.caches.has_l2() {
+        if self.caches.has_l2() {
             let mut s = tabviz_obs::span(stage::CACHE_TIER);
             s.label("put");
             s.detail(chunk.len() as u64);
@@ -781,7 +756,7 @@ mod tests {
     use tabviz_common::{DataType, Field, Schema, Value};
     use tabviz_storage::{Database, Table};
     use tabviz_tql::expr::{bin, col, lit, BinOp, Expr};
-    use tabviz_tql::{AggCall, AggFunc, LogicalPlan};
+    use tabviz_tql::{AggCall, AggFunc, LogicalPlan, SortKey};
 
     fn flights_db(rows: usize) -> Arc<Database> {
         let schema = Arc::new(
@@ -979,15 +954,12 @@ mod tests {
             1,
             "one widened backend query serves all"
         );
-        // Correctness: widened-path answers equal direct execution.
-        let mut qp2 = QueryProcessor::default();
-        qp2.options.widen_for_reuse = false;
-        qp2.options.use_intelligent_cache = false;
-        qp2.options.use_literal_cache = false;
-        let sim2 = SimDb::new("warehouse", flights_db(600), SimConfig::default());
-        qp2.registry.register(Arc::new(sim2), 4);
+        // Correctness: widened-path answers equal direct execution, which a
+        // fresh processor per query (empty caches, no widening) provides.
         for (subset, widened_out) in [(vec!["AA", "DL"], &out1), (vec!["WN"], &out2)] {
-            let (direct, _) = qp2.execute(&with_filter(&subset)).unwrap();
+            let (direct_qp, _) = processor_with_sim(600);
+            let (direct, outcome) = direct_qp.execute(&with_filter(&subset)).unwrap();
+            assert_eq!(outcome, ExecOutcome::Remote);
             let mut a = widened_out.to_rows();
             let mut b = direct.to_rows();
             a.sort();
@@ -1091,17 +1063,80 @@ mod tests {
         assert!(qp.execute(&count_by_carrier()).is_err()); // source gone
     }
 
-    #[test]
-    fn caches_can_be_disabled() {
-        let (mut qp_holder, sim) = processor_with_sim(300);
-        qp_holder.options = ProcessorOptions {
-            use_intelligent_cache: false,
-            use_literal_cache: false,
+    fn limited_processor() -> (QueryProcessor, SimDb) {
+        let config = SimConfig {
+            capabilities: Capabilities::limited(),
             ..Default::default()
         };
-        let qp = qp_holder;
-        qp.execute(&count_by_carrier()).unwrap();
-        qp.execute(&count_by_carrier()).unwrap();
+        let sim = SimDb::new("warehouse", flights_db(300), config);
+        let mut qp = QueryProcessor::default();
+        qp.options.widen_for_reuse = false;
+        qp.registry.register(Arc::new(sim.clone()), 2);
+        (qp, sim)
+    }
+
+    fn count_by_market(filter: Expr) -> QuerySpec {
+        QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+            .filter(filter)
+            .group("market")
+            .agg(AggCall::new(AggFunc::Count, None, "n"))
+    }
+
+    fn aa_convoluted() -> Expr {
+        bin(
+            BinOp::Or,
+            bin(BinOp::Eq, col("carrier"), lit("AA")),
+            lit(false),
+        )
+    }
+
+    fn aa_plain() -> Expr {
+        bin(BinOp::Eq, col("carrier"), lit("AA"))
+    }
+
+    /// Sect. 3.2: two structurally different specs that simplify to one
+    /// remote text are answered by the literal level, with one backend trip.
+    #[test]
+    fn literal_level_catches_post_simplification_collisions() {
+        let (qp, sim) = processor_with_sim(300);
+        let (first, o1) = qp.execute(&count_by_market(aa_convoluted())).unwrap();
+        assert_eq!(o1, ExecOutcome::Remote);
+        let (second, o2) = qp.execute(&count_by_market(aa_plain())).unwrap();
+        assert_eq!(o2, ExecOutcome::LiteralHit);
+        assert_eq!(sim.stats().queries, 1);
+        assert_eq!(second.to_rows(), first.to_rows());
+    }
+
+    /// A backend without TopN receives one text for "top 3" and "top 10" and
+    /// the processor cuts the rows locally, so the literal entry must be
+    /// keyed on the local TopN as well as on the text.
+    #[test]
+    fn literal_level_keys_the_local_topn() {
+        let (qp, sim) = limited_processor();
+        let top = |filter: Expr, n: usize| {
+            count_by_market(filter)
+                .order_by(vec![SortKey {
+                    column: "market".into(),
+                    asc: true,
+                }])
+                .top(n)
+        };
+        let (three, _) = qp.execute(&top(aa_plain(), 3)).unwrap();
+        assert_eq!(three.len(), 3);
+        let (ten, outcome) = qp.execute(&top(aa_plain(), 10)).unwrap();
+        assert_eq!(outcome, ExecOutcome::Remote);
+        assert_eq!(ten.len(), 10);
+        assert_eq!(ten.to_rows()[..3], three.to_rows()[..]);
         assert_eq!(sim.stats().queries, 2);
+
+        // The collision pair still collides at an equal n, and only then.
+        let (convoluted, _) = qp.execute(&top(aa_convoluted(), 5)).unwrap();
+        let (plain, outcome) = qp.execute(&top(aa_plain(), 5)).unwrap();
+        assert_eq!(outcome, ExecOutcome::LiteralHit);
+        assert_eq!(plain.to_rows(), convoluted.to_rows());
+        let (wider, outcome) = qp.execute(&top(aa_convoluted(), 7)).unwrap();
+        assert_ne!(outcome, ExecOutcome::LiteralHit);
+        assert_eq!(wider.len(), 7);
+        assert_eq!(sim.stats().queries, 4);
     }
 }

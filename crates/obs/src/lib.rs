@@ -10,7 +10,7 @@
 //!   nothing outside one).
 //! - [`trace`]: cross-thread trace assembly, the only span sink —
 //!   [`begin_trace`] opens a per-query trace, [`TraceCtx`] propagates it
-//!   into morsel workers, batch zone threads, prefetch and the maintenance
+//!   into morsel workers, batch zone threads and the maintenance
 //!   lane, and [`TraceHandle::finish`] yields one connected tree per query.
 //! - [`reason`]: the decision-attribution taxonomy — structured reason
 //!   codes spans carry to say *why* a cache missed, a query queued, a
@@ -65,7 +65,7 @@ pub use trace::{begin_trace, FinishedTrace, TraceCtx, TraceGuard, TraceHandle};
 
 /// The process-wide default [`Registry`]. Execution-layer counters with no
 /// natural [`Obs`] owner (e.g. the TDE scan's blocks-skipped / rows-prefiltered
-/// counts) register here, so experiments and tests can read them via
+/// counts) register here, so the benchmark and tests can read them via
 /// [`Registry::snapshot`] without threading a registry through every operator.
 pub fn global() -> &'static Registry {
     static GLOBAL: std::sync::OnceLock<Registry> = std::sync::OnceLock::new();
@@ -117,8 +117,6 @@ pub mod stage {
     pub const SCAN_PRUNE: &str = "scan_prune";
     /// One maintenance-lane revalidation pass.
     pub const MAINTENANCE: &str = "maintenance";
-    /// One speculative prefetch batch.
-    pub const PREFETCH: &str = "prefetch";
     /// Cluster routing decision for one client query (label =
     /// `"primary"` / `"failover"`, detail = chosen node index).
     pub const CLUSTER_ROUTE: &str = "cluster_route";
@@ -203,8 +201,6 @@ pub mod reason {
     // --- background lanes -------------------------------------------------
     /// Query issued by the maintenance lane to refresh a stale entry.
     pub const MAINT_REFRESH: &str = "maintenance_refresh";
-    /// Query issued speculatively by the prefetcher.
-    pub const PREFETCH_SPECULATIVE: &str = "prefetch_speculative";
 
     // --- cluster routing ---------------------------------------------------
     /// Routed to the session's affinity node (a healthy replica owner).

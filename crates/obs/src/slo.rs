@@ -11,8 +11,8 @@
 //! budget, and clears only when both drop under the lower `clear_burn`
 //! bound (hysteresis, so a boundary-riding signal cannot flap).
 //!
-//! Time is explicit (`now_ms`), so the tracker runs in simulated time for
-//! experiments and wall-clock time in the cluster: the "5-min fast /
+//! Time is explicit (`now_ms`), so the tracker runs in simulated time in
+//! tests and wall-clock time in the cluster: the "5-min fast /
 //! 1-h slow" production shape maps onto sim-scale windows via
 //! [`SloConfig`].
 

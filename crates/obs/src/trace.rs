@@ -1,7 +1,7 @@
 //! Cross-thread trace assembly: a propagatable per-query trace context.
 //!
 //! A query does not execute wholly on one thread (morsel-parallel scans,
-//! batch zone workers, prefetch, the maintenance lane), so spans are
+//! batch zone workers, the maintenance lane), so spans are
 //! collected per *trace*: a shared, bounded event buffer keyed by trace id,
 //! plus a thread-local "active trace" that spans join automatically. It is
 //! the only place a [`crate::span::SpanEvent`] is stored.

@@ -3,7 +3,7 @@
 //! The paper's throttling discussion is about protecting a shared backend
 //! from dashboard query storms: connection limits keep the database healthy,
 //! but a FIFO queue in front of a small pool lets one heavy session (or a
-//! prefetch burst) starve every interactive user behind it. This crate adds
+//! background burst) starve every interactive user behind it. This crate adds
 //! the missing admission layer:
 //!
 //! - **Tickets**: every backend-bound query asks the [`Scheduler`] for a
@@ -11,7 +11,7 @@
 //!   concurrency slot; dropping it dispatches the next queued query.
 //! - **Priority classes**: [`Priority::Interactive`] (a human is waiting) >
 //!   [`Priority::Batch`] (dashboard zone batches) > [`Priority::Background`]
-//!   (prefetch, cache revalidation). Strict priority between classes: a
+//!   (cache revalidation). Strict priority between classes: a
 //!   queued interactive ticket always dispatches before any batch ticket.
 //! - **Weighted fair queuing within a class**: per-session queues served by
 //!   deficit round-robin. Each visit tops a session's deficit up by
@@ -48,7 +48,7 @@ pub enum Priority {
     Interactive = 0,
     /// Dashboard zone batches: latency-visible but amortized.
     Batch = 1,
-    /// Speculative / maintenance work: prefetch, cache revalidation.
+    /// Maintenance work: cache revalidation.
     Background = 2,
 }
 

@@ -32,7 +32,7 @@ pub struct ExecOptions {
 
 impl ExecOptions {
     /// Serial execution with all optimizations (the "Tableau 8.x" baseline
-    /// for the parallelism experiments).
+    /// the parallel plans are compared against).
     pub fn serial() -> Self {
         ExecOptions {
             disable_parallel: true,
@@ -254,6 +254,45 @@ mod tests {
         assert!(text.contains("== logical =="));
         assert!(text.contains("== optimized =="));
         assert!(text.contains("== physical =="));
+    }
+
+    /// Sect. 4.1.2 through the whole engine: the carrier domain of a
+    /// fact-dimension join runs as a scan of the fact table alone, and
+    /// answers what the executed join answers.
+    #[test]
+    fn domain_query_over_a_star_join_runs_without_the_join() {
+        let tde = engine();
+        let schema = Arc::new(
+            Schema::new(vec![
+                Field::new("code", DataType::Str),
+                Field::new("name", DataType::Str),
+            ])
+            .unwrap(),
+        );
+        let dim: Vec<Vec<Value>> = [("AA", "American"), ("DL", "Delta"), ("WN", "Southwest")]
+            .iter()
+            .map(|(c, n)| vec![Value::Str((*c).into()), Value::Str((*n).into())])
+            .collect();
+        let chunk = tabviz_common::Chunk::from_rows(schema, &dim).unwrap();
+        tde.database()
+            .put(Table::from_chunk("carriers", &chunk, &["code"]).unwrap())
+            .unwrap();
+        let q = "(aggregate ((carrier)) ()
+                   (join inner ((carrier code)) (scan flights) (scan carriers)))";
+        let culled = tde.explain(q, &ExecOptions::serial()).unwrap();
+        let physical = &culled[culled.find("== physical ==").unwrap()..];
+        assert!(!physical.contains("Join"), "{physical}");
+        assert!(!physical.contains("carriers"), "{physical}");
+        let mut joined = ExecOptions::serial();
+        joined.optimizer.enable_join_culling = false;
+        let kept = tde.explain(q, &joined).unwrap();
+        assert!(kept[kept.find("== physical ==").unwrap()..].contains("Join"));
+        let sorted = |opts: &ExecOptions| {
+            let mut rows = tde.query_with(q, opts).unwrap().to_rows();
+            rows.sort();
+            rows
+        };
+        assert_eq!(sorted(&ExecOptions::serial()), sorted(&joined));
     }
 
     #[test]

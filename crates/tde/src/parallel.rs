@@ -600,6 +600,21 @@ mod tests {
         assert_eq!(sorted_rows(&serial_out), sorted_rows(&par_out));
     }
 
+    /// Lemma 3's caveat: range partitioning needs enough distinct groups per
+    /// branch. Twelve carriers feed four branches but not eight, where the
+    /// planner keeps the local/global split instead.
+    #[test]
+    fn range_partition_needs_enough_distinct_groups() {
+        let db = make_db(20_000, true); // sorted by carrier, 12 values
+        let (four, _) = plan_and_run(&db, &agg_plan(), &small_profile(4));
+        assert!(!four.explain().contains("Partial"), "{}", four.explain());
+        let (eight, out) = plan_and_run(&db, &agg_plan(), &small_profile(8));
+        let text = eight.explain();
+        assert!(text.contains("HashAgg(Partial)"), "{text}");
+        assert!(text.contains("HashAgg(Final)"), "{text}");
+        assert_eq!(out.len(), 12);
+    }
+
     #[test]
     fn countd_forces_global_serialization() {
         use tabviz_tql::expr::col;

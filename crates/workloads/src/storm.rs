@@ -9,7 +9,7 @@
 //! [`tabviz_common::hash`] roll keyed by `(seed, site, session, step)`, so
 //! one seed always yields the byte-identical schedule regardless of
 //! generation order, thread count, or what ran before. That property is
-//! what makes cluster experiments replayable and their tests assertable.
+//! what makes cluster storms replayable and their tests assertable.
 
 use tabviz_common::hash::{mix3, roll, unit_f64};
 

@@ -82,7 +82,6 @@ proptest! {
         // disable it so every processor runs the same pipeline and the
         // comparison isolates the tier seam itself.
         let mut flat = processor_over(&db);
-        flat.options.use_l2_cache = false;
         flat.options.widen_for_reuse = false;
         let store = Arc::new(ExternalStore::new(Duration::ZERO));
         let mut writer = processor_over(&db);

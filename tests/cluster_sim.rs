@@ -183,8 +183,15 @@ fn routing_is_deterministic_per_seed() {
 fn node_kill_mid_storm_fails_over_and_completes() {
     let db = sample_db();
     let cluster = build_cluster(&db, 4, 11);
-    let schedule = generate_storm(&small_storm(11));
-    let kill_index = schedule.len() / 3;
+    let storm = small_storm(11);
+    let schedule = generate_storm(&storm);
+    // The kill lands at 40 % of the storm's horizon.
+    let kill_at_ms = storm.at_fraction(2, 5);
+    let kill_index = schedule
+        .iter()
+        .position(|a| a.at_ms >= kill_at_ms)
+        .expect("arrivals after the kill");
+    assert!(kill_index > 0, "the kill lands mid-storm");
 
     // The victim: whichever node the first post-kill arrival is affine to,
     // so the kill provably forces at least one failover.
@@ -583,6 +590,80 @@ fn brownout_demotes_reroutes_then_probes_restore() {
     let resp = session.query(&filter_q(9_999)).expect("post-restore");
     assert_eq!(resp.node, victim);
     assert_eq!(resp.route, RouteKind::Primary);
+}
+
+/// The SLO plane over the same brown-out: with objectives configured once
+/// the victim's health baseline is warm, the slow-but-answering victim burns
+/// the latency objective and nothing else (no error, no degraded serve), and
+/// the operator's health table ranks the victim last, demoted.
+#[test]
+fn brownout_fires_the_latency_objective_only() {
+    use tabviz::obs::{HealthState, Objective, SloConfig};
+    let db = sample_db();
+    let (cluster, dbs) = build_cluster_over(&db, 3, 5, SimConfig::default());
+    let session = cluster.open_session("dash-0", "alice").expect("open");
+    let victim = session.affinity_node().expect("affinity");
+    for i in 0..20 {
+        session.query(&filter_query(i)).expect("healthy query");
+    }
+    cluster.configure_slo(
+        SloConfig {
+            bucket_ms: 50,
+            fast_window_ms: 5_000,
+            slow_window_ms: 10_000,
+            ..SloConfig::default()
+        },
+        vec![
+            Objective::latency_p95("interactive_p95", 20_000),
+            Objective::availability("availability", 0.999),
+            Objective::degraded_fraction("degraded", 0.05),
+        ],
+    );
+
+    dbs.lock().unwrap()[&victim].set_fault_plan(Some(FaultPlan {
+        slow_query: 1.0,
+        slow_query_delay: std::time::Duration::from_millis(40),
+        ..Default::default()
+    }));
+    let mut serves = 0;
+    while serves < 12 || !cluster.node(&victim).expect("node").is_demoted() {
+        assert!(serves < 40, "brown-out must demote the victim");
+        session
+            .query(&filter_query(1_000 + serves))
+            .expect("brownout query");
+        serves += 1;
+    }
+    // Evaluation runs once per SLO bucket: a serve in a later bucket
+    // evaluates the windows that hold the slow serves.
+    std::thread::sleep(std::time::Duration::from_millis(60));
+    session
+        .query(&filter_query(2_000))
+        .expect("post-demotion query");
+    let fired = |name: &str| {
+        cluster
+            .slo_status()
+            .into_iter()
+            .find(|s| s.name == name)
+            .map(|s| s.times_fired)
+            .expect("configured objective")
+    };
+    assert!(fired("interactive_p95") >= 1, "latency objective fires");
+    assert_eq!(fired("availability"), 0, "every query answered");
+    assert_eq!(fired("degraded"), 0, "no stale serves");
+
+    let scores = cluster.health_scores();
+    assert_eq!(scores.len(), 3);
+    let (worst, _, state) = scores
+        .iter()
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("three nodes");
+    assert_eq!(worst, &victim, "{scores:?}");
+    assert_eq!(*state, HealthState::Demoted);
+    for (name, _, state) in &scores {
+        if name != &victim {
+            assert_eq!(*state, HealthState::Healthy, "{scores:?}");
+        }
+    }
 }
 
 proptest! {

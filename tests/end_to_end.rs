@@ -89,6 +89,82 @@ fn repeat_renders_generate_no_backend_traffic() {
     );
 }
 
+/// Sect. 3.2 / Fig. 1: deselecting quick-filter values one at a time is
+/// answered from the caches, so the whole session sends at most half the
+/// backend queries that rendering each state on a fresh processor sends.
+#[test]
+fn quick_filter_session_is_absorbed_by_the_caches() {
+    let (qp, sim, db) = warehouse(3_000);
+    let dash = fig1_dashboard("warehouse", "flights");
+    // The quick filter lists the carrier column's domain.
+    let carriers = db
+        .resolve("flights")
+        .unwrap()
+        .column_domain("carrier")
+        .unwrap()
+        .expect("carrier is dictionary-encoded");
+    let states: Vec<Vec<Value>> = (2..carriers.len())
+        .rev()
+        .map(|k| carriers[..k].to_vec())
+        .collect();
+
+    let mut state = DashboardState::default();
+    dash.render(&qp, &mut state, &BatchOptions::default(), true)
+        .unwrap();
+    let mut fresh_queries = 0;
+    for subset in &states {
+        state.set_quick_filter("carrier", subset.clone());
+        let (session, _) = dash
+            .render(&qp, &mut state, &BatchOptions::default(), false)
+            .unwrap();
+
+        let (fresh_qp, fresh_sim, _) = warehouse(3_000);
+        let mut fresh_state = DashboardState::default();
+        fresh_state.set_quick_filter("carrier", subset.clone());
+        let (fresh, _) = dash
+            .render(&fresh_qp, &mut fresh_state, &BatchOptions::default(), true)
+            .unwrap();
+        fresh_queries += fresh_sim.stats().queries;
+        for (zone, rows) in &session {
+            let mut a = rows.to_rows();
+            let mut b = fresh[zone].to_rows();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b, "zone {zone} with {} carriers", subset.len());
+        }
+    }
+    assert!(
+        sim.stats().queries * 2 <= fresh_queries,
+        "session {} vs fresh {fresh_queries}",
+        sim.stats().queries
+    );
+}
+
+/// Sect. 3.2: Desktop persists its query caches, so a restarted session
+/// that loads the file renders the dashboard without a backend trip.
+#[test]
+fn persisted_caches_spare_the_restarted_session_its_backend_trips() {
+    let dash = fig1_dashboard("warehouse", "flights");
+    let render = |qp: &QueryProcessor| {
+        let mut state = DashboardState::default();
+        dash.render(qp, &mut state, &BatchOptions::default(), true)
+            .unwrap()
+            .0
+    };
+    let (first, first_sim, _) = warehouse(3_000);
+    let before = render(&first);
+    assert!(first_sim.stats().queries > 0);
+    let image = tabviz::cache::persist::save(&first.caches).unwrap();
+
+    let (restarted, restarted_sim, _) = warehouse(3_000);
+    assert!(tabviz::cache::persist::load(&restarted.caches, &image).unwrap() > 0);
+    let after = render(&restarted);
+    assert_eq!(restarted_sim.stats().queries, 0);
+    for (zone, rows) in &before {
+        assert_eq!(rows.to_rows(), after[zone].to_rows(), "zone {zone}");
+    }
+}
+
 #[test]
 fn single_file_database_roundtrip_through_full_stack() {
     let (_, _, db) = warehouse(5_000);

@@ -119,9 +119,11 @@ fn dashboard_batch_produces_profiles_and_metrics() {
     assert!(!profiles.is_empty());
     for required in [
         stage::CACHE_LOOKUP,
+        stage::COMPILE,
         stage::POOL_ACQUIRE,
         stage::REMOTE_EXEC,
         stage::POST_PROCESS,
+        stage::CACHE_STORE,
     ] {
         assert!(
             profiles.iter().any(|p| p.has_stage(required)),
@@ -139,6 +141,7 @@ fn dashboard_batch_produces_profiles_and_metrics() {
         "tv_backend_pool_opened_total",
         "tv_backend_pool_acquire_wait_seconds",
         "tv_cache_intelligent_misses_total",
+        "tv_cache_stale_age_seconds",
     ] {
         assert!(snap.contains_key(key), "metric '{key}' missing: {snap:?}");
     }
