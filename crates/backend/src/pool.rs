@@ -17,10 +17,10 @@ use std::time::{Duration, Instant};
 use tabviz_common::{Result, TvError};
 use tabviz_obs::{stage, Counter, Gauge, Histogram, Registry};
 
-/// Pre-resolved metric handles (`tv_backend_pool_*`), bound once via
-/// [`ConnectionPool::bind_obs`]; the hot path pays one `OnceLock` load plus
-/// relaxed atomic increments.
-struct PoolMetrics {
+/// The pool's counters, one cell each: [`ConnectionPool::stats`] reads
+/// them and [`ConnectionPool::bind_obs`] exports these same cells.
+#[derive(Default)]
+struct PoolCounters {
     opened: Counter,
     reused: Counter,
     waited: Counter,
@@ -28,27 +28,30 @@ struct PoolMetrics {
     poisoned: Counter,
     connect_retries: Counter,
     acquire_timeouts: Counter,
-    acquire_wait: Histogram,
-    breaker_state: Gauge,
     breaker_trips: Counter,
     breaker_fast_fails: Counter,
 }
 
-impl PoolMetrics {
-    fn bind(registry: &Registry) -> Self {
-        PoolMetrics {
-            opened: registry.counter("tv_backend_pool_opened_total"),
-            reused: registry.counter("tv_backend_pool_reused_total"),
-            waited: registry.counter("tv_backend_pool_waited_total"),
-            evicted: registry.counter("tv_backend_pool_evicted_total"),
-            poisoned: registry.counter("tv_backend_pool_poisoned_total"),
-            connect_retries: registry.counter("tv_backend_pool_connect_retries_total"),
-            acquire_timeouts: registry.counter("tv_backend_pool_acquire_timeouts_total"),
-            acquire_wait: registry.histogram("tv_backend_pool_acquire_wait_seconds"),
-            breaker_state: registry.gauge("tv_pool_breaker_state"),
-            breaker_trips: registry.counter("tv_pool_breaker_trips_total"),
-            breaker_fast_fails: registry.counter("tv_pool_breaker_fast_fails_total"),
-        }
+impl PoolCounters {
+    /// Every cell with the name it is exported under.
+    fn named(&self) -> [(&'static str, &Counter); 9] {
+        [
+            ("tv_backend_pool_opened_total", &self.opened),
+            ("tv_backend_pool_reused_total", &self.reused),
+            ("tv_backend_pool_waited_total", &self.waited),
+            ("tv_backend_pool_evicted_total", &self.evicted),
+            ("tv_backend_pool_poisoned_total", &self.poisoned),
+            (
+                "tv_backend_pool_connect_retries_total",
+                &self.connect_retries,
+            ),
+            (
+                "tv_backend_pool_acquire_timeouts_total",
+                &self.acquire_timeouts,
+            ),
+            ("tv_pool_breaker_trips_total", &self.breaker_trips),
+            ("tv_pool_breaker_fast_fails_total", &self.breaker_fast_fails),
+        ]
     }
 }
 
@@ -78,7 +81,7 @@ impl BreakerState {
     }
 }
 
-/// Pool counters.
+/// Snapshot of a pool's counters.
 #[derive(Debug, Clone, Default)]
 pub struct PoolStats {
     /// Connections physically opened (connect cost paid).
@@ -165,7 +168,7 @@ struct PoolInner {
     idle: Vec<Idle>,
     /// Connections currently handed out.
     in_use: usize,
-    stats: PoolStats,
+    breaker_state: BreakerState,
     /// Connect failures since the last successful connect.
     consecutive_connect_failures: usize,
     /// When the breaker last tripped open; `None` while closed.
@@ -183,7 +186,11 @@ pub struct ConnectionPool {
     backoff_salt: AtomicU64,
     inner: Mutex<PoolInner>,
     cv: Condvar,
-    metrics: OnceLock<PoolMetrics>,
+    counters: PoolCounters,
+    /// `tv_backend_pool_acquire_wait_seconds` and `tv_pool_breaker_state`,
+    /// registry-only; set by [`ConnectionPool::bind_obs`].
+    acquire_wait: OnceLock<Histogram>,
+    breaker_gauge: OnceLock<Gauge>,
 }
 
 /// RAII guard: returns the connection to the pool on drop — unless the
@@ -224,10 +231,7 @@ impl Drop for PooledConnection<'_> {
             if self.poisoned || !conn.healthy() {
                 // Dropping the boxed connection closes the session; the
                 // freed capacity lets a waiter open a fresh one.
-                inner.stats.poisoned += 1;
-                if let Some(m) = self.pool.obs() {
-                    m.poisoned.inc();
-                }
+                self.pool.counters.poisoned.inc();
             } else {
                 inner.idle.push(Idle {
                     conn,
@@ -258,24 +262,31 @@ impl ConnectionPool {
             inner: Mutex::new(PoolInner {
                 idle: Vec::new(),
                 in_use: 0,
-                stats: PoolStats::default(),
+                breaker_state: BreakerState::Closed,
                 consecutive_connect_failures: 0,
                 breaker_opened_at: None,
                 breaker_probing: false,
             }),
             cv: Condvar::new(),
-            metrics: OnceLock::new(),
+            counters: PoolCounters::default(),
+            acquire_wait: OnceLock::new(),
+            breaker_gauge: OnceLock::new(),
         }
     }
 
-    /// Resolve this pool's `tv_backend_pool_*` metrics against a registry.
-    /// Idempotent; the first binding wins.
+    /// Export this pool's `tv_backend_pool_*` / `tv_pool_breaker_*` counter
+    /// cells on a registry (summed with the other pools registered there),
+    /// and resolve the acquire-wait histogram and breaker gauge. Idempotent.
     pub fn bind_obs(&self, registry: &Registry) {
-        let _ = self.metrics.set(PoolMetrics::bind(registry));
-    }
-
-    fn obs(&self) -> Option<&PoolMetrics> {
-        self.metrics.get()
+        for (name, cell) in self.counters.named() {
+            registry.register_counter(name, cell);
+        }
+        let _ = self
+            .acquire_wait
+            .set(registry.histogram("tv_backend_pool_acquire_wait_seconds"));
+        let _ = self
+            .breaker_gauge
+            .set(registry.gauge("tv_pool_breaker_state"));
     }
 
     /// Replace the retry/deadline policy (builder style).
@@ -309,7 +320,20 @@ impl ConnectionPool {
     }
 
     pub fn stats(&self) -> PoolStats {
-        self.inner.lock().stats.clone()
+        let c = &self.counters;
+        let n = |cell: &Counter| cell.get() as usize;
+        PoolStats {
+            opened: n(&c.opened),
+            reused: n(&c.reused),
+            waited: n(&c.waited),
+            evicted: n(&c.evicted),
+            poisoned: n(&c.poisoned),
+            connect_retries: n(&c.connect_retries),
+            acquire_timeouts: n(&c.acquire_timeouts),
+            breaker_trips: n(&c.breaker_trips),
+            breaker_fast_fails: n(&c.breaker_fast_fails),
+            breaker_state: self.breaker_state(),
+        }
     }
 
     /// Acquire a connection, preferring one that already holds the given
@@ -335,21 +359,18 @@ impl ConnectionPool {
             // 0. Sessions that died while idle are discarded, never reused.
             let before = inner.idle.len();
             inner.idle.retain(|i| i.conn.healthy());
-            let culled = before - inner.idle.len();
-            inner.stats.poisoned += culled;
-            if let Some(m) = self.obs() {
-                m.poisoned.add(culled as u64);
-            }
+            self.counters
+                .poisoned
+                .add((before - inner.idle.len()) as u64);
 
             // 1. An idle connection holding the wanted temp structure.
             if let Some(name) = temp_table {
                 if let Some(pos) = inner.idle.iter().position(|i| i.conn.has_temp_table(name)) {
                     let idle = inner.idle.remove(pos);
                     inner.in_use += 1;
-                    inner.stats.reused += 1;
                     span.label("temp_affinity");
                     span.reason(tabviz_obs::reason::POOL_TEMP_AFFINITY);
-                    self.observe_acquire(|m| &m.reused, wait_start);
+                    self.observe_acquire(&self.counters.reused, wait_start);
                     return Ok(PooledConnection {
                         pool: self,
                         conn: Some(idle.conn),
@@ -361,10 +382,9 @@ impl ConnectionPool {
             //    working set warm and let old ones age out).
             if let Some(idle) = inner.idle.pop() {
                 inner.in_use += 1;
-                inner.stats.reused += 1;
                 span.label("reused");
                 span.reason(tabviz_obs::reason::POOL_REUSED);
-                self.observe_acquire(|m| &m.reused, wait_start);
+                self.observe_acquire(&self.counters.reused, wait_start);
                 return Ok(PooledConnection {
                     pool: self,
                     conn: Some(idle.conn),
@@ -383,7 +403,6 @@ impl ConnectionPool {
                     return Err(e);
                 }
                 inner.in_use += 1;
-                inner.stats.opened += 1;
                 drop(inner);
                 let mut attempt = 0usize;
                 loop {
@@ -392,7 +411,7 @@ impl ConnectionPool {
                             self.breaker_on_connect_success();
                             span.label("opened");
                             span.reason(tabviz_obs::reason::POOL_DIALED);
-                            self.observe_acquire(|m| &m.opened, wait_start);
+                            self.observe_acquire(&self.counters.opened, wait_start);
                             return Ok(PooledConnection {
                                 pool: self,
                                 conn: Some(conn),
@@ -407,10 +426,7 @@ impl ConnectionPool {
                                 && deadline.is_none_or(|d| Instant::now() < d)
                             {
                                 let salt = self.backoff_salt.fetch_add(1, Ordering::Relaxed);
-                                self.inner.lock().stats.connect_retries += 1;
-                                if let Some(m) = self.obs() {
-                                    m.connect_retries.inc();
-                                }
+                                self.counters.connect_retries.inc();
                                 tabviz_obs::event(
                                     stage::RETRY,
                                     Some("connect"),
@@ -421,7 +437,6 @@ impl ConnectionPool {
                             } else {
                                 let mut inner = self.inner.lock();
                                 inner.in_use -= 1;
-                                inner.stats.opened -= 1;
                                 self.cv.notify_one();
                                 span.label("connect_failed");
                                 span.reason(tabviz_obs::reason::POOL_CONNECT_FAILED);
@@ -432,21 +447,14 @@ impl ConnectionPool {
                 }
             }
             // 4. Wait for a connection to come back, up to the deadline.
-            inner.stats.waited += 1;
-            if let Some(m) = self.obs() {
-                m.waited.inc();
-            }
+            self.counters.waited.inc();
             match deadline {
                 None => self.cv.wait(&mut inner),
                 Some(d) => {
                     if Instant::now() >= d {
-                        inner.stats.acquire_timeouts += 1;
                         span.label("timeout");
                         span.reason(tabviz_obs::reason::POOL_TIMEOUT);
-                        if let Some(m) = self.obs() {
-                            m.acquire_timeouts.inc();
-                            m.acquire_wait.observe(wait_start.elapsed());
-                        }
+                        self.observe_acquire(&self.counters.acquire_timeouts, wait_start);
                         return Err(TvError::Timeout(format!(
                             "acquiring a '{}' connection exceeded {:?} (pool size {})",
                             self.source.name(),
@@ -473,10 +481,7 @@ impl ConnectionPool {
             return Ok(());
         };
         if opened_at.elapsed() < self.policy.breaker_cooldown || inner.breaker_probing {
-            inner.stats.breaker_fast_fails += 1;
-            if let Some(m) = self.obs() {
-                m.breaker_fast_fails.inc();
-            }
+            self.counters.breaker_fast_fails.inc();
             return Err(TvError::Transient(format!(
                 "circuit breaker open for '{}' after {} consecutive connect failures",
                 self.source.name(),
@@ -514,10 +519,7 @@ impl ConnectionPool {
         let failed_probe = std::mem::take(&mut inner.breaker_probing);
         if failed_probe || inner.consecutive_connect_failures >= self.policy.breaker_threshold {
             inner.breaker_opened_at = Some(Instant::now());
-            inner.stats.breaker_trips += 1;
-            if let Some(m) = self.obs() {
-                m.breaker_trips.inc();
-            }
+            self.counters.breaker_trips.inc();
             self.set_breaker_state(&mut inner, BreakerState::Open);
             true
         } else {
@@ -526,23 +528,23 @@ impl ConnectionPool {
     }
 
     fn set_breaker_state(&self, inner: &mut PoolInner, state: BreakerState) {
-        inner.stats.breaker_state = state;
-        if let Some(m) = self.obs() {
-            m.breaker_state.set(state.as_gauge());
+        inner.breaker_state = state;
+        if let Some(g) = self.breaker_gauge.get() {
+            g.set(state.as_gauge());
         }
     }
 
     /// Current circuit-breaker position.
     pub fn breaker_state(&self) -> BreakerState {
-        self.inner.lock().stats.breaker_state
+        self.inner.lock().breaker_state
     }
 
-    /// Record a successful acquisition: bump the path's counter and observe
-    /// how long the caller waited.
-    fn observe_acquire(&self, which: impl Fn(&PoolMetrics) -> &Counter, wait_start: Instant) {
-        if let Some(m) = self.obs() {
-            which(m).inc();
-            m.acquire_wait.observe(wait_start.elapsed());
+    /// Record how an acquisition ended: bump that path's counter and
+    /// observe how long the caller waited.
+    fn observe_acquire(&self, outcome: &Counter, wait_start: Instant) {
+        outcome.inc();
+        if let Some(h) = self.acquire_wait.get() {
+            h.observe(wait_start.elapsed());
         }
     }
 
@@ -561,10 +563,7 @@ impl ConnectionPool {
             .idle
             .retain(|i| now.duration_since(i.last_used) <= max_age);
         let evicted = before - inner.idle.len();
-        inner.stats.evicted += evicted;
-        if let Some(m) = self.obs() {
-            m.evicted.add(evicted as u64);
-        }
+        self.counters.evicted.add(evicted as u64);
         evicted
     }
 
@@ -572,12 +571,8 @@ impl ConnectionPool {
     /// which also purges the remote temp state those sessions held).
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
-        let n = inner.idle.len();
+        self.counters.evicted.add(inner.idle.len() as u64);
         inner.idle.clear();
-        inner.stats.evicted += n;
-        if let Some(m) = self.obs() {
-            m.evicted.add(n as u64);
-        }
     }
 
     pub fn idle_count(&self) -> usize {

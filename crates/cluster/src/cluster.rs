@@ -126,8 +126,6 @@ pub struct ClusterNode {
     pub server: Arc<DataServer>,
     shard: Arc<ExternalStore>,
     up: AtomicBool,
-    queries: AtomicU64,
-    degraded_serves: AtomicU64,
     /// EWMA anomaly scorer over this node's serves.
     health: Mutex<HealthScorer>,
     /// Routing-visible mirror of the scorer's state (lock-free read on
@@ -152,16 +150,6 @@ impl ClusterNode {
     /// Current 0–100 health score.
     pub fn health_score(&self) -> f64 {
         self.health.lock().score()
-    }
-
-    /// Queries routed to this node.
-    pub fn query_count(&self) -> u64 {
-        self.queries.load(Relaxed)
-    }
-
-    /// Serves this node answered degraded (stale data).
-    pub fn degraded_count(&self) -> u64 {
-        self.degraded_serves.load(Relaxed)
     }
 
     /// This node's peer-tier shard.
@@ -320,14 +308,6 @@ impl Cluster {
         *self.slo.lock() = tracker;
     }
 
-    /// Add one objective to the live tracker (e.g. a latency bound
-    /// calibrated from a healthy baseline run).
-    pub fn add_objective(&self, objective: Objective) {
-        self.slo
-            .lock()
-            .add_objective(objective, Some(&self.registry));
-    }
-
     /// Milliseconds since the cluster was built — the SLO plane's clock.
     pub fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
@@ -356,8 +336,6 @@ impl Cluster {
                 server,
                 shard,
                 up: AtomicBool::new(true),
-                queries: AtomicU64::new(0),
-                degraded_serves: AtomicU64::new(0),
                 health: Mutex::new(HealthScorer::new(self.health_config.clone())),
                 demoted: AtomicBool::new(false),
                 probe_rr: AtomicU64::new(0),
@@ -703,14 +681,6 @@ impl Cluster {
         self.peer.read().stats()
     }
 
-    /// Per-node executed-query counts, sorted by name (load-balance checks).
-    pub fn node_query_counts(&self) -> Vec<(String, u64)> {
-        self.nodes()
-            .iter()
-            .map(|n| (n.name.clone(), n.query_count()))
-            .collect()
-    }
-
     /// Per-node health scores, sorted by name.
     pub fn health_scores(&self) -> Vec<(String, f64, HealthState)> {
         self.nodes()
@@ -729,9 +699,6 @@ impl Cluster {
     fn observe_serve(&self, executed_on: Option<&ClusterNode>, latency: Duration, kind: ServeKind) {
         let micros = latency.as_micros().min(u64::MAX as u128) as u64;
         if let Some(node) = executed_on {
-            if kind == ServeKind::Degraded {
-                node.degraded_serves.fetch_add(1, Relaxed);
-            }
             let (transition, score) = {
                 let mut health = node.health.lock();
                 let t = health.observe(micros, kind);
@@ -826,6 +793,7 @@ impl Cluster {
         );
         for node in self.nodes() {
             let health = node.health.lock();
+            let served = node.server.stats();
             let _ = writeln!(
                 out,
                 "  {}: {} health={:.0} ({:?}) queries={} degraded={}",
@@ -833,8 +801,8 @@ impl Cluster {
                 if node.is_up() { "up" } else { "DOWN" },
                 health.score(),
                 health.state(),
-                node.query_count(),
-                node.degraded_count(),
+                served.queries,
+                served.degraded_serves,
             );
         }
         let c = &self.counters;
@@ -1075,7 +1043,6 @@ impl ClusterSession {
         let node = cluster
             .node(&route.node)
             .ok_or_else(|| TvError::Exec(format!("routed to unknown node '{}'", route.node)))?;
-        node.queries.fetch_add(1, Relaxed);
         let (chunk, outcome) = match self.query_on(&node, query) {
             Ok(v) => v,
             Err(e) => {

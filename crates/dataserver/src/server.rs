@@ -18,7 +18,6 @@
 use crate::published::PublishedSource;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use tabviz_cache::QuerySpec;
 use tabviz_common::{Chunk, Result, TvError, Value};
@@ -27,6 +26,7 @@ use tabviz_core::revalidate::{
     revalidate_pass, MaintenanceLane, RevalidateOptions, RevalidateReport,
 };
 use tabviz_core::{AdmitRequest, ExecOutcome, Priority};
+use tabviz_obs::Counter;
 use tabviz_tql::expr::Expr;
 use tabviz_tql::{AggCall, SortKey};
 
@@ -70,7 +70,7 @@ struct SetDef {
     refs: usize,
 }
 
-/// Server-side counters.
+/// Snapshot of the server-side counters.
 #[derive(Debug, Clone, Default)]
 pub struct ServerStats {
     pub queries: u64,
@@ -83,12 +83,44 @@ pub struct ServerStats {
     pub degraded_serves: u64,
 }
 
+/// The server's counters, one cell each: [`DataServer::stats`] reads them
+/// and the processor's registry exports these same cells.
+#[derive(Default)]
+struct ServerCounters {
+    queries: Counter,
+    client_bytes_in: Counter,
+    client_bytes_out: Counter,
+    set_definitions: Counter,
+    answered_from_memory: Counter,
+    degraded_serves: Counter,
+}
+
+impl ServerCounters {
+    /// Every cell with the name it is exported under.
+    fn named(&self) -> [(&'static str, &Counter); 6] {
+        [
+            ("tv_dataserver_queries_total", &self.queries),
+            ("tv_dataserver_client_bytes_in_total", &self.client_bytes_in),
+            (
+                "tv_dataserver_client_bytes_out_total",
+                &self.client_bytes_out,
+            ),
+            ("tv_dataserver_set_definitions_total", &self.set_definitions),
+            (
+                "tv_dataserver_answered_from_memory_total",
+                &self.answered_from_memory,
+            ),
+            ("tv_dataserver_degraded_serves_total", &self.degraded_serves),
+        ]
+    }
+}
+
 /// The Data Server.
 pub struct DataServer {
     pub processor: QueryProcessor,
     published: RwLock<HashMap<String, Arc<PublishedSource>>>,
     sets: Mutex<HashMap<String, SetDef>>,
-    stats: Mutex<ServerStats>,
+    counters: ServerCounters,
     /// "If desired, in-memory temporary tables on Data Server can be
     /// disabled."
     pub enable_memory_temp_tables: bool,
@@ -112,11 +144,15 @@ impl DataServer {
         if processor.scheduler().is_none() {
             processor.enable_scheduler();
         }
+        let counters = ServerCounters::default();
+        for (name, cell) in counters.named() {
+            processor.obs.registry.register_counter(name, cell);
+        }
         DataServer {
             processor,
             published: RwLock::new(HashMap::new()),
             sets: Mutex::new(HashMap::new()),
-            stats: Mutex::new(ServerStats::default()),
+            counters,
             enable_memory_temp_tables: true,
             node_name: node_name.into(),
         }
@@ -151,7 +187,15 @@ impl DataServer {
     }
 
     pub fn stats(&self) -> ServerStats {
-        self.stats.lock().clone()
+        let c = &self.counters;
+        ServerStats {
+            queries: c.queries.get(),
+            client_bytes_in: c.client_bytes_in.get(),
+            client_bytes_out: c.client_bytes_out.get(),
+            set_definitions: c.set_definitions.get(),
+            answered_from_memory: c.answered_from_memory.get(),
+            degraded_serves: c.degraded_serves.get(),
+        }
     }
 
     /// The node's live metrics registry — the federation hook: a cluster
@@ -373,8 +417,6 @@ impl DataServer {
             priority: Priority::Interactive,
             weight: 1.0,
             my_sets: Vec::new(),
-            queries: AtomicU64::new(0),
-            degraded_serves: AtomicU64::new(0),
         })
     }
 
@@ -467,10 +509,6 @@ pub struct ClientSession {
     /// Fair-queuing weight within the class.
     weight: f64,
     my_sets: Vec<String>,
-    queries: AtomicU64,
-    /// Queries this session had answered from stale cache entries while the
-    /// backing database was down — the client-facing "outdated data" badge.
-    degraded_serves: AtomicU64,
 }
 
 impl ClientSession {
@@ -512,9 +550,9 @@ impl ClientSession {
                         refs: 1,
                     },
                 );
-                let mut st = self.server.stats.lock();
-                st.set_definitions += 1;
-                st.client_bytes_in += bytes as u64;
+                let c = &self.server.counters;
+                c.set_definitions.inc();
+                c.client_bytes_in.add(bytes as u64);
             }
         }
         self.my_sets.push(name.clone());
@@ -529,40 +567,22 @@ impl ClientSession {
         let def = sets
             .get(name)
             .ok_or_else(|| TvError::Bind(format!("unknown set definition '{name}'")))?;
-        self.server.stats.lock().answered_from_memory += 1;
+        self.server.counters.answered_from_memory.inc();
         Ok(def.values.clone())
     }
 
     /// Evaluate a client query through the unified pipeline.
     pub fn query(&self, query: &ClientQuery) -> Result<(Chunk, ExecOutcome)> {
-        let reg = &self.server.processor.obs.registry;
-        let wire_in = query.wire_bytes() as u64;
-        {
-            let mut st = self.server.stats.lock();
-            st.queries += 1;
-            st.client_bytes_in += wire_in;
-        }
-        self.queries.fetch_add(1, Relaxed);
-        reg.counter("tv_dataserver_queries_total").inc();
-        reg.counter("tv_dataserver_client_bytes_in_total")
-            .add(wire_in);
+        let c = &self.server.counters;
+        c.queries.inc();
+        c.client_bytes_in.add(query.wire_bytes() as u64);
         let spec = self.server.build_spec(&self.published, &self.user, query)?;
         let admit =
             AdmitRequest::new(self.priority, self.session_id.clone()).with_weight(self.weight);
         let (chunk, outcome) = self.server.processor.execute_as(&spec, &admit)?;
-        let wire_out = chunk.approx_bytes() as u64;
-        {
-            let mut st = self.server.stats.lock();
-            st.client_bytes_out += wire_out;
-            if outcome == ExecOutcome::DegradedStale {
-                st.degraded_serves += 1;
-            }
-        }
-        reg.counter("tv_dataserver_client_bytes_out_total")
-            .add(wire_out);
+        c.client_bytes_out.add(chunk.approx_bytes() as u64);
         if outcome == ExecOutcome::DegradedStale {
-            self.degraded_serves.fetch_add(1, Relaxed);
-            reg.counter("tv_dataserver_degraded_serves_total").inc();
+            c.degraded_serves.inc();
         }
         Ok((chunk, outcome))
     }
@@ -577,16 +597,6 @@ impl ClientSession {
     /// Set this session's fair-queuing weight (1.0 = normal share).
     pub fn set_weight(&mut self, weight: f64) {
         self.weight = weight;
-    }
-
-    /// Queries this session has submitted.
-    pub fn query_count(&self) -> u64 {
-        self.queries.load(Relaxed)
-    }
-
-    /// How many of this session's answers were served degraded (stale).
-    pub fn degraded_serves(&self) -> u64 {
-        self.degraded_serves.load(Relaxed)
     }
 }
 

@@ -20,7 +20,7 @@
 use std::collections::BTreeMap;
 
 use crate::metrics::{
-    emit_histogram_series, Histogram, HistogramSnapshot, MetricEntry, MetricValue, Registry,
+    emit_histogram_series, sum, Histogram, HistogramSnapshot, MetricEntry, MetricValue, Registry,
     TextEmitter, HIST_BUCKETS,
 };
 
@@ -114,11 +114,11 @@ impl Federation {
         for (_, registry) in &self.sources {
             for (name, entry) in registry.entries() {
                 match entry {
-                    MetricEntry::Counter(c) => {
+                    MetricEntry::Counter(cells) => {
                         if gauges.contains_key(&name) || hists.contains_key(&name) {
                             continue;
                         }
-                        *counters.entry(name).or_insert(0) += c.get();
+                        *counters.entry(name).or_insert(0) += sum(&cells);
                     }
                     MetricEntry::Gauge(g) => {
                         if counters.contains_key(&name) || hists.contains_key(&name) {

@@ -37,6 +37,11 @@ impl Counter {
     }
 }
 
+/// Sum of the distinct cells exported under one counter name.
+pub(crate) fn sum(cells: &[Counter]) -> u64 {
+    cells.iter().map(Counter::get).sum()
+}
+
 /// Signed instantaneous value (pool sizes, queue depths, ...).
 #[derive(Clone, Default)]
 pub struct Gauge(Arc<AtomicI64>);
@@ -210,7 +215,8 @@ pub enum MetricValue {
 
 #[derive(Clone)]
 pub(crate) enum MetricEntry {
-    Counter(Counter),
+    /// Every cell exported under the name; its value is their sum.
+    Counter(Vec<Counter>),
     Gauge(Gauge),
     Histogram(Histogram),
 }
@@ -327,28 +333,43 @@ impl Registry {
         self.help.write().insert(name.to_string(), help.to_string());
     }
 
+    /// Get-or-create: a handle whose increments `name` exports. When
+    /// components registered cells under `name`, this is the first of them.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(MetricEntry::Counter(c)) = self.metrics.read().get(name) {
-            return c.clone();
+        if let Some(MetricEntry::Counter(cells)) = self.metrics.read().get(name) {
+            return cells[0].clone();
         }
         let mut map = self.metrics.write();
         match map
             .entry(name.to_string())
-            .or_insert_with(|| MetricEntry::Counter(Counter::new()))
+            .or_insert_with(|| MetricEntry::Counter(vec![Counter::new()]))
         {
-            MetricEntry::Counter(c) => c.clone(),
+            MetricEntry::Counter(cells) => cells[0].clone(),
             _ => Counter::new(),
         }
     }
 
     /// Export a cell its component already owns under `name`: the component
     /// keeps counting on its own handle, and [`Registry::snapshot`] reads
-    /// that same atomic. The cell replaces whatever `name` held, so the
-    /// exported value is always the registering component's.
+    /// that same atomic. Several components (one processor's pools) may
+    /// register under one name; the name then exports the sum of their
+    /// distinct cells. Registering a cell twice adds nothing, and a cell
+    /// stays counted after its component is gone, so the sum never drops.
     pub fn register_counter(&self, name: &str, counter: &Counter) {
-        self.metrics
-            .write()
-            .insert(name.to_string(), MetricEntry::Counter(counter.clone()));
+        let mut map = self.metrics.write();
+        match map.get_mut(name) {
+            Some(MetricEntry::Counter(cells)) => {
+                if !cells.iter().any(|c| Arc::ptr_eq(&c.0, &counter.0)) {
+                    cells.push(counter.clone());
+                }
+            }
+            _ => {
+                map.insert(
+                    name.to_string(),
+                    MetricEntry::Counter(vec![counter.clone()]),
+                );
+            }
+        }
     }
 
     pub fn gauge(&self, name: &str) -> Gauge {
@@ -386,7 +407,7 @@ impl Registry {
             .iter()
             .map(|(name, entry)| {
                 let value = match entry {
-                    MetricEntry::Counter(c) => MetricValue::Counter(c.get()),
+                    MetricEntry::Counter(cells) => MetricValue::Counter(sum(cells)),
                     MetricEntry::Gauge(g) => MetricValue::Gauge(g.get()),
                     MetricEntry::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 };
@@ -447,9 +468,9 @@ impl Registry {
         for (name, entry) in self.entries() {
             let help = self.help_for(&name);
             match entry {
-                MetricEntry::Counter(c) => {
+                MetricEntry::Counter(cells) => {
                     emitter.family(&name, "counter", &help);
-                    emitter.sample(&name, labels, &c.get().to_string());
+                    emitter.sample(&name, labels, &sum(&cells).to_string());
                 }
                 MetricEntry::Gauge(g) => {
                     emitter.family(&name, "gauge", &help);

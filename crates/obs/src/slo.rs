@@ -252,32 +252,6 @@ impl SloTracker {
             .collect()
     }
 
-    /// Append a latency objective after construction (e.g. once a healthy
-    /// baseline has been measured to calibrate the bound). Must be called
-    /// before any `record`, or the new objective's history starts empty.
-    pub fn add_objective(&mut self, objective: Objective, registry: Option<&Registry>) {
-        for b in &mut self.ring {
-            b.bad.push(0);
-        }
-        let mut st = ObjectiveState {
-            objective,
-            firing: false,
-            times_fired: 0,
-            burn_fast_gauge: None,
-            burn_slow_gauge: None,
-            firing_gauge: None,
-            fired_total: None,
-        };
-        if let Some(registry) = registry {
-            let name = st.objective.name;
-            st.burn_fast_gauge = Some(registry.gauge(&format!("tv_slo_{name}_burn_fast_x1000")));
-            st.burn_slow_gauge = Some(registry.gauge(&format!("tv_slo_{name}_burn_slow_x1000")));
-            st.firing_gauge = Some(registry.gauge(&format!("tv_slo_{name}_firing")));
-            st.fired_total = Some(registry.counter(&format!("tv_slo_{name}_fired_total")));
-        }
-        self.objectives.push(st);
-    }
-
     fn bucket_slot(&self, now_ms: u64) -> usize {
         ((now_ms / self.config.bucket_ms) as usize) % self.ring.len()
     }
@@ -286,13 +260,9 @@ impl SloTracker {
     pub fn record(&mut self, now_ms: u64, ev: ServeEvent) {
         let bucket_start = now_ms - (now_ms % self.config.bucket_ms);
         let slot = self.bucket_slot(now_ms);
-        let n = self.objectives.len();
         let bucket = &mut self.ring[slot];
         if bucket.start_ms != bucket_start {
             bucket.reset(bucket_start);
-            if bucket.bad.len() != n {
-                bucket.bad = vec![0; n];
-            }
         }
         bucket.count += 1;
         bucket.latency[Histogram::bucket_index(ev.latency_micros)] += 1;
@@ -320,7 +290,7 @@ impl SloTracker {
         for b in &self.ring {
             if b.start_ms != u64::MAX && b.start_ms >= from && b.start_ms <= now_ms {
                 count += b.count;
-                bad += b.bad.get(objective).copied().unwrap_or(0);
+                bad += b.bad[objective];
             }
         }
         (count, bad)

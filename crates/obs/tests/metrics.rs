@@ -1,8 +1,9 @@
 //! Histogram bucket boundaries and quantile extraction checked against
 //! exact sorted-sample oracles, plus registry concurrency: N threads × M
-//! increments must sum exactly.
+//! increments must sum exactly, and cells registered under one name
+//! export their sum.
 
-use tabviz_obs::{Histogram, MetricValue, Registry, HIST_BUCKETS};
+use tabviz_obs::{Counter, Histogram, MetricValue, Registry, HIST_BUCKETS};
 
 /// Oracle: the exact q-quantile of a sample set is the value at rank
 /// ceil(q·n); the histogram must report the upper bound of the bucket
@@ -143,6 +144,31 @@ fn kind_mismatch_returns_detached_handle() {
     g.set(99);
     match &reg.snapshot()["tv_x"] {
         MetricValue::Counter(v) => assert_eq!(*v, 1),
+        other => panic!("wrong kind: {other:?}"),
+    }
+}
+
+#[test]
+fn registered_cells_export_their_sum_once_each() {
+    let reg = Registry::new();
+    let (a, b) = (Counter::new(), Counter::new());
+    a.add(2);
+    b.add(5);
+    reg.register_counter("tv_pool_opened_total", &a);
+    reg.register_counter("tv_pool_opened_total", &b);
+    // Registering a cell again (a repeated bind) adds nothing.
+    reg.register_counter("tv_pool_opened_total", &a);
+    a.inc();
+    match &reg.snapshot()["tv_pool_opened_total"] {
+        MetricValue::Counter(v) => assert_eq!(*v, 8),
+        other => panic!("wrong kind: {other:?}"),
+    }
+    assert!(reg.render_text().contains("tv_pool_opened_total 8"));
+    // A registered name holding another kind is taken over by the cell.
+    reg.gauge("tv_y").set(4);
+    reg.register_counter("tv_y", &b);
+    match &reg.snapshot()["tv_y"] {
+        MetricValue::Counter(v) => assert_eq!(*v, 5),
         other => panic!("wrong kind: {other:?}"),
     }
 }

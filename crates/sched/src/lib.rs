@@ -438,7 +438,9 @@ struct State {
     /// Classes of shed/evicted tickets in the order the scheduler dropped
     /// them — lets tests assert Background goes before Batch.
     shed_log: Vec<Priority>,
-    stats: SchedStats,
+    /// High-water marks of `running` and of the queue depth.
+    peak_running: usize,
+    peak_queued: usize,
 }
 
 impl State {
@@ -447,34 +449,47 @@ impl State {
     }
 }
 
-struct SchedMetrics {
-    queue_wait: [Histogram; 3],
+/// The scheduler's counters, one cell each: [`Scheduler::stats`] reads
+/// them and [`Scheduler::bind_obs`] exports these same cells. Bumped under
+/// the state lock, so a `stats()` snapshot is consistent.
+#[derive(Default)]
+struct SchedCounters {
     admitted: [Counter; 3],
-    sheds: [Counter; 3],
-    deadline_sheds: Counter,
-    rejections: Counter,
+    shed: [Counter; 3],
+    deadline_shed: [Counter; 3],
     reserved_grants: Counter,
-    running: Gauge,
-    queued: Gauge,
 }
 
-impl SchedMetrics {
-    fn bind(registry: &Registry) -> Self {
-        let per_class = |prefix: &str| {
-            Priority::ALL.map(|p| registry.counter(&format!("{prefix}_{}", p.name())))
-        };
-        SchedMetrics {
-            queue_wait: Priority::ALL
-                .map(|p| registry.histogram(&format!("tv_sched_queue_wait_seconds_{}", p.name()))),
-            admitted: per_class("tv_sched_admitted_total"),
-            sheds: per_class("tv_sched_sheds_total"),
-            deadline_sheds: registry.counter("tv_sched_deadline_sheds_total"),
-            rejections: registry.counter("tv_sched_rejections_total"),
-            reserved_grants: registry.counter("tv_sched_reserved_grants_total"),
-            running: registry.gauge("tv_sched_running"),
-            queued: registry.gauge("tv_sched_queued"),
+impl SchedCounters {
+    /// Every cell with the name it is exported under (per-class cells carry
+    /// the class name as a suffix).
+    fn named(&self) -> Vec<(String, &Counter)> {
+        let mut out = vec![(
+            "tv_sched_reserved_grants_total".to_string(),
+            &self.reserved_grants,
+        )];
+        for p in Priority::ALL {
+            let (i, class) = (p.idx(), p.name());
+            out.push((
+                format!("tv_sched_admitted_total_{class}"),
+                &self.admitted[i],
+            ));
+            out.push((format!("tv_sched_sheds_total_{class}"), &self.shed[i]));
+            out.push((
+                format!("tv_sched_deadline_sheds_total_{class}"),
+                &self.deadline_shed[i],
+            ));
         }
+        out
     }
+}
+
+/// Registry-only handles, resolved once by [`Scheduler::bind_obs`]: the
+/// per-class queue-wait histograms and the running / queued gauges.
+struct SchedObs {
+    queue_wait: [Histogram; 3],
+    running: Gauge,
+    queued: Gauge,
 }
 
 /// The admission controller. Shared (`Arc`) between the query processor,
@@ -483,7 +498,8 @@ pub struct Scheduler {
     config: SchedConfig,
     state: Mutex<State>,
     cv: Condvar,
-    metrics: OnceLock<SchedMetrics>,
+    counters: SchedCounters,
+    obs: OnceLock<SchedObs>,
 }
 
 impl Scheduler {
@@ -496,13 +512,24 @@ impl Scheduler {
             config,
             state: Mutex::new(state),
             cv: Condvar::new(),
-            metrics: OnceLock::new(),
+            counters: SchedCounters::default(),
+            obs: OnceLock::new(),
         }
     }
 
-    /// Register the `tv_sched_*` metrics family. First call wins.
+    /// Export the `tv_sched_*` counter cells on a registry and resolve the
+    /// histograms and gauges. Idempotent; the first registry keeps the
+    /// histograms and gauges.
     pub fn bind_obs(&self, registry: &Registry) {
-        let _ = self.metrics.set(SchedMetrics::bind(registry));
+        for (name, cell) in self.counters.named() {
+            registry.register_counter(&name, cell);
+        }
+        let _ = self.obs.set(SchedObs {
+            queue_wait: Priority::ALL
+                .map(|p| registry.histogram(&format!("tv_sched_queue_wait_seconds_{}", p.name()))),
+            running: registry.gauge("tv_sched_running"),
+            queued: registry.gauge("tv_sched_queued"),
+        });
     }
 
     pub fn config(&self) -> &SchedConfig {
@@ -511,10 +538,18 @@ impl Scheduler {
 
     pub fn stats(&self) -> SchedStats {
         let st = self.state.lock();
-        let mut s = st.stats.clone();
-        s.running = st.running;
-        s.queued = st.queued();
-        s
+        let c = &self.counters;
+        let per_class = |cells: &[Counter; 3]| cells.each_ref().map(Counter::get);
+        SchedStats {
+            admitted: per_class(&c.admitted),
+            shed: per_class(&c.shed),
+            deadline_shed: per_class(&c.deadline_shed),
+            reserved_grants: c.reserved_grants.get(),
+            running: st.running,
+            queued: st.queued(),
+            peak_running: st.peak_running,
+            peak_queued: st.peak_queued,
+        }
     }
 
     /// Classes of shed tickets, oldest first (test observability).
@@ -562,7 +597,7 @@ impl Scheduler {
             let reason = if req.priority != Priority::Interactive
                 && st.running >= self.config.class_limit(req.priority)
             {
-                self.note_reserved_grant(&mut st);
+                self.counters.reserved_grants.inc();
                 tabviz_obs::reason::SCHED_RESERVED_GRANT
             } else {
                 tabviz_obs::reason::SCHED_ADMITTED
@@ -584,14 +619,8 @@ impl Scheduler {
             }
         }
         if st.queued() >= self.config.watermark(req.priority) {
-            st.stats.shed[req.priority.idx()] += 1;
+            self.counters.shed[req.priority.idx()].inc();
             st.shed_log.push(req.priority);
-            if let Some(m) = self.metrics.get() {
-                m.sheds[req.priority.idx()].inc();
-                if req.priority == Priority::Interactive {
-                    m.rejections.inc();
-                }
-            }
             tabviz_obs::event_with(
                 tabviz_obs::stage::SCHED_QUEUE,
                 Some(req.priority.name()),
@@ -613,8 +642,8 @@ impl Scheduler {
         }
         st.classes[req.priority.idx()].enqueue(id, &req.session, req.weight);
         let q = st.queued();
-        st.stats.peak_queued = st.stats.peak_queued.max(q);
-        if let Some(m) = self.metrics.get() {
+        st.peak_queued = st.peak_queued.max(q);
+        if let Some(m) = self.obs.get() {
             m.queued.set(q as i64);
         }
         self.dispatch(&mut st);
@@ -651,9 +680,8 @@ impl Scheduler {
                     // Still queued (not granted, not shed): withdraw.
                     st.classes[req.priority.idx()].remove_ticket(id);
                     st.queued_sources.remove(&id);
-                    st.stats.deadline_shed[req.priority.idx()] += 1;
-                    if let Some(m) = self.metrics.get() {
-                        m.deadline_sheds.inc();
+                    self.counters.deadline_shed[req.priority.idx()].inc();
+                    if let Some(m) = self.obs.get() {
                         m.queued.set(st.queued() as i64);
                     }
                     tabviz_obs::event_with(
@@ -715,7 +743,7 @@ impl Scheduler {
             let reason = if req.priority != Priority::Interactive
                 && st.running >= self.config.class_limit(req.priority)
             {
-                self.note_reserved_grant(&mut st);
+                self.counters.reserved_grants.inc();
                 tabviz_obs::reason::SCHED_RESERVED_GRANT
             } else {
                 tabviz_obs::reason::SCHED_ADMITTED
@@ -772,13 +800,6 @@ impl Scheduler {
         }
     }
 
-    fn note_reserved_grant(&self, st: &mut State) {
-        st.stats.reserved_grants += 1;
-        if let Some(m) = self.metrics.get() {
-            m.reserved_grants.inc();
-        }
-    }
-
     fn grant_now(&self, st: &mut State, priority: Priority, source: Option<&str>) {
         st.running += 1;
         if let Some(src) = source {
@@ -788,10 +809,9 @@ impl Scheduler {
     }
 
     fn note_admitted(&self, st: &mut State, priority: Priority, waited: Duration) {
-        st.stats.admitted[priority.idx()] += 1;
-        st.stats.peak_running = st.stats.peak_running.max(st.running);
-        if let Some(m) = self.metrics.get() {
-            m.admitted[priority.idx()].inc();
+        self.counters.admitted[priority.idx()].inc();
+        st.peak_running = st.peak_running.max(st.running);
+        if let Some(m) = self.obs.get() {
             m.queue_wait[priority.idx()].observe(waited);
             m.running.set(st.running as i64);
             m.queued.set(st.queued() as i64);
@@ -804,10 +824,9 @@ impl Scheduler {
         };
         st.queued_sources.remove(&id);
         st.shed.insert(id);
-        st.stats.shed[class.idx()] += 1;
+        self.counters.shed[class.idx()].inc();
         st.shed_log.push(class);
-        if let Some(m) = self.metrics.get() {
-            m.sheds[class.idx()].inc();
+        if let Some(m) = self.obs.get() {
             m.queued.set(st.queued() as i64);
         }
         self.cv.notify_all();
@@ -820,7 +839,6 @@ impl Scheduler {
     fn dispatch(&self, st: &mut State) {
         let relaxed = self.reservation_relaxed(st);
         let mut woke = false;
-        let mut reserved_grants = 0u64;
         loop {
             let running = st.running;
             let mut pick = None;
@@ -861,7 +879,7 @@ impl Scheduler {
                         let reason = if p != Priority::Interactive
                             && running >= self.config.class_limit(p)
                         {
-                            reserved_grants += 1;
+                            self.counters.reserved_grants.inc();
                             tabviz_obs::reason::SCHED_RESERVED_GRANT
                         } else {
                             tabviz_obs::reason::SCHED_QUEUED
@@ -879,9 +897,6 @@ impl Scheduler {
             st.granted.insert(id, reason);
             woke = true;
         }
-        for _ in 0..reserved_grants {
-            self.note_reserved_grant(st);
-        }
         if woke {
             self.cv.notify_all();
         }
@@ -895,7 +910,7 @@ impl Scheduler {
                 *c = c.saturating_sub(1);
             }
         }
-        if let Some(m) = self.metrics.get() {
+        if let Some(m) = self.obs.get() {
             m.running.set(st.running as i64);
         }
         self.dispatch(&mut st);
@@ -1344,10 +1359,25 @@ mod tests {
             Some(tabviz_obs::MetricValue::Gauge(g)) => assert_eq!(*g, 1),
             other => panic!("missing running gauge: {other:?}"),
         }
+        // A batch ticket queues behind the held slot and expires there.
+        let late = AdmitRequest::batch("late").with_deadline(Duration::from_millis(5));
+        assert!(s.admit(&late).is_err());
         drop(t);
-        match reg.snapshot().get("tv_sched_admitted_total_interactive") {
-            Some(tabviz_obs::MetricValue::Counter(c)) => assert_eq!(*c, 1),
-            other => panic!("missing admitted counter: {other:?}"),
-        }
+        let counter = |name: &str| match reg.snapshot().get(name) {
+            Some(tabviz_obs::MetricValue::Counter(c)) => *c,
+            other => panic!("missing counter {name}: {other:?}"),
+        };
+        assert_eq!(counter("tv_sched_admitted_total_interactive"), 1);
+        assert_eq!(counter("tv_sched_deadline_sheds_total_batch"), 1);
+        assert_eq!(counter("tv_sched_deadline_sheds_total_interactive"), 0);
+        assert_eq!(counter("tv_sched_sheds_total_interactive"), 0);
+        // One cell per field: three per class plus the reserved grants, and
+        // no class-less total beside them.
+        let counters = reg
+            .snapshot()
+            .into_iter()
+            .filter(|(_, v)| matches!(v, tabviz_obs::MetricValue::Counter(_)))
+            .count();
+        assert_eq!(counters, 3 * Priority::ALL.len() + 1);
     }
 }

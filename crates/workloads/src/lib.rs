@@ -1,4 +1,5 @@
-//! Workloads: synthetic FAA flights data and dashboard interaction traffic.
+//! Workloads: synthetic FAA flights data, the paper's dashboards and
+//! seeded request storms.
 //!
 //! The paper's running example is "the popular FAA Flights On-time dataset
 //! ... all the flights in the US in the past decade" (Sect. 3, \[43\]). The
@@ -8,15 +9,12 @@
 //! heavy-tailed delays and ~2% cancellations — everything the Fig. 1 / Fig. 2
 //! dashboards group and filter on.
 //!
-//! [`dashboards`] reconstructs those two dashboards; [`traffic`] generates
-//! the interaction mixes the paper describes: ad-hoc exploration (Sect. 1),
-//! shared-dashboard refreshes, and Tableau-Public-style traffic "saturated
-//! by initial load requests" (Sect. 3.2).
+//! [`dashboards`] reconstructs those two dashboards; [`storm`] generates
+//! seeded open-loop arrival schedules for the cluster.
 
 pub mod dashboards;
 pub mod faa;
 pub mod storm;
-pub mod traffic;
 
 pub use dashboards::{fig1_dashboard, fig2_dashboard};
 pub use faa::{carriers_dim, generate_flights, FaaConfig};
@@ -24,4 +22,3 @@ pub use storm::{
     expected_top1pct_share, generate_storm, schedule_digest, storm_stats, Arrival, StormConfig,
     StormStats, StormStep,
 };
-pub use traffic::{exploration_session, public_traffic, Interaction};

@@ -1,7 +1,8 @@
 //! Per-query flight records through the full stack: a cold query shows the
 //! remote pipeline stages; the warm repeat shows a cache hit and no remote
 //! work. Plus: metrics registry coverage over a dashboard batch, and the
-//! registry and the `stats()` structs reading the same cells.
+//! registry and the `stats()` structs reading the same cells, summed over
+//! a processor's pools.
 
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
@@ -219,9 +220,10 @@ fn capture_off_keeps_answers_and_counters_but_records_nothing() {
     assert!(off.obs.baselines.is_empty());
 }
 
-/// Every `tv_cache_*` / `tv_core_*` counter is the cell its component's
-/// `stats()` reads: counts made before the caches were bound to a registry
-/// show in the snapshot, and the two views agree field by field.
+/// Every `tv_cache_*` / `tv_core_*` / `tv_backend_pool_*` / `tv_sched_*` /
+/// `tv_dataserver_*` counter is the cell its component's `stats()` reads:
+/// counts made before the caches were bound to a registry show in the
+/// snapshot, and the two views agree field by field.
 #[test]
 fn stats_and_registry_read_one_cell() {
     let kv_spec = |table: &str| {
@@ -278,7 +280,8 @@ fn stats_and_registry_read_one_cell() {
     drive(&qp.caches, 1);
     // The processor's own cells: a remote query, then two answers from the
     // hierarchy — the last one, with L1 cleared, an L2 hit promoted back.
-    qp.registry.register(Arc::new(flights_sim(1_000)), 2);
+    let sim = flights_sim(1_000);
+    qp.registry.register(Arc::new(sim.clone()), 2);
     let spec = count_by_carrier();
     assert_eq!(qp.execute(&spec).unwrap().1, ExecOutcome::Remote);
     assert_ne!(qp.execute(&spec).unwrap().1, ExecOutcome::Remote);
@@ -342,4 +345,196 @@ fn stats_and_registry_read_one_cell() {
         MetricValue::Counter(n) => assert_eq!(*n, 3),
         other => panic!("unexpected kind: {other:?}"),
     }
+
+    // The same processor behind a Data Server, with a scheduler whose
+    // reservation is handed over at once and whose Batch / Background
+    // classes shed at any queue depth.
+    let mut sched_config = SchedConfig::new(2).with_work_conserving_after(Duration::ZERO);
+    sched_config.reserve_interactive = 1;
+    sched_config.shed_depth = [1, 0, 0];
+    let sched = Arc::new(Scheduler::new(sched_config));
+    let mut qp = qp;
+    qp.set_scheduler(Arc::clone(&sched));
+    let server = Arc::new(DataServer::new(qp));
+    server.publish(PublishedSource::new(
+        "flights",
+        "faa",
+        LogicalPlan::scan("flights"),
+    ));
+
+    // Data Server: a set upload, a domain answered from memory, a query
+    // referencing the set, then a degraded serve during an outage.
+    let mut session = server.connect("flights", "analyst").unwrap();
+    let carriers = ["AA", "DL", "WN"].map(|c| Value::Str(c.into())).to_vec();
+    let set = session.define_set("carrier", carriers).unwrap();
+    assert_eq!(session.set_domain(&set).unwrap().len(), 3);
+    let by_carrier = ClientQuery {
+        group_by: vec!["carrier".into()],
+        aggs: vec![AggCall::new(AggFunc::Count, None, "n")],
+        ..Default::default()
+    };
+    let in_set = ClientQuery {
+        set_refs: vec![set],
+        ..by_carrier.clone()
+    };
+    session.query(&in_set).unwrap();
+    // Demote the L1 entries to stale and drop the L2 copies.
+    assert!(server.processor.mark_table_stale("faa", "flights") >= 1);
+    let mut drop_all = FaultPlan::seeded(3);
+    drop_all.connection_drop = 1.0;
+    sim.set_fault_plan(Some(drop_all));
+    let (_, outcome) = session.query(&by_carrier).unwrap();
+    assert_eq!(outcome, ExecOutcome::DegradedStale);
+    sim.set_fault_plan(None);
+
+    // Scheduler: a plain and a reserved grant fill both slots; then an
+    // Interactive ticket expires in the queue and a Background and a Batch
+    // arrival are shed.
+    let background = sched.admit(&AdmitRequest::background("bg")).unwrap();
+    let batch = sched.admit(&AdmitRequest::batch("etl")).unwrap();
+    let late = AdmitRequest::interactive("late").with_deadline(Duration::from_millis(5));
+    assert!(sched.admit(&late).is_err());
+    assert!(sched.admit(&AdmitRequest::background("bg2")).is_err());
+    assert!(sched.admit(&AdmitRequest::batch("etl2")).is_err());
+    drop((background, batch));
+
+    // Pool: a timed-out wait, an explicit poison, a clear, connect retries
+    // until the breaker trips, and a fast fail behind it.
+    let managed = server.processor.registry.get("faa").unwrap();
+    let pool = &managed.pool;
+    let held = (pool.acquire().unwrap(), pool.acquire().unwrap());
+    assert!(pool
+        .acquire_within(None, Some(Duration::from_millis(5)))
+        .is_err());
+    drop(held);
+    pool.acquire().unwrap().poison();
+    pool.clear();
+    let mut refuse = FaultPlan::seeded(5);
+    refuse.connect_failure = 1.0;
+    sim.set_fault_plan(Some(refuse));
+    for _ in 0..3 {
+        assert!(pool.acquire().is_err());
+    }
+    sim.set_fault_plan(None);
+
+    let snap = server.registry().snapshot();
+    let o = pool.stats();
+    let q = sched.stats();
+    let d = server.stats();
+    let mut pairs = vec![
+        ("tv_backend_pool_opened_total", o.opened as u64),
+        ("tv_backend_pool_reused_total", o.reused as u64),
+        ("tv_backend_pool_waited_total", o.waited as u64),
+        ("tv_backend_pool_evicted_total", o.evicted as u64),
+        ("tv_backend_pool_poisoned_total", o.poisoned as u64),
+        (
+            "tv_backend_pool_connect_retries_total",
+            o.connect_retries as u64,
+        ),
+        (
+            "tv_backend_pool_acquire_timeouts_total",
+            o.acquire_timeouts as u64,
+        ),
+        ("tv_pool_breaker_trips_total", o.breaker_trips as u64),
+        (
+            "tv_pool_breaker_fast_fails_total",
+            o.breaker_fast_fails as u64,
+        ),
+        ("tv_sched_reserved_grants_total", q.reserved_grants),
+        ("tv_dataserver_queries_total", d.queries),
+        ("tv_dataserver_client_bytes_in_total", d.client_bytes_in),
+        ("tv_dataserver_client_bytes_out_total", d.client_bytes_out),
+        ("tv_dataserver_set_definitions_total", d.set_definitions),
+        (
+            "tv_dataserver_answered_from_memory_total",
+            d.answered_from_memory,
+        ),
+        ("tv_dataserver_degraded_serves_total", d.degraded_serves),
+    ];
+    let per_class: Vec<_> = Priority::ALL
+        .iter()
+        .flat_map(|p| {
+            let (i, c) = (p.idx(), p.name());
+            [
+                (format!("tv_sched_admitted_total_{c}"), q.admitted[i]),
+                (format!("tv_sched_sheds_total_{c}"), q.shed[i]),
+                (
+                    format!("tv_sched_deadline_sheds_total_{c}"),
+                    q.deadline_shed[i],
+                ),
+            ]
+        })
+        .collect();
+    pairs.extend(per_class.iter().map(|(n, v)| (n.as_str(), *v)));
+    let drift: Vec<String> = pairs
+        .into_iter()
+        .filter_map(|(name, stat)| match snap.get(name) {
+            Some(MetricValue::Counter(v)) if *v == stat => None,
+            other => Some(format!("{name}: stats {stat}, registry {other:?}")),
+        })
+        .collect();
+    assert!(drift.is_empty(), "stats and registry disagree:\n{drift:#?}");
+    // The traffic above really moved the cells the pairs compare.
+    assert!(o.opened >= 2 && o.reused >= 1 && o.waited >= 1 && o.evicted >= 1);
+    assert!(o.poisoned >= 2 && o.connect_retries >= 3 && o.acquire_timeouts == 1);
+    assert_eq!((o.breaker_trips, o.breaker_fast_fails), (1, 1));
+    assert_eq!(q.admitted[Priority::Background.idx()], 1);
+    assert_eq!(q.admitted[Priority::Batch.idx()], 1);
+    assert!(q.admitted[Priority::Interactive.idx()] >= 1);
+    assert_eq!(q.shed, [0, 1, 1]);
+    assert_eq!(q.deadline_shed, [1, 0, 0]);
+    assert_eq!(q.reserved_grants, 1);
+    assert_eq!(
+        (d.queries, d.set_definitions, d.answered_from_memory),
+        (2, 1, 1)
+    );
+    assert_eq!(d.degraded_serves, 1);
+    assert!(d.client_bytes_in > 0 && d.client_bytes_out > 0);
+}
+
+/// One processor, two sources: each pool's `stats()` counts only its own
+/// connections, the `tv_backend_pool_*` family exports their sum, and
+/// re-registering a source (a fresh pool) never lowers the family.
+#[test]
+fn several_pools_export_one_summed_family() {
+    let flights =
+        tabviz::workloads::generate_flights(&tabviz::workloads::FaaConfig::with_rows(500)).unwrap();
+    let db = Arc::new(Database::new("faa"));
+    db.put(Table::from_chunk("flights", &flights, &["carrier"]).unwrap())
+        .unwrap();
+    let sim = |name: &str| Arc::new(SimDb::new(name, Arc::clone(&db), SimConfig::default()));
+    let qp = QueryProcessor::default();
+    let lake = qp.registry.register(sim("lake"), 1);
+    let mart = qp.registry.register(sim("mart"), 3);
+    let opened_family = || match qp
+        .obs
+        .registry
+        .snapshot()
+        .get("tv_backend_pool_opened_total")
+    {
+        Some(MetricValue::Counter(v)) => *v,
+        other => panic!("tv_backend_pool_opened_total: {other:?}"),
+    };
+
+    // One query per source opens one connection each; two more held at
+    // once on the mart open a second there.
+    for source in ["lake", "mart"] {
+        let spec = QuerySpec::new(source, LogicalPlan::scan("flights"))
+            .group("carrier")
+            .agg(AggCall::new(AggFunc::Count, None, "n"));
+        assert_eq!(qp.execute(&spec).unwrap().1, ExecOutcome::Remote);
+    }
+    drop((mart.pool.acquire().unwrap(), mart.pool.acquire().unwrap()));
+    assert_eq!((lake.pool.stats().opened, lake.pool.stats().reused), (1, 0));
+    assert_eq!((mart.pool.stats().opened, mart.pool.stats().reused), (2, 1));
+    assert_eq!(opened_family(), 3);
+
+    // Re-registering "mart" builds a fresh pool; the old pool's count stays
+    // in the family and the new pool's connections add to it.
+    let mart_again = qp.registry.register(sim("mart"), 3);
+    assert_eq!(mart_again.pool.stats().opened, 0);
+    assert_eq!(opened_family(), 3);
+    drop(mart_again.pool.acquire().unwrap());
+    assert_eq!(mart_again.pool.stats().opened, 1);
+    assert_eq!(opened_family(), 4);
 }
