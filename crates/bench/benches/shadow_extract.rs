@@ -1,9 +1,12 @@
-//! Criterion bench for E11: shadow extracts vs parse-per-query (Sect. 4.4).
+//! Criterion bench for E11: shadow extracts vs parse-per-query (Sect. 4.4),
+//! plus the two producers of extract data on their own: the flights
+//! generator (100 000 rows) and the CSV reader (10 000 rows of its text).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use tabviz::prelude::*;
 use tabviz::textscan::csv::HeaderMode;
+use tabviz::textscan::parse_csv;
 use tabviz::workloads::{generate_flights, FaaConfig};
 
 fn csv(rows: usize) -> String {
@@ -45,6 +48,13 @@ fn bench(c: &mut Criterion) {
                 .unwrap();
             Tde::new(db).query(q).unwrap()
         })
+    });
+
+    group.bench_function("generate_flights_100k", |b| {
+        b.iter(|| generate_flights(&FaaConfig::with_rows(100_000)).unwrap())
+    });
+    group.bench_function("parse_csv_10k", |b| {
+        b.iter(|| parse_csv(&text, &opts).unwrap())
     });
 
     // Query over an existing extract (the steady state after one-time cost).

@@ -9,7 +9,7 @@ use crate::collation::Collation;
 use crate::error::{Result, TvError};
 use crate::schema::SchemaRef;
 use crate::selvec::SelVec;
-use crate::strvec::StrVec;
+use crate::strvec::{StrBuilder, StrVec};
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -254,60 +254,11 @@ impl ColumnVec {
         I: IntoIterator<Item = &'a Value>,
     {
         let iter = iter.into_iter();
-        let cap = iter.size_hint().0;
-        let mismatch = |v: &Value| TvError::Type(format!("cannot store {v:?} in {dtype} column"));
-        let mut bits = Vec::with_capacity(cap);
-        // Null rows hold the type's zero as their placeholder.
-        macro_rules! build {
-            ($variant:ident, $conv:expr) => {{
-                let mut data = Vec::with_capacity(cap);
-                for v in iter {
-                    bits.push(!v.is_null());
-                    data.push(if v.is_null() {
-                        Default::default()
-                    } else {
-                        $conv(v).ok_or_else(|| mismatch(v))?
-                    });
-                }
-                Values::$variant(data)
-            }};
+        let mut b = ColumnBuilder::new(dtype, iter.size_hint().0);
+        for v in iter {
+            b.push(v.into())?;
         }
-        let values = match dtype {
-            DataType::Bool => build!(Bool, |v: &Value| match v {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }),
-            DataType::Int => build!(Int, |v: &Value| match v {
-                Value::Int(i) => Some(*i),
-                Value::Real(r) => Some(*r as i64),
-                _ => None,
-            }),
-            DataType::Real => build!(Real, |v: &Value| match v {
-                Value::Real(r) => Some(*r),
-                Value::Int(i) => Some(*i as f64),
-                _ => None,
-            }),
-            DataType::Date => build!(Date, |v: &Value| match v {
-                Value::Date(d) => Some(*d),
-                _ => None,
-            }),
-            DataType::Str => {
-                let mut strs: Vec<Option<&'a str>> = Vec::with_capacity(cap);
-                for v in iter {
-                    strs.push(match v {
-                        Value::Null => None,
-                        Value::Str(s) => Some(s),
-                        other => return Err(mismatch(other)),
-                    });
-                }
-                bits.extend(strs.iter().map(Option::is_some));
-                Values::Str(StrVec::from_opt_strs(strs))
-            }
-        };
-        Ok(ColumnVec {
-            values,
-            nulls: NullMask::from_valid_bits(bits),
-        })
+        Ok(b.finish())
     }
 
     pub fn len(&self) -> usize {
@@ -433,6 +384,93 @@ impl ColumnVec {
     }
 }
 
+/// One cell on its way into a column: a [`Value`] that borrows its string.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Real(f64),
+    Str(&'a str),
+    Date(i32),
+}
+
+impl<'a> From<&'a Value> for Cell<'a> {
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(i) => Cell::Int(*i),
+            Value::Real(r) => Cell::Real(*r),
+            Value::Str(s) => Cell::Str(s),
+            Value::Date(d) => Cell::Date(*d),
+        }
+    }
+}
+
+/// Appends cells to one typed column: dense values, validity bits and, for
+/// strings, an interner. Every column built cell by cell goes through
+/// [`ColumnBuilder::push`] — [`ColumnVec::from_iter_typed`],
+/// [`Chunk::from_rows`] and the CSV reader alike.
+#[derive(Debug)]
+pub struct ColumnBuilder {
+    /// A string column's `Values::Str` stays empty until `finish`; its rows
+    /// go to `strs`.
+    values: Values,
+    strs: StrBuilder,
+    valid: Vec<bool>,
+}
+
+impl ColumnBuilder {
+    pub fn new(dtype: DataType, cap: usize) -> Self {
+        let is_str = dtype == DataType::Str;
+        ColumnBuilder {
+            values: Values::with_capacity(dtype, if is_str { 0 } else { cap }),
+            strs: StrBuilder::with_capacity(if is_str { cap } else { 0 }),
+            valid: Vec::with_capacity(cap),
+        }
+    }
+
+    pub fn data_type(&self) -> DataType {
+        self.values.data_type()
+    }
+
+    /// Append one cell. Ints and reals convert into each other's columns;
+    /// a null row holds the type's zero (code 0 for strings) as placeholder.
+    pub fn push(&mut self, cell: Cell<'_>) -> Result<()> {
+        match (&mut self.values, cell) {
+            (Values::Bool(v), Cell::Null) => v.push(false),
+            (Values::Bool(v), Cell::Bool(b)) => v.push(b),
+            (Values::Int(v), Cell::Null) => v.push(0),
+            (Values::Int(v), Cell::Int(i)) => v.push(i),
+            (Values::Int(v), Cell::Real(r)) => v.push(r as i64),
+            (Values::Real(v), Cell::Null) => v.push(0.0),
+            (Values::Real(v), Cell::Real(r)) => v.push(r),
+            (Values::Real(v), Cell::Int(i)) => v.push(i as f64),
+            (Values::Date(v), Cell::Null) => v.push(0),
+            (Values::Date(v), Cell::Date(d)) => v.push(d),
+            (Values::Str(_), Cell::Null) => self.strs.push(None),
+            (Values::Str(_), Cell::Str(s)) => self.strs.push(Some(s)),
+            (values, cell) => {
+                let dtype = values.data_type();
+                return Err(TvError::Type(format!(
+                    "cannot store {cell:?} in {dtype} column"
+                )));
+            }
+        }
+        self.valid.push(!matches!(cell, Cell::Null));
+        Ok(())
+    }
+
+    pub fn finish(self) -> ColumnVec {
+        let mut values = self.values;
+        if let Values::Str(v) = &mut values {
+            *v = self.strs.finish();
+        }
+        ColumnVec::new(values, NullMask::from_valid_bits(self.valid))
+    }
+}
+
 /// A columnar batch of rows sharing a schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Chunk {
@@ -487,26 +525,19 @@ impl Chunk {
         }
     }
 
-    /// Build from row-major values (convenient in tests and small results).
+    /// Build from row-major values. Tests use it; outside them the one
+    /// caller is `Expr::const_eval`, whose chunk has one row and no columns.
     pub fn from_rows(schema: SchemaRef, rows: &[Vec<Value>]) -> Result<Self> {
-        let mut columns = Vec::with_capacity(schema.len());
-        for (ci, f) in schema.fields().iter().enumerate() {
-            let col = ColumnVec::from_iter_typed(
-                f.dtype,
-                rows.iter().map(|r| r.get(ci).unwrap_or(&Value::Null)),
-            )?;
-            columns.push(col);
+        if rows.iter().any(|r| r.len() != schema.len()) {
+            return Err(TvError::Schema("row arity mismatch".into()));
         }
-        let len = rows.len();
-        for r in rows {
-            if r.len() != schema.len() {
-                return Err(TvError::Schema("row arity mismatch".into()));
-            }
-        }
+        let columns = (schema.fields().iter().enumerate())
+            .map(|(ci, f)| ColumnVec::from_iter_typed(f.dtype, rows.iter().map(|r| &r[ci])))
+            .collect::<Result<_>>()?;
         Ok(Chunk {
             schema,
             columns,
-            len,
+            len: rows.len(),
         })
     }
 

@@ -18,7 +18,7 @@ pub mod selvec;
 pub mod strvec;
 pub mod value;
 
-pub use chunk::{Chunk, ColumnVec, NullMask, Values};
+pub use chunk::{Cell, Chunk, ColumnBuilder, ColumnVec, NullMask, Values};
 pub use collation::Collation;
 pub use error::{Result, TvError};
 pub use schema::{Field, Schema, SchemaRef};

@@ -41,19 +41,11 @@ impl StrVec {
         I: IntoIterator<Item = Option<&'a str>>,
     {
         let rows = rows.into_iter();
-        let mut table: Vec<String> = Vec::new();
-        let mut index: HashMap<&'a str, u32> = HashMap::new();
-        let mut codes = Vec::with_capacity(rows.size_hint().0);
+        let mut b = StrBuilder::with_capacity(rows.size_hint().0);
         for row in rows {
-            codes.push(match row {
-                None => 0,
-                Some(s) => *index.entry(s).or_insert_with(|| {
-                    table.push(s.to_string());
-                    (table.len() - 1) as u32
-                }),
-            });
+            b.push(row);
         }
-        StrVec::new(Arc::new(table), codes)
+        b.finish()
     }
 
     pub fn len(&self) -> usize {
@@ -285,6 +277,45 @@ impl StrVec {
     /// In-memory footprint: the codes plus the table, counted once.
     pub fn approx_bytes(&self) -> usize {
         self.codes.len() * 4 + self.table.iter().map(|s| s.len() + 24).sum::<usize>()
+    }
+}
+
+/// The write side of a [`StrVec`]: interns strings as they arrive, one
+/// code per row, table entries in first-seen order. Each distinct string
+/// is copied once, as the index key that becomes its table entry.
+#[derive(Debug)]
+pub(crate) struct StrBuilder {
+    index: HashMap<String, u32>,
+    codes: Vec<u32>,
+}
+
+impl StrBuilder {
+    pub fn with_capacity(cap: usize) -> Self {
+        StrBuilder {
+            index: HashMap::new(),
+            codes: Vec::with_capacity(cap),
+        }
+    }
+
+    /// Append one row; `None` gets the placeholder code.
+    pub fn push(&mut self, s: Option<&str>) {
+        let code = s.map_or(0, |s| match self.index.get(s) {
+            Some(&c) => c,
+            None => {
+                let c = self.index.len() as u32;
+                self.index.insert(s.to_owned(), c);
+                c
+            }
+        });
+        self.codes.push(code);
+    }
+
+    pub fn finish(self) -> StrVec {
+        let mut table = vec![String::new(); self.index.len()];
+        for (s, c) in self.index {
+            table[c as usize] = s;
+        }
+        StrVec::new(Arc::new(table), self.codes)
     }
 }
 

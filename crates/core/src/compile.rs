@@ -11,7 +11,7 @@
 
 use tabviz_backend::{sql::to_sql, Capabilities, RemoteQuery};
 use tabviz_cache::QuerySpec;
-use tabviz_common::{Chunk, Field, Result, Schema, Value};
+use tabviz_common::{Chunk, ColumnVec, Field, Result, Schema, Value};
 use tabviz_tde::compile::simplify_expr;
 use tabviz_tql::expr::Expr;
 use tabviz_tql::{JoinType, LogicalPlan, SortKey};
@@ -164,8 +164,8 @@ fn values_chunk(values: &[Value]) -> Result<Chunk> {
         .find_map(|v| v.data_type())
         .unwrap_or(tabviz_common::DataType::Str);
     let schema = Arc::new(Schema::new_unchecked(vec![Field::new("v", dtype)]));
-    let rows: Vec<Vec<Value>> = sorted.into_iter().map(|v| vec![v]).collect();
-    Chunk::from_rows(schema, &rows)
+    let column = ColumnVec::from_iter_typed(dtype, &sorted)?;
+    Chunk::new(schema, vec![column])
 }
 
 /// Apply any local post-processing the compilation deferred.

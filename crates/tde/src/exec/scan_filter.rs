@@ -232,8 +232,8 @@ impl ScanPredicates {
                     let mask = match col.runs_overlapping(start, len) {
                         // Run kernel: one verdict per run, broadcast over it.
                         Some(runs) => {
-                            let values: Vec<Value> = runs.iter().map(|r| r.value.clone()).collect();
-                            let cv = ColumnVec::from_iter_typed(col.field.dtype, values.iter())?;
+                            let run_values = runs.iter().map(|r| &r.value);
+                            let cv = ColumnVec::from_iter_typed(col.field.dtype, run_values)?;
                             let chunk = Chunk::new(Arc::clone(&p.eval_schema), vec![cv])?;
                             let verdicts = p.expr.eval_predicate(&chunk)?;
                             let mut mask = vec![true; len];

@@ -9,7 +9,7 @@
 //! specifications directly into disk accesses").
 
 use std::sync::{Arc, OnceLock};
-use tabviz_common::{Chunk, Field, Result, Schema, SchemaRef, TvError, Value};
+use tabviz_common::{Chunk, ColumnVec, Field, Result, Schema, SchemaRef, TvError};
 use tabviz_storage::Table;
 use tabviz_tql::expr::Expr;
 use tabviz_tql::{AggCall, JoinType, LogicalPlan, SortKey};
@@ -538,9 +538,9 @@ fn try_rle_scan(
 
     // Evaluate the predicate against the IndexTable's value column.
     let field = table.schema().field(col_idx).clone();
+    let run_values = ColumnVec::from_iter_typed(field.dtype, runs.iter().map(|r| &r.value))?;
     let run_schema = Arc::new(Schema::new_unchecked(vec![field]));
-    let values: Vec<Vec<Value>> = runs.iter().map(|r| vec![r.value.clone()]).collect();
-    let run_chunk = Chunk::from_rows(run_schema, &values)?;
+    let run_chunk = Chunk::new(run_schema, vec![run_values])?;
     let mask = run_pred.eval_predicate(&run_chunk)?;
 
     let selected: usize = mask.iter().filter(|&&m| m).count();

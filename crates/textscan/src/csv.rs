@@ -1,7 +1,9 @@
 //! CSV parsing with metadata inference.
 
 use std::sync::Arc;
-use tabviz_common::{Chunk, DataType, Field, Result, Schema, SchemaRef, TvError, Value};
+use tabviz_common::{
+    Cell, Chunk, ColumnBuilder, DataType, Field, Result, Schema, SchemaRef, TvError,
+};
 use tabviz_tql::datefn;
 
 /// Whether the first record holds column names.
@@ -40,64 +42,76 @@ impl Default for CsvOptions {
     }
 }
 
-/// Split raw text into records of fields, honoring quotes.
-fn split_records(text: &str, delimiter: char) -> Result<Vec<Vec<String>>> {
-    let mut records = Vec::new();
-    let mut record: Vec<String> = Vec::new();
-    let mut field = String::new();
+/// One record's fields, unescaped into a buffer the scanner reuses.
+#[derive(Default)]
+struct Record {
+    text: String,
+    /// End offset in `text` of each field.
+    ends: Vec<usize>,
+}
+
+impl Record {
+    /// Field `i`; `""` past the end of a short (ragged) record.
+    fn field(&self, i: usize) -> &str {
+        match self.ends.get(i) {
+            None => "",
+            Some(&end) => &self.text[if i == 0 { 0 } else { self.ends[i - 1] }..end],
+        }
+    }
+
+    fn fields(&self) -> impl Iterator<Item = &str> {
+        (0..self.ends.len()).map(|i| self.field(i))
+    }
+
+    /// Close the current field; at the end of a line, hand the record to
+    /// `on_record` unless it is blank (one empty field) and start the next.
+    fn end_field(&mut self, end_line: bool, on_record: &mut impl FnMut(&Record)) {
+        self.ends.push(self.text.len());
+        if end_line {
+            if self.ends.len() > 1 || !self.text.is_empty() {
+                on_record(self);
+            }
+            self.text.clear();
+            self.ends.clear();
+        }
+    }
+}
+
+/// Split raw text into records of fields, honoring quotes, and hand each
+/// non-blank record to `on_record` in order. CR is dropped outside quotes.
+fn scan_records(text: &str, delimiter: char, mut on_record: impl FnMut(&Record)) -> Result<()> {
+    let mut rec = Record::default();
     let mut chars = text.chars().peekable();
     let mut in_quotes = false;
-    let mut any = false;
     while let Some(c) = chars.next() {
         if in_quotes {
             match c {
-                '"' => {
-                    if chars.peek() == Some(&'"') {
-                        chars.next();
-                        field.push('"');
-                    } else {
-                        in_quotes = false;
-                    }
+                '"' if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    rec.text.push('"');
                 }
-                _ => field.push(c),
+                '"' => in_quotes = false,
+                _ => rec.text.push(c),
             }
             continue;
         }
         match c {
-            '"' => {
-                if field.is_empty() {
-                    in_quotes = true;
-                } else {
-                    field.push('"');
-                }
-            }
-            c if c == delimiter => {
-                record.push(std::mem::take(&mut field));
-                any = true;
-            }
-            '\r' => {} // swallow CR of CRLF
-            '\n' => {
-                record.push(std::mem::take(&mut field));
-                if record.len() > 1 || !record[0].is_empty() {
-                    records.push(std::mem::take(&mut record));
-                } else {
-                    record.clear(); // skip blank line
-                }
-                any = false;
-            }
-            _ => field.push(c),
+            // A quote opens quoting only at the start of a field.
+            '"' if rec.text.len() == rec.ends.last().map_or(0, |&e| e) => in_quotes = true,
+            '"' => rec.text.push('"'),
+            c if c == delimiter => rec.end_field(false, &mut on_record),
+            '\r' => {}
+            '\n' => rec.end_field(true, &mut on_record),
+            _ => rec.text.push(c),
         }
     }
     if in_quotes {
         return Err(TvError::Parse("unterminated quoted field".into()));
     }
-    if !field.is_empty() || any || !record.is_empty() {
-        record.push(field);
-        if record.len() > 1 || !record[0].is_empty() {
-            records.push(record);
-        }
+    if !rec.text.is_empty() || !rec.ends.is_empty() {
+        rec.end_field(true, &mut on_record);
     }
-    Ok(records)
+    Ok(())
 }
 
 /// Try to interpret a cell as the narrowest matching type.
@@ -118,20 +132,18 @@ fn sniff(cell: &str) -> DataType {
     DataType::Str
 }
 
-/// `YYYY-MM-DD` (or `/`-separated) dates.
+/// `YYYY-MM-DD` (or `/`-separated) dates that exist in the calendar.
 fn parse_date(t: &str) -> Option<i32> {
     let sep = if t.contains('-') { '-' } else { '/' };
-    let parts: Vec<&str> = t.split(sep).collect();
-    if parts.len() != 3 {
+    let mut parts = t.split(sep).map(|p| p.parse::<i32>().ok());
+    let (y, m, d) = (parts.next()??, parts.next()??, parts.next()??);
+    if parts.next().is_some() || !(1..=12).contains(&m) || !(1000..=9999).contains(&y) {
         return None;
     }
-    let y: i32 = parts[0].parse().ok()?;
-    let m: u32 = parts[1].parse().ok()?;
-    let d: u32 = parts[2].parse().ok()?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) || !(1000..=9999).contains(&y) {
-        return None;
-    }
-    Some(datefn::days_from_civil(y, m, d))
+    // Reject days the month lacks (2015-02-30) instead of rolling over.
+    let (m, d) = (m as u32, u32::try_from(d).ok()?);
+    let days = datefn::days_from_civil(y, m, d);
+    (datefn::civil_from_days(days) == (y, m, d)).then_some(days)
 }
 
 /// Widen `a` to also accommodate `b`.
@@ -149,35 +161,69 @@ fn is_null(cell: &str, opts: &CsvOptions) -> bool {
     t.is_empty() || opts.null_tokens.iter().any(|n| n.eq_ignore_ascii_case(t))
 }
 
+/// Fold one record's sniffed cell types (`None` for a null cell) into the
+/// per-column types inferred so far.
+fn unify_into(types: &mut Vec<Option<DataType>>, cells: &[Option<DataType>]) {
+    if types.len() < cells.len() {
+        types.resize(cells.len(), None);
+    }
+    for (slot, cell) in types.iter_mut().zip(cells) {
+        if let Some(t) = *cell {
+            *slot = Some(slot.map_or(t, |prev| unify(prev, t)));
+        }
+    }
+}
+
 /// Parse CSV text into a chunk, inferring names and types unless an explicit
-/// schema is supplied.
+/// schema is supplied. Two passes over the text, no row is staged: the first
+/// finds the width, the record count, the header and the types; the second
+/// appends every cell to its column's builder.
 pub fn parse_csv(text: &str, opts: &CsvOptions) -> Result<Chunk> {
-    let records = split_records(text, opts.delimiter)?;
-    if records.is_empty() {
+    let infer = opts.schema.is_none();
+    let mut records = 0usize;
+    let mut width = 0usize;
+    let mut first: Vec<String> = Vec::new();
+    let (mut first_all_str, mut second_typed) = (false, false);
+    // Types over the sample without a header (records 0..infer_rows) and
+    // with one (records 1..=infer_rows); the header decision picks one.
+    let (mut types_from0, mut types_from1) = (Vec::new(), Vec::new());
+    scan_records(text, opts.delimiter, |rec| {
+        let n = records;
+        records += 1;
+        width = width.max(rec.ends.len());
+        if n > 1 && !(infer && n <= opts.infer_rows) {
+            return;
+        }
+        let cells: Vec<Option<DataType>> = rec
+            .fields()
+            .map(|c| (!is_null(c, opts)).then(|| sniff(c)))
+            .collect();
+        if n == 0 {
+            first = rec.fields().map(str::to_string).collect();
+            first_all_str = cells.iter().all(|&t| t == Some(DataType::Str));
+        } else if n == 1 {
+            second_typed = cells.iter().any(|&t| t.is_some_and(|t| t != DataType::Str));
+        }
+        if infer && n < opts.infer_rows {
+            unify_into(&mut types_from0, &cells);
+        }
+        if infer && n >= 1 && n <= opts.infer_rows {
+            unify_into(&mut types_from1, &cells);
+        }
+    })?;
+    if records == 0 {
         return Ok(Chunk::empty(
             opts.schema
                 .clone()
                 .unwrap_or_else(|| Arc::new(Schema::empty())),
         ));
     }
-    let width = records.iter().map(Vec::len).max().unwrap_or(0);
 
-    // Header decision.
     let has_header = match opts.header {
         HeaderMode::Yes => true,
         HeaderMode::No => false,
-        HeaderMode::Auto => {
-            let first_all_str = records[0]
-                .iter()
-                .all(|c| !is_null(c, opts) && sniff(c) == DataType::Str);
-            let second_typed = records.len() > 1
-                && records[1]
-                    .iter()
-                    .any(|c| !is_null(c, opts) && sniff(c) != DataType::Str);
-            first_all_str && second_typed
-        }
+        HeaderMode::Auto => first_all_str && second_typed,
     };
-    let data_start = usize::from(has_header);
 
     let schema: SchemaRef = match &opts.schema {
         Some(s) => {
@@ -190,85 +236,71 @@ pub fn parse_csv(text: &str, opts: &CsvOptions) -> Result<Chunk> {
             Arc::clone(s)
         }
         None => {
+            let mut types = if has_header { types_from1 } else { types_from0 };
+            types.resize(width, None);
             // Column names: header cells or F1..Fn.
-            let names: Vec<String> = (0..width)
-                .map(|i| {
-                    if has_header {
-                        records[0]
-                            .get(i)
-                            .filter(|s| !s.trim().is_empty())
-                            .map(|s| s.trim().to_string())
-                            .unwrap_or_else(|| format!("F{}", i + 1))
-                    } else {
-                        format!("F{}", i + 1)
-                    }
-                })
-                .collect();
-            // Type inference over a sample.
-            let mut types: Vec<Option<DataType>> = vec![None; width];
-            for rec in records.iter().skip(data_start).take(opts.infer_rows) {
-                for (i, slot) in types.iter_mut().enumerate() {
-                    let cell = rec.get(i).map(String::as_str).unwrap_or("");
-                    if is_null(cell, opts) {
-                        continue;
-                    }
-                    let t = sniff(cell);
-                    *slot = Some(match *slot {
-                        None => t,
-                        Some(prev) => unify(prev, t),
-                    });
-                }
-            }
-            let fields: Vec<Field> = names
+            let fields: Vec<Field> = types
                 .into_iter()
-                .zip(types)
-                .map(|(n, t)| Field::new(n, t.unwrap_or(DataType::Str)))
+                .enumerate()
+                .map(|(i, t)| {
+                    let name = first
+                        .get(i)
+                        .filter(|s| has_header && !s.trim().is_empty())
+                        .map(|s| s.trim().to_string())
+                        .unwrap_or_else(|| format!("F{}", i + 1));
+                    Field::new(name, t.unwrap_or(DataType::Str))
+                })
                 .collect();
             Arc::new(Schema::new(fields)?)
         }
     };
 
-    // Materialize values.
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(records.len() - data_start);
-    for rec in records.iter().skip(data_start) {
-        let mut row = Vec::with_capacity(width);
-        for (i, f) in schema.fields().iter().enumerate() {
-            let cell = rec.get(i).map(String::as_str).unwrap_or("");
-            row.push(parse_cell(cell, f.dtype, opts)?);
+    let rows = records - usize::from(has_header);
+    let mut columns: Vec<ColumnBuilder> = schema
+        .fields()
+        .iter()
+        .map(|f| ColumnBuilder::new(f.dtype, rows))
+        .collect();
+    let mut skip_header = has_header;
+    scan_records(text, opts.delimiter, |rec| {
+        if std::mem::take(&mut skip_header) {
+            return;
         }
-        rows.push(row);
-    }
-    Chunk::from_rows(schema, &rows)
+        for (i, col) in columns.iter_mut().enumerate() {
+            parse_cell(rec.field(i), col, opts);
+        }
+    })?;
+    Chunk::new(
+        schema,
+        columns.into_iter().map(ColumnBuilder::finish).collect(),
+    )
 }
 
-fn parse_cell(cell: &str, dtype: DataType, opts: &CsvOptions) -> Result<Value> {
-    if is_null(cell, opts) {
-        return Ok(Value::Null);
-    }
+/// Append one cell to its column. A cell that does not parse as the column's
+/// type (a row outside the inference sample) becomes NULL.
+fn parse_cell(cell: &str, col: &mut ColumnBuilder, opts: &CsvOptions) {
     let t = cell.trim();
-    Ok(match dtype {
-        DataType::Int => match t.parse::<i64>() {
-            Ok(i) => Value::Int(i),
-            Err(_) => Value::Null, // row outside the inference sample
-        },
-        DataType::Real => t.parse::<f64>().map(Value::Real).unwrap_or(Value::Null),
-        DataType::Date => parse_date(t).map(Value::Date).unwrap_or(Value::Null),
-        DataType::Bool => {
-            if t.eq_ignore_ascii_case("true") {
-                Value::Bool(true)
-            } else if t.eq_ignore_ascii_case("false") {
-                Value::Bool(false)
-            } else {
-                Value::Null
-            }
+    let value = if is_null(cell, opts) {
+        Cell::Null
+    } else {
+        match col.data_type() {
+            DataType::Int => t.parse().map_or(Cell::Null, Cell::Int),
+            DataType::Real => t.parse().map_or(Cell::Null, Cell::Real),
+            DataType::Date => parse_date(t).map_or(Cell::Null, Cell::Date),
+            DataType::Bool if t.eq_ignore_ascii_case("true") => Cell::Bool(true),
+            DataType::Bool if t.eq_ignore_ascii_case("false") => Cell::Bool(false),
+            DataType::Bool => Cell::Null,
+            DataType::Str => Cell::Str(cell),
         }
-        DataType::Str => Value::Str(cell.to_string()),
-    })
+    };
+    col.push(value)
+        .expect("a cell parsed as its column's type always fits it");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tabviz_common::Value;
 
     #[test]
     fn infers_header_and_types() {
@@ -374,6 +406,28 @@ mod tests {
     fn empty_and_malformed() {
         assert_eq!(parse_csv("", &CsvOptions::default()).unwrap().len(), 0);
         assert!(parse_csv("a\n\"unterminated", &CsvOptions::default()).is_err());
+    }
+
+    #[test]
+    fn impossible_dates_are_rejected() {
+        assert_eq!(parse_date("2015-02-30"), None);
+        assert_eq!(parse_date("2015-04-31"), None);
+        assert_eq!(
+            parse_date("2016-02-29"),
+            Some(datefn::days_from_civil(2016, 2, 29))
+        );
+        // In the inference sample such a cell sniffs as a string...
+        let text = "d\n2015-01-31\n2015-02-30\n";
+        let c = parse_csv(text, &CsvOptions::default()).unwrap();
+        assert_eq!(c.schema().field(0).dtype, DataType::Str);
+        // ...and outside it, it is NULL like any cell that does not parse.
+        let opts = CsvOptions {
+            infer_rows: 1,
+            ..Default::default()
+        };
+        let c = parse_csv(text, &opts).unwrap();
+        assert_eq!(c.schema().field(0).dtype, DataType::Date);
+        assert_eq!(c.row(1)[0], Value::Null);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
-use tabviz_common::{Chunk, DataType, Field, Result, Schema, Value};
+use tabviz_common::{Chunk, ColumnVec, DataType, Field, NullMask, Result, Schema, StrVec, Values};
 use tabviz_tql::datefn;
 
 /// The carriers in the synthetic fleet, with rough relative volumes
@@ -107,40 +107,66 @@ pub fn flights_schema() -> Arc<Schema> {
     ]))
 }
 
-/// Generate the flights fact table. Deterministic in `seed`.
+/// A string column of codes into a fixed table.
+fn coded(table: &Arc<Vec<String>>, codes: Vec<u32>) -> ColumnVec {
+    ColumnVec::from_values(Values::Str(StrVec::new(Arc::clone(table), codes)))
+}
+
+fn table<'a>(strs: impl Iterator<Item = &'a str>) -> Arc<Vec<String>> {
+    Arc::new(strs.map(str::to_string).collect())
+}
+
+/// Generate the flights fact table, column by column. Deterministic in
+/// `seed`. A string column is codes into a fixed table: carrier, airport and
+/// state by index into [`CARRIERS`] / [`AIRPORTS`], market by airport pair.
 pub fn generate_flights(config: &FaaConfig) -> Result<Chunk> {
+    let (n, na) = (config.rows, AIRPORTS.len());
+    // The market of airports `a` and `b`, in either order, is entry `a * na + b`.
+    let markets: Vec<String> = (0..na * na)
+        .map(|k| {
+            let (a, b) = (AIRPORTS[k / na].0, AIRPORTS[k % na].0);
+            if a < b {
+                format!("{a}-{b}")
+            } else {
+                format!("{b}-{a}")
+            }
+        })
+        .collect();
     let mut rng = StdRng::seed_from_u64(config.seed);
     // Cumulative carrier weights for sampling.
     let total_w: u32 = CARRIERS.iter().map(|&(_, _, w)| w).sum();
-    let mut rows: Vec<Vec<Value>> = Vec::with_capacity(config.rows);
-    for _ in 0..config.rows {
+    let mut date = Vec::with_capacity(n);
+    let mut carrier = Vec::with_capacity(n);
+    let mut origin = Vec::with_capacity(n);
+    let mut dest = Vec::with_capacity(n);
+    let mut market = Vec::with_capacity(n);
+    let mut dep_hours = Vec::with_capacity(n);
+    let mut weekdays = Vec::with_capacity(n);
+    let mut distances = Vec::with_capacity(n);
+    let mut dep_delays = Vec::with_capacity(n);
+    let mut arr_delays = Vec::with_capacity(n);
+    let mut cancels = Vec::with_capacity(n);
+    for _ in 0..n {
         let day = config.start_day + rng.random_range(0..config.n_days.max(1));
         let weekday = datefn::weekday(day);
         let month = datefn::month(day);
 
         let mut pick = rng.random_range(0..total_w);
-        let mut carrier = CARRIERS[0];
-        for &c in CARRIERS {
+        let mut ci = 0;
+        for (i, c) in CARRIERS.iter().enumerate() {
             if pick < c.2 {
-                carrier = c;
+                ci = i;
                 break;
             }
             pick -= c.2;
         }
 
         // Hubs dominate: index sampled with quadratic bias toward 0.
-        let oi = biased_index(&mut rng, AIRPORTS.len());
-        let mut di = biased_index(&mut rng, AIRPORTS.len());
+        let oi = biased_index(&mut rng, na);
+        let mut di = biased_index(&mut rng, na);
         if di == oi {
-            di = (di + 1) % AIRPORTS.len();
+            di = (di + 1) % na;
         }
-        let (origin, ostate) = AIRPORTS[oi];
-        let (dest, dstate) = AIRPORTS[di];
-        let market = if origin < dest {
-            format!("{origin}-{dest}")
-        } else {
-            format!("{dest}-{origin}")
-        };
 
         let dep_hour = sample_hour(&mut rng);
         // Delay model: base noise + evening cascades + winter/summer bumps
@@ -162,31 +188,39 @@ pub fn generate_flights(config: &FaaConfig) -> Result<Chunk> {
         let cancelled = rng.random::<f64>() < 0.018 + if month == 1 { 0.012 } else { 0.0 };
         let distance = 150 + ((oi as i64 * 37 + di as i64 * 53) % 2300);
 
-        rows.push(vec![
-            Value::Date(day),
-            Value::Str(carrier.0.to_string()),
-            Value::Str(origin.to_string()),
-            Value::Str(dest.to_string()),
-            Value::Str(ostate.to_string()),
-            Value::Str(dstate.to_string()),
-            Value::Str(market),
-            Value::Int(dep_hour as i64),
-            Value::Int(weekday as i64),
-            Value::Int(distance),
-            if cancelled {
-                Value::Null
-            } else {
-                Value::Int(dep_delay)
-            },
-            if cancelled {
-                Value::Null
-            } else {
-                Value::Int(arr_delay)
-            },
-            Value::Bool(cancelled),
-        ]);
+        date.push(day);
+        carrier.push(ci as u32);
+        origin.push(oi as u32);
+        dest.push(di as u32);
+        market.push((oi * na + di) as u32);
+        dep_hours.push(dep_hour as i64);
+        weekdays.push(weekday as i64);
+        distances.push(distance);
+        // Cancelled flights have NULL delays; the placeholder is 0.
+        dep_delays.push(if cancelled { 0 } else { dep_delay });
+        arr_delays.push(if cancelled { 0 } else { arr_delay });
+        cancels.push(cancelled);
     }
-    Chunk::from_rows(flights_schema(), &rows)
+
+    let airports = table(AIRPORTS.iter().map(|a| a.0));
+    let states = table(AIRPORTS.iter().map(|a| a.1));
+    let flown = NullMask::from_valid_bits(cancels.iter().map(|&c| !c).collect());
+    let columns = vec![
+        ColumnVec::from_values(Values::Date(date)),
+        coded(&table(CARRIERS.iter().map(|c| c.0)), carrier),
+        coded(&airports, origin.clone()),
+        coded(&airports, dest.clone()),
+        coded(&states, origin),
+        coded(&states, dest),
+        coded(&Arc::new(markets), market),
+        ColumnVec::from_values(Values::Int(dep_hours)),
+        ColumnVec::from_values(Values::Int(weekdays)),
+        ColumnVec::from_values(Values::Int(distances)),
+        ColumnVec::new(Values::Int(dep_delays), flown.clone()),
+        ColumnVec::new(Values::Int(arr_delays), flown),
+        ColumnVec::from_values(Values::Bool(cancels)),
+    ];
+    Chunk::new(flights_schema(), columns)
 }
 
 fn biased_index(rng: &mut StdRng, n: usize) -> usize {
@@ -205,33 +239,34 @@ fn sample_hour(rng: &mut StdRng) -> u32 {
 
 /// The carriers dimension table: `code`, `name`.
 pub fn carriers_dim() -> Result<Chunk> {
-    let schema = Arc::new(Schema::new_unchecked(vec![
-        Field::new("code", DataType::Str).not_null(),
-        Field::new("name", DataType::Str).not_null(),
-    ]));
-    let rows: Vec<Vec<Value>> = CARRIERS
-        .iter()
-        .map(|&(code, name, _)| vec![Value::Str(code.into()), Value::Str(name.into())])
-        .collect();
-    Chunk::from_rows(schema, &rows)
+    dimension(["code", "name"], || CARRIERS.iter().map(|c| [c.0, c.1]))
 }
 
 /// The airports dimension table: `code`, `state`.
 pub fn airports_dim() -> Result<Chunk> {
-    let schema = Arc::new(Schema::new_unchecked(vec![
-        Field::new("code", DataType::Str).not_null(),
-        Field::new("state", DataType::Str).not_null(),
-    ]));
-    let rows: Vec<Vec<Value>> = AIRPORTS
-        .iter()
-        .map(|&(code, state)| vec![Value::Str(code.into()), Value::Str(state.into())])
-        .collect();
-    Chunk::from_rows(schema, &rows)
+    dimension(["code", "state"], || AIRPORTS.iter().map(|a| [a.0, a.1]))
+}
+
+/// A two-column string table with one row per pair `rows` yields.
+fn dimension<'a, I>(names: [&str; 2], rows: impl Fn() -> I) -> Result<Chunk>
+where
+    I: Iterator<Item = [&'a str; 2]>,
+{
+    let fields = names.map(|name| Field::new(name, DataType::Str).not_null());
+    let columns = (0..2).map(|k| {
+        let strs = table(rows().map(|row| row[k]));
+        coded(&strs, (0..strs.len() as u32).collect())
+    });
+    Chunk::new(
+        Arc::new(Schema::new_unchecked(fields.into())),
+        columns.collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tabviz_common::Value;
 
     #[test]
     fn deterministic_in_seed() {
