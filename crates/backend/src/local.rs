@@ -18,7 +18,6 @@ pub struct TdeDataSource {
     name: String,
     db: Arc<Database>,
     capabilities: Capabilities,
-    options: ExecOptions,
 }
 
 impl TdeDataSource {
@@ -30,14 +29,7 @@ impl TdeDataSource {
                 dialect: Dialect::Tql,
                 ..Default::default()
             },
-            options: ExecOptions::default(),
         }
-    }
-
-    /// Override execution options (e.g. force serial for baselines).
-    pub fn with_options(mut self, options: ExecOptions) -> Self {
-        self.options = options;
-        self
     }
 
     pub fn database(&self) -> &Arc<Database> {
@@ -59,7 +51,7 @@ impl DataSource for TdeDataSource {
         Ok(Box::new(TdeConnection {
             tde: Tde::new(Arc::clone(&session_db)),
             session_db,
-            options: self.options.clone(),
+            options: ExecOptions::default(),
         }))
     }
 

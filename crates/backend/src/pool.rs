@@ -295,10 +295,6 @@ impl ConnectionPool {
         self
     }
 
-    pub fn set_policy(&mut self, policy: RetryPolicy) {
-        self.policy = policy;
-    }
-
     pub fn policy(&self) -> &RetryPolicy {
         &self.policy
     }

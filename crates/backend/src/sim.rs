@@ -77,8 +77,6 @@ pub struct SimStats {
     pub bytes_uploaded: u64,
     pub bytes_downloaded: u64,
     pub temp_tables_created: usize,
-    /// Queries that piggybacked on an in-flight scan of the same table.
-    pub shared_scans: usize,
     /// Total server-core busy time (for utilization accounting).
     pub busy: Duration,
     /// Injected faults, by kind (all zero without a [`FaultPlan`]).
@@ -223,12 +221,6 @@ pub struct SimConfig {
     pub architecture: ServerArchitecture,
     /// Total server cores contended by concurrent queries.
     pub cores: usize,
-    /// The Sect. 3.5 "shared scans" feature ("present in several systems,
-    /// including SQL Server. It allows the storage layer to pipe pages of a
-    /// single table scan to multiple concurrently handled execution plans"):
-    /// a query arriving while another is scanning the same table piggybacks
-    /// on the in-flight scan and pays only a fraction of the scan cost.
-    pub shared_scans: bool,
     /// Deterministic fault injection (none by default).
     pub faults: Option<FaultPlan>,
 }
@@ -240,15 +232,10 @@ impl Default for SimConfig {
             latency: LatencyModel::instant(),
             architecture: ServerArchitecture::ThreadPerQuery,
             cores: 8,
-            shared_scans: false,
             faults: None,
         }
     }
 }
-
-/// Fraction of the scan cost a piggybacking query still pays (plan setup,
-/// partially-missed pages).
-const SHARED_SCAN_COST_FRACTION: f64 = 0.25;
 
 struct SimInner {
     name: String,
@@ -257,8 +244,6 @@ struct SimInner {
     cores: Semaphore,
     throttle: Option<Semaphore>,
     open_connections: AtomicUsize,
-    /// table → number of scans currently in flight (shared-scan detection).
-    scans_inflight: Mutex<std::collections::HashMap<String, usize>>,
     stats: Mutex<SimStats>,
     /// Failure injection: next CREATE TEMP TABLE fails (exercises the Data
     /// Server's rewrite-without-temp-table fallback, Sect. 5.3).
@@ -340,7 +325,6 @@ impl SimDb {
                 cores: Semaphore::new(config.cores),
                 throttle,
                 open_connections: AtomicUsize::new(0),
-                scans_inflight: Mutex::new(std::collections::HashMap::new()),
                 stats: Mutex::new(SimStats::default()),
                 fail_temp_tables: AtomicBool::new(false),
                 faults: Mutex::new(config.faults.clone()),
@@ -428,11 +412,10 @@ impl DataSource for SimDb {
                 .session_view(format!("{}-session", self.inner.name)),
         );
         // A generic SQL server evaluates exactly the query it is sent: no
-        // Tableau-style join culling / referential-integrity assumptions
-        // (those belong to the client-side query processor).
+        // Tableau-style join culling, which assumes referential integrity
+        // (that belongs to the client-side query processor).
         let mut exec = ExecOptions::serial();
         exec.optimizer.enable_join_culling = false;
-        exec.optimizer.assume_referential_integrity = false;
         Ok(Box::new(SimConnection {
             server: Arc::clone(&self.inner),
             tde: Tde::new(Arc::clone(&session_db)),
@@ -577,23 +560,6 @@ impl Connection for SimConnection {
             busy += self.server.slow_query_delay();
             self.server.stats.lock().slow_queries += 1;
         }
-        // Shared scans: piggyback on a scan of the same table already in
-        // flight and pay a fraction of the scan cost.
-        let tables = query.plan.tables();
-        let mut piggybacked = false;
-        if cfg.shared_scans {
-            let mut inflight = self.server.scans_inflight.lock();
-            piggybacked = tables
-                .iter()
-                .any(|t| inflight.get(t).copied().unwrap_or(0) > 0);
-            for t in &tables {
-                *inflight.entry(t.clone()).or_insert(0) += 1;
-            }
-            if piggybacked {
-                busy = Duration::from_secs_f64(busy.as_secs_f64() * SHARED_SCAN_COST_FRACTION);
-                self.server.stats.lock().shared_scans += 1;
-            }
-        }
         let timed_out = sleep_within(busy, deadline).is_err();
         let result = if timed_out {
             Err(self.timeout_err(query))
@@ -604,15 +570,6 @@ impl Connection for SimConnection {
         };
 
         self.server.cores.release(want_cores);
-        if cfg.shared_scans {
-            let mut inflight = self.server.scans_inflight.lock();
-            for t in &tables {
-                if let Some(n) = inflight.get_mut(t) {
-                    *n = n.saturating_sub(1);
-                }
-            }
-        }
-        let _ = piggybacked;
         if let Some(t) = &self.server.throttle {
             t.release(1);
         }
@@ -850,40 +807,6 @@ mod tests {
         assert!(
             parallel < serial,
             "parallel {parallel:?} should beat serial {serial:?}"
-        );
-    }
-
-    #[test]
-    fn shared_scans_make_concurrent_same_table_queries_cheaper() {
-        let mk = |shared: bool| {
-            let mut cfg = SimConfig::default();
-            cfg.latency.scan_per_kilorow = Duration::from_millis(8); // 40ms/query
-            cfg.shared_scans = shared;
-            SimDb::new("srv", base_db(5_000), cfg)
-        };
-        let run_pair = |sim: &SimDb| {
-            let q = "(aggregate ((carrier)) ((count as n)) (scan flights))";
-            let t0 = std::time::Instant::now();
-            std::thread::scope(|s| {
-                for _ in 0..3 {
-                    let sim = sim.clone();
-                    s.spawn(move || {
-                        let mut c = sim.connect().unwrap();
-                        c.execute(&query(q)).unwrap();
-                    });
-                }
-            });
-            t0.elapsed()
-        };
-        let sim_off = mk(false);
-        let t_off = run_pair(&sim_off);
-        let sim_on = mk(true);
-        let t_on = run_pair(&sim_on);
-        assert!(sim_on.stats().shared_scans >= 1, "later arrivals piggyback");
-        assert_eq!(sim_off.stats().shared_scans, 0);
-        assert!(
-            t_on < t_off,
-            "shared scans {t_on:?} should beat independent scans {t_off:?}"
         );
     }
 

@@ -18,7 +18,6 @@ fn bench(c: &mut Criterion) {
                 fuse: false,
                 concurrent: false,
                 cache_aware: false,
-                ..Default::default()
             },
         ),
         (
@@ -27,7 +26,6 @@ fn bench(c: &mut Criterion) {
                 fuse: false,
                 concurrent: true,
                 cache_aware: false,
-                ..Default::default()
             },
         ),
         ("full_pipeline", BatchOptions::default()),

@@ -55,7 +55,6 @@ fn bench(c: &mut Criterion) {
                         fuse,
                         concurrent: false,
                         cache_aware: false,
-                        ..Default::default()
                     };
                     execute_batch(&qp, &batch, &opts).unwrap()
                 },

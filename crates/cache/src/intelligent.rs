@@ -169,9 +169,6 @@ pub struct CacheConfig {
     pub max_entry_bytes: usize,
     /// "... unless computation time is comparable with a cache lookup time".
     pub min_cost: Duration,
-    /// Accept the first match instead of ranking by post-processing effort
-    /// (the paper's shipped 9.0 behavior; ranking is its stated plan).
-    pub first_match: bool,
     /// Stale-while-revalidate grace window: a stale entry younger (as
     /// stale) than this still answers normal lookups immediately — flagged
     /// with the `cache_swr_serve` reason — while the Background-priority
@@ -187,7 +184,6 @@ impl Default for CacheConfig {
             capacity_bytes: 64 << 20,
             max_entry_bytes: 8 << 20,
             min_cost: Duration::from_micros(50),
-            first_match: false,
             swr_grace: Duration::ZERO,
         }
     }
@@ -476,12 +472,11 @@ impl IntelligentCache {
     ///
     /// The paper's shipped version "accept\[s\] the first match"; its stated
     /// plan — "choose the entry that requires the least post-processing" —
-    /// is implemented here (and is the default): every matching candidate
-    /// is ranked by post-processing effort (exact < project/filter <
-    /// roll-up, ties broken by fewer cached rows) and the cheapest wins.
-    /// Set [`CacheConfig::first_match`] to reproduce the paper's shipped
-    /// behavior. Both read the candidate index's entries only, which hold
-    /// every entry of the bucket that could match.
+    /// is implemented here: every matching candidate is ranked by
+    /// post-processing effort (exact < project/filter < roll-up, ties
+    /// broken by fewer cached rows) and the cheapest wins. Only the
+    /// candidate index's entries are read; they hold every entry of the
+    /// bucket that could match.
     pub fn get(&self, spec: &QuerySpec) -> Option<Chunk> {
         self.lookup(spec, false, false).0
     }
@@ -569,7 +564,7 @@ impl IntelligentCache {
         // stands, is what the candidate walk below would rank first (were
         // an equivalent entry spelled differently also cached, this prefers
         // the verbatim one). A stale one is left to the walk's SWR rules.
-        if !self.config.first_match && spec.topn.is_none() && spec.order.is_empty() {
+        if spec.topn.is_none() && spec.order.is_empty() {
             let normalized;
             // Normalized already when the conjunct texts strictly ascend.
             let key = if conj.texts.windows(2).all(|w| w[0] < w[1]) {
@@ -655,7 +650,7 @@ impl IntelligentCache {
                 cached: Arc::clone(&entry.result),
                 created: entry.created,
             });
-            if self.config.first_match || (effort == 0 && !swr) {
+            if effort == 0 && !swr {
                 break;
             }
         }
@@ -1451,14 +1446,12 @@ mod tests {
         fn indexed_lookup_matches_the_bucket_walk(
             stored in proptest::collection::vec((spec_bits(), any::<bool>(), any::<bool>()), 1..14),
             requests in proptest::collection::vec((spec_bits(), any::<bool>(), 0usize..64, proptest::option::of(0usize..6)), 1..10),
-            first_match in any::<bool>(),
             stale_mode in 0u8..3,
         ) {
             let db = oracle_db();
             let tde = Tde::new(Arc::clone(&db));
             let cache = IntelligentCache::new(CacheConfig {
                 min_cost: Duration::ZERO,
-                first_match,
                 swr_grace: if stale_mode == 2 { Duration::from_secs(60) } else { Duration::ZERO },
                 ..Default::default()
             });
@@ -1822,7 +1815,6 @@ mod tests {
             capacity_bytes: 1 << 20,
             max_entry_bytes: 64,
             min_cost: Duration::from_millis(1),
-            first_match: false,
             swr_grace: Duration::ZERO,
         });
         cache.put(cached_spec(), detail_chunk(), Duration::from_micros(1)); // too cheap
@@ -1838,7 +1830,6 @@ mod tests {
             capacity_bytes: 600,
             max_entry_bytes: 1 << 20,
             min_cost: Duration::ZERO,
-            first_match: false,
             swr_grace: Duration::ZERO,
         });
         for i in 0..10 {
@@ -1873,37 +1864,15 @@ mod tests {
             ])
             .unwrap(),
         );
-        let exact_chunk = Chunk::from_rows(
-            StdArc::clone(&coarse_schema),
-            &[vec!["AA".into(), Value::Int(777)]],
-        )
-        .unwrap();
+        let exact_chunk =
+            Chunk::from_rows(coarse_schema, &[vec!["AA".into(), Value::Int(777)]]).unwrap();
         cache.put(coarse_req.clone(), exact_chunk, Duration::from_millis(10));
         // The fine entry (would roll up to n=20 for AA) inserted AFTER, so
-        // first-match-by-recency would pick it.
+        // a match by recency would pick it.
         cache.put(cached_spec(), detail_chunk(), Duration::from_millis(10));
 
         let out = cache.get(&coarse_req).unwrap();
         assert_eq!(out.row(0)[1], Value::Int(777), "exact entry must win");
-
-        // With first_match (the paper's shipped behavior) the most recent
-        // matching entry — the fine one — answers via roll-up instead.
-        let shipped = IntelligentCache::new(CacheConfig {
-            min_cost: Duration::ZERO,
-            first_match: true,
-            ..Default::default()
-        });
-        let exact_chunk2 =
-            Chunk::from_rows(coarse_schema, &[vec!["AA".into(), Value::Int(777)]]).unwrap();
-        shipped.put(coarse_req.clone(), exact_chunk2, Duration::from_millis(10));
-        shipped.put(cached_spec(), detail_chunk(), Duration::from_millis(10));
-        let out2 = shipped.get(&coarse_req).unwrap();
-        let aa = out2
-            .to_rows()
-            .into_iter()
-            .find(|r| r[0] == Value::Str("AA".into()))
-            .unwrap();
-        assert_eq!(aa[1], Value::Int(20), "first-match rolls up the fine entry");
     }
 
     #[test]

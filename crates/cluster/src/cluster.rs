@@ -38,13 +38,13 @@ use bytes::Bytes;
 use tabviz_cache::{ExternalStore, L2Cache};
 use tabviz_common::hash::hash_str;
 use tabviz_common::{Chunk, Result, TvError};
-use tabviz_core::{ExecOutcome, Priority};
+use tabviz_core::ExecOutcome;
 use tabviz_dataserver::{ClientQuery, ClientSession, DataServer};
 use tabviz_obs::{
     begin_trace, diagnose, event_with, reason, stage, Counter, Diagnosis, Federation,
-    FlightRecorder, FlightRecorderConfig, Gauge, HealthConfig, HealthScorer, HealthState,
-    Objective, ProfileOutcome, RecordedTrace, Registry, ServeEvent, ServeKind, SloConfig,
-    SloStatus, SloTracker,
+    FlightRecorder, FlightRecorderConfig, Gauge, HealthScorer, HealthState, Objective,
+    ProfileOutcome, RecordedTrace, Registry, ServeEvent, ServeKind, SloConfig, SloStatus,
+    SloTracker,
 };
 
 use crate::peer::{PeerHit, PeerTier, PeerTierStats, RebalanceReport};
@@ -248,8 +248,6 @@ pub struct Cluster {
     /// SLO tracker over every serve the cluster answers (sim-time driven
     /// off `epoch`).
     slo: Mutex<SloTracker>,
-    /// Health-scorer tuning applied to every node (existing and joined).
-    health_config: HealthConfig,
     /// Cluster birth; `epoch.elapsed()` is the SLO plane's clock.
     epoch: Instant,
 }
@@ -287,7 +285,6 @@ impl Cluster {
             counters: Counters::new(&registry),
             registry,
             slo: Mutex::new(slo),
-            health_config: HealthConfig::default(),
             epoch: Instant::now(),
             config,
         };
@@ -336,7 +333,7 @@ impl Cluster {
                 server,
                 shard,
                 up: AtomicBool::new(true),
-                health: Mutex::new(HealthScorer::new(self.health_config.clone())),
+                health: Mutex::new(HealthScorer::default()),
                 demoted: AtomicBool::new(false),
                 probe_rr: AtomicU64::new(0),
                 health_gauge: self.registry.gauge(&format!(
@@ -930,8 +927,6 @@ impl Cluster {
             published: published.to_string(),
             user,
             session_key,
-            priority: Priority::Interactive,
-            weight: 1.0,
             node_sessions: Mutex::new(HashMap::new()),
             failovers: AtomicU64::new(0),
         })
@@ -945,8 +940,6 @@ pub struct ClusterSession {
     published: String,
     user: String,
     session_key: String,
-    priority: Priority,
-    weight: f64,
     /// Lazily opened per-node admission sessions (affinity means usually
     /// one; failover adds more).
     node_sessions: Mutex<HashMap<String, Arc<ClientSession>>>,
@@ -970,18 +963,6 @@ impl ClusterSession {
     /// Times this session was served by a non-affinity node.
     pub fn failover_count(&self) -> u64 {
         self.failovers.load(Relaxed)
-    }
-
-    /// Demote/restore the admission class (applies to nodes contacted from
-    /// now on; cached per-node sessions are reopened).
-    pub fn set_priority(&mut self, priority: Priority) {
-        self.priority = priority;
-        self.node_sessions.lock().clear();
-    }
-
-    pub fn set_weight(&mut self, weight: f64) {
-        self.weight = weight;
-        self.node_sessions.lock().clear();
     }
 
     /// Evaluate one client query through the cluster: route → the node's
@@ -1078,10 +1059,7 @@ impl ClusterSession {
             match sessions.get(&node.name) {
                 Some(s) => Arc::clone(s),
                 None => {
-                    let mut s = node.server.connect(&self.published, self.user.clone())?;
-                    s.set_priority(self.priority);
-                    s.set_weight(self.weight);
-                    let s = Arc::new(s);
+                    let s = Arc::new(node.server.connect(&self.published, self.user.clone())?);
                     sessions.insert(node.name.clone(), Arc::clone(&s));
                     s
                 }

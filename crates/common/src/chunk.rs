@@ -147,13 +147,6 @@ impl Values {
         }
     }
 
-    pub fn as_date(&self) -> Option<&[i32]> {
-        match self {
-            Values::Date(v) => Some(v),
-            _ => None,
-        }
-    }
-
     pub fn as_str(&self) -> Option<&StrVec> {
         match self {
             Values::Str(v) => Some(v),
@@ -321,17 +314,6 @@ impl ColumnVec {
         ColumnVec {
             values,
             nulls: NullMask::from_valid_bits(bits),
-        }
-    }
-
-    /// Gather the rows a [`SelVec`] selects. `All` clones the column.
-    pub fn take_sel(&self, sel: &SelVec) -> Self {
-        match sel {
-            SelVec::All(_) => self.clone(),
-            SelVec::Ids(ids) => {
-                let indices: Vec<usize> = ids.iter().map(|&i| i as usize).collect();
-                self.take(&indices)
-            }
         }
     }
 

@@ -36,10 +36,10 @@ pub struct BatchOptions {
     /// Build the opportunity graph and run derivable queries locally
     /// (vs sending every query to the backend).
     pub cache_aware: bool,
-    /// Workload class the batch's zones are admitted under. Dashboard
-    /// batches default to [`Priority::Batch`].
-    pub priority: Priority,
 }
+
+/// Workload class every batch's zones are admitted under.
+const BATCH_PRIORITY: Priority = Priority::Batch;
 
 impl Default for BatchOptions {
     fn default() -> Self {
@@ -47,7 +47,6 @@ impl Default for BatchOptions {
             fuse: true,
             concurrent: true,
             cache_aware: true,
-            priority: Priority::Batch,
         }
     }
 }
@@ -250,7 +249,7 @@ pub fn execute_batch(
     // (non-degradable) failure raises the cancel flag so queries that have
     // not started yet are abandoned instead of piling onto a broken batch.
     let cancel = AtomicBool::new(false);
-    let admit = AdmitRequest::new(options.priority, "batch");
+    let admit = AdmitRequest::new(BATCH_PRIORITY, "batch");
     let run_one = |spec: &QuerySpec| -> Result<(Chunk, bool)> {
         if cancel.load(Ordering::SeqCst) {
             return Err(TvError::Cancelled(
@@ -552,7 +551,6 @@ mod tests {
             fuse: false,
             concurrent: false,
             cache_aware: false,
-            ..Default::default()
         };
         execute_batch(&qp, &batch, &opts).unwrap();
         assert_eq!(sim.stats().queries, 5);
@@ -565,19 +563,16 @@ mod tests {
                 fuse: false,
                 concurrent: false,
                 cache_aware: false,
-                ..Default::default()
             },
             BatchOptions {
                 fuse: true,
                 concurrent: false,
                 cache_aware: false,
-                ..Default::default()
             },
             BatchOptions {
                 fuse: false,
                 concurrent: true,
                 cache_aware: true,
-                ..Default::default()
             },
             BatchOptions::default(),
         ];
@@ -800,7 +795,6 @@ mod tests {
                 fuse,
                 concurrent: false,
                 cache_aware: false,
-                ..Default::default()
             };
             let out = execute_batch(&qp, &batch, &opts).unwrap();
             assert_eq!(out.results.len(), 4);

@@ -98,8 +98,6 @@ pub struct ProcessorOptions {
     /// the remote query; the original is then answered (and every future
     /// filter variation served) from the widened cached result.
     pub widen_for_reuse: bool,
-    /// Cap on extra grouping columns widening may add (cardinality guard).
-    pub widen_max_extra_columns: usize,
     /// Per-remote-query deadline; a backend that cannot answer in time
     /// returns [`TvError::Timeout`] instead of hanging the dashboard.
     pub query_timeout: Option<Duration>,
@@ -115,7 +113,6 @@ impl Default for ProcessorOptions {
     fn default() -> Self {
         ProcessorOptions {
             widen_for_reuse: true,
-            widen_max_extra_columns: 2,
             query_timeout: Some(Duration::from_secs(30)),
             transient_retries: 2,
             serve_stale_on_failure: true,
@@ -158,9 +155,12 @@ fn widenable_column(f: &tabviz_tql::Expr) -> Option<String> {
 /// folded into the grouping.
 const WIDEN_MAX_IN_LIST: usize = 16;
 
+/// Cap on extra grouping columns widening may add (cardinality guard).
+const WIDEN_MAX_EXTRA_COLUMNS: usize = 2;
+
 /// Build the widened variant of a spec, or `None` when widening does not
 /// apply (no liftable filters, COUNTD present, or too many extra columns).
-fn widen_spec(spec: &QuerySpec, max_extra: usize) -> Option<QuerySpec> {
+fn widen_spec(spec: &QuerySpec) -> Option<QuerySpec> {
     use tabviz_tql::AggFunc;
     if spec.aggs.iter().any(|a| a.func == AggFunc::CountD) {
         return None; // COUNTD cannot roll back up
@@ -177,7 +177,7 @@ fn widen_spec(spec: &QuerySpec, max_extra: usize) -> Option<QuerySpec> {
             }
         }
     }
-    if lifted == 0 || extra.len() > max_extra {
+    if lifted == 0 || extra.len() > WIDEN_MAX_EXTRA_COLUMNS {
         return None;
     }
     let mut widened = spec.clone();
@@ -488,7 +488,7 @@ impl QueryProcessor {
         // Widening: send a more reusable remote query and answer this (and
         // future filter variations) from its cached result.
         if self.options.widen_for_reuse {
-            if let Some(widened) = widen_spec(spec, self.options.widen_max_extra_columns) {
+            if let Some(widened) = widen_spec(spec) {
                 // Single-flight: only one concurrent miss per widened shape
                 // runs the widened query; losers fall through to a direct
                 // remote execution of their original spec.

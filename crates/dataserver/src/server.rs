@@ -25,7 +25,7 @@ use tabviz_core::processor::QueryProcessor;
 use tabviz_core::revalidate::{
     revalidate_pass, MaintenanceLane, RevalidateOptions, RevalidateReport,
 };
-use tabviz_core::{AdmitRequest, ExecOutcome, Priority};
+use tabviz_core::{AdmitRequest, ExecOutcome};
 use tabviz_obs::Counter;
 use tabviz_tql::expr::Expr;
 use tabviz_tql::{AggCall, SortKey};
@@ -414,8 +414,6 @@ impl DataServer {
             published,
             user,
             session_id,
-            priority: Priority::Interactive,
-            weight: 1.0,
             my_sets: Vec::new(),
         })
     }
@@ -501,13 +499,10 @@ pub struct ClientSession {
     server: Arc<DataServer>,
     published: Arc<PublishedSource>,
     user: String,
-    /// Admission fairness domain (user + published source): sessions share
-    /// backend capacity by deficit round-robin within their class.
+    /// Admission fairness domain (user + published source): sessions are
+    /// admitted as Interactive and share backend capacity by deficit
+    /// round-robin with equal weights.
     session_id: String,
-    /// Admission class; [`Priority::Interactive`] unless demoted.
-    priority: Priority,
-    /// Fair-queuing weight within the class.
-    weight: f64,
     my_sets: Vec<String>,
 }
 
@@ -577,26 +572,13 @@ impl ClientSession {
         c.queries.inc();
         c.client_bytes_in.add(query.wire_bytes() as u64);
         let spec = self.server.build_spec(&self.published, &self.user, query)?;
-        let admit =
-            AdmitRequest::new(self.priority, self.session_id.clone()).with_weight(self.weight);
+        let admit = AdmitRequest::interactive(self.session_id.clone());
         let (chunk, outcome) = self.server.processor.execute_as(&spec, &admit)?;
         c.client_bytes_out.add(chunk.approx_bytes() as u64);
         if outcome == ExecOutcome::DegradedStale {
             c.degraded_serves.inc();
         }
         Ok((chunk, outcome))
-    }
-
-    /// Demote (or restore) this session's admission class — e.g. a
-    /// reporting client that should yield to humans runs at
-    /// [`Priority::Batch`].
-    pub fn set_priority(&mut self, priority: Priority) {
-        self.priority = priority;
-    }
-
-    /// Set this session's fair-queuing weight (1.0 = normal share).
-    pub fn set_weight(&mut self, weight: f64) {
-        self.weight = weight;
     }
 }
 

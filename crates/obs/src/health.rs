@@ -8,66 +8,47 @@
 //! right now, a **slow** EWMA remembers what it normally looks like, and
 //! the ratio between them (plus error and degraded-serve rates) collapses
 //! into a 0–100 health score. The router demotes a node whose score falls
-//! below `demote_below` and only restores it above `restore_above` — a
+//! below `DEMOTE_BELOW` and only restores it above `RESTORE_ABOVE` — a
 //! hysteresis band wide enough that a score oscillating around either
 //! bound cannot flap routing.
 
-/// Tuning for one node's scorer.
-#[derive(Debug, Clone)]
-pub struct HealthConfig {
-    /// Fast EWMA smoothing (per observation).
-    pub alpha_fast: f64,
-    /// Fast EWMA smoothing while demoted, for observations *slower* than
-    /// the current EWMA: probes are sparse (1 in N routes), so evidence
-    /// that the node is still sick should register immediately.
-    pub alpha_fast_demoted: f64,
-    /// Fast EWMA smoothing while demoted, for observations *faster* than
-    /// the current EWMA. Deliberately smaller (peak-hold decay): a
-    /// browned-out node still answers cached queries in microseconds, and
-    /// a short run of lucky fast probes must not restore it — only a
-    /// sustained run of fast serves decays the EWMA below the floor.
-    pub alpha_fast_demoted_down: f64,
-    /// Slow baseline EWMA smoothing.
-    pub alpha_slow: f64,
-    /// Observations before the score is trusted (no demotions earlier).
-    pub min_samples: u64,
-    /// Absolute latency floor, µs: while the fast EWMA sits under this,
-    /// the node is fast in absolute terms and ratio anomalies are ignored
-    /// (a 50µs cache hit being 5× a 10µs one is not a brown-out).
-    pub latency_floor_micros: f64,
-    /// Fast/slow ratio up to which the latency subscore stays 1.0.
-    pub ratio_grace: f64,
-    /// Ratio at which the latency subscore reaches 0.
-    pub ratio_zero: f64,
-    /// Error-rate EWMA weight in the score (errors are worse than slow).
-    pub alpha_err: f64,
-    /// Demote when score < this.
-    pub demote_below: f64,
-    /// Restore only when score > this (hysteresis: > `demote_below`).
-    pub restore_above: f64,
-}
+// Tuning shared by every node's scorer.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            alpha_fast: 0.25,
-            alpha_fast_demoted: 0.5,
-            alpha_fast_demoted_down: 0.2,
-            alpha_slow: 0.02,
-            min_samples: 16,
-            latency_floor_micros: 15_000.0,
-            ratio_grace: 2.5,
-            ratio_zero: 8.0,
-            alpha_err: 0.15,
-            demote_below: 40.0,
-            restore_above: 70.0,
-        }
-    }
-}
+/// Fast EWMA smoothing (per observation).
+const ALPHA_FAST: f64 = 0.25;
+/// Fast EWMA smoothing while demoted, for observations *slower* than the
+/// current EWMA: probes are sparse (1 in N routes), so evidence that the
+/// node is still sick should register immediately.
+const ALPHA_FAST_DEMOTED: f64 = 0.5;
+/// Fast EWMA smoothing while demoted, for observations *faster* than the
+/// current EWMA. Deliberately smaller (peak-hold decay): a browned-out node
+/// still answers cached queries in microseconds, and a short run of lucky
+/// fast probes must not restore it — only a sustained run of fast serves
+/// decays the EWMA below the floor.
+const ALPHA_FAST_DEMOTED_DOWN: f64 = 0.2;
+/// Slow baseline EWMA smoothing.
+const ALPHA_SLOW: f64 = 0.02;
+/// Observations before the score is trusted (no demotions earlier).
+const MIN_SAMPLES: u64 = 16;
+/// Absolute latency floor, µs: while the fast EWMA sits under this, the
+/// node is fast in absolute terms and ratio anomalies are ignored (a 50µs
+/// cache hit being 5× a 10µs one is not a brown-out).
+const LATENCY_FLOOR_MICROS: f64 = 15_000.0;
+/// Fast/slow ratio up to which the latency subscore stays 1.0.
+const RATIO_GRACE: f64 = 2.5;
+/// Ratio at which the latency subscore reaches 0.
+const RATIO_ZERO: f64 = 8.0;
+/// Error-rate EWMA weight in the score (errors are worse than slow).
+const ALPHA_ERR: f64 = 0.15;
+/// Demote when score < this.
+const DEMOTE_BELOW: f64 = 40.0;
+/// Restore only when score > this (hysteresis: > `DEMOTE_BELOW`).
+const RESTORE_ABOVE: f64 = 70.0;
 
 /// Routing-visible state derived from the score.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum HealthState {
+    #[default]
     Healthy,
     /// Score under the demotion bound: the router avoids this node while
     /// alternatives exist, probing it occasionally for recovery.
@@ -85,8 +66,8 @@ pub enum ServeKind {
 }
 
 /// Per-node scorer. Not thread-safe; wrap in a mutex.
+#[derive(Default)]
 pub struct HealthScorer {
-    config: HealthConfig,
     samples: u64,
     ewma_fast: f64,
     ewma_slow: f64,
@@ -98,20 +79,6 @@ pub struct HealthScorer {
 }
 
 impl HealthScorer {
-    pub fn new(config: HealthConfig) -> Self {
-        HealthScorer {
-            config,
-            samples: 0,
-            ewma_fast: 0.0,
-            ewma_slow: 0.0,
-            err_rate: 0.0,
-            degraded_rate: 0.0,
-            state: HealthState::Healthy,
-            demotions: 0,
-            restorations: 0,
-        }
-    }
-
     /// Fold in one serve. Returns `Some(new_state)` on a demote/restore
     /// transition, `None` otherwise.
     pub fn observe(&mut self, latency_micros: u64, kind: ServeKind) -> Option<HealthState> {
@@ -123,21 +90,20 @@ impl HealthScorer {
         } else {
             let alpha = if self.state == HealthState::Demoted {
                 if lat > self.ewma_fast {
-                    self.config.alpha_fast_demoted
+                    ALPHA_FAST_DEMOTED
                 } else {
-                    self.config.alpha_fast_demoted_down
+                    ALPHA_FAST_DEMOTED_DOWN
                 }
             } else {
-                self.config.alpha_fast
+                ALPHA_FAST
             };
             self.ewma_fast += alpha * (lat - self.ewma_fast);
             // The slow baseline only learns from non-anomalous serves:
             // during a brown-out it must keep remembering "normal", not
             // chase the anomaly until the ratio looks fine again.
             let ratio = self.ewma_fast / self.ewma_slow.max(1.0);
-            if ratio < self.config.ratio_grace || self.ewma_fast < self.config.latency_floor_micros
-            {
-                self.ewma_slow += self.config.alpha_slow * (lat - self.ewma_slow);
+            if ratio < RATIO_GRACE || self.ewma_fast < LATENCY_FLOOR_MICROS {
+                self.ewma_slow += ALPHA_SLOW * (lat - self.ewma_slow);
             }
         }
         let (err, degraded) = match kind {
@@ -145,20 +111,20 @@ impl HealthScorer {
             ServeKind::Degraded => (0.0, 1.0),
             ServeKind::Error => (1.0, 0.0),
         };
-        self.err_rate += self.config.alpha_err * (err - self.err_rate);
-        self.degraded_rate += self.config.alpha_err * (degraded - self.degraded_rate);
+        self.err_rate += ALPHA_ERR * (err - self.err_rate);
+        self.degraded_rate += ALPHA_ERR * (degraded - self.degraded_rate);
 
-        if self.samples < self.config.min_samples {
+        if self.samples < MIN_SAMPLES {
             return None;
         }
         let score = self.score();
         match self.state {
-            HealthState::Healthy if score < self.config.demote_below => {
+            HealthState::Healthy if score < DEMOTE_BELOW => {
                 self.state = HealthState::Demoted;
                 self.demotions += 1;
                 Some(HealthState::Demoted)
             }
-            HealthState::Demoted if score > self.config.restore_above => {
+            HealthState::Demoted if score > RESTORE_ABOVE => {
                 self.state = HealthState::Healthy;
                 self.restorations += 1;
                 Some(HealthState::Healthy)
@@ -173,17 +139,16 @@ impl HealthScorer {
         if self.samples == 0 {
             return 100.0;
         }
-        let lat_sub = if self.ewma_fast < self.config.latency_floor_micros {
+        let lat_sub = if self.ewma_fast < LATENCY_FLOOR_MICROS {
             1.0
         } else {
             let ratio = self.ewma_fast / self.ewma_slow.max(1.0);
-            if ratio <= self.config.ratio_grace {
+            if ratio <= RATIO_GRACE {
                 1.0
-            } else if ratio >= self.config.ratio_zero {
+            } else if ratio >= RATIO_ZERO {
                 0.0
             } else {
-                1.0 - (ratio - self.config.ratio_grace)
-                    / (self.config.ratio_zero - self.config.ratio_grace)
+                1.0 - (ratio - RATIO_GRACE) / (RATIO_ZERO - RATIO_GRACE)
             }
         };
         // Errors hit the score hard (2x weight), degraded serves gently.
@@ -222,7 +187,7 @@ mod tests {
     use super::*;
 
     fn scorer() -> HealthScorer {
-        HealthScorer::new(HealthConfig::default())
+        HealthScorer::default()
     }
 
     #[test]

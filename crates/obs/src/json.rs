@@ -66,11 +66,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Parse a complete JSON document; trailing non-whitespace is an error.
+/// Deepest array / object nesting [`parse`] accepts. Parsing recurses once
+/// per level, so unbounded nesting in untrusted text would overflow the
+/// stack; the traces and reports this crate writes stay far below this.
+const MAX_NESTING: usize = 256;
+
+/// Parse a complete JSON document; trailing non-whitespace is an error, and
+/// so is nesting deeper than 256 arrays / objects.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -84,6 +91,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays / objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -118,8 +127,22 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    return Err(format!(
+                        "nested deeper than {MAX_NESTING} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -260,5 +283,28 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"k\":".repeat(n), "}".repeat(n));
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(100_000)).is_err());
+        assert!(parse(&arrays(100_000)).is_err());
+        assert!(parse(&objects(100_000)).is_err());
+        // Nesting at the bound still parses.
+        assert!(parse(&arrays(MAX_NESTING)).is_ok());
+        assert!(parse(&objects(MAX_NESTING)).is_ok());
+        assert!(parse(&arrays(MAX_NESTING + 1)).is_err());
+        assert!(parse(&objects(MAX_NESTING + 1)).is_err());
+        // The bound is on depth, not on the number of containers.
+        let wide = format!("[{}]", vec![arrays(MAX_NESTING - 1); 8].join(","));
+        assert!(parse(&wide).is_ok());
     }
 }

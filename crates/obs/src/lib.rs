@@ -50,7 +50,7 @@ pub use analyze::{
 pub use chrome::{to_chrome_trace, validate_chrome_trace};
 pub use exemplar::{scrape_exemplars, Exemplar};
 pub use federation::{Federation, MergedHistogram};
-pub use health::{HealthConfig, HealthScorer, HealthState, ServeKind};
+pub use health::{HealthScorer, HealthState, ServeKind};
 pub use json::JsonValue;
 pub use metrics::{
     escape_label_value, Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry,
@@ -174,9 +174,6 @@ pub mod reason {
     pub const SCHED_QUEUED: &str = "sched_queued";
     /// Admitted immediately by evicting lower-priority queued work.
     pub const SCHED_ADMITTED_EVICTING: &str = "sched_admitted_evicting";
-    /// A reserved interactive slot was granted to batch work after the
-    /// configured interactive-idle window elapsed (work conservation).
-    pub const SCHED_RESERVED_GRANT: &str = "sched_reserved_grant_to_batch";
     /// Shed on arrival: total queue depth over the class watermark.
     pub const SCHED_SHED_WATERMARK: &str = "sched_shed_watermark";
     /// Shed while queued: evicted to admit higher-priority work.

@@ -248,7 +248,6 @@ impl Default for FlightRecorderConfig {
 /// Bounded store of completed query traces; see the module docs.
 pub struct FlightRecorder {
     cfg: FlightRecorderConfig,
-    slow_threshold_micros: AtomicU64,
     recent: Mutex<VecDeque<Arc<RecordedTrace>>>,
     slow: Mutex<VecDeque<Arc<RecordedTrace>>>,
     /// Traces evicted from a ring while a histogram exemplar still exports
@@ -265,10 +264,8 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     pub fn new(cfg: FlightRecorderConfig) -> Self {
-        let slow_micros = cfg.slow_threshold.as_micros().min(u64::MAX as u128) as u64;
         FlightRecorder {
             cfg,
-            slow_threshold_micros: AtomicU64::new(slow_micros),
             recent: Mutex::new(VecDeque::new()),
             slow: Mutex::new(VecDeque::new()),
             pinned: Mutex::new(std::collections::HashMap::new()),
@@ -308,15 +305,8 @@ impl FlightRecorder {
         rec
     }
 
-    pub fn set_slow_threshold(&self, t: Duration) {
-        self.slow_threshold_micros.store(
-            t.as_micros().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
     pub fn slow_threshold(&self) -> Duration {
-        Duration::from_micros(self.slow_threshold_micros.load(Ordering::Relaxed))
+        self.cfg.slow_threshold
     }
 
     /// The current pin set: trace ids a registry exemplar slot exports.

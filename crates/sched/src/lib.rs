@@ -15,16 +15,12 @@
 //!   queued interactive ticket always dispatches before any batch ticket.
 //! - **Weighted fair queuing within a class**: per-session queues served by
 //!   deficit round-robin. Each visit tops a session's deficit up by
-//!   `quantum × weight`; a session is served while it has ≥ 1 credit. A
+//!   `QUANTUM × weight`; a session is served while it has ≥ 1 credit. A
 //!   low-weight session accumulates credit every round, so it is served at
 //!   its weight fraction but never starved.
 //! - **Deadline-aware queuing**: a ticket whose deadline expires while still
 //!   queued is shed with [`TvError::Timeout`] *before* consuming any backend
 //!   work — the query never opens a connection.
-//! - **Interactive reservation**: [`SchedConfig::reserve_interactive`]
-//!   holds concurrency slots that only Interactive grants may use, so a
-//!   human arriving at full batch load starts immediately instead of
-//!   waiting out a running batch query.
 //! - **Load shedding**: when the queue grows past per-class watermarks,
 //!   Background tickets are dropped first, then Batch; Interactive arrivals
 //!   are rejected only past a hard high watermark. Queued Interactive
@@ -80,8 +76,8 @@ pub struct AdmitRequest {
     /// Relative share within the class (1.0 = normal). Clamped to a small
     /// positive minimum so a zero-weight session still cannot starve.
     pub weight: f64,
-    /// Maximum time this ticket may wait in the queue. `None` falls back to
-    /// [`SchedConfig::default_deadline`].
+    /// Maximum time this ticket may wait in the queue. `None` waits as long
+    /// as it takes.
     pub deadline: Option<Duration>,
     /// The backend data source this query will run against. When the
     /// scheduler has a per-source limit for it
@@ -141,30 +137,9 @@ pub struct SchedConfig {
     /// from pool capacity ([`SchedConfig::for_pool_capacity`]): admitting
     /// more than the pools can serve just moves the queue into the pool.
     pub max_concurrent: usize,
-    /// Deficit credit granted per round-robin visit, scaled by session
-    /// weight. One ticket costs 1.0 credit.
-    pub quantum: f64,
-    /// Queue depth at which Background tickets are shed.
+    /// Queue depth per class (indexed by [`Priority::idx`]) at which that
+    /// class is shed.
     pub shed_depth: [usize; 3],
-    /// Queue deadline applied when the request carries none.
-    pub default_deadline: Option<Duration>,
-    /// Concurrency slots reserved for Interactive work: Batch/Background
-    /// grants may not push total running tickets above
-    /// `max_concurrent - reserve_interactive`, so an interactive arrival
-    /// at full non-interactive load starts immediately instead of waiting
-    /// out a running query. By default the reservation is not
-    /// work-conserving (the reserved slots idle when no interactive work
-    /// exists); see [`SchedConfig::work_conserving_after`]. It is clamped
-    /// so at least one slot always remains for the other classes.
-    pub reserve_interactive: usize,
-    /// Work conservation for the interactive reservation: when no
-    /// Interactive request has *arrived* for this long, reserved slots are
-    /// granted to Batch/Background work instead of idling. Such grants
-    /// carry the [`tabviz_obs::reason::SCHED_RESERVED_GRANT`] reason code.
-    /// The next Interactive arrival re-arms the reservation (running
-    /// borrowed tickets finish; new non-interactive grants are capped
-    /// again). `None` (default) keeps the reservation strict.
-    pub work_conserving_after: Option<Duration>,
     /// Per-source concurrency ceilings, normally each source's pool size.
     /// A ticket whose request names one of these sources is granted only
     /// while fewer than `limit` tickets for that source are running;
@@ -183,11 +158,7 @@ impl SchedConfig {
         let mc = max_concurrent.max(1);
         SchedConfig {
             max_concurrent: mc,
-            quantum: 1.0,
             shed_depth: [mc * 16, mc * 4, mc * 2],
-            default_deadline: None,
-            reserve_interactive: 0,
-            work_conserving_after: None,
             source_limits: HashMap::new(),
         }
     }
@@ -195,18 +166,6 @@ impl SchedConfig {
     /// The standard derivation: one running ticket per pooled connection.
     pub fn for_pool_capacity(capacity: usize) -> Self {
         Self::new(capacity)
-    }
-
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Enable work conservation for the interactive reservation (see
-    /// [`SchedConfig::work_conserving_after`]).
-    pub fn with_work_conserving_after(mut self, window: Duration) -> Self {
-        self.work_conserving_after = Some(window);
-        self
     }
 
     /// Cap one source's running tickets (see [`SchedConfig::source_limits`]).
@@ -217,17 +176,6 @@ impl SchedConfig {
 
     fn watermark(&self, p: Priority) -> usize {
         self.shed_depth[p.idx()]
-    }
-
-    /// The running-ticket ceiling a grant to `p` must stay under.
-    fn class_limit(&self, p: Priority) -> usize {
-        match p {
-            Priority::Interactive => self.max_concurrent,
-            _ => self
-                .max_concurrent
-                .saturating_sub(self.reserve_interactive)
-                .max(1),
-        }
     }
 }
 
@@ -247,9 +195,6 @@ pub struct SchedStats {
     pub shed: [u64; 3],
     /// Tickets whose deadline expired while queued, per class.
     pub deadline_shed: [u64; 3],
-    /// Reserved interactive slots granted to Batch/Background work after
-    /// the work-conserving window elapsed.
-    pub reserved_grants: u64,
     /// Currently running / queued tickets.
     pub running: usize,
     pub queued: usize,
@@ -281,6 +226,10 @@ impl SchedStats {
 }
 
 const MIN_WEIGHT: f64 = 0.01;
+
+/// Deficit credit granted per round-robin visit, scaled by session weight.
+/// One ticket costs 1.0 credit.
+const QUANTUM: f64 = 1.0;
 
 struct SessionQueue {
     session: String,
@@ -357,7 +306,7 @@ impl ClassQueue {
     }
 
     /// One deficit-round-robin pick. Visiting a session tops its deficit up
-    /// by `quantum × weight`; a session with ≥ 1 credit is served (and the
+    /// by `QUANTUM × weight`; a session with ≥ 1 credit is served (and the
     /// cursor stays, so a high-weight session drains its credit in
     /// consecutive picks); otherwise the cursor advances and the credit is
     /// kept for the next round.
@@ -368,16 +317,16 @@ impl ClassQueue {
     /// tickets is skipped without topping up its deficit. Returns `None`
     /// when every queued ticket is blocked, so lower classes still get a
     /// chance at the free slot.
-    fn pick(&mut self, quantum: f64, eligible: &dyn Fn(u64) -> bool) -> Option<u64> {
+    fn pick(&mut self, eligible: &dyn Fn(u64) -> bool) -> Option<u64> {
         if self.sessions.is_empty() {
             return None;
         }
         // Each full round strictly increases some session's deficit by at
-        // least quantum × MIN_WEIGHT, so this terminates well inside the
+        // least QUANTUM × MIN_WEIGHT, so this terminates well inside the
         // guard; the guard only protects against pathological weights.
         let mut visits = 0usize;
         let mut blocked_streak = 0usize;
-        let max_visits = self.sessions.len() * (1 + (1.0 / (quantum * MIN_WEIGHT)).ceil() as usize);
+        let max_visits = self.sessions.len() * (1 + (1.0 / (QUANTUM * MIN_WEIGHT)).ceil() as usize);
         loop {
             if blocked_streak >= self.sessions.len() {
                 return None;
@@ -391,7 +340,7 @@ impl ClassQueue {
             };
             blocked_streak = 0;
             if sq.deficit < 1.0 {
-                sq.deficit += quantum * sq.weight.max(MIN_WEIGHT);
+                sq.deficit += QUANTUM * sq.weight.max(MIN_WEIGHT);
             }
             if sq.deficit >= 1.0 || visits >= max_visits {
                 sq.deficit = (sq.deficit - 1.0).max(0.0);
@@ -420,13 +369,8 @@ struct State {
     next_id: u64,
     classes: [ClassQueue; 3],
     /// Tickets that have been handed a slot but whose waiter has not woken
-    /// yet, mapped to the grant's reason code. `running` already counts
-    /// them.
-    granted: HashMap<u64, &'static str>,
-    /// Most recent Interactive *arrival* (not grant): the work-conserving
-    /// clock. Seeded at scheduler creation so a fresh scheduler holds its
-    /// reservation for one full window.
-    last_interactive: Option<Instant>,
+    /// yet. `running` already counts them.
+    granted: HashSet<u64>,
     /// Tickets evicted by load shedding while queued; the waiter observes
     /// membership and returns the shed error.
     shed: HashSet<u64>,
@@ -457,17 +401,13 @@ struct SchedCounters {
     admitted: [Counter; 3],
     shed: [Counter; 3],
     deadline_shed: [Counter; 3],
-    reserved_grants: Counter,
 }
 
 impl SchedCounters {
     /// Every cell with the name it is exported under (per-class cells carry
     /// the class name as a suffix).
     fn named(&self) -> Vec<(String, &Counter)> {
-        let mut out = vec![(
-            "tv_sched_reserved_grants_total".to_string(),
-            &self.reserved_grants,
-        )];
+        let mut out = Vec::new();
         for p in Priority::ALL {
             let (i, class) = (p.idx(), p.name());
             out.push((
@@ -504,13 +444,9 @@ pub struct Scheduler {
 
 impl Scheduler {
     pub fn new(config: SchedConfig) -> Self {
-        let state = State {
-            last_interactive: Some(Instant::now()),
-            ..State::default()
-        };
         Scheduler {
             config,
-            state: Mutex::new(state),
+            state: Mutex::new(State::default()),
             cv: Condvar::new(),
             counters: SchedCounters::default(),
             obs: OnceLock::new(),
@@ -544,7 +480,6 @@ impl Scheduler {
             admitted: per_class(&c.admitted),
             shed: per_class(&c.shed),
             deadline_shed: per_class(&c.deadline_shed),
-            reserved_grants: c.reserved_grants.get(),
             running: st.running,
             queued: st.queued(),
             peak_running: st.peak_running,
@@ -570,10 +505,7 @@ impl Scheduler {
     /// [`TvError::Timeout`] without ever consuming backend work.
     pub fn admit(&self, req: &AdmitRequest) -> Result<Ticket<'_>> {
         let arrived = Instant::now();
-        let deadline = req
-            .deadline
-            .or(self.config.default_deadline)
-            .map(|d| arrived + d);
+        let deadline = req.deadline.map(|d| arrived + d);
         // Only sources with a configured limit are tracked; everything else
         // rides the global budget alone.
         let tracked = req
@@ -582,28 +514,18 @@ impl Scheduler {
             .filter(|s| self.config.source_limits.contains_key(*s))
             .cloned();
         let mut st = self.state.lock();
-        if req.priority == Priority::Interactive {
-            // Arrival (not grant) re-arms the work-conserving clock.
-            st.last_interactive = Some(arrived);
-        }
 
         // Fast path: idle queue, a free slot, and source headroom — no
         // ticket churn.
         let source_saturated = !self.source_headroom(&st, tracked.as_deref());
-        if st.running < self.effective_class_limit(&st, req.priority)
-            && st.queued() == 0
-            && !source_saturated
-        {
-            let reason = if req.priority != Priority::Interactive
-                && st.running >= self.config.class_limit(req.priority)
-            {
-                self.counters.reserved_grants.inc();
-                tabviz_obs::reason::SCHED_RESERVED_GRANT
-            } else {
-                tabviz_obs::reason::SCHED_ADMITTED
-            };
+        if st.running < self.config.max_concurrent && st.queued() == 0 && !source_saturated {
             self.grant_now(&mut st, req.priority, tracked.as_deref());
-            return Ok(self.ticket(req.priority, Duration::ZERO, reason, tracked));
+            return Ok(self.ticket(
+                req.priority,
+                Duration::ZERO,
+                tabviz_obs::reason::SCHED_ADMITTED,
+                tracked,
+            ));
         }
 
         // Overload control. Evict strictly-worse queued work first
@@ -648,7 +570,7 @@ impl Scheduler {
         }
         self.dispatch(&mut st);
         loop {
-            if let Some(granted_reason) = st.granted.remove(&id) {
+            if st.granted.remove(&id) {
                 let waited = arrived.elapsed();
                 let reason = if evicted_any {
                     tabviz_obs::reason::SCHED_ADMITTED_EVICTING
@@ -658,7 +580,7 @@ impl Scheduler {
                     // surfaces per query.
                     tabviz_obs::reason::SCHED_SOURCE_SATURATED
                 } else {
-                    granted_reason
+                    tabviz_obs::reason::SCHED_QUEUED
                 };
                 self.note_admitted(&mut st, req.priority, waited);
                 return Ok(self.ticket(req.priority, waited, reason, tracked));
@@ -695,35 +617,12 @@ impl Scheduler {
                         req.priority.name()
                     )));
                 }
-                _ => {
-                    // A queued non-interactive ticket also wakes when the
-                    // work-conserving window elapses, so reserved slots
-                    // are handed over promptly (no grant-side event
-                    // exists to trigger a dispatch at that instant).
-                    let mut wake = deadline;
-                    if req.priority != Priority::Interactive {
-                        if let (Some(w), Some(t)) =
-                            (self.config.work_conserving_after, st.last_interactive)
-                        {
-                            // Only a *future* handover instant is worth a
-                            // timed wake: once the window has elapsed the
-                            // dispatch below already ran relaxed, and the
-                            // next state change is a release (cv signal).
-                            let wc = t + w;
-                            if wc > Instant::now() {
-                                wake = Some(wake.map_or(wc, |d| d.min(wc)));
-                            }
-                        }
-                    }
-                    match wake {
-                        Some(d) => {
-                            self.cv.wait_until(&mut st, d);
-                        }
-                        None => self.cv.wait(&mut st),
-                    }
-                    self.dispatch(&mut st);
+                Some(d) => {
+                    self.cv.wait_until(&mut st, d);
                 }
+                None => self.cv.wait(&mut st),
             }
+            self.dispatch(&mut st);
         }
     }
 
@@ -736,20 +635,17 @@ impl Scheduler {
             .filter(|s| self.config.source_limits.contains_key(*s))
             .cloned();
         let mut st = self.state.lock();
-        if st.running < self.effective_class_limit(&st, req.priority)
+        if st.running < self.config.max_concurrent
             && st.queued() == 0
             && self.source_headroom(&st, tracked.as_deref())
         {
-            let reason = if req.priority != Priority::Interactive
-                && st.running >= self.config.class_limit(req.priority)
-            {
-                self.counters.reserved_grants.inc();
-                tabviz_obs::reason::SCHED_RESERVED_GRANT
-            } else {
-                tabviz_obs::reason::SCHED_ADMITTED
-            };
             self.grant_now(&mut st, req.priority, tracked.as_deref());
-            Some(self.ticket(req.priority, Duration::ZERO, reason, tracked))
+            Some(self.ticket(
+                req.priority,
+                Duration::ZERO,
+                tabviz_obs::reason::SCHED_ADMITTED,
+                tracked,
+            ))
         } else {
             None
         }
@@ -777,27 +673,6 @@ impl Scheduler {
         let Some(src) = source else { return true };
         let limit = self.config.source_limits.get(src).copied().unwrap_or(0);
         st.running_by_source.get(src).copied().unwrap_or(0) < limit
-    }
-
-    /// Whether the interactive reservation is currently relaxed: work
-    /// conservation is configured and no Interactive request has arrived
-    /// within the window.
-    fn reservation_relaxed(&self, st: &State) -> bool {
-        match self.config.work_conserving_after {
-            Some(window) => st.last_interactive.is_none_or(|t| t.elapsed() >= window),
-            None => false,
-        }
-    }
-
-    /// [`SchedConfig::class_limit`] with work conservation applied. Both
-    /// non-interactive classes relax together, so limits stay
-    /// non-increasing down the priority order (dispatch relies on that).
-    fn effective_class_limit(&self, st: &State, p: Priority) -> usize {
-        if p != Priority::Interactive && self.reservation_relaxed(st) {
-            self.config.max_concurrent
-        } else {
-            self.config.class_limit(p)
-        }
     }
 
     fn grant_now(&self, st: &mut State, priority: Priority, source: Option<&str>) {
@@ -834,15 +709,11 @@ impl Scheduler {
     }
 
     /// Hand free slots to queued tickets: strict priority between classes,
-    /// deficit round-robin within one, Batch/Background capped below the
-    /// interactive reservation.
+    /// deficit round-robin within one.
     fn dispatch(&self, st: &mut State) {
-        let relaxed = self.reservation_relaxed(st);
         let mut woke = false;
-        loop {
-            let running = st.running;
-            let mut pick = None;
-            {
+        while st.running < self.config.max_concurrent {
+            let picked = {
                 // Disjoint field borrows: the class queues are walked
                 // mutably while the eligibility closure reads the
                 // per-source occupancy maps.
@@ -860,41 +731,14 @@ impl Scheduler {
                     }
                     None => true,
                 };
-                for (ci, class) in classes.iter_mut().enumerate() {
-                    let p = Priority::ALL[ci];
-                    let limit = if relaxed && p != Priority::Interactive {
-                        self.config.max_concurrent
-                    } else {
-                        self.config.class_limit(p)
-                    };
-                    // Class limits are non-increasing down the priority order
-                    // (work conservation relaxes both lower classes together),
-                    // so the first class over its limit ends the scan.
-                    if running >= limit {
-                        break;
-                    }
-                    if let Some(id) = class.pick(self.config.quantum, &eligible) {
-                        // Over the strict (reserved) limit: this grant rides a
-                        // reserved interactive slot.
-                        let reason = if p != Priority::Interactive
-                            && running >= self.config.class_limit(p)
-                        {
-                            self.counters.reserved_grants.inc();
-                            tabviz_obs::reason::SCHED_RESERVED_GRANT
-                        } else {
-                            tabviz_obs::reason::SCHED_QUEUED
-                        };
-                        pick = Some((id, reason));
-                        break;
-                    }
-                }
-            }
-            let Some((id, reason)) = pick else { break };
+                classes.iter_mut().find_map(|class| class.pick(&eligible))
+            };
+            let Some(id) = picked else { break };
             st.running += 1;
             if let Some(src) = st.queued_sources.remove(&id) {
                 *st.running_by_source.entry(src).or_insert(0) += 1;
             }
-            st.granted.insert(id, reason);
+            st.granted.insert(id);
             woke = true;
         }
         if woke {
@@ -952,8 +796,8 @@ impl Ticket<'_> {
 
     /// How the scheduler decided this grant (a
     /// [`tabviz_obs::reason`]`::SCHED_*` code): admitted immediately,
-    /// after queueing, by evicting lower-priority work, or by riding a
-    /// reserved interactive slot under work conservation.
+    /// after queueing, after waiting on its own saturated source, or by
+    /// evicting lower-priority work.
     pub fn grant_reason(&self) -> &'static str {
         self.grant_reason
     }
@@ -1015,69 +859,6 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.admitted, [1, 0, 1]);
         assert_eq!(st.peak_running, 2);
-    }
-
-    #[test]
-    fn interactive_reservation_leaves_headroom() {
-        let mut cfg = SchedConfig::new(2);
-        cfg.reserve_interactive = 1;
-        let s = Arc::new(Scheduler::new(cfg));
-        // Background fills the non-reserved capacity (one slot)...
-        let bg = s.admit(&AdmitRequest::background("bg")).unwrap();
-        // ...so a batch arrival queues even though a slot is physically free.
-        let s2 = Arc::clone(&s);
-        let batch = std::thread::spawn(move || {
-            let t = s2.admit(&AdmitRequest::batch("etl")).unwrap();
-            drop(t);
-        });
-        spin_until(|| s.queued() == 1);
-        assert_eq!(s.running(), 1);
-        // An interactive arrival takes the reserved slot without queuing.
-        let human = s.admit(&AdmitRequest::interactive("human")).unwrap();
-        assert_eq!(s.running(), 2);
-        assert_eq!(s.queued(), 1, "batch must not ride the reservation");
-        // Releasing the interactive slot hands nothing to the batch ticket
-        // (that slot stays reserved); releasing the background one does.
-        drop(human);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(s.queued(), 1);
-        drop(bg);
-        batch.join().unwrap();
-        assert_eq!(s.stats().admitted, [1, 1, 1]);
-    }
-
-    #[test]
-    fn work_conserving_reservation_grants_to_batch_when_interactive_idle() {
-        let mut cfg = SchedConfig::new(2);
-        cfg.reserve_interactive = 1;
-        cfg.work_conserving_after = Some(Duration::from_millis(30));
-        let s = Arc::new(Scheduler::new(cfg));
-        // Non-reserved capacity is one slot.
-        let bg = s.admit(&AdmitRequest::background("bg")).unwrap();
-        assert_eq!(bg.grant_reason(), tabviz_obs::reason::SCHED_ADMITTED);
-        // A second non-interactive arrival either queues until the
-        // interactive-idle window elapses or (if the window already
-        // elapsed) is granted on the spot — both must ride the reserved
-        // slot and say so.
-        let t = s.admit(&AdmitRequest::batch("etl")).unwrap();
-        assert_eq!(
-            t.grant_reason(),
-            tabviz_obs::reason::SCHED_RESERVED_GRANT,
-            "grant over the strict limit must be attributed to the reservation"
-        );
-        assert_eq!(s.running(), 2);
-        assert!(s.stats().reserved_grants >= 1);
-        drop(t);
-        drop(bg);
-        // An interactive arrival re-arms the clock: with the reservation
-        // strict again, batch is capped below max_concurrent once more.
-        let human = s.admit(&AdmitRequest::interactive("human")).unwrap();
-        assert_eq!(human.grant_reason(), tabviz_obs::reason::SCHED_ADMITTED);
-        assert!(
-            s.try_admit(&AdmitRequest::batch("etl2")).is_none(),
-            "reservation must be strict again right after an interactive arrival"
-        );
-        drop(human);
     }
 
     #[test]
@@ -1156,7 +937,7 @@ mod tests {
             cq.enqueue(900 + i, "light", 0.25);
         }
         let mut picks = Vec::new();
-        while let Some(id) = cq.pick(1.0, &|_| true) {
+        while let Some(id) = cq.pick(&|_| true) {
             picks.push(id);
         }
         assert_eq!(picks.len(), 50);
@@ -1371,13 +1152,13 @@ mod tests {
         assert_eq!(counter("tv_sched_deadline_sheds_total_batch"), 1);
         assert_eq!(counter("tv_sched_deadline_sheds_total_interactive"), 0);
         assert_eq!(counter("tv_sched_sheds_total_interactive"), 0);
-        // One cell per field: three per class plus the reserved grants, and
-        // no class-less total beside them.
+        // One cell per field: three per class, and no class-less total
+        // beside them.
         let counters = reg
             .snapshot()
             .into_iter()
             .filter(|(_, v)| matches!(v, tabviz_obs::MetricValue::Counter(_)))
             .count();
-        assert_eq!(counters, 3 * Priority::ALL.len() + 1);
+        assert_eq!(counters, 3 * Priority::ALL.len());
     }
 }

@@ -18,9 +18,11 @@ use crate::optimize::{optimize, OptimizerConfig};
 use crate::parallel::{parallelize, ParallelOptions};
 use crate::physical::{create_physical, execute_to_chunk, PhysPlan, PhysicalOptions};
 
-/// All execution knobs in one place. Every field backs a paper experiment:
-/// the defaults are "Tableau 9.0" behavior; switching features off recreates
-/// the earlier-version baselines the paper compares against.
+/// All execution knobs in one place. The defaults are "Tableau 9.0"
+/// behavior, and every production query runs on them, with one exception:
+/// the simulated SQL backend runs serial and without join culling. The other
+/// switches exist as reference configurations: the scan push-down, kernel,
+/// engine and parallel oracles run with features off and compare answers.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     pub optimizer: OptimizerConfig,

@@ -26,26 +26,19 @@ use crate::physical::{BuildSide, PhysPlan};
 use crate::props::unique_columns;
 
 /// Optimizer switches. Defaults mirror Tableau's behavior: join culling on,
-/// referential integrity assumed for extract star schemas.
+/// with referential integrity assumed for extract star schemas.
 #[derive(Debug, Clone, Copy)]
 pub struct OptimizerConfig {
-    pub enable_pushdown: bool,
-    pub enable_pruning: bool,
+    /// Cull a join side that contributes no required columns. Inner-join
+    /// sides are culled too, which assumes every probe key finds a match
+    /// (Tableau's "assume referential integrity" data-source option).
     pub enable_join_culling: bool,
-    /// Cull inner-join sides even though that assumes every probe key finds a
-    /// match (Tableau's "assume referential integrity" data-source option).
-    pub assume_referential_integrity: bool,
-    pub enable_order_removal: bool,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            enable_pushdown: true,
-            enable_pruning: true,
             enable_join_culling: true,
-            assume_referential_integrity: true,
-            enable_order_removal: true,
         }
     }
 }
@@ -56,17 +49,9 @@ pub fn optimize(
     catalog: &dyn Catalog,
     config: &OptimizerConfig,
 ) -> Result<LogicalPlan> {
-    let mut plan = plan;
-    if config.enable_pushdown {
-        plan = push_down_filters(plan, catalog)?;
-    }
-    if config.enable_pruning {
-        plan = prune_columns(plan, None, catalog, config)?;
-    }
-    if config.enable_order_removal {
-        plan = strip_redundant_orders(plan, false);
-    }
-    Ok(plan)
+    let plan = push_down_filters(plan, catalog)?;
+    let plan = prune_columns(plan, None, catalog, config)?;
+    Ok(strip_redundant_orders(plan, false))
 }
 
 /// Split a conjunction into its conjuncts.
@@ -415,20 +400,17 @@ fn prune_columns(
                 let right_unique = unique_columns(&right, catalog)?;
                 let right_key_unique =
                     !on.is_empty() && on.iter().all(|(_, r)| right_unique.contains(r));
-                let can_cull_right = right_out.is_empty()
-                    && right_key_unique
-                    && (join_type == JoinType::Left
-                        || (join_type == JoinType::Inner && config.assume_referential_integrity));
+                // Both join types qualify: a left join keeps every left row
+                // by definition, an inner one under assumed integrity.
+                let can_cull_right = right_out.is_empty() && right_key_unique;
                 if can_cull_right {
                     return prune_columns(*left, required, catalog, config);
                 }
                 let left_unique = unique_columns(&left, catalog)?;
                 let left_key_unique =
                     !on.is_empty() && on.iter().all(|(l, _)| left_unique.contains(l));
-                let can_cull_left = left_out.is_empty()
-                    && left_key_unique
-                    && join_type == JoinType::Inner
-                    && config.assume_referential_integrity;
+                let can_cull_left =
+                    left_out.is_empty() && left_key_unique && join_type == JoinType::Inner;
                 if can_cull_left {
                     return prune_columns(*right, required, catalog, config);
                 }
@@ -850,7 +832,6 @@ mod tests {
             .aggregate(vec![(col("carrier"), "carrier".into())], vec![]);
         let cfg = OptimizerConfig {
             enable_join_culling: false,
-            ..Default::default()
         };
         let text = optimize(plan, &catalog(), &cfg).unwrap().canonical_text();
         assert!(text.contains("Join"));

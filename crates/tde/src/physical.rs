@@ -345,14 +345,15 @@ pub fn agg_schema(
     Ok(Arc::new(Schema::new_unchecked(fields)))
 }
 
+/// Maximum fraction of runs a filter may select and still use RLE range
+/// skipping (beyond this a full scan is cheaper).
+const RLE_MAX_RUN_FRACTION: f64 = 0.5;
+
 /// Controls handed to the physical planner.
 #[derive(Debug, Clone, Copy)]
 pub struct PhysicalOptions {
     /// Enable the Sect. 4.3 RLE IndexTable range-skipping rewrite.
     pub enable_rle_index: bool,
-    /// Maximum fraction of runs a filter may select and still use range
-    /// skipping (beyond this a full scan is cheaper).
-    pub rle_max_run_fraction: f64,
     /// Push sargable conjuncts into the scan: zone-map block skipping,
     /// predicate-on-codes, and run-granularity filtering before chunk
     /// materialization.
@@ -366,7 +367,6 @@ impl Default for PhysicalOptions {
     fn default() -> Self {
         PhysicalOptions {
             enable_rle_index: true,
-            rle_max_run_fraction: 0.5,
             enable_scan_pushdown: true,
             enable_run_agg: true,
         }
@@ -417,9 +417,7 @@ pub fn create_physical(
             if options.enable_rle_index {
                 if let LogicalPlan::TableScan { table, projection } = input.as_ref() {
                     let t = tables.table(table)?;
-                    if let Some(planned) =
-                        try_rle_scan(&t, projection.as_deref(), predicate, options)?
-                    {
+                    if let Some(planned) = try_rle_scan(&t, projection.as_deref(), predicate)? {
                         return Ok(planned);
                     }
                 }
@@ -502,7 +500,6 @@ fn try_rle_scan(
     table: &Arc<Table>,
     projection: Option<&[String]>,
     predicate: &Expr,
-    options: &PhysicalOptions,
 ) -> Result<Option<PhysPlan>> {
     let conjuncts = crate::optimize::split_conjuncts(predicate);
     // Find the first conjunct constraining exactly one RLE-encoded column.
@@ -544,7 +541,7 @@ fn try_rle_scan(
     let mask = run_pred.eval_predicate(&run_chunk)?;
 
     let selected: usize = mask.iter().filter(|&&m| m).count();
-    if selected as f64 > options.rle_max_run_fraction * runs.len() as f64 {
+    if selected as f64 > RLE_MAX_RUN_FRACTION * runs.len() as f64 {
         return Ok(None); // not selective enough; full scan wins
     }
 

@@ -347,10 +347,8 @@ fn stats_and_registry_read_one_cell() {
     }
 
     // The same processor behind a Data Server, with a scheduler whose
-    // reservation is handed over at once and whose Batch / Background
-    // classes shed at any queue depth.
-    let mut sched_config = SchedConfig::new(2).with_work_conserving_after(Duration::ZERO);
-    sched_config.reserve_interactive = 1;
+    // Batch / Background classes shed at any queue depth.
+    let mut sched_config = SchedConfig::new(2);
     sched_config.shed_depth = [1, 0, 0];
     let sched = Arc::new(Scheduler::new(sched_config));
     let mut qp = qp;
@@ -387,7 +385,7 @@ fn stats_and_registry_read_one_cell() {
     assert_eq!(outcome, ExecOutcome::DegradedStale);
     sim.set_fault_plan(None);
 
-    // Scheduler: a plain and a reserved grant fill both slots; then an
+    // Scheduler: two grants fill both slots; then an
     // Interactive ticket expires in the queue and a Background and a Batch
     // arrival are shed.
     let background = sched.admit(&AdmitRequest::background("bg")).unwrap();
@@ -440,7 +438,6 @@ fn stats_and_registry_read_one_cell() {
             "tv_pool_breaker_fast_fails_total",
             o.breaker_fast_fails as u64,
         ),
-        ("tv_sched_reserved_grants_total", q.reserved_grants),
         ("tv_dataserver_queries_total", d.queries),
         ("tv_dataserver_client_bytes_in_total", d.client_bytes_in),
         ("tv_dataserver_client_bytes_out_total", d.client_bytes_out),
@@ -483,7 +480,6 @@ fn stats_and_registry_read_one_cell() {
     assert!(q.admitted[Priority::Interactive.idx()] >= 1);
     assert_eq!(q.shed, [0, 1, 1]);
     assert_eq!(q.deadline_shed, [1, 0, 0]);
-    assert_eq!(q.reserved_grants, 1);
     assert_eq!(
         (d.queries, d.set_definitions, d.answered_from_memory),
         (2, 1, 1)
