@@ -18,18 +18,6 @@ pub enum Dialect {
     Tql,
 }
 
-/// How the server spends CPU on a single query (Sect. 3.5: "the way a
-/// database allocates CPU in the single query execution substantially
-/// affects performance").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerArchitecture {
-    /// One thread per query: serial batches leave the server mostly idle.
-    ThreadPerQuery,
-    /// Parallel plans: a lone query uses up to `dop` cores; concurrent
-    /// queries contend for the same core budget.
-    ParallelPlans { dop: usize },
-}
-
 /// What a backend supports and how it must be addressed.
 #[derive(Debug, Clone)]
 pub struct Capabilities {

@@ -5,11 +5,10 @@
 //! back-ends often vary dramatically" (Sect. 3.5). The paper's measurements
 //! run against 40+ proprietary databases; this crate substitutes a
 //! configurable simulation (see DESIGN.md): each simulated server has a
-//! latency model (connect / dispatch / per-row costs), an architecture
-//! (thread-per-query vs parallel plans over a fixed core budget), optional
-//! query throttling and connection limits, per-session temporary tables, and
-//! faithful result semantics (queries actually execute, against an embedded
-//! TDE).
+//! latency model (connect / dispatch / per-row costs), one thread per query
+//! over a fixed core budget, optional query throttling and connection
+//! limits, per-session temporary tables, and faithful result semantics
+//! (queries actually execute, against an embedded TDE).
 //!
 //! * [`capability`] — what a backend can do (drives query compilation);
 //! * [`source`] — the `DataSource` / `Connection` traits and `RemoteQuery`;
@@ -26,7 +25,7 @@ pub mod sim;
 pub mod source;
 pub mod sql;
 
-pub use capability::{Capabilities, Dialect, ServerArchitecture};
+pub use capability::{Capabilities, Dialect};
 pub use local::TdeDataSource;
 pub use pool::{BreakerState, ConnectionPool, PoolStats, RetryPolicy};
 pub use sim::{

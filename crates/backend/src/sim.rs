@@ -4,13 +4,13 @@
 //! substitutes a configurable server simulation whose *timing semantics*
 //! carry the phenomena Sect. 3.5 describes: connection-open cost (why pools
 //! exist), per-query dispatch overhead (why fusion reduces latency),
-//! thread-per-query vs parallel-plan CPU allocation (why multiple
-//! connections help, and by how much), query throttling, connection limits,
+//! thread-per-query CPU allocation (why multiple connections help, and by
+//! how much), query throttling, connection limits,
 //! and session-scoped temporary tables. Queries *really* execute — results
 //! come from an embedded serial TDE over shared base tables — so every
 //! higher layer is tested for correctness, not just latency.
 
-use crate::capability::{Capabilities, ServerArchitecture};
+use crate::capability::Capabilities;
 use crate::source::{Connection, DataSource, RemoteQuery};
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -213,14 +213,17 @@ impl Semaphore {
     }
 }
 
+/// Server cores contended by concurrent queries. The server runs one thread
+/// per query (Sect. 3.5: "the way a database allocates CPU in the single
+/// query execution substantially affects performance"), so a lone query
+/// uses one core and a serial batch leaves the rest idle.
+const SERVER_CORES: usize = 8;
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     pub capabilities: Capabilities,
     pub latency: LatencyModel,
-    pub architecture: ServerArchitecture,
-    /// Total server cores contended by concurrent queries.
-    pub cores: usize,
     /// Deterministic fault injection (none by default).
     pub faults: Option<FaultPlan>,
 }
@@ -230,8 +233,6 @@ impl Default for SimConfig {
         SimConfig {
             capabilities: Capabilities::default(),
             latency: LatencyModel::instant(),
-            architecture: ServerArchitecture::ThreadPerQuery,
-            cores: 8,
             faults: None,
         }
     }
@@ -322,7 +323,7 @@ impl SimDb {
         SimDb {
             inner: Arc::new(SimInner {
                 name: name.into(),
-                cores: Semaphore::new(config.cores),
+                cores: Semaphore::new(SERVER_CORES),
                 throttle,
                 open_connections: AtomicUsize::new(0),
                 stats: Mutex::new(SimStats::default()),
@@ -535,20 +536,16 @@ impl Connection for SimConnection {
             )));
         }
 
-        let want_cores = match cfg.architecture {
-            ServerArchitecture::ThreadPerQuery => 1,
-            ServerArchitecture::ParallelPlans { dop } => dop.clamp(1, cfg.cores),
-        };
         if let Some(t) = &self.server.throttle {
             t.acquire(1);
         }
-        self.server.cores.acquire(want_cores);
+        // Thread per query: each query runs on one of the server's cores.
+        self.server.cores.acquire(1);
 
         let scan_rows = self.scan_rows(&query.plan);
         let mut busy = Duration::from_nanos(
             (cfg.latency.scan_per_kilorow.as_nanos() as u64).saturating_mul(scan_rows as u64)
-                / 1000
-                / want_cores as u64,
+                / 1000,
         );
         // Injected slow query: the server stalls for an extra delay (GC
         // pause, lock wait, overloaded I/O). Without a query timeout this
@@ -569,7 +566,7 @@ impl Connection for SimConnection {
                 .map_err(|e| TvError::Backend(format!("{}: {e}", self.server.name)))
         };
 
-        self.server.cores.release(want_cores);
+        self.server.cores.release(1);
         if let Some(t) = &self.server.throttle {
             t.release(1);
         }
@@ -586,7 +583,7 @@ impl Connection for SimConnection {
             let mut st = self.server.stats.lock();
             st.rows_returned += chunk.len() as u64;
             st.bytes_downloaded += chunk.approx_bytes() as u64;
-            st.busy += busy.max(Duration::from_nanos(1)) * want_cores as u32;
+            st.busy += busy.max(Duration::from_nanos(1));
         }
         Ok(chunk)
     }
@@ -782,7 +779,6 @@ mod tests {
         // serial ≈ 100ms, concurrent ≈ 25ms.
         let mut cfg = SimConfig::default();
         cfg.latency.scan_per_kilorow = Duration::from_millis(5);
-        cfg.architecture = ServerArchitecture::ThreadPerQuery;
         let sim = SimDb::new("warehouse", base_db(5_000), cfg);
         let q = "(aggregate ((carrier)) ((count as n)) (scan flights))";
 

@@ -34,7 +34,7 @@ pub mod tier;
 
 pub use caches::{CacheOutcome, QueryCaches, TierStats};
 pub use distributed::{decode_chunk, encode_chunk, ExternalStore};
-pub use intelligent::{subsumes, IntelligentCache};
+pub use intelligent::{derive, subsumes, IntelligentCache};
 pub use literal::LiteralCache;
 pub use spec::QuerySpec;
 pub use tags::{source_tag, table_tag, tables_of, tags_for_spec};

@@ -633,6 +633,12 @@ impl Chunk {
     /// `keys` are `(column index, ascending)` pairs; string columns compare
     /// under their field's collation. Returns the permuted chunk.
     pub fn sort_by(&self, keys: &[(usize, bool)]) -> Self {
+        self.take(&self.sort_order(keys))
+    }
+
+    /// The row order [`Chunk::sort_by`] produces: `order[k]` is the row that
+    /// lands at position `k`.
+    pub fn sort_order(&self, keys: &[(usize, bool)]) -> Vec<usize> {
         // A string key whose table is no longer than the chunk is ranked
         // once per table entry, so the row comparisons are integer compares.
         enum SortKey<'a> {
@@ -667,7 +673,7 @@ impl Chunk {
             }
             Ordering::Equal
         });
-        self.take(&indices)
+        indices
     }
 
     /// Shrink string tables to the entries the rows reference (see

@@ -18,11 +18,10 @@
 
 use crate::fusion::{fuse, synthesize_covers, RelationStats};
 use crate::processor::{ExecOutcome, QueryProcessor};
-use crate::registry::ManagedSource;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
-use tabviz_cache::{subsumes, tables_of, QuerySpec};
+use tabviz_cache::{subsumes, QuerySpec};
 use tabviz_common::{Chunk, Result, TvError};
 use tabviz_sched::{AdmitRequest, Priority};
 
@@ -124,15 +123,6 @@ pub fn opportunity_graph(specs: &[QuerySpec]) -> Vec<Vec<usize>> {
     preds
 }
 
-/// Catalog statistics of the tables a query's relation reads.
-fn relation_stats(managed: &ManagedSource, spec: &QuerySpec) -> Option<RelationStats> {
-    tables_of(&spec.relation)
-        .iter()
-        .map(|table| managed.table_meta(table).ok())
-        .collect::<Option<Vec<_>>>()
-        .map(RelationStats::new)
-}
-
 /// Phase 1b, level-of-detail fusion: where a source's remote nodes need more
 /// than one wave of its connection pool, replace some of them by synthesized
 /// cover queries (see [`synthesize_covers`]). Covers join `nodes` as remote
@@ -168,7 +158,7 @@ fn plan_covers(
             .filter(|&i| !processor.caches.intelligent.can_answer(&nodes[i]))
             .collect();
         let specs: Vec<&QuerySpec> = leaving.iter().map(|&i| &nodes[i]).collect();
-        for cover in synthesize_covers(&specs, slots, |s| relation_stats(&managed, s)) {
+        for cover in synthesize_covers(&specs, slots, |s| RelationStats::of(&managed, s)) {
             members.extend(cover.members.iter().map(|&m| leaving[m]));
             covers.push(cover.spec);
         }

@@ -17,9 +17,10 @@
 //! Either way each original query is answered from the executed result by
 //! the intelligent cache's post-processing (projection, roll-up).
 
+use crate::registry::ManagedSource;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tabviz_cache::QuerySpec;
+use tabviz_cache::{tables_of, QuerySpec};
 use tabviz_tql::{write_expr, AggCall, AggFunc, TableMeta};
 
 /// The outcome of fusing a batch.
@@ -105,8 +106,9 @@ pub fn fuse(specs: &[QuerySpec]) -> FusionPlan {
 /// transfer plus the local roll-ups cost more than the wave the cover saves.
 const COVER_MAX_ROW_FRACTION: f64 = 0.25;
 
-/// What the cover rule knows about the size of one relation: the catalog
-/// metadata of the tables it reads.
+/// What the level-of-detail rules (covers here, widening in the processor)
+/// know about the size of one relation: the catalog metadata of the tables
+/// it reads.
 #[derive(Debug, Clone)]
 pub struct RelationStats {
     tables: Vec<Arc<TableMeta>>,
@@ -115,6 +117,16 @@ pub struct RelationStats {
 impl RelationStats {
     pub fn new(tables: Vec<Arc<TableMeta>>) -> Self {
         RelationStats { tables }
+    }
+
+    /// The statistics of the tables `spec`'s relation reads, from `managed`'s
+    /// kept catalog metadata. `None` when a table's metadata is unavailable.
+    pub(crate) fn of(managed: &ManagedSource, spec: &QuerySpec) -> Option<Self> {
+        tables_of(&spec.relation)
+            .iter()
+            .map(|table| managed.table_meta(table).ok())
+            .collect::<Option<Vec<_>>>()
+            .map(RelationStats::new)
     }
 
     /// Rows of the largest table — the fact side of a star join, which is
@@ -126,7 +138,7 @@ impl RelationStats {
     /// Estimated rows of a grouping by `columns`: the product of their
     /// distinct counts, at most one group per row. `None` when a count is
     /// unknown.
-    fn groups<'a>(&self, columns: impl Iterator<Item = &'a String>) -> Option<usize> {
+    pub(crate) fn groups<'a>(&self, columns: impl Iterator<Item = &'a String>) -> Option<usize> {
         let mut product = 1usize;
         for column in columns {
             let ndv = self

@@ -8,6 +8,7 @@
 //! apply local post-processing, and populate both cache levels.
 
 use crate::compile::{apply_local_post, compile_spec, CompiledQuery};
+use crate::fusion::RelationStats;
 use crate::registry::{ManagedSource, SourceRegistry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,16 +95,14 @@ impl CoreMetrics {
 pub struct ProcessorOptions {
     /// Sect. 3.2: "The query processor might choose to adjust queries before
     /// sending, in order to make the results more useful for future reuse."
-    /// On a miss, single-value-set filters are folded into the grouping of
-    /// the remote query; the original is then answered (and every future
-    /// filter variation served) from the widened cached result.
+    /// On a miss, single-column filters against literals are folded into the
+    /// grouping of the remote query when catalog statistics say the widened
+    /// result stays small; the original is then answered (and every future
+    /// variation of those filters served) from the widened cached result.
     pub widen_for_reuse: bool,
     /// Per-remote-query deadline; a backend that cannot answer in time
     /// returns [`TvError::Timeout`] instead of hanging the dashboard.
     pub query_timeout: Option<Duration>,
-    /// Extra attempts after a transient remote failure (dropped connection,
-    /// refused connect). Timeouts are not retried: the budget is spent.
-    pub transient_retries: usize,
     /// When the backend stays down after retries, serve a matching cache
     /// entry even if marked stale (degraded rendering) instead of failing.
     pub serve_stale_on_failure: bool,
@@ -114,27 +113,35 @@ impl Default for ProcessorOptions {
         ProcessorOptions {
             widen_for_reuse: true,
             query_timeout: Some(Duration::from_secs(30)),
-            transient_retries: 2,
             serve_stale_on_failure: true,
         }
     }
 }
 
-/// Filters widening may lift into the grouping: *categorical* single-column
-/// constraints (`=` / `IN`) — the dashboard quick-filter shapes. Range
-/// filters stay put: folding a continuous column into the grouping would
-/// explode cardinality.
-fn widenable_column(f: &tabviz_tql::Expr) -> Option<String> {
+/// Extra attempts after a transient remote failure (dropped connection,
+/// refused connect). Timeouts are not retried: the budget is spent.
+const TRANSIENT_RETRIES: usize = 2;
+
+/// The column a filter constrains when widening may lift it into the
+/// grouping: one column compared with literals by `=`, a small `IN`, `<`,
+/// `<=`, `>`, `>=` or `BETWEEN`. The cache re-applies such a filter, and
+/// every later variant of it, as a residual on the widened result's group
+/// column.
+fn liftable_column(f: &tabviz_tql::Expr) -> Option<&str> {
     use tabviz_tql::{BinOp, Expr};
+    fn column(e: &Expr) -> Option<&str> {
+        match e {
+            Expr::Column(c) => Some(c),
+            _ => None,
+        }
+    }
     match f {
         Expr::Binary {
-            op: BinOp::Eq,
+            op: BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge,
             left,
             right,
         } => match (left.as_ref(), right.as_ref()) {
-            (Expr::Column(c), Expr::Literal(_)) | (Expr::Literal(_), Expr::Column(c)) => {
-                Some(c.clone())
-            }
+            (c, Expr::Literal(_)) | (Expr::Literal(_), c) => column(c),
             _ => None,
         },
         // Small enumerations only: large IN-lists are the temp-table
@@ -143,10 +150,8 @@ fn widenable_column(f: &tabviz_tql::Expr) -> Option<String> {
             expr,
             list,
             negated: false,
-        } if list.len() <= WIDEN_MAX_IN_LIST => match expr.as_ref() {
-            Expr::Column(c) => Some(c.clone()),
-            _ => None,
-        },
+        } if list.len() <= WIDEN_MAX_IN_LIST => column(expr),
+        Expr::Between { expr, .. } => column(expr),
         _ => None,
     }
 }
@@ -155,29 +160,36 @@ fn widenable_column(f: &tabviz_tql::Expr) -> Option<String> {
 /// folded into the grouping.
 const WIDEN_MAX_IN_LIST: usize = 16;
 
-/// Cap on extra grouping columns widening may add (cardinality guard).
-const WIDEN_MAX_EXTRA_COLUMNS: usize = 2;
+/// The most rows a widened result may hold by the catalog estimate. Every
+/// filter variant it answers saves a backend trip (17.6 ms over the WAN
+/// model), while a roll-up of 8 192 cached rows costs well under a
+/// millisecond and its one-off transfer about 16 ms. The budget admits a
+/// storm's `(carrier, distance)` level of detail at 5 000 rows and rejects
+/// every widening of the 300 000-row extract, where `dest × distance` alone
+/// is estimated at 26 100 rows.
+const WIDEN_MAX_ROWS: usize = 8_192;
 
 /// Build the widened variant of a spec, or `None` when widening does not
-/// apply (no liftable filters, COUNTD present, or too many extra columns).
-fn widen_spec(spec: &QuerySpec) -> Option<QuerySpec> {
+/// apply: no liftable filter on an ungrouped column, COUNTD present (it
+/// cannot roll back up), or a widened result estimated above
+/// [`WIDEN_MAX_ROWS`] or not estimable from `stats`.
+fn widen_spec(
+    spec: &QuerySpec,
+    stats: impl FnOnce() -> Option<RelationStats>,
+) -> Option<QuerySpec> {
     use tabviz_tql::AggFunc;
     if spec.aggs.iter().any(|a| a.func == AggFunc::CountD) {
-        return None; // COUNTD cannot roll back up
+        return None;
     }
+    // Filters on a column already grouped stay: lifting them adds nothing.
+    let grouped = |c: &str| spec.group_by.iter().any(|g| g == c);
     let mut extra: Vec<String> = Vec::new();
-    let mut lifted = 0usize;
-    for f in &spec.filters {
-        if let Some(c) = widenable_column(f) {
-            if !spec.group_by.contains(&c) {
-                if !extra.contains(&c) {
-                    extra.push(c);
-                }
-                lifted += 1;
-            }
+    for c in spec.filters.iter().filter_map(liftable_column) {
+        if !grouped(c) && !extra.iter().any(|e| e == c) {
+            extra.push(c.to_string());
         }
     }
-    if lifted == 0 || extra.len() > WIDEN_MAX_EXTRA_COLUMNS {
+    if extra.is_empty() || stats()?.groups(spec.group_by.iter().chain(&extra))? > WIDEN_MAX_ROWS {
         return None;
     }
     let mut widened = spec.clone();
@@ -187,7 +199,7 @@ fn widen_spec(spec: &QuerySpec) -> Option<QuerySpec> {
     // can re-apply them (and any future variant) as residuals.
     widened
         .filters
-        .retain(|f| widenable_column(f).is_none_or(|c| spec.group_by.contains(&c)));
+        .retain(|f| liftable_column(f).is_none_or(grouped));
     widened.group_by.extend(extra);
     // AVG needs its SUM/COUNT decomposition cached alongside for roll-up.
     let mut additions = Vec::new();
@@ -452,90 +464,21 @@ impl QueryProcessor {
             );
             return Ok((hit, ExecOutcome::LiteralHit, ProfileOutcome::Hit));
         }
-        // Both L1 levels missed: consult the shared L2 tier before paying
-        // the backend round trip, and promote a hit into L1 for next time.
-        if self.caches.has_l2() {
-            let hit = {
-                let mut s = tabviz_obs::span(stage::CACHE_TIER);
-                s.label("get");
-                match self.caches.l2_lookup(spec) {
-                    Some(chunk) => {
-                        s.detail(chunk.len() as u64);
-                        s.reason(tabviz_obs::reason::CACHE_L2_HIT);
-                        Some(chunk)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(chunk) = hit {
-                self.metrics.l2_hits.inc();
-                {
-                    let mut s = tabviz_obs::span(stage::CACHE_TIER);
-                    s.label("promote");
-                    s.reason(tabviz_obs::reason::CACHE_L2_PROMOTE);
-                    // Nominal insert cost: the entry already proved itself
-                    // worth caching when the producing node stored it.
-                    self.caches.l2_promote(
-                        spec.clone(),
-                        &literal_key,
-                        &chunk,
-                        Duration::from_millis(1),
-                    );
-                }
-                return Ok((chunk, ExecOutcome::L2Hit, ProfileOutcome::Hit));
+        // Both L1 levels missed. Widening picks a more reusable query to
+        // answer this one (and its future filter variations) from; the
+        // shared L2 tier is probed once, under the key of the query this
+        // processor would send, before paying the backend round trip.
+        let widened = self
+            .options
+            .widen_for_reuse
+            .then(|| widen_spec(spec, || RelationStats::of(&managed, spec)))
+            .flatten();
+        if let Some(widened) = widened {
+            if let Some(answer) = self.answer_widened(&managed, spec, &widened, req) {
+                return Ok(answer);
             }
-        }
-        // Widening: send a more reusable remote query and answer this (and
-        // future filter variations) from its cached result.
-        if self.options.widen_for_reuse {
-            if let Some(widened) = widen_spec(spec) {
-                // Single-flight: only one concurrent miss per widened shape
-                // runs the widened query; losers fall through to a direct
-                // remote execution of their original spec.
-                let gate = WidenGate::try_acquire(&self.widen_inflight, widened.canonical_text());
-                if gate.is_some() {
-                    let _w = tabviz_obs::span(stage::WIDEN);
-                    if let Ok(compiled_w) =
-                        compile_spec(&widened, managed.capabilities(), &managed.compile_options)
-                    {
-                        let t0 = Instant::now();
-                        if let Ok(chunk_w) =
-                            self.run_remote_admitted(&managed, &widened, &compiled_w, req)
-                        {
-                            let cost = t0.elapsed();
-                            self.metrics.remote_queries.inc();
-                            self.metrics.widened_queries.inc();
-                            self.metrics.remote_time.observe(cost);
-                            {
-                                let _s = tabviz_obs::span(stage::CACHE_STORE);
-                                self.caches.intelligent.put(
-                                    widened.clone(),
-                                    chunk_w.clone(),
-                                    cost.max(Duration::from_millis(1)),
-                                );
-                            }
-                            if self.caches.has_l2() {
-                                let mut s = tabviz_obs::span(stage::CACHE_TIER);
-                                s.label("put");
-                                s.detail(chunk_w.len() as u64);
-                                self.caches.l2_store(&widened, &chunk_w);
-                            }
-                            let hit = {
-                                let mut s = tabviz_obs::span(stage::CACHE_LOOKUP);
-                                s.label("intelligent");
-                                let (hit, why) = self.caches.intelligent.get_explained(spec);
-                                s.reason(why);
-                                hit
-                            };
-                            if let Some(hit) = hit {
-                                return Ok((hit, ExecOutcome::Remote, ProfileOutcome::Derived));
-                            }
-                            // Fall through: the widened entry unexpectedly failed
-                            // to cover the original; execute it directly.
-                        }
-                    }
-                }
-            }
+        } else if let Some(chunk) = self.l2_get(spec, &literal_key) {
+            return Ok((chunk, ExecOutcome::L2Hit, ProfileOutcome::Hit));
         }
         let t0 = Instant::now();
         let chunk = match self.run_remote_admitted(&managed, spec, &compiled, req) {
@@ -573,6 +516,81 @@ impl QueryProcessor {
             self.caches.l2_store(spec, &chunk);
         }
         Ok((chunk, ExecOutcome::Remote, ProfileOutcome::Remote))
+    }
+
+    /// The shared L2 tier's result for `spec`, promoted into L1 under
+    /// `literal_key` on the way back. `None` without an L2 or on a miss.
+    fn l2_get(&self, spec: &QuerySpec, literal_key: &str) -> Option<Chunk> {
+        if !self.caches.has_l2() {
+            return None;
+        }
+        let chunk = {
+            let mut s = tabviz_obs::span(stage::CACHE_TIER);
+            s.label("get");
+            let chunk = self.caches.l2_lookup(spec)?;
+            s.detail(chunk.len() as u64);
+            s.reason(tabviz_obs::reason::CACHE_L2_HIT);
+            chunk
+        };
+        self.metrics.l2_hits.inc();
+        let mut s = tabviz_obs::span(stage::CACHE_TIER);
+        s.label("promote");
+        s.reason(tabviz_obs::reason::CACHE_L2_PROMOTE);
+        // Nominal insert cost: the entry already proved itself worth caching
+        // when the producing node stored it.
+        self.caches
+            .l2_promote(spec.clone(), literal_key, &chunk, Duration::from_millis(1));
+        Some(chunk)
+    }
+
+    /// Answer `spec` from the result of its widened variant: promoted from
+    /// L2 when a processor already published it, otherwise fetched by one
+    /// widened backend trip and published to both tiers. `None` sends the
+    /// caller down the direct path: a concurrent miss on this processor is
+    /// already fetching the widened shape (single-flight), or the widened
+    /// query failed.
+    fn answer_widened(
+        &self,
+        managed: &Arc<ManagedSource>,
+        spec: &QuerySpec,
+        widened: &QuerySpec,
+        req: &AdmitRequest,
+    ) -> Option<(Chunk, ExecOutcome, ProfileOutcome)> {
+        let _w = tabviz_obs::span(stage::WIDEN);
+        let compiled =
+            compile_spec(widened, managed.capabilities(), &managed.compile_options).ok()?;
+        let (chunk, exec, profile) = match self.l2_get(widened, &compiled.literal_key()) {
+            Some(chunk) => (chunk, ExecOutcome::L2Hit, ProfileOutcome::Hit),
+            None => {
+                let _gate = WidenGate::try_acquire(&self.widen_inflight, widened.canonical_text())?;
+                let t0 = Instant::now();
+                let chunk = self
+                    .run_remote_admitted(managed, widened, &compiled, req)
+                    .ok()?;
+                let cost = t0.elapsed();
+                self.metrics.remote_queries.inc();
+                self.metrics.widened_queries.inc();
+                self.metrics.remote_time.observe(cost);
+                {
+                    let _s = tabviz_obs::span(stage::CACHE_STORE);
+                    self.caches.intelligent.put(
+                        widened.clone(),
+                        chunk.clone(),
+                        cost.max(Duration::from_millis(1)),
+                    );
+                }
+                if self.caches.has_l2() {
+                    let mut s = tabviz_obs::span(stage::CACHE_TIER);
+                    s.label("put");
+                    s.detail(chunk.len() as u64);
+                    self.caches.l2_store(widened, &chunk);
+                }
+                (chunk, ExecOutcome::Remote, ProfileOutcome::Derived)
+            }
+        };
+        // Derived from the result itself, so the answer stands even when
+        // the cache declined to keep it.
+        Some((tabviz_cache::derive(widened, &chunk, spec)?, exec, profile))
     }
 
     /// Admission-gated backend execution: with a scheduler attached, the
@@ -623,7 +641,7 @@ impl QueryProcessor {
         loop {
             match self.run_remote(managed, spec, compiled) {
                 Ok(chunk) => return Ok(chunk),
-                Err(e) if e.is_transient() && attempt < self.options.transient_retries => {
+                Err(e) if e.is_transient() && attempt < TRANSIENT_RETRIES => {
                     self.metrics.transient_retries.inc();
                     tabviz_obs::event(stage::RETRY, Some("transient"), Some(attempt as u64));
                     std::thread::sleep(managed.pool.next_backoff(attempt));
@@ -970,23 +988,78 @@ mod tests {
 
     #[test]
     fn widening_skips_countd_and_range_filters() {
-        let sim = SimDb::new("warehouse", flights_db(300), SimConfig::default());
+        // 10 000 rows: the estimates below are not capped at the table size.
+        let sim = SimDb::new("warehouse", flights_db(10_000), SimConfig::default());
         let qp = QueryProcessor::default();
         qp.registry.register(Arc::new(sim.clone()), 4);
-        // Range filter only: nothing liftable.
-        let range_spec = QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
-            .filter(bin(BinOp::Gt, col("delay"), lit(10i64)))
-            .group("carrier")
-            .agg(AggCall::new(AggFunc::Count, None, "n"));
-        qp.execute(&range_spec).unwrap();
+        let delay_over = |k: i64, groups: &[&str]| {
+            let mut spec = QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+                .filter(bin(BinOp::Gt, col("delay"), lit(k)))
+                .agg(AggCall::new(AggFunc::Count, None, "n"));
+            for g in groups {
+                spec = spec.group(*g);
+            }
+            spec
+        };
+        // Over budget: carrier × market × delay is estimated at 3 × 50 × 100
+        // = 15 000 rows, so the range filter stays on the remote query.
+        qp.execute(&delay_over(90, &["carrier", "market"])).unwrap();
         assert_eq!(qp.stats().widened_queries, 0);
+        // Within budget: carrier × delay is 300 rows. The range filter widens
+        // and a later variant of it is pure cache work.
+        qp.execute(&delay_over(10, &["carrier"])).unwrap();
+        assert_eq!(qp.stats().widened_queries, 1);
+        let before = sim.stats().queries;
+        let (out, outcome) = qp.execute(&delay_over(50, &["carrier"])).unwrap();
+        assert_eq!(outcome, ExecOutcome::IntelligentHit);
+        assert_eq!(sim.stats().queries, before);
+        // Delay is i % 100: 49 values above 50, each on 100 of the rows.
+        let total: i64 = out.to_rows().iter().map(|r| r[1].as_int().unwrap()).sum();
+        assert_eq!((out.len(), total), (3, 4_900));
         // COUNTD blocks widening even with a categorical filter.
         let countd_spec = QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
             .filter(bin(BinOp::Eq, col("market"), lit("M1")))
             .group("carrier")
             .agg(AggCall::new(AggFunc::CountD, Some(col("delay")), "nd"));
         qp.execute(&countd_spec).unwrap();
-        assert_eq!(qp.stats().widened_queries, 0);
+        assert_eq!(qp.stats().widened_queries, 1);
+    }
+
+    /// The first processor's widened result is published to the shared
+    /// L2; a filter variant on a second processor is answered from it with
+    /// no backend trip of its own.
+    #[test]
+    fn widened_result_is_shared_through_l2() {
+        let sim = SimDb::new("warehouse", flights_db(600), SimConfig::default());
+        let store = Arc::new(tabviz_cache::ExternalStore::new(Duration::ZERO));
+        let node = || {
+            let qp = QueryProcessor::default();
+            qp.registry.register(Arc::new(sim.clone()), 4);
+            qp.caches.set_l2(store.clone());
+            qp
+        };
+        let (first, second) = (node(), node());
+        let delay_at_most = |k: i64| {
+            QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+                .filter(bin(BinOp::Le, col("delay"), lit(k)))
+                .group("carrier")
+                .agg(AggCall::new(AggFunc::Count, None, "n"))
+        };
+        let (_, outcome) = first.execute(&delay_at_most(30)).unwrap();
+        assert_eq!(outcome, ExecOutcome::Remote);
+        assert_eq!(first.stats().widened_queries, 1);
+        assert_eq!(sim.stats().queries, 1);
+        let (out, outcome) = second.execute(&delay_at_most(70)).unwrap();
+        assert_eq!(outcome, ExecOutcome::L2Hit);
+        assert_eq!(sim.stats().queries, 1, "the second processor made no trip");
+        assert_eq!(second.stats().remote_queries, 0);
+        assert_eq!(second.stats().l2_hits, 1);
+        let mut got = out.to_rows();
+        got.sort();
+        let (direct_qp, _) = processor_with_sim(600);
+        let mut expected = direct_qp.execute(&delay_at_most(70)).unwrap().0.to_rows();
+        expected.sort();
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -32,15 +32,20 @@ impl Table {
             .iter()
             .map(|n| schema.index_of(n))
             .collect::<Result<_>>()?;
-        let sorted_chunk;
-        let source = if sort_key.is_empty() {
-            chunk
+        let columns = if sort_key.is_empty() {
+            encode_chunk(chunk)?
         } else {
+            // Gather, encode and drop one column at a time, so at most one
+            // sorted copy of a column is alive beside the input.
             let keys: Vec<(usize, bool)> = sort_key.iter().map(|&i| (i, true)).collect();
-            sorted_chunk = chunk.sort_by(&keys);
-            &sorted_chunk
+            let order = chunk.sort_order(&keys);
+            schema
+                .fields()
+                .iter()
+                .enumerate()
+                .map(|(i, f)| StoredColumn::encode(f.clone(), &chunk.column(i).take(&order)))
+                .collect::<Result<_>>()?
         };
-        let columns = encode_chunk(source)?;
         Ok(Table {
             name: name.into(),
             schema,

@@ -64,7 +64,7 @@ pub use tabviz_workloads as workloads;
 pub mod prelude {
     pub use tabviz_backend::{
         Capabilities, ConnectionPool, DataSource, Dialect, FaultPlan, LatencyModel, RemoteQuery,
-        ServerArchitecture, SimConfig, SimDb, TdeDataSource,
+        SimConfig, SimDb, TdeDataSource,
     };
     pub use tabviz_cache::{CacheOutcome, QueryCaches, QuerySpec};
     pub use tabviz_cluster::{Cluster, ClusterConfig, ClusterSession, HashRing, RouteKind};

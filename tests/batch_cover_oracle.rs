@@ -55,7 +55,11 @@ fn processor(pool: usize, simulated: bool) -> (QueryProcessor, Option<SimDb>) {
         min_cost: Duration::ZERO,
         ..Default::default()
     };
-    let qp = QueryProcessor::new(QueryCaches::new(config, 8 << 20));
+    let mut qp = QueryProcessor::new(QueryCaches::new(config, 8 << 20));
+    // No widening into the grouping: it would let one remote query's result
+    // answer a sibling's lookup and make the backend's query count depend on
+    // timing. `widen_oracle.rs` checks widened answers.
+    qp.options.widen_for_reuse = false;
     if simulated {
         let sim = SimDb::new("faa", database(), SimConfig::default());
         qp.registry.register(Arc::new(sim.clone()), pool);
@@ -117,9 +121,7 @@ fn measure(i: usize) -> AggCall {
     }
 }
 
-/// Filters the processor sends as they are (no widening into the grouping,
-/// which would let one remote query's result answer a sibling's lookup and
-/// make the backend's query count depend on timing).
+/// Filters the processor sends as they are (see [`processor`]).
 fn shared_filter(i: usize) -> Option<Expr> {
     let between = |lo: i64, hi: i64| Expr::Between {
         expr: Box::new(col("distance")),
@@ -166,8 +168,17 @@ fn batch_of(zones: &[ZoneShape], filter: usize) -> Vec<(String, QuerySpec)> {
         .collect()
 }
 
+/// `n` cases by default; a long run sets `PROPTEST_CASES`, which
+/// `ProptestConfig::default()` reads.
+fn cases(n: u32) -> u32 {
+    match std::env::var_os("PROPTEST_CASES") {
+        Some(_) => ProptestConfig::default().cases,
+        None => n,
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(32), ..ProptestConfig::default() })]
 
     #[test]
     fn every_zone_equals_serial_evaluation(

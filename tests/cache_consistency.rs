@@ -99,8 +99,17 @@ fn arb_fine_spec() -> impl Strategy<Value = QuerySpec> {
         })
 }
 
+/// `n` cases by default; a long run sets `PROPTEST_CASES`, which
+/// `ProptestConfig::default()` reads.
+fn cases(n: u32) -> u32 {
+    match std::env::var_os("PROPTEST_CASES") {
+        Some(_) => ProptestConfig::default().cases,
+        None => n,
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(48), ..ProptestConfig::default() })]
 
     /// Store a fine-grained result, then ask derived questions: coarser
     /// groupings, extra group-column filters, AVG from SUM+COUNT. Every
@@ -262,7 +271,7 @@ fn arb_str_constraint() -> impl Strategy<Value = Expr> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(256), ..ProptestConfig::default() })]
 
     /// No false implications over integers: whenever the prover says
     /// `a ⇒ b`, every grid value satisfying `a` must satisfy `b`.

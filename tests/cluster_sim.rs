@@ -48,7 +48,10 @@ fn build_cluster_over(
                 .lock()
                 .unwrap()
                 .insert(name.to_string(), Arc::clone(&sim));
-            let qp = QueryProcessor::default();
+            let mut qp = QueryProcessor::default();
+            // These tests need filter variants that miss every cache: with
+            // widening, one `(carrier, distance)` result would answer them all.
+            qp.options.widen_for_reuse = false;
             qp.registry.register(sim, 4);
             let server = Arc::new(DataServer::named(qp, name));
             for d in 0..DASHBOARDS {

@@ -374,6 +374,9 @@ fn saturated_backend_does_not_starve_other_sources() {
     let mart = SimDb::new("mart", Arc::clone(&db), SimConfig::default());
 
     let mut qp = QueryProcessor::default();
+    // Every probe below must miss: with widening, the first mart probe's
+    // `(carrier, distance)` result would answer the other two.
+    qp.options.widen_for_reuse = false;
     qp.registry.register(Arc::new(lake.clone()), 1);
     qp.registry.register(Arc::new(mart.clone()), 3);
     let sched = qp.enable_scheduler();
