@@ -10,10 +10,11 @@
 //! * same source and identical relation (FROM) subtree;
 //! * every cached filter conjunct is implied by some requested conjunct;
 //! * the requested grouping is a subset of the cached grouping (roll-up);
-//! * every requested aggregate is derivable: identical call when groupings
-//!   match, a roll-up function otherwise (`SUM` of `SUM`s, `SUM` of
+//! * every requested aggregate is derivable by the one aggregate algebra of
+//!   `tabviz_tql::agg`: an identical call when groupings match, otherwise
+//!   every part of the call, re-aggregated (`SUM` of `SUM`s, `SUM` of
 //!   `COUNT`s, `MIN`/`MAX` of themselves, `AVG` from cached `SUM`+`COUNT`);
-//!   `COUNTD` only at identical grouping;
+//!   `COUNTD` has no parts, so it is derivable only at identical grouping;
 //! * residual filter conjuncts reference cached *group* columns only (a
 //!   detail-level filter cannot be applied to aggregated rows);
 //! * a cached Top-N result is reusable only for the structurally identical
@@ -33,23 +34,13 @@ use std::collections::{BTreeSet, HashMap};
 use std::hash::BuildHasher;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use tabviz_common::{Chunk, Result, TvError};
+use tabviz_common::{Chunk, Result};
 use tabviz_obs::{stage, Counter, Histogram, Registry};
 use tabviz_tde::aggregate_chunk;
 use tabviz_tde::physical::project_schema;
-use tabviz_tql::expr::{and_all, bin, col, lit, Expr, ScalarFunc};
-use tabviz_tql::{write_expr, AggCall, AggFunc, BinOp};
-
-/// How a requested aggregate is produced from the cached columns.
-#[derive(Debug, Clone)]
-enum AggSource {
-    /// Same grouping: copy the cached column.
-    Column(String),
-    /// Coarser grouping: re-aggregate the cached column with this function.
-    Rollup(AggFunc, String),
-    /// AVG at coarser grouping: SUM(sum_col) / SUM(count_col).
-    AvgOf { sum_col: String, cnt_col: String },
-}
+use tabviz_tql::agg::{self, Merge, Regroup};
+use tabviz_tql::expr::{and_all, col, Expr};
+use tabviz_tql::write_expr;
 
 /// A roll-up of an entry at least this large to a request with no filter is
 /// kept as an entry of its own. Rolling a storm's widened 2 961-row
@@ -64,7 +55,8 @@ const KEEP_ROLLUP_MIN_ROWS: usize = 1_024;
 struct MatchPlan {
     residual: Vec<Expr>,
     same_grouping: bool,
-    sources: Vec<AggSource>,
+    /// How the requested aggregates are re-formed from the cached columns.
+    merge: Merge,
 }
 
 /// One cached result.
@@ -595,7 +587,7 @@ impl IntelligentCache {
                     plan: MatchPlan {
                         residual: Vec::new(),
                         same_grouping: true,
-                        sources: Vec::new(),
+                        merge: Merge::default(),
                     },
                     effort: 0,
                     swr: false,
@@ -1052,48 +1044,27 @@ fn match_specs_explained(
         residual.push(r.clone());
     }
 
-    // Aggregates.
-    let not_derivable = why::CACHE_MISS_AGG_NOT_DERIVABLE;
-    let mut sources = Vec::with_capacity(req.aggs.len());
-    for a in &req.aggs {
-        let found = cached
+    // Aggregates: at the same grouping an equal cached call is copied;
+    // otherwise every part of the call must be cached (COUNTD has none).
+    let regroup = if same_grouping {
+        Regroup::Same
+    } else {
+        Regroup::Rollup {
+            ungrouped: req.group_by.is_empty(),
+        }
+    };
+    let merge = agg::merge(&req.aggs, regroup, |func, arg| {
+        let c = cached
             .aggs
             .iter()
-            .find(|c| c.func == a.func && c.arg == a.arg);
-        let source = match (found, same_grouping) {
-            (Some(c), true) => AggSource::Column(c.alias.clone()),
-            (Some(c), false) => match a.func.rollup_func() {
-                Some(f) => AggSource::Rollup(f, c.alias.clone()),
-                None if a.func == AggFunc::Avg => avg_parts(cached, a).ok_or(not_derivable)?,
-                None => return Err(not_derivable), // COUNTD at coarser grouping
-            },
-            // AVG derivable from cached SUM+COUNT even when AVG itself is
-            // not cached (at either grouping).
-            (None, _) if a.func == AggFunc::Avg => avg_parts(cached, a).ok_or(not_derivable)?,
-            (None, _) => return Err(not_derivable),
-        };
-        sources.push(source);
-    }
+            .find(|c| c.func == func && c.arg.as_ref() == arg)?;
+        Some(c.alias.clone())
+    })
+    .ok_or(why::CACHE_MISS_AGG_NOT_DERIVABLE)?;
     Ok(MatchPlan {
         residual,
         same_grouping,
-        sources,
-    })
-}
-
-/// Locate cached SUM(arg) and COUNT(arg) columns for deriving an AVG.
-fn avg_parts(cached: &QuerySpec, avg: &AggCall) -> Option<AggSource> {
-    let sum = cached
-        .aggs
-        .iter()
-        .find(|c| c.func == AggFunc::Sum && c.arg == avg.arg)?;
-    let cnt = cached
-        .aggs
-        .iter()
-        .find(|c| c.func == AggFunc::Count && c.arg == avg.arg)?;
-    Some(AggSource::AvgOf {
-        sum_col: sum.alias.clone(),
-        cnt_col: cnt.alias.clone(),
+        merge,
     })
 }
 
@@ -1113,76 +1084,23 @@ fn post_process(cached: &Chunk, req: &QuerySpec, mp: &MatchPlan) -> Result<Chunk
         }
     }
     let group_cols = || req.group_by.iter().map(|g| (col(g.clone()), g.clone()));
+    let outputs = || {
+        group_cols()
+            .chain(mp.merge.outputs.iter().cloned())
+            .collect::<Vec<_>>()
+    };
     let mut out = if mp.same_grouping {
         // Pure filter + projection.
-        let mut exprs: Vec<(Expr, String)> = group_cols().collect();
-        for (a, src) in req.aggs.iter().zip(&mp.sources) {
-            let e = match src {
-                AggSource::Column(c) => col(c.clone()),
-                AggSource::AvgOf { sum_col, cnt_col } => {
-                    bin(BinOp::Div, col(sum_col.clone()), col(cnt_col.clone()))
-                }
-                AggSource::Rollup(..) => {
-                    return Err(TvError::Plan("rollup with same grouping".into()))
-                }
-            };
-            exprs.push((e, a.alias.clone()));
-        }
-        project(input, &exprs)?
+        project(input, &outputs())?
     } else {
-        // Roll up to the coarser grouping.
+        // Roll up to the coarser grouping, projecting only when some output
+        // is not a plain re-aggregated column.
         let group_by: Vec<(Expr, String)> = group_cols().collect();
-        // An ungrouped aggregate over no rows still yields one row, in which
-        // COUNT is 0 — but the SUM of no partial counts is NULL.
-        let ungrouped = req.group_by.is_empty();
-        let mut calls: Vec<AggCall> = Vec::new();
-        // The final projection, needed only when some output is not a plain
-        // re-aggregated column.
-        let mut exprs = group_by.clone();
-        let mut fixups = false;
-        for (a, src) in req.aggs.iter().zip(&mp.sources) {
-            match src {
-                AggSource::Rollup(f, c) => {
-                    calls.push(AggCall::new(*f, Some(col(c.clone())), a.alias.clone()));
-                    let out = if ungrouped && a.func == AggFunc::Count {
-                        fixups = true;
-                        Expr::Func {
-                            func: ScalarFunc::IfNull,
-                            args: vec![col(&a.alias), lit(0i64)],
-                        }
-                    } else {
-                        col(&a.alias)
-                    };
-                    exprs.push((out, a.alias.clone()));
-                }
-                AggSource::AvgOf { sum_col, cnt_col } => {
-                    let s_alias = format!("__{}_s", a.alias);
-                    let c_alias = format!("__{}_c", a.alias);
-                    calls.push(AggCall::new(
-                        AggFunc::Sum,
-                        Some(col(sum_col.clone())),
-                        s_alias.clone(),
-                    ));
-                    calls.push(AggCall::new(
-                        AggFunc::Sum,
-                        Some(col(cnt_col.clone())),
-                        c_alias.clone(),
-                    ));
-                    fixups = true;
-                    exprs.push((bin(BinOp::Div, col(s_alias), col(c_alias)), a.alias.clone()));
-                }
-                AggSource::Column(_) => {
-                    return Err(TvError::Plan(
-                        "column passthrough at coarser grouping".into(),
-                    ))
-                }
-            }
-        }
-        let rolled = aggregate_chunk(input, &group_by, &calls)?;
-        if fixups {
-            project(&rolled, &exprs)?
-        } else {
+        let rolled = aggregate_chunk(input, &group_by, &mp.merge.rollup)?;
+        if mp.merge.is_plain() {
             rolled
+        } else {
+            project(&rolled, &outputs())?
         }
     };
     if !req.order.is_empty() {
@@ -1219,8 +1137,8 @@ mod tests {
     use tabviz_common::{Collation, DataType, Field, Schema, Value};
     use tabviz_storage::{Database, Table};
     use tabviz_tde::{ExecOptions, Tde};
-    use tabviz_tql::expr::lit;
-    use tabviz_tql::{LogicalPlan, SortKey};
+    use tabviz_tql::expr::{bin, lit};
+    use tabviz_tql::{AggCall, AggFunc, BinOp, LogicalPlan, SortKey};
 
     /// The post-processing the cache ran before it worked on chunks: the
     /// cached chunk stored as a table and the request planned and run by a
@@ -1232,78 +1150,16 @@ mod tests {
         if !mp.residual.is_empty() {
             plan = plan.select(and_all(mp.residual.clone()));
         }
-        if mp.same_grouping {
-            let mut exprs: Vec<(Expr, String)> = req
-                .group_by
-                .iter()
-                .map(|g| (col(g.clone()), g.clone()))
-                .collect();
-            for (a, src) in req.aggs.iter().zip(&mp.sources) {
-                let e = match src {
-                    AggSource::Column(c) => col(c.clone()),
-                    AggSource::AvgOf { sum_col, cnt_col } => {
-                        bin(BinOp::Div, col(sum_col.clone()), col(cnt_col.clone()))
-                    }
-                    AggSource::Rollup(..) => {
-                        return Err(TvError::Plan("rollup with same grouping".into()))
-                    }
-                };
-                exprs.push((e, a.alias.clone()));
-            }
-            plan = plan.project(exprs);
-        } else {
-            let group_by: Vec<(Expr, String)> = req
-                .group_by
-                .iter()
-                .map(|g| (col(g.clone()), g.clone()))
-                .collect();
-            let ungrouped = req.group_by.is_empty();
-            let mut calls: Vec<AggCall> = Vec::new();
-            let mut exprs = group_by.clone();
-            let mut fixups = false;
-            for (a, src) in req.aggs.iter().zip(&mp.sources) {
-                match src {
-                    AggSource::Rollup(f, c) => {
-                        calls.push(AggCall::new(*f, Some(col(c.clone())), a.alias.clone()));
-                        let out = if ungrouped && a.func == AggFunc::Count {
-                            fixups = true;
-                            Expr::Func {
-                                func: ScalarFunc::IfNull,
-                                args: vec![col(&a.alias), lit(0i64)],
-                            }
-                        } else {
-                            col(&a.alias)
-                        };
-                        exprs.push((out, a.alias.clone()));
-                    }
-                    AggSource::AvgOf { sum_col, cnt_col } => {
-                        let s_alias = format!("__{}_s", a.alias);
-                        let c_alias = format!("__{}_c", a.alias);
-                        calls.push(AggCall::new(
-                            AggFunc::Sum,
-                            Some(col(sum_col.clone())),
-                            s_alias.clone(),
-                        ));
-                        calls.push(AggCall::new(
-                            AggFunc::Sum,
-                            Some(col(cnt_col.clone())),
-                            c_alias.clone(),
-                        ));
-                        fixups = true;
-                        exprs.push((bin(BinOp::Div, col(s_alias), col(c_alias)), a.alias.clone()));
-                    }
-                    AggSource::Column(_) => {
-                        return Err(TvError::Plan(
-                            "column passthrough at coarser grouping".into(),
-                        ))
-                    }
-                }
-            }
-            plan = plan.aggregate(group_by, calls);
-            if fixups {
-                plan = plan.project(exprs);
-            }
+        let mut exprs: Vec<(Expr, String)> = req
+            .group_by
+            .iter()
+            .map(|g| (col(g.clone()), g.clone()))
+            .collect();
+        if !mp.same_grouping {
+            plan = plan.aggregate(exprs.clone(), mp.merge.rollup.clone());
         }
+        exprs.extend(mp.merge.outputs.iter().cloned());
+        plan = plan.project(exprs);
         if !req.order.is_empty() {
             plan = plan.order(req.order.clone());
         }
@@ -1434,6 +1290,7 @@ mod tests {
             AggCall::new(AggFunc::Min, Some(col("delay")), "lo"),
             AggCall::new(AggFunc::Max, Some(col("distance")), "far"),
             AggCall::new(AggFunc::CountD, Some(col("dest")), "dests"),
+            AggCall::new(AggFunc::Avg, Some(col("delay")), "avg2"),
         ];
         for (i, call) in calls.into_iter().enumerate() {
             if aggs & (1 << i) != 0 {
@@ -1547,19 +1404,21 @@ mod tests {
             let db = oracle_db();
             let tde = Tde::new(db);
             let (g, f) = cached_bits;
-            // Every aggregate but AVG is cached, so AVG has to be derived.
-            let cached = oracle_spec("flights", g, &f, 0b111_0111, None);
+            // Every aggregate but the two AVGs is cached, so they have to be
+            // derived.
+            let cached = oracle_spec("flights", g, &f, 0b0111_0111, None);
             let chunk = tde.execute_plan(&cached.to_plan().unwrap(), &ExecOptions::serial()).unwrap();
             let (rg, rf, ra, rt) = req_bits;
             let rg = rg & g;
-            // Residuals on group columns the request keeps, so that they
-            // stay evaluable; COUNTD only where the grouping does not change.
+            // Residuals on cached group columns, so that they stay evaluable
+            // (`carrier = 'ZZ'` leaves an ungrouped request no rows); COUNTD
+            // only where the grouping does not change.
             let grouped = |k: &usize| {
                 let c = conjunct(*k).columns();
-                c.iter().all(|c| GROUP_COLS.iter().position(|g| g == c).is_some_and(|i| rg & (1 << i) != 0))
+                c.iter().all(|c| GROUP_COLS.iter().position(|col| col == c).is_some_and(|i| g & (1 << i) != 0))
             };
             let rf: Vec<usize> = rf.into_iter().filter(grouped).collect();
-            let ra = if rg == g { ra } else { ra & 0b011_1111 };
+            let ra = if rg == g { ra } else { ra & 0b1011_1111 };
             let mut req = oracle_spec("flights", rg, &rf, ra, rt);
             req.filters.extend(cached.filters.iter().cloned());
             let conj = Conjuncts::of(&req);
@@ -1569,7 +1428,17 @@ mod tests {
             };
             let got = post_process(&chunk, &req, &plan).map(|c| row_view(&c));
             let want = reference_post_process(&chunk, &req, &plan).map(|c| row_view(&c));
-            prop_assert_eq!(got.ok(), want.ok(), "{}", req.canonical_text());
+            prop_assert_eq!(got.as_ref().ok(), want.as_ref().ok(), "{}", req.canonical_text());
+            // And both equal direct evaluation (as row sets: a top-n may
+            // break ties either way).
+            if rt.is_none() {
+                let direct = tde.execute_plan(&req.to_plan().unwrap(), &ExecOptions::serial()).unwrap();
+                let mut rows = got.unwrap().1;
+                let mut direct = direct.to_rows();
+                rows.sort();
+                direct.sort();
+                prop_assert_eq!(rows, direct, "{}", req.canonical_text());
+            }
         }
     }
 

@@ -54,7 +54,9 @@ impl Default for BatchOptions {
 #[derive(Debug, Clone, Default)]
 pub struct BatchReport {
     pub wall: Duration,
-    /// Queries dispatched to backends.
+    /// Backend trips: the graph's remote nodes (covers included) that were
+    /// answered by the backend. A remote node that a sibling's widened
+    /// result, or the shared L2 tier, answered first is not counted.
     pub remote: usize,
     /// Queries answered from cache/subsumption locally.
     pub local: usize,
@@ -240,24 +242,21 @@ pub fn execute_batch(
     // not started yet are abandoned instead of piling onto a broken batch.
     let cancel = AtomicBool::new(false);
     let admit = AdmitRequest::new(BATCH_PRIORITY, "batch");
-    let run_one = |spec: &QuerySpec| -> Result<(Chunk, bool)> {
+    let run_one = |spec: &QuerySpec| -> Result<(Chunk, ExecOutcome)> {
         if cancel.load(Ordering::SeqCst) {
             return Err(TvError::Cancelled(
                 "abandoned: a sibling batch query failed fatally".into(),
             ));
         }
-        match processor.execute_as(spec, &admit) {
-            Ok((chunk, outcome)) => Ok((chunk, outcome == ExecOutcome::DegradedStale)),
-            Err(e) => {
-                if !e.is_degradable() {
-                    cancel.store(true, Ordering::SeqCst);
-                }
-                Err(e)
+        processor.execute_as(spec, &admit).inspect_err(|e| {
+            if !e.is_degradable() {
+                cancel.store(true, Ordering::SeqCst);
             }
-        }
+        })
     };
 
-    let mut executed: Vec<Option<Result<(Chunk, bool)>>> = nodes.iter().map(|_| None).collect();
+    let mut executed: Vec<Option<Result<(Chunk, ExecOutcome)>>> =
+        nodes.iter().map(|_| None).collect();
     if options.concurrent && remote_idx.len() > 1 {
         // Zone workers run on their own threads; carrying the batch
         // caller's trace context over lets each zone query's trace record
@@ -295,7 +294,10 @@ pub fn execute_batch(
             executed[i] = Some(run_one(&nodes[i]));
         }
     }
-    report.remote = remote_idx.len();
+    report.remote = remote_idx
+        .iter()
+        .filter(|&&i| matches!(executed[i], Some(Ok((_, ExecOutcome::Remote)))))
+        .count();
 
     // Local queries: all predecessors are cached now; the processor's
     // intelligent-cache path answers them without touching the backend.
@@ -318,16 +320,18 @@ pub fn execute_batch(
             .as_ref()
             .ok_or_else(|| TvError::Exec("batch bookkeeping lost a result".into()))?;
         match outcome {
-            Ok((chunk, was_stale)) if nodes[node] == distinct[d] => {
+            Ok((chunk, o)) if nodes[node] == distinct[d] => {
                 results.insert(name.clone(), chunk.clone());
-                if *was_stale {
+                if *o == ExecOutcome::DegradedStale {
                     stale.insert(name.clone());
                 }
             }
-            Ok((_, was_stale)) => match processor.execute_as(original, &admit) {
+            Ok((_, node_outcome)) => match processor.execute_as(original, &admit) {
                 Ok((chunk, o)) => {
                     results.insert(name.clone(), chunk);
-                    if *was_stale || o == ExecOutcome::DegradedStale {
+                    if *node_outcome == ExecOutcome::DegradedStale
+                        || o == ExecOutcome::DegradedStale
+                    {
                         stale.insert(name.clone());
                     }
                 }
@@ -649,6 +653,40 @@ mod tests {
         let out = execute_batch(&qp, &batch, &BatchOptions::default()).unwrap();
         assert_eq!(out.results.len(), 3);
         assert_eq!(sim.stats().queries, 1);
+    }
+
+    /// A remote node answered from a sibling's widened result, which landed
+    /// first, is no backend trip: `remote` counts the trips the sim saw.
+    #[test]
+    fn widened_sibling_answers_a_remote_node() {
+        let sim = SimDb::new("warehouse", flights_db(3000), SimConfig::default());
+        let config = tabviz_cache::intelligent::CacheConfig {
+            min_cost: StdDuration::ZERO,
+            ..Default::default()
+        };
+        let qp = QueryProcessor::new(tabviz_cache::QueryCaches::new(config, 8 << 20));
+        qp.registry.register(Arc::new(sim.clone()), 8);
+        // Neither filter implies the other's answer (`delay` is not grouped),
+        // so both zones are remote nodes of the graph.
+        let delay_at_most = |k: i64| {
+            QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+                .filter(bin(BinOp::Le, col("delay"), lit(k)))
+                .group("carrier")
+                .agg(AggCall::new(AggFunc::Avg, Some(col("delay")), "avg"))
+        };
+        let batch = vec![
+            ("first".to_string(), delay_at_most(50)),
+            ("second".to_string(), delay_at_most(60)),
+        ];
+        let one_by_one = BatchOptions {
+            concurrent: false,
+            ..Default::default()
+        };
+        let out = execute_batch(&qp, &batch, &one_by_one).unwrap();
+        assert!(out.is_complete());
+        assert_eq!(qp.stats().widened_queries, 1);
+        assert_eq!(sim.stats().queries, 1);
+        assert_eq!(out.report.remote, sim.stats().queries);
     }
 
     #[test]

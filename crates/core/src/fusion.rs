@@ -21,7 +21,8 @@ use crate::registry::ManagedSource;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tabviz_cache::{tables_of, QuerySpec};
-use tabviz_tql::{write_expr, AggCall, AggFunc, TableMeta};
+use tabviz_tql::agg::partial_aggs;
+use tabviz_tql::{write_expr, TableMeta};
 
 /// The outcome of fusing a batch.
 #[derive(Debug, Clone)]
@@ -169,12 +170,10 @@ struct CoverSet {
     members: Vec<usize>,
 }
 
-/// Roll-up needs every aggregate re-aggregatable (COUNTD is not: the
+/// Roll-up needs every aggregate to have parts (COUNTD has none: the
 /// distinct sets are gone) and the result untruncated and unordered.
 fn coverable(spec: &QuerySpec) -> bool {
-    spec.topn.is_none()
-        && spec.order.is_empty()
-        && spec.aggs.iter().all(|a| a.func != AggFunc::CountD)
+    spec.topn.is_none() && spec.order.is_empty() && partial_aggs(&spec.aggs).is_some()
 }
 
 /// The cheapest admissible merge of two sets: `(a, b, estimated rows)`.
@@ -204,27 +203,17 @@ fn cheapest_merge(
     best
 }
 
-/// The query over the union grouping from which every member rolls up:
-/// the members' aggregates, AVG decomposed into the SUM and COUNT it is
-/// re-derived from.
+/// The query over the union grouping from which every member rolls up: the
+/// parts of the members' aggregates (AVG as the SUM and COUNT it is
+/// re-formed from).
 fn cover_spec(members: &[&QuerySpec], columns: Vec<String>) -> QuerySpec {
     let first = members[0];
     let mut cover = QuerySpec::new(first.source.clone(), first.relation.clone());
     cover.filters = first.filters.clone();
     cover.normalize();
     cover.group_by = columns;
-    for a in members.iter().flat_map(|m| &m.aggs) {
-        let parts: &[AggFunc] = match a.func {
-            AggFunc::Avg => &[AggFunc::Sum, AggFunc::Count],
-            ref f => std::slice::from_ref(f),
-        };
-        for &func in parts {
-            if !cover.aggs.iter().any(|c| c.func == func && c.arg == a.arg) {
-                let alias = format!("__cover_{}", cover.aggs.len());
-                cover.aggs.push(AggCall::new(func, a.arg.clone(), alias));
-            }
-        }
-    }
+    cover.aggs =
+        partial_aggs(members.iter().flat_map(|m| &m.aggs)).expect("cover members are coverable");
     debug_assert!(members.iter().all(|m| tabviz_cache::subsumes(&cover, m)));
     cover
 }

@@ -10,6 +10,8 @@
 use crate::compile::{apply_local_post, compile_spec, CompiledQuery};
 use crate::fusion::RelationStats;
 use crate::registry::{ManagedSource, SourceRegistry};
+use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tabviz_backend::Capabilities;
@@ -17,6 +19,8 @@ use tabviz_cache::{QueryCaches, QuerySpec};
 use tabviz_common::{Chunk, Result, TvError};
 use tabviz_obs::{stage, Counter, Histogram, Obs, ProfileOutcome};
 use tabviz_sched::{AdmitRequest, Priority, SchedConfig, Scheduler};
+use tabviz_tql::agg::partial_aggs;
+use tabviz_tql::AggCall;
 
 /// How a query was answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,17 +174,14 @@ const WIDEN_MAX_IN_LIST: usize = 16;
 const WIDEN_MAX_ROWS: usize = 8_192;
 
 /// Build the widened variant of a spec, or `None` when widening does not
-/// apply: no liftable filter on an ungrouped column, COUNTD present (it
-/// cannot roll back up), or a widened result estimated above
+/// apply: no liftable filter on an ungrouped column, an aggregate with no
+/// parts to roll back up from (COUNTD), or a widened result estimated above
 /// [`WIDEN_MAX_ROWS`] or not estimable from `stats`.
 fn widen_spec(
     spec: &QuerySpec,
     stats: impl FnOnce() -> Option<RelationStats>,
 ) -> Option<QuerySpec> {
-    use tabviz_tql::AggFunc;
-    if spec.aggs.iter().any(|a| a.func == AggFunc::CountD) {
-        return None;
-    }
+    let parts = partial_aggs(&spec.aggs)?;
     // Filters on a column already grouped stay: lifting them adds nothing.
     let grouped = |c: &str| spec.group_by.iter().any(|g| g == c);
     let mut extra: Vec<String> = Vec::new();
@@ -201,28 +202,10 @@ fn widen_spec(
         .filters
         .retain(|f| liftable_column(f).is_none_or(grouped));
     widened.group_by.extend(extra);
-    // AVG needs its SUM/COUNT decomposition cached alongside for roll-up.
-    let mut additions = Vec::new();
-    for a in &spec.aggs {
-        if a.func == AggFunc::Avg {
-            let has = |f: AggFunc| widened.aggs.iter().any(|x| x.func == f && x.arg == a.arg);
-            if !has(AggFunc::Sum) {
-                additions.push(tabviz_tql::AggCall::new(
-                    AggFunc::Sum,
-                    a.arg.clone(),
-                    format!("__w_{}_sum", a.alias),
-                ));
-            }
-            if !has(AggFunc::Count) {
-                additions.push(tabviz_tql::AggCall::new(
-                    AggFunc::Count,
-                    a.arg.clone(),
-                    format!("__w_{}_cnt", a.alias),
-                ));
-            }
-        }
-    }
-    widened.aggs.extend(additions);
+    // The parts every aggregate rolls back up from (AVG's SUM and COUNT) are
+    // cached alongside it.
+    let missing = |p: &AggCall| !spec.aggs.iter().any(|a| a.func == p.func && a.arg == p.arg);
+    widened.aggs.extend(parts.into_iter().filter(missing));
     widened.normalize();
     Some(widened)
 }
@@ -231,17 +214,13 @@ fn widen_spec(
 /// the first in flight for a widened canonical text, released (even on
 /// panic or early return) when dropped.
 struct WidenGate<'a> {
-    set: &'a std::sync::Mutex<std::collections::HashSet<String>>,
+    set: &'a Mutex<HashSet<String>>,
     key: String,
 }
 
 impl<'a> WidenGate<'a> {
-    fn try_acquire(
-        set: &'a std::sync::Mutex<std::collections::HashSet<String>>,
-        key: String,
-    ) -> Option<Self> {
-        let mut guard = set.lock().unwrap_or_else(|p| p.into_inner());
-        if guard.insert(key.clone()) {
+    fn try_acquire(set: &'a Mutex<HashSet<String>>, key: String) -> Option<Self> {
+        if set.lock().insert(key.clone()) {
             Some(WidenGate { set, key })
         } else {
             None
@@ -251,10 +230,7 @@ impl<'a> WidenGate<'a> {
 
 impl Drop for WidenGate<'_> {
     fn drop(&mut self) {
-        self.set
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&self.key);
+        self.set.lock().remove(&self.key);
     }
 }
 
@@ -273,7 +249,7 @@ pub struct QueryProcessor {
     /// on the same reusable shape elect one widener; the rest run their
     /// original query directly instead of racing duplicate widened scans
     /// against the backend.
-    widen_inflight: std::sync::Mutex<std::collections::HashSet<String>>,
+    widen_inflight: Mutex<HashSet<String>>,
     metrics: CoreMetrics,
 }
 
@@ -296,7 +272,7 @@ impl QueryProcessor {
             options: ProcessorOptions::default(),
             obs,
             scheduler: None,
-            widen_inflight: std::sync::Mutex::new(std::collections::HashSet::new()),
+            widen_inflight: Mutex::new(HashSet::new()),
             metrics,
         }
     }
@@ -1023,6 +999,36 @@ mod tests {
             .agg(AggCall::new(AggFunc::CountD, Some(col("delay")), "nd"));
         qp.execute(&countd_spec).unwrap();
         assert_eq!(qp.stats().widened_queries, 1);
+    }
+
+    /// Two AVGs of one column widen with one SUM and one COUNT of it, and
+    /// both are answered from them.
+    #[test]
+    fn widened_spec_carries_each_part_once() {
+        let sim = SimDb::new("warehouse", flights_db(600), SimConfig::default());
+        let qp = QueryProcessor::default();
+        qp.registry.register(Arc::new(sim), 4);
+        let avg = |alias: &str| AggCall::new(AggFunc::Avg, Some(col("delay")), alias);
+        let spec = QuerySpec::new("warehouse", LogicalPlan::scan("flights"))
+            .filter(bin(BinOp::Le, col("delay"), lit(30i64)))
+            .group("carrier")
+            .agg(avg("a"))
+            .agg(avg("b"));
+        let managed = qp.registry.get("warehouse").unwrap();
+        let widened = widen_spec(&spec, || RelationStats::of(&managed, &spec)).unwrap();
+        for func in [AggFunc::Sum, AggFunc::Count] {
+            let n = widened.aggs.iter().filter(|a| a.func == func).count();
+            assert_eq!(n, 1, "{func:?} in {:?}", widened.aggs);
+        }
+        let (out, outcome) = qp.execute(&spec).unwrap();
+        assert_eq!(outcome, ExecOutcome::Remote);
+        assert_eq!(qp.stats().widened_queries, 1);
+        let (direct_qp, _) = processor_with_sim(600);
+        let mut expected = direct_qp.execute(&spec).unwrap().0.to_rows();
+        let mut got = out.to_rows();
+        got.sort();
+        expected.sort();
+        assert_eq!(got, expected);
     }
 
     /// The first processor's widened result is published to the shared

@@ -14,7 +14,8 @@
 //!   parallelism; the build side forms "a separate and independent parallel
 //!   unit" whose hash table is shared by every probe branch;
 //! * **local/global aggregation** (Sect. 4.2.3): per-branch partial
-//!   aggregates, Exchange, a global roll-up, and an AVG-recombining project;
+//!   aggregates of the calls' parts, Exchange, a global roll-up, and an
+//!   AVG-recombining project, all from the one algebra of `tabviz_tql::agg`;
 //! * **range-partitioned aggregation** (Sect. 4.2.3, Lemmas 1–3): when a
 //!   permutation of a subset of the GROUP BY columns prefixes the table's
 //!   sort order, fractions cut at group boundaries make the global aggregate
@@ -28,8 +29,9 @@
 
 use std::sync::Arc;
 use tabviz_common::Result;
-use tabviz_tql::expr::{bin, col, Expr};
-use tabviz_tql::{AggCall, AggFunc, BinOp};
+use tabviz_tql::agg::{merge, partial_aggs, Regroup};
+use tabviz_tql::expr::{col, Expr};
+use tabviz_tql::AggCall;
 
 use crate::cost::CostProfile;
 use crate::physical::{AggMode, BuildSide, PhysPlan};
@@ -389,63 +391,45 @@ fn parallel_aggregate(
                 });
             }
 
-            let decomposable =
-                opts.enable_local_global && aggs.iter().all(|a| a.func.supports_local_global());
-            if !decomposable {
+            match partial_aggs(aggs).filter(|_| opts.enable_local_global) {
+                Some(parts) => Ok(Par::Serial(build_local_global(
+                    branches, group_by, aggs, parts,
+                ))),
                 // COUNTD (or local/global disabled): Exchange, then one
                 // global hash aggregate — "aggregation is still a
                 // serialization point".
-                let node = hash_agg(PhysPlan::Exchange { inputs: branches });
-                return Ok(Par::Serial(node));
+                None => Ok(Par::Serial(hash_agg(PhysPlan::Exchange {
+                    inputs: branches,
+                }))),
             }
-
-            // Local/global split.
-            let plan = build_local_global(branches, group_by, aggs);
-            Ok(Par::Serial(plan))
         }
     }
 }
 
 /// Construct partial → Exchange → global → (recombine) for local/global
-/// aggregation, decomposing AVG into SUM + COUNT.
+/// aggregation: each branch aggregates `parts`, the global aggregate and the
+/// recombining projection are their [`merge`].
 fn build_local_global(
     branches: Vec<PhysPlan>,
     group_by: &[(Expr, String)],
     aggs: &[AggCall],
+    parts: Vec<AggCall>,
 ) -> PhysPlan {
-    let mut partial_calls: Vec<AggCall> = Vec::new();
-    let mut final_calls: Vec<AggCall> = Vec::new();
-    let mut needs_recombine = false;
-    for a in aggs {
-        match a.func {
-            AggFunc::Avg => {
-                needs_recombine = true;
-                let sum_name = format!("__{}_sum", a.alias);
-                let cnt_name = format!("__{}_cnt", a.alias);
-                partial_calls.push(AggCall::new(AggFunc::Sum, a.arg.clone(), sum_name.clone()));
-                partial_calls.push(AggCall::new(
-                    AggFunc::Count,
-                    a.arg.clone(),
-                    cnt_name.clone(),
-                ));
-                final_calls.push(AggCall::new(AggFunc::Sum, Some(col(&sum_name)), sum_name));
-                final_calls.push(AggCall::new(AggFunc::Sum, Some(col(&cnt_name)), cnt_name));
-            }
-            func => {
-                let rollup = func.rollup_func().expect("checked decomposable");
-                partial_calls.push(AggCall::new(func, a.arg.clone(), a.alias.clone()));
-                final_calls.push(AggCall::new(rollup, Some(col(&a.alias)), a.alias.clone()));
-            }
-        }
-    }
-
-    // Partial aggregate in each branch.
+    // Every branch's ungrouped partial holds a row, empty input or not, so
+    // the global aggregate never sums no COUNTs.
+    let merge = merge(aggs, Regroup::Rollup { ungrouped: false }, |func, arg| {
+        let p = parts
+            .iter()
+            .find(|p| p.func == func && p.arg.as_ref() == arg)?;
+        Some(p.alias.clone())
+    })
+    .expect("every part is aggregated per branch");
     let locals: Vec<PhysPlan> = branches
         .into_iter()
         .map(|b| PhysPlan::HashAgg {
             input: Box::new(b),
             group_by: group_by.to_vec(),
-            aggs: partial_calls.clone(),
+            aggs: parts.clone(),
             mode: AggMode::Partial,
         })
         .collect();
@@ -455,37 +439,20 @@ fn build_local_global(
         .iter()
         .map(|(_, name)| (col(name.clone()), name.clone()))
         .collect();
+    let plain = merge.is_plain();
     let global = PhysPlan::HashAgg {
         input: Box::new(PhysPlan::Exchange { inputs: locals }),
-        group_by: final_groups,
-        aggs: final_calls,
+        group_by: final_groups.clone(),
+        aggs: merge.rollup,
         mode: AggMode::Final,
     };
-
-    if !needs_recombine {
+    if plain {
         return global;
     }
     // Recombine AVG = SUM/COUNT and restore the requested column order.
-    let mut exprs: Vec<(Expr, String)> = group_by
-        .iter()
-        .map(|(_, name)| (col(name.clone()), name.clone()))
-        .collect();
-    for a in aggs {
-        match a.func {
-            AggFunc::Avg => exprs.push((
-                bin(
-                    BinOp::Div,
-                    col(format!("__{}_sum", a.alias)),
-                    col(format!("__{}_cnt", a.alias)),
-                ),
-                a.alias.clone(),
-            )),
-            _ => exprs.push((col(&a.alias), a.alias.clone())),
-        }
-    }
     PhysPlan::Project {
         input: Box::new(global),
-        exprs,
+        exprs: final_groups.into_iter().chain(merge.outputs).collect(),
     }
 }
 
@@ -496,8 +463,8 @@ mod tests {
     use std::sync::Arc as StdArc;
     use tabviz_common::{Chunk, DataType, Field, Schema, Value};
     use tabviz_storage::{Database, Table};
-    use tabviz_tql::expr::lit;
-    use tabviz_tql::{LogicalPlan, SortKey};
+    use tabviz_tql::expr::{bin, lit};
+    use tabviz_tql::{AggFunc, BinOp, LogicalPlan, SortKey};
 
     fn make_db(rows: usize, sorted: bool) -> StdArc<Database> {
         let schema = StdArc::new(
@@ -577,6 +544,34 @@ mod tests {
         assert!(text.contains("Exchange"), "{text}");
         assert!(text.contains("HashAgg(Partial)"), "{text}");
         assert!(text.contains("HashAgg(Final)"), "{text}");
+        assert_eq!(sorted_rows(&serial_out), sorted_rows(&par_out));
+    }
+
+    /// Each partition aggregates every part once: AVG(delay)'s SUM is the
+    /// requested SUM(delay), and the two AVGs share their SUM and COUNT.
+    #[test]
+    fn local_global_aggregates_each_part_once() {
+        let db = make_db(20_000, false);
+        let call = |f, alias: &str| AggCall::new(f, Some(col("delay")), alias);
+        let logical = LogicalPlan::scan("flights").aggregate(
+            vec![(col("carrier"), "carrier".into())],
+            vec![
+                call(AggFunc::Avg, "a"),
+                call(AggFunc::Sum, "s"),
+                call(AggFunc::Avg, "b"),
+            ],
+        );
+        let serial = create_physical(&logical, db.as_ref(), &PhysicalOptions::default()).unwrap();
+        let serial_out = execute_to_chunk(&serial).unwrap();
+        let (par_plan, par_out) = plan_and_run(&db, &logical, &small_profile(4));
+        let text = par_plan.explain();
+        let partial = text
+            .lines()
+            .find(|l| l.contains("HashAgg(Partial)"))
+            .unwrap_or_else(|| panic!("no partial aggregate: {text}"));
+        assert_eq!(partial.matches("SUM([delay])").count(), 1, "{text}");
+        assert_eq!(partial.matches("COUNT([delay])").count(), 1, "{text}");
+        assert_eq!(par_out.schema().names(), ["carrier", "a", "s", "b"]);
         assert_eq!(sorted_rows(&serial_out), sorted_rows(&par_out));
     }
 

@@ -10,9 +10,9 @@
 //! * [`expr`] — scalar expressions with vectorized evaluation over chunks,
 //!   SQL three-valued logic, scalar functions, and date part extraction;
 //! * [`agg`] — aggregate function descriptors (SUM/COUNT/COUNTD/MIN/MAX/AVG)
-//!   including their roll-up decompositions (used both by the parallel
-//!   local/global aggregation of Sect. 4.2.3 and the intelligent cache's
-//!   post-processing of Sect. 3.2);
+//!   and the one algebra of their mergeable parts (used by the parallel
+//!   local/global aggregation of Sect. 4.2.3, the intelligent cache's
+//!   roll-up of Sect. 3.2, level-of-detail covers and widening);
 //! * [`plan`] — the logical operator tree with schema derivation;
 //! * [`parser`] — the textual TQL front end (an s-expression grammar,
 //!   matching the "logical tree style" description);

@@ -4,9 +4,12 @@
 //! plan, and the backend must see exactly the queries the report says left.
 //! Randomized over zone sets, shared filters, pool sizes and backends.
 
+mod support;
+
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+use support::cases;
 use tabviz::cache::intelligent::CacheConfig;
 use tabviz::prelude::*;
 use tabviz::workloads::{
@@ -117,7 +120,9 @@ fn measure(i: usize) -> AggCall {
         5 => AggCall::new(AggFunc::Max, Some(col("distance")), alias),
         6 => AggCall::new(AggFunc::Avg, Some(col("arr_delay")), alias),
         7 => AggCall::new(AggFunc::Avg, Some(col("distance")), alias),
-        _ => AggCall::new(AggFunc::CountD, Some(col("dest")), alias),
+        8 => AggCall::new(AggFunc::CountD, Some(col("dest")), alias),
+        // A second AVG of `arr_delay`, beside its SUM and COUNT.
+        _ => AggCall::new(AggFunc::Avg, Some(col("arr_delay")), alias),
     }
 }
 
@@ -132,7 +137,10 @@ fn shared_filter(i: usize) -> Option<Expr> {
         0 => None,
         1 => Some(between(-10, -5)), // selects nothing
         2 => Some(between(300, 900)),
-        _ => Some(bin(BinOp::Ge, col("dep_hour"), lit(12i64))),
+        3 => Some(bin(BinOp::Ge, col("dep_hour"), lit(12i64))),
+        // Selects nothing, and as a residual on a zone grouped by
+        // `dep_hour` leaves an ungrouped sibling no rows to count.
+        _ => Some(bin(BinOp::Lt, col("dep_hour"), lit(0i64))),
     }
 }
 
@@ -142,7 +150,7 @@ type ZoneShape = (Vec<&'static str>, Vec<usize>, bool);
 fn arb_zone() -> impl Strategy<Value = ZoneShape> {
     (
         proptest::sample::subsequence(GROUPS.to_vec(), 0..=2),
-        proptest::sample::subsequence((0..9).collect::<Vec<usize>>(), 1..=3),
+        proptest::sample::subsequence((0..10).collect::<Vec<usize>>(), 1..=3),
         // Mostly filtered alike, as a dashboard's zones are.
         (0u8..5).prop_map(|k| k > 0),
     )
@@ -168,22 +176,13 @@ fn batch_of(zones: &[ZoneShape], filter: usize) -> Vec<(String, QuerySpec)> {
         .collect()
 }
 
-/// `n` cases by default; a long run sets `PROPTEST_CASES`, which
-/// `ProptestConfig::default()` reads.
-fn cases(n: u32) -> u32 {
-    match std::env::var_os("PROPTEST_CASES") {
-        Some(_) => ProptestConfig::default().cases,
-        None => n,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: cases(32), ..ProptestConfig::default() })]
 
     #[test]
     fn every_zone_equals_serial_evaluation(
         zones in proptest::collection::vec(arb_zone(), 3..=9),
-        filter in 0usize..4,
+        filter in 0usize..5,
         pool in proptest::sample::select(vec![1usize, 2, 4, 8]),
         simulated in any::<bool>(),
     ) {

@@ -2,9 +2,12 @@
 //! byte-identical to executing the request directly. Randomized over
 //! filters, groupings and aggregates (proptest).
 
+mod support;
+
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
+use support::cases;
 use tabviz::cache::{intelligent::CacheConfig, IntelligentCache, QuerySpec};
 use tabviz::prelude::*;
 use tabviz::workloads::{generate_flights, FaaConfig};
@@ -97,15 +100,6 @@ fn arb_fine_spec() -> impl Strategy<Value = QuerySpec> {
                 .agg(AggCall::new(AggFunc::Min, Some(col("dep_delay")), "lo"))
                 .agg(AggCall::new(AggFunc::Max, Some(col("dep_delay")), "hi"))
         })
-}
-
-/// `n` cases by default; a long run sets `PROPTEST_CASES`, which
-/// `ProptestConfig::default()` reads.
-fn cases(n: u32) -> u32 {
-    match std::env::var_os("PROPTEST_CASES") {
-        Some(_) => ProptestConfig::default().cases,
-        None => n,
-    }
 }
 
 proptest! {

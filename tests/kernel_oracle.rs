@@ -20,9 +20,12 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
+mod support;
+
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use support::cases;
 use tabviz::common::{ColumnVec, NullMask, SchemaRef, StrVec, Values};
 use tabviz::prelude::*;
 use tabviz::tde::exec::agg::HashAggOp;
@@ -407,7 +410,7 @@ fn groupable_col() -> impl Strategy<Value = &'static str> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(48), ..ProptestConfig::default() })]
 
     /// Randomized GROUP BY over 1-3 mixed-type key columns.
     #[test]
@@ -954,7 +957,7 @@ fn check_coded_join(chunks: &[Chunk], probe_key: &str, build_key: &str, join_typ
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
 
     /// GROUP BY over short + long strings, case-only variants under CI
     /// collation (one group per name), and the all-null empty-table column

@@ -4,8 +4,11 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
+mod support;
+
 use proptest::prelude::*;
 use std::sync::Arc;
+use support::cases;
 use tabviz::prelude::*;
 use tabviz::tde::cost::CostProfile;
 use tabviz::tde::parallel::ParallelOptions;
@@ -73,6 +76,9 @@ fn configs() -> Vec<(&'static str, ExecOptions)> {
     all
 }
 
+/// Aggregates to draw from: two AVGs of `arr_delay` beside its SUM and
+/// COUNT (NULL on every cancelled flight, so the `cancelled` group has no
+/// value to average), and COUNTD, which has no local/global plan.
 fn agg_pool() -> Vec<&'static str> {
     vec![
         "(count as n)",
@@ -81,19 +87,23 @@ fn agg_pool() -> Vec<&'static str> {
         "(min dep_delay as lo)",
         "(max dep_delay as hi)",
         "(countd origin as no)",
+        "(avg arr_delay as d2)",
+        "(sum arr_delay as ds)",
+        "(count arr_delay as dc)",
     ]
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(24), ..ProptestConfig::default() })]
 
     #[test]
     fn all_plan_configs_agree(
         groups in proptest::sample::subsequence(
-            vec!["carrier", "origin_state", "weekday"], 1..=2),
+            vec!["carrier", "origin_state", "weekday", "cancelled"], 0..=2),
         aggs in proptest::sample::subsequence(agg_pool(), 1..=3),
+        // "ZZ" flies nowhere: an ungrouped COUNT over it reads 0.
         filter_carrier in proptest::option::of(
-            proptest::sample::select(vec!["WN", "DL", "HA", "NK"])),
+            proptest::sample::select(vec!["WN", "DL", "HA", "NK", "ZZ"])),
         sorted in any::<bool>(),
     ) {
         let tde = engine(6_000, sorted);

@@ -2,13 +2,18 @@
 //! grouping of the query it sends, and answers the original (and every later
 //! variant) from that widened result, must give exactly the answer of direct
 //! evaluation. Randomized over filter sequences on Int, Date, Real and
-//! case-insensitive Str columns (NULLs, `-0.0` and NaN included), the storm's
-//! row-level-security filter, and AVG, MIN / MAX and COUNTD; over a simulated
+//! case-insensitive Str columns (NULLs, `-0.0` and NaN included), filters no
+//! row passes, the storm's row-level-security filter, and AVG (two of one
+//! column, beside its SUM and COUNT, and over a group with no values), MIN /
+//! MAX and COUNTD; over a simulated
 //! warehouse and the TDE as a source; one query at a time and in batches.
+
+mod support;
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
+use support::cases;
 use tabviz::cache::intelligent::CacheConfig;
 use tabviz::prelude::*;
 
@@ -22,8 +27,9 @@ const DAY0: i32 = 18_000;
 
 /// One table, `t`: a group column `g`, the storm's `cancelled`, a filter
 /// column of each type (`i` is NULL in a third of the rows, `r` holds `-0.0`,
-/// `0.0` and NaN, `s` compares case-insensitively) and a measure `m` with
-/// NULLs of its own.
+/// `0.0` and NaN, `s` compares case-insensitively), a measure `m` with
+/// NULLs of its own and a measure `z` that is NULL in every row of group
+/// `g = 'w'`.
 fn database() -> Arc<Database> {
     static DB: OnceLock<Arc<Database>> = OnceLock::new();
     Arc::clone(DB.get_or_init(|| {
@@ -36,6 +42,7 @@ fn database() -> Arc<Database> {
                 Field::new("r", DataType::Real),
                 Field::new("s", DataType::Str).with_collation(Collation::CaseInsensitive),
                 Field::new("m", DataType::Int),
+                Field::new("z", DataType::Int),
             ])
             .unwrap(),
         );
@@ -57,6 +64,11 @@ fn database() -> Arc<Database> {
                         Value::Null
                     } else {
                         Value::Int((h % 101) as i64 - 20)
+                    },
+                    if k % 4 == 3 {
+                        Value::Null
+                    } else {
+                        Value::Int((h % 13) as i64)
                     },
                 ]
             })
@@ -125,8 +137,8 @@ fn literal(c: usize, k: usize) -> Value {
 }
 
 /// One filter on column `c` (`i`, `d`, `r` or `s`) of shape `shape`: `=`,
-/// `<`, `<=`, `>`, `>=` with the literal on either side, `BETWEEN` or a
-/// small `IN`.
+/// `<`, `<=`, `>`, `>=` with the literal on either side, `BETWEEN`, a
+/// small `IN`, or `=` a value no row holds.
 fn filter(c: usize, shape: usize, k: usize) -> Expr {
     let column = col(["i", "d", "r", "s"][c]);
     let lit = |k| Expr::Literal(literal(c, k));
@@ -149,11 +161,20 @@ fn filter(c: usize, shape: usize, k: usize) -> Expr {
                 high,
             }
         }
-        _ => Expr::In {
+        11 => Expr::In {
             expr: Box::new(column),
             list: (0..1 + k % 3).map(|j| literal(c, k + 5 * j)).collect(),
             negated: false,
         },
+        _ => {
+            let none = [
+                Value::Int(1_000),
+                Value::Date(DAY0 + 1_000),
+                Value::Real(99.5),
+                Value::from("zzz"),
+            ];
+            bin(BinOp::Eq, column, Expr::Literal(none[c].clone()))
+        }
     }
 }
 
@@ -172,7 +193,9 @@ fn measure(i: usize) -> AggCall {
         4 => AggCall::new(AggFunc::Min, Some(col("m")), alias),
         5 => AggCall::new(AggFunc::Max, Some(col("r")), alias),
         6 => AggCall::new(AggFunc::Min, Some(col("d")), alias),
-        _ => AggCall::new(AggFunc::CountD, Some(col("m")), alias),
+        7 => AggCall::new(AggFunc::CountD, Some(col("m")), alias),
+        8 => AggCall::new(AggFunc::Avg, Some(col("m")), alias),
+        _ => AggCall::new(AggFunc::Avg, Some(col("z")), alias),
     }
 }
 
@@ -187,10 +210,10 @@ type Step = (
 
 fn arb_step() -> impl Strategy<Value = Step> {
     (
-        proptest::collection::vec((0usize..4, 0usize..12, 0usize..200), 1..=2),
+        proptest::collection::vec((0usize..4, 0usize..13, 0usize..200), 1..=2),
         any::<bool>(),
         proptest::sample::subsequence(vec!["g", "cancelled"], 0..=2),
-        proptest::sample::subsequence((0..8).collect::<Vec<usize>>(), 1..=3),
+        proptest::sample::subsequence((0..10).collect::<Vec<usize>>(), 1..=3),
     )
 }
 
@@ -302,14 +325,5 @@ fn every_liftable_shape_widens_and_serves_its_variants() {
                 );
             }
         }
-    }
-}
-
-/// `n` cases by default; a long run sets `PROPTEST_CASES`, which
-/// `ProptestConfig::default()` reads.
-fn cases(n: u32) -> u32 {
-    match std::env::var_os("PROPTEST_CASES") {
-        Some(_) => ProptestConfig::default().cases,
-        None => n,
     }
 }
