@@ -2,8 +2,11 @@
 //!
 //! The lookup path mirrors Sect. 3.2: structural (intelligent) matching
 //! first; if that fails the query is compiled to text and the literal cache
-//! is consulted; only then does the query go to the backend. Both levels are
-//! populated on the way back.
+//! is consulted; only then does the query go to the backend. The two levels
+//! are two keys on one entry store: [`QueryCaches::store`] keeps each result
+//! once, found by its spec and by its compiled text, under one byte budget
+//! and one admission rule, and every eviction and invalidation drops both
+//! keys with the entry.
 //!
 //! Together the pair forms **L1** of the multi-tier hierarchy. An optional
 //! shared **L2** ([`crate::tier::L2Cache`]) can be attached with
@@ -74,7 +77,6 @@ impl TierCounters {
 }
 
 /// Intelligent + literal cache pair (L1), with an optional shared L2 tier.
-#[derive(Default)]
 pub struct QueryCaches {
     pub intelligent: IntelligentCache,
     pub literal: LiteralCache,
@@ -82,11 +84,19 @@ pub struct QueryCaches {
     tier: TierCounters,
 }
 
+impl Default for QueryCaches {
+    fn default() -> Self {
+        Self::new(CacheConfig::default())
+    }
+}
+
 impl QueryCaches {
-    pub fn new(config: CacheConfig, literal_capacity: usize) -> Self {
+    pub fn new(config: CacheConfig) -> Self {
+        let intelligent = IntelligentCache::new(config);
+        let literal = LiteralCache::over(&intelligent);
         QueryCaches {
-            intelligent: IntelligentCache::new(config),
-            literal: LiteralCache::new(literal_capacity),
+            intelligent,
+            literal,
             l2: RwLock::new(None),
             tier: TierCounters::default(),
         }
@@ -147,8 +157,9 @@ impl QueryCaches {
         }
     }
 
-    /// Copy an L2 hit forward into both L1 levels so the next request on
-    /// this node is answered locally (and subsumption can reuse it).
+    /// Copy an L2 hit forward into L1, under its spec and its compiled text,
+    /// so the next request on this node is answered locally (and
+    /// subsumption can reuse it).
     pub fn l2_promote(&self, spec: QuerySpec, text: &str, result: &Chunk, cost: Duration) {
         self.tier.promotes.inc();
         self.store(spec, text, result, cost);
@@ -184,7 +195,7 @@ impl QueryCaches {
     /// copies (L2 has no stale state — a dropped entry is just a miss).
     pub fn mark_table_stale(&self, source: &str, table: &str) -> usize {
         let tag = crate::tags::table_tag(source, table);
-        let marked = self.intelligent.mark_tag_stale(&tag) + self.literal.mark_tag_stale(&tag);
+        let marked = self.intelligent.mark_tag_stale(&tag);
         if let Some(l2) = self.l2() {
             let purged = l2.purge_tag(&tag);
             self.count_tag_purged(purged);
@@ -195,7 +206,7 @@ impl QueryCaches {
     /// Purge every entry carrying `tag` from both tiers. Returns entries
     /// removed.
     pub fn purge_tag(&self, tag: &str) -> usize {
-        let mut purged = self.intelligent.purge_tag(tag) + self.literal.purge_tag(tag);
+        let mut purged = self.intelligent.purge_tag(tag);
         if let Some(l2) = self.l2() {
             purged += l2.purge_tag(tag);
         }
@@ -235,13 +246,12 @@ impl QueryCaches {
         (None, CacheOutcome::Miss)
     }
 
-    /// Record a freshly computed result in both levels, tagged with the
-    /// spec's source + table dependencies so either tag scope can find it.
+    /// Record a freshly computed result once, found by both levels: by
+    /// `spec`, and by `text`, its compiled text. The intelligent cache's
+    /// admission rule decides for both.
     pub fn store(&self, spec: QuerySpec, text: &str, result: &Chunk, cost: Duration) {
-        let tags = crate::tags::tags_for_spec(&spec);
-        self.literal
-            .put_tagged(&spec.source, text, result.clone(), cost, tags);
-        self.intelligent.put(spec, result.clone(), cost);
+        self.intelligent
+            .put_keyed(spec, Some(text), result.clone(), cost);
     }
 
     /// Degraded two-level lookup: consulted only after the backend failed,
@@ -254,34 +264,30 @@ impl QueryCaches {
         self.literal.get_stale(&spec.source, text)
     }
 
-    /// Source refreshed while its backend is unreachable: demote both
-    /// levels' entries to stale instead of purging, keeping them available
-    /// for degraded serving. Returns how many entries were marked.
+    /// Source refreshed while its backend is unreachable: demote its L1
+    /// entries (those carrying its source tag) to stale instead of purging,
+    /// keeping them available for degraded serving. Returns how many
+    /// entries were marked.
     pub fn mark_source_stale(&self, source: &str) -> usize {
-        self.intelligent.mark_source_stale(source) + self.literal.mark_source_stale(source)
+        self.intelligent
+            .mark_tag_stale(&crate::tags::source_tag(source))
     }
 
-    /// Stale intelligent-cache entries (spec + age), oldest first — the
-    /// revalidation lane's work list. Literal entries are not listed: a
-    /// revalidated spec refreshes the literal level as a side effect.
+    /// Stale L1 entries (spec + age), oldest first — the revalidation
+    /// lane's work list.
     pub fn stale_entries(&self) -> Vec<(QuerySpec, std::time::Duration)> {
         self.intelligent.stale_entries()
     }
 
-    /// Connection closed/refreshed: purge both L1 levels for the source,
-    /// and the shared L2 via its source tag.
+    /// Connection closed/refreshed ("entries are also purged when a
+    /// connection to a data source is closed or refreshed"): purge both
+    /// tiers by the source's tag.
     pub fn purge_source(&self, source: &str) {
-        self.intelligent.purge_source(source);
-        self.literal.purge_source(source);
-        if let Some(l2) = self.l2() {
-            let purged = l2.purge_tag(&crate::tags::source_tag(source));
-            self.count_tag_purged(purged);
-        }
+        self.purge_tag(&crate::tags::source_tag(source));
     }
 
     pub fn clear(&self) {
         self.intelligent.clear();
-        self.literal.clear();
     }
 
     pub fn stats(&self) -> (IntelligentStats, LiteralStats) {
@@ -316,13 +322,10 @@ mod tests {
 
     #[test]
     fn lookup_order_intelligent_first() {
-        let caches = QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        );
+        let caches = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
         let (none, outcome) = caches.lookup(&spec(), "SQL");
         assert!(none.is_none());
         assert_eq!(outcome, CacheOutcome::Miss);
@@ -334,13 +337,10 @@ mod tests {
 
     #[test]
     fn literal_catches_post_compilation_collisions() {
-        let caches = QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        );
+        let caches = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
         caches.store(spec(), "SELECT ...", &chunk(), Duration::from_millis(5));
         // A structurally different spec (different relation ⇒ intelligent
         // miss) that compiled to the same text — e.g. after join culling.
@@ -354,13 +354,10 @@ mod tests {
 
     #[test]
     fn purge_source_affects_both() {
-        let caches = QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        );
+        let caches = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
         caches.store(spec(), "SQL", &chunk(), Duration::from_millis(5));
         caches.purge_source("faa");
         let (hit, _) = caches.lookup(&spec(), "SQL");
@@ -369,15 +366,12 @@ mod tests {
 
     #[test]
     fn stale_entries_hide_from_lookup_but_serve_degraded() {
-        let caches = QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        );
+        let caches = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
         caches.store(spec(), "SQL", &chunk(), Duration::from_millis(5));
-        assert_eq!(caches.mark_source_stale("faa"), 2); // both levels
+        assert_eq!(caches.mark_source_stale("faa"), 1); // one entry, both keys
                                                         // Normal lookup refuses stale data.
         let (hit, outcome) = caches.lookup(&spec(), "SQL");
         assert!(hit.is_none());
@@ -401,27 +395,62 @@ mod tests {
     }
 
     #[test]
+    fn literal_rejects_what_admission_rejects() {
+        // Over `max_entry_bytes`: kept by neither level.
+        let caches = QueryCaches::new(CacheConfig {
+            max_entry_bytes: 1,
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
+        caches.store(spec(), "SELECT ...", &chunk(), Duration::from_millis(5));
+        let (hit, outcome) = caches.lookup(&spec(), "SELECT ...");
+        assert!(hit.is_none());
+        assert_eq!(outcome, CacheOutcome::Miss);
+        assert_eq!(caches.literal.stats().inserts, 0);
+        assert!(caches.literal.is_empty());
+    }
+
+    #[test]
+    fn evicted_entry_takes_its_text_along() {
+        let caches = QueryCaches::new(CacheConfig {
+            capacity_bytes: chunk().approx_bytes() + 1,
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
+        caches.store(spec(), "SELECT ...", &chunk(), Duration::from_millis(1));
+        let other = QuerySpec::new("faa", LogicalPlan::scan("airports"))
+            .group("carrier")
+            .agg(AggCall::new(AggFunc::Count, None, "n"));
+        caches.store(other, "SELECT other", &chunk(), Duration::from_millis(100));
+        assert_eq!(caches.intelligent.stats().evictions, 1);
+        assert!(caches.literal.get("faa", "SELECT ...").is_none());
+        assert!(caches.literal.get("faa", "SELECT other").is_some());
+        assert_eq!(caches.literal.stats().evictions, 1);
+        assert_eq!(caches.literal.len(), 1);
+    }
+
+    #[test]
     fn literal_stale_marking() {
-        let c = crate::literal::LiteralCache::default();
-        c.put("s", "Q", chunk(), Duration::from_millis(5));
-        assert_eq!(c.mark_source_stale("s"), 1);
-        assert_eq!(c.mark_source_stale("s"), 0, "already stale");
-        assert!(c.get("s", "Q").is_none());
-        assert!(c.get_stale("s", "Q").is_some());
-        assert!(c.get_stale("s", "missing").is_none());
-        assert_eq!(c.stats().stale_serves, 1);
+        let c = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
+        c.store(spec(), "Q", &chunk(), Duration::from_millis(5));
+        assert_eq!(c.mark_source_stale("faa"), 1);
+        assert_eq!(c.mark_source_stale("faa"), 0, "already stale");
+        assert!(c.literal.get("faa", "Q").is_none());
+        assert!(c.literal.get_stale("faa", "Q").is_some());
+        assert!(c.literal.get_stale("faa", "missing").is_none());
+        assert_eq!(c.literal.stats().stale_serves, 1);
     }
 
     #[test]
     fn l2_round_trip_promote_and_tag_purge() {
         use crate::distributed::ExternalStore;
-        let caches = QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        );
+        let caches = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
         // No L2 attached: probe is a no-op, not a counted miss.
         assert!(caches.l2_lookup(&spec()).is_none());
         assert_eq!(caches.tier_stats(), TierStats::default());
@@ -452,17 +481,14 @@ mod tests {
     #[test]
     fn mark_table_stale_keeps_l1_for_degraded_serving() {
         use crate::distributed::ExternalStore;
-        let caches = QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        );
+        let caches = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
         caches.set_l2(Arc::new(ExternalStore::new(Duration::ZERO)));
         caches.store(spec(), "SQL", &chunk(), Duration::from_millis(5));
         caches.l2_store(&spec(), &chunk());
-        assert_eq!(caches.mark_table_stale("faa", "flights"), 2);
+        assert_eq!(caches.mark_table_stale("faa", "flights"), 1);
         // L1 demoted, still reachable degraded; L2 copy dropped outright.
         let (hit, _) = caches.lookup(&spec(), "SQL");
         assert!(hit.is_none());
@@ -475,13 +501,10 @@ mod tests {
         // A stored SUM+COUNT query answers a later AVG request — the paper's
         // "query processor might choose to adjust queries before sending, in
         // order to make the results more useful for future reuse".
-        let caches = QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        );
+        let caches = QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        });
         let stored = QuerySpec::new("faa", LogicalPlan::scan("flights"))
             .group("carrier")
             .agg(AggCall::new(AggFunc::Sum, Some(col("delay")), "s"))

@@ -88,6 +88,9 @@ struct Entry {
     stale_since: Option<Instant>,
     /// Dependency tags (see [`crate::tags`]) for precise invalidation.
     tags: Vec<String>,
+    /// Its key in the text index ([`text_key`]), while it owns that key;
+    /// shared with the index's copy.
+    text: Option<Arc<str>>,
 }
 
 impl Entry {
@@ -157,6 +160,22 @@ impl Counters {
             ("tv_cache_intelligent_swr_serves_total", &self.swr_serves),
         ]
     }
+}
+
+/// The cells of the literal level's counters that a store or an eviction
+/// moves; [`crate::literal::LiteralCache`] exports these same cells.
+#[derive(Default, Clone)]
+pub(crate) struct TextCounters {
+    /// Text keys stored with an admitted entry.
+    pub(crate) inserts: Counter,
+    /// Text keys lost with an evicted entry.
+    pub(crate) evictions: Counter,
+}
+
+/// The text-index key of a query's compiled text: the source is part of it,
+/// so identical SQL against different servers never collides.
+fn text_key(source: &str, text: &str) -> String {
+    format!("{source}\u{1}{text}")
 }
 
 /// Cache configuration.
@@ -257,6 +276,9 @@ struct Inner {
     exact: HashMap<u64, Vec<u64>>,
     hasher: RandomState,
     entries: HashMap<u64, Entry>,
+    /// The literal level (Sect. 3.2): [`text_key`] → the entry stored under
+    /// that compiled text, the newest when two specs compiled to one text.
+    texts: HashMap<Arc<str>, u64>,
     next_id: u64,
     bytes: usize,
 }
@@ -335,11 +357,14 @@ impl Inner {
         }
     }
 
-    /// Take one entry out of the map and the exact-spec index. Its slot
-    /// is the caller's to fix.
+    /// Take one entry out of the map, the exact-spec index and the text
+    /// index. Its slot is the caller's to fix.
     fn take(&mut self, id: u64) -> Option<Entry> {
         let e = self.entries.remove(&id)?;
         self.bytes -= e.bytes;
+        if let Some(key) = &e.text {
+            self.texts.remove(&**key);
+        }
         if let Some(ids) = self.exact.get_mut(&e.spec_hash) {
             ids.retain(|&i| i != id);
             if ids.is_empty() {
@@ -377,23 +402,53 @@ impl Inner {
         }
         Some(e)
     }
+}
 
-    /// Every entry id of a source's buckets.
-    fn source_ids(&self, source: &str) -> Vec<u64> {
-        let prefix = format!("{source}\u{1}");
-        self.index
-            .iter()
-            .filter(|(k, _)| k.starts_with(&prefix))
-            .flat_map(|(_, slots)| slots.iter().flat_map(|s| s.ids.iter().copied()))
-            .collect()
+/// The literal level's handle on the entry store: the same entries, found
+/// by `(source, compiled text)` instead of by spec. Built by
+/// [`IntelligentCache::text_index`], so both levels hold, admit, evict and
+/// invalidate each result once, under one lock.
+pub(crate) struct TextIndex {
+    inner: Arc<Mutex<Inner>>,
+    pub(crate) counters: TextCounters,
+}
+
+impl TextIndex {
+    /// The result stored under this compiled text, and when it was stored.
+    /// A stale entry answers only when `allow_stale`.
+    pub(crate) fn get(
+        &self,
+        source: &str,
+        text: &str,
+        allow_stale: bool,
+    ) -> Option<(Chunk, Instant)> {
+        let key = text_key(source, text);
+        let mut inner = self.inner.lock();
+        let id = *inner.texts.get(key.as_str())?;
+        let e = inner
+            .entries
+            .get_mut(&id)
+            .filter(|e| allow_stale || !e.stale)?;
+        e.use_count += 1;
+        e.last_used = Instant::now();
+        let (result, created) = (Arc::clone(&e.result), e.created);
+        drop(inner);
+        Some((Chunk::clone(&result), created))
+    }
+
+    /// How many text keys are held.
+    pub(crate) fn len(&self) -> usize {
+        self.inner.lock().texts.len()
     }
 }
 
 /// The intelligent cache. Thread-safe.
 pub struct IntelligentCache {
     config: CacheConfig,
-    inner: Mutex<Inner>,
+    /// Shared with the literal level's [`TextIndex`].
+    inner: Arc<Mutex<Inner>>,
     counters: Counters,
+    text_counters: TextCounters,
     /// Age-at-serve of every degraded (stale) answer — the data the
     /// stale-TTL policy needs. Registry-only: unbound caches skip it.
     stale_age: OnceLock<Histogram>,
@@ -413,15 +468,17 @@ impl IntelligentCache {
     pub fn new(config: CacheConfig) -> Self {
         IntelligentCache {
             config,
-            inner: Mutex::new(Inner {
+            inner: Arc::new(Mutex::new(Inner {
                 index: HashMap::new(),
                 exact: HashMap::new(),
                 hasher: RandomState::new(),
                 entries: HashMap::new(),
+                texts: HashMap::new(),
                 next_id: 0,
                 bytes: 0,
-            }),
+            })),
             counters: Counters::default(),
+            text_counters: TextCounters::default(),
             stale_age: OnceLock::new(),
             #[cfg(test)]
             before_post_process: Mutex::new(None),
@@ -438,6 +495,14 @@ impl IntelligentCache {
         let _ = self
             .stale_age
             .set(registry.histogram("tv_cache_stale_age_seconds"));
+    }
+
+    /// A handle on these entries by compiled text: the literal level.
+    pub(crate) fn text_index(&self) -> TextIndex {
+        TextIndex {
+            inner: Arc::clone(&self.inner),
+            counters: self.text_counters.clone(),
+        }
     }
 
     /// Lock-free snapshot of the live counters.
@@ -500,7 +565,7 @@ impl IntelligentCache {
     }
 
     /// Degraded-path lookup: also considers entries marked stale by
-    /// [`IntelligentCache::mark_source_stale`]. Used when the backend is
+    /// [`IntelligentCache::mark_tag_stale`]. Used when the backend is
     /// unreachable and a stale answer beats a failed dashboard. Serves count
     /// as `stale_serves`; misses here do not inflate the miss counter (the
     /// normal lookup already recorded one).
@@ -707,7 +772,7 @@ impl IntelligentCache {
                         // exact hits instead of roll-ups. A filtered view
                         // (one range of an exploration) is not kept.
                         if spec.filters.is_empty() && cached.len() >= KEEP_ROLLUP_MIN_ROWS {
-                            self.insert(spec.clone(), out.clone(), cost, Some(id));
+                            self.insert(spec.clone(), out.clone(), cost, Some(id), None);
                         }
                         tabviz_obs::reason::CACHE_HIT_ROLLUP
                     };
@@ -768,17 +833,38 @@ impl IntelligentCache {
     /// one entry instead of accumulating duplicates — put is idempotent per
     /// spec.
     pub fn put(&self, spec: QuerySpec, result: Chunk, cost: Duration) {
-        self.insert(spec, result, cost, None);
+        self.insert(spec, result, cost, None, None);
     }
 
-    /// [`IntelligentCache::put`] of a result rolled up from entry `source`,
-    /// when given: nothing is inserted once that entry is gone or stale (a
-    /// purge or refresh landed between the roll-up and this insert).
-    fn insert(&self, spec: QuerySpec, result: Chunk, cost: Duration, source: Option<u64>) {
+    /// [`IntelligentCache::put`] that also keys the entry by `text`, the
+    /// query's compiled text, for the literal level. The newest admitted
+    /// store owns a text key.
+    pub(crate) fn put_keyed(
+        &self,
+        spec: QuerySpec,
+        text: Option<&str>,
+        result: Chunk,
+        cost: Duration,
+    ) {
+        self.insert(spec, result, cost, None, text);
+    }
+
+    /// [`IntelligentCache::put_keyed`] of a result rolled up from entry
+    /// `source`, when given: nothing is inserted once that entry is gone or
+    /// stale (a purge or refresh landed between the roll-up and this insert).
+    fn insert(
+        &self,
+        spec: QuerySpec,
+        result: Chunk,
+        cost: Duration,
+        source: Option<u64>,
+        text: Option<&str>,
+    ) {
         let bytes = result.approx_bytes();
         let admissible = bytes <= self.config.max_entry_bytes && cost >= self.config.min_cost;
         let mut spec = spec;
         spec.normalize();
+        let text: Option<Arc<str>> = text.map(|t| text_key(&spec.source, t).into());
         let mut inner = self.inner.lock();
         if source.is_some_and(|id| inner.entries.get(&id).is_none_or(|e| e.stale)) {
             return;
@@ -800,6 +886,14 @@ impl IntelligentCache {
         let spec_hash = inner.hasher.hash_one(&spec);
         inner.exact.entry(spec_hash).or_default().push(id);
         inner.add_to_index(id, &spec, &conjuncts);
+        if let Some(key) = &text {
+            if let Some(old) = inner.texts.insert(Arc::clone(key), id) {
+                if let Some(e) = inner.entries.get_mut(&old) {
+                    e.text = None;
+                }
+            }
+            self.text_counters.inserts.inc();
+        }
         inner.entries.insert(
             id,
             Entry {
@@ -815,6 +909,7 @@ impl IntelligentCache {
                 stale: false,
                 stale_since: None,
                 tags,
+                text,
             },
         );
         inner.bytes += bytes;
@@ -835,31 +930,13 @@ impl IntelligentCache {
                 })
                 .map(|(id, _)| *id);
             let Some(id) = victim else { break };
-            if inner.remove(id).is_some() {
+            if let Some(e) = inner.remove(id) {
                 self.counters.evictions.inc();
-            }
-        }
-    }
-
-    /// Mark every entry of a source stale instead of purging it: the data
-    /// may be outdated (refresh signalled while the backend was unreachable)
-    /// but is still worth serving in degraded mode. Returns how many entries
-    /// were newly marked.
-    pub fn mark_source_stale(&self, source: &str) -> usize {
-        let mut inner = self.inner.lock();
-        let ids = inner.source_ids(source);
-        let mut marked = 0;
-        let now = Instant::now();
-        for id in ids {
-            if let Some(e) = inner.entries.get_mut(&id) {
-                if !e.stale {
-                    e.stale = true;
-                    e.stale_since = Some(now);
-                    marked += 1;
+                if e.text.is_some() {
+                    self.text_counters.evictions.inc();
                 }
             }
         }
-        marked
     }
 
     /// Mark every entry carrying `tag` stale (see [`crate::tags`]) — the
@@ -880,11 +957,9 @@ impl IntelligentCache {
         marked
     }
 
-    /// Remove every entry carrying `tag`; returns how many were removed.
-    /// This is the precise replacement for wholesale [`purge_source`]: a
-    /// table refresh purges exactly its dependents.
-    ///
-    /// [`purge_source`]: IntelligentCache::purge_source
+    /// Remove every entry carrying `tag`; returns how many were removed. A
+    /// table refresh purges exactly its dependents; the source tag
+    /// ([`crate::tags::source_tag`]) purges the whole source.
     pub fn purge_tag(&self, tag: &str) -> usize {
         let mut inner = self.inner.lock();
         let victims: Vec<u64> = inner
@@ -899,23 +974,12 @@ impl IntelligentCache {
         victims.len()
     }
 
-    /// Purge every entry belonging to a source ("entries are also purged
-    /// when a connection to a data source is closed or refreshed").
-    pub fn purge_source(&self, source: &str) {
-        let mut inner = self.inner.lock();
-        let ids = inner.source_ids(source);
-        let prefix = format!("{source}\u{1}");
-        inner.index.retain(|k, _| !k.starts_with(&prefix));
-        for id in ids {
-            inner.take(id);
-        }
-    }
-
     pub fn clear(&self) {
         let mut inner = self.inner.lock();
         inner.index.clear();
         inner.exact.clear();
         inner.entries.clear();
+        inner.texts.clear();
         inner.bytes = 0;
     }
 
@@ -936,13 +1000,20 @@ impl IntelligentCache {
         out
     }
 
-    /// Snapshot all entries (persistence).
-    pub fn snapshot(&self) -> Vec<(QuerySpec, Chunk, Duration)> {
+    /// Snapshot all entries, each with the compiled text it owns, if any
+    /// (persistence).
+    pub fn snapshot(&self) -> Vec<(QuerySpec, Option<String>, Chunk, Duration)> {
         let inner = self.inner.lock();
         inner
             .entries
             .values()
-            .map(|e| (e.spec.clone(), Chunk::clone(&e.result), e.cost))
+            .map(|e| {
+                let text = e
+                    .text
+                    .as_ref()
+                    .map(|k| k[e.spec.source.len() + 1..].to_string());
+                (e.spec.clone(), text, Chunk::clone(&e.result), e.cost)
+            })
             .collect()
     }
 
@@ -1488,7 +1559,7 @@ mod tests {
             ..Default::default()
         });
         cache.put(cached_spec(), detail_chunk(), Duration::from_millis(100));
-        assert_eq!(cache.mark_source_stale("faa"), 1);
+        assert_eq!(cache.mark_tag_stale(&crate::tags::source_tag("faa")), 1);
         // The revalidated result is cheap, so the cache will not keep it —
         // but it must not keep serving the stale six rows either.
         let fresh = detail_chunk().slice(0, 1);
@@ -1499,7 +1570,7 @@ mod tests {
         assert_eq!(cache.stats().rejected_inserts, 1);
         // An admissible fresh result takes the stale entry's place.
         cache.put(cached_spec(), detail_chunk(), Duration::from_millis(100));
-        cache.mark_source_stale("faa");
+        cache.mark_tag_stale(&crate::tags::source_tag("faa"));
         cache.put(cached_spec(), fresh, Duration::from_millis(100));
         let (hit, why) = cache.get_explained(&cached_spec());
         assert_eq!(hit.map(|c| c.len()), Some(1));
@@ -1923,7 +1994,7 @@ mod tests {
         let purger = StdArc::downgrade(&cache);
         *cache.before_post_process.lock() = Some(StdArc::new(move || {
             if let Some(cache) = purger.upgrade() {
-                cache.purge_source("faa");
+                cache.purge_tag(&crate::tags::source_tag("faa"));
             }
         }));
         assert!(cache.get(&by_carrier(vec![])).is_some());
@@ -2074,7 +2145,7 @@ mod tests {
         cache.purge_tag(&crate::tags::table_tag("faa", "d"));
         consistent(&cache);
         assert!(cache.get(&spec_on("faa", "d")).is_none());
-        cache.purge_source("faa");
+        cache.purge_tag(&crate::tags::source_tag("faa"));
         consistent(&cache);
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&spec_on("warehouse", "w")).is_some());
@@ -2091,7 +2162,7 @@ mod tests {
             ..Default::default()
         });
         cache.put(cached_spec(), detail_chunk(), Duration::from_millis(100));
-        assert_eq!(cache.mark_source_stale("faa"), 1);
+        assert_eq!(cache.mark_tag_stale(&crate::tags::source_tag("faa")), 1);
         // Inside the grace window the NORMAL path serves, flagged SWR.
         let (hit, why) = cache.get_explained(&cached_spec());
         assert!(hit.is_some());
@@ -2125,7 +2196,7 @@ mod tests {
             .group("carrier")
             .agg(AggCall::new(AggFunc::Count, None, "n"));
         cache.put(other.clone(), detail_chunk(), Duration::from_millis(10));
-        cache.purge_source("faa");
+        cache.purge_tag(&crate::tags::source_tag("faa"));
         assert!(cache.get(&cached_spec()).is_none());
         assert!(cache.get(&other).is_some());
     }

@@ -12,8 +12,10 @@
 //! * [`implication`] — the predicate-implication prover behind subsumption;
 //! * [`intelligent`] — the view-matching cache with roll-up / filter /
 //!   projection post-processing;
-//! * [`literal`] — the text-keyed cache;
-//! * [`caches`] — the two levels combined, with shared eviction policy;
+//! * [`literal`] — the text-keyed level: a second key on the intelligent
+//!   cache's entries, not a second store;
+//! * [`caches`] — the two levels combined, under one admission rule, byte
+//!   budget and eviction policy;
 //! * [`persist`] — Desktop-style cache persistence across sessions;
 //! * [`distributed`] — the Server-style external (Redis/Cassandra-like)
 //!   store and the chunk wire codec;

@@ -1,9 +1,10 @@
 //! Cache persistence.
 //!
 //! Sect. 3.2: "In Tableau Desktop query caches get persisted to enable fast
-//! response times across different sessions with the application." Entries
-//! are written as TQL text (specs) plus encoded result tables, and reloaded
-//! into fresh caches on the next session.
+//! response times across different sessions with the application." Each L1
+//! entry is written once — its spec as TQL text, the compiled text the
+//! literal level finds it by (empty when it owns none) and its encoded
+//! result table — and reloaded into fresh caches on the next session.
 
 use crate::caches::QueryCaches;
 use crate::distributed::{decode_chunk, encode_chunk};
@@ -15,29 +16,21 @@ use tabviz_common::{Chunk, Result, TvError};
 use tabviz_tql::{parse_plan, write_plan};
 
 const MAGIC: &[u8; 4] = b"TVQC";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
 
-/// Serialize both cache levels.
+/// Serialize the L1 entries, each with its text key.
 pub fn save(caches: &QueryCaches) -> Result<Bytes> {
     let mut buf = BytesMut::new();
     buf.put_slice(MAGIC);
     buf.put_u8(VERSION);
 
-    let intelligent = caches.intelligent.snapshot();
-    buf.put_u32_le(intelligent.len() as u32);
-    for (spec, chunk, cost) in intelligent {
+    let entries = caches.intelligent.snapshot();
+    buf.put_u32_le(entries.len() as u32);
+    for (spec, text, chunk, cost) in entries {
         put_str(&mut buf, &spec.source);
         let plan_text = write_plan(&spec.to_plan()?);
         put_str(&mut buf, &plan_text);
-        buf.put_u64_le(cost.as_micros() as u64);
-        put_chunk(&mut buf, &chunk)?;
-    }
-
-    let literal = caches.literal.snapshot();
-    buf.put_u32_le(literal.len() as u32);
-    for (source, text, chunk, cost) in literal {
-        put_str(&mut buf, &source);
-        put_str(&mut buf, &text);
+        put_str(&mut buf, text.as_deref().unwrap_or(""));
         buf.put_u64_le(cost.as_micros() as u64);
         put_chunk(&mut buf, &chunk)?;
     }
@@ -64,28 +57,18 @@ pub fn load(caches: &QueryCaches, mut buf: &[u8]) -> Result<usize> {
     for _ in 0..n {
         let source = get_str(&mut buf)?;
         let plan_text = get_str(&mut buf)?;
+        let text = get_str(&mut buf)?;
         let cost = Duration::from_micros(get_u64(&mut buf)?);
         let chunk = get_chunk(&mut buf)?;
         if let Ok(plan) = parse_plan(&plan_text) {
             if let Some(spec) = QuerySpec::from_plan(&source, &plan) {
+                let text = Some(text.as_str()).filter(|t| !t.is_empty());
                 caches
                     .intelligent
-                    .put(spec, chunk, cost.max(Duration::from_millis(1)));
+                    .put_keyed(spec, text, chunk, cost.max(Duration::from_millis(1)));
                 loaded += 1;
             }
         }
-    }
-
-    let n = get_u32(&mut buf)? as usize;
-    for _ in 0..n {
-        let source = get_str(&mut buf)?;
-        let text = get_str(&mut buf)?;
-        let cost = Duration::from_micros(get_u64(&mut buf)?);
-        let chunk = get_chunk(&mut buf)?;
-        caches
-            .literal
-            .put(&source, &text, chunk, cost.max(Duration::from_millis(1)));
-        loaded += 1;
     }
     Ok(loaded)
 }
@@ -157,13 +140,10 @@ mod tests {
     use tabviz_tql::{AggCall, AggFunc, LogicalPlan};
 
     fn caches() -> QueryCaches {
-        QueryCaches::new(
-            CacheConfig {
-                min_cost: Duration::ZERO,
-                ..Default::default()
-            },
-            1 << 20,
-        )
+        QueryCaches::new(CacheConfig {
+            min_cost: Duration::ZERO,
+            ..Default::default()
+        })
     }
 
     fn spec() -> QuerySpec {
@@ -200,7 +180,7 @@ mod tests {
         // "Restart": brand-new caches, warm from disk image.
         let session2 = caches();
         let loaded = load(&session2, &img).unwrap();
-        assert_eq!(loaded, 2); // one intelligent + one literal entry
+        assert_eq!(loaded, 1); // one entry, found by spec and by text
         let (hit, outcome) = session2.lookup(&spec(), "SELECT ...");
         assert_eq!(outcome, crate::caches::CacheOutcome::IntelligentHit);
         assert_eq!(hit.unwrap().to_rows(), chunk().to_rows());
@@ -214,7 +194,7 @@ mod tests {
         let path = std::env::temp_dir().join("tabviz_cache_test.tvqc");
         save_to_file(&session1, &path).unwrap();
         let session2 = caches();
-        assert_eq!(load_from_file(&session2, &path).unwrap(), 2);
+        assert_eq!(load_from_file(&session2, &path).unwrap(), 1);
         std::fs::remove_file(path).ok();
     }
 
@@ -225,6 +205,15 @@ mod tests {
         assert!(load(&c, b"TVQC\x07").is_err());
         let img = save(&c).unwrap();
         assert!(load(&caches(), &img[..4]).is_err());
+    }
+
+    #[test]
+    fn version_1_files_rejected() {
+        // Version 1 held a second, literal section; its layout is not read.
+        let mut img = save(&caches()).unwrap().to_vec();
+        img[4] = 1;
+        img.extend_from_slice(&0u32.to_le_bytes());
+        assert!(load(&caches(), &img).is_err());
     }
 
     #[test]

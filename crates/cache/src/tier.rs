@@ -1,7 +1,7 @@
 //! The L2 tier abstraction of the multi-tier cache hierarchy.
 //!
-//! L1 is the node-local pair of intelligent + literal caches
-//! ([`crate::caches::QueryCaches`]); L2 is a shared, byte-valued store
+//! L1 is the node-local entry store, found by spec (intelligent) or by
+//! compiled text (literal) ([`crate::caches::QueryCaches`]); L2 is a shared, byte-valued store
 //! reachable from every node — one [`ExternalStore`] standalone, or the
 //! cluster's ring-routed replicated peer tier. The processor consults L2
 //! only after both L1 probes miss, promotes L2 hits into L1, and publishes

@@ -530,15 +530,14 @@ mod tests {
     #[test]
     fn naive_mode_sends_everything() {
         // The full pre-optimization baseline: no fusion, no graph, and
-        // caches that admit nothing (no entry fits a zero-byte budget, and
-        // a zero-capacity literal level keeps only the latest of the five
-        // distinct texts) — every zone query reaches the backend.
+        // caches that admit nothing (no entry fits a zero-byte budget, so
+        // neither level finds one) — every zone query reaches the backend.
         let sim = SimDb::new("warehouse", flights_db(3000), SimConfig::default());
         let no_room = tabviz_cache::intelligent::CacheConfig {
             max_entry_bytes: 0,
             ..Default::default()
         };
-        let qp = QueryProcessor::new(tabviz_cache::QueryCaches::new(no_room, 0));
+        let qp = QueryProcessor::new(tabviz_cache::QueryCaches::new(no_room));
         qp.registry.register(Arc::new(sim.clone()), 8);
         let batch = dashboard_batch();
         let opts = BatchOptions {
@@ -664,7 +663,7 @@ mod tests {
             min_cost: StdDuration::ZERO,
             ..Default::default()
         };
-        let qp = QueryProcessor::new(tabviz_cache::QueryCaches::new(config, 8 << 20));
+        let qp = QueryProcessor::new(tabviz_cache::QueryCaches::new(config));
         qp.registry.register(Arc::new(sim.clone()), 8);
         // Neither filter implies the other's answer (`delay` is not grouped),
         // so both zones are remote nodes of the graph.

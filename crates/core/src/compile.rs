@@ -55,7 +55,7 @@ pub struct CompiledQuery {
 }
 
 impl CompiledQuery {
-    /// The literal cache's key for this query. The literal level stores rows
+    /// The literal cache's key for this query. A cached entry holds rows
     /// *after* local post-processing, and a backend without TopN receives
     /// the same text for "top 3" and "top 10", so the local TopN is part of
     /// what the entry holds and of its key.

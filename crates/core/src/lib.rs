@@ -7,7 +7,8 @@
 //!   post-processing for operations the backend cannot run;
 //! * [`registry`] — managed data sources with connection pools;
 //! * [`processor`] — the cached execution pipeline: intelligent cache →
-//!   literal cache → remote execution → populate both (Sect. 3.2);
+//!   literal cache → remote execution → populate L1 once, under both keys
+//!   (Sect. 3.2);
 //! * [`fusion`] — query fusion (Sect. 3.4): queries over the same relation
 //!   differing only in their projection lists collapse into one;
 //! * [`batch`] — query batch processing (Sect. 3.3): the cache-hit

@@ -58,7 +58,7 @@ fn processor(pool: usize, simulated: bool) -> (QueryProcessor, Option<SimDb>) {
         min_cost: Duration::ZERO,
         ..Default::default()
     };
-    let mut qp = QueryProcessor::new(QueryCaches::new(config, 8 << 20));
+    let mut qp = QueryProcessor::new(QueryCaches::new(config));
     // No widening into the grouping: it would let one remote query's result
     // answer a sibling's lookup and make the backend's query count depend on
     // timing. `widen_oracle.rs` checks widened answers.

@@ -315,13 +315,10 @@ proptest! {
 #[test]
 fn persisted_cache_round_trip_preserves_answers() {
     let oracle = Oracle::new();
-    let caches = QueryCaches::new(
-        CacheConfig {
-            min_cost: Duration::ZERO,
-            ..Default::default()
-        },
-        1 << 20,
-    );
+    let caches = QueryCaches::new(CacheConfig {
+        min_cost: Duration::ZERO,
+        ..Default::default()
+    });
     let spec = QuerySpec::new("faa", LogicalPlan::scan("flights"))
         .filter(bin(BinOp::Ge, col("dep_hour"), lit(6i64)))
         .group("carrier")
@@ -336,13 +333,10 @@ fn persisted_cache_round_trip_preserves_answers() {
     caches.store(spec.clone(), "SQL", &chunk, Duration::from_millis(40));
 
     let img = tabviz::cache::persist::save(&caches).unwrap();
-    let session2 = QueryCaches::new(
-        CacheConfig {
-            min_cost: Duration::ZERO,
-            ..Default::default()
-        },
-        1 << 20,
-    );
+    let session2 = QueryCaches::new(CacheConfig {
+        min_cost: Duration::ZERO,
+        ..Default::default()
+    });
     tabviz::cache::persist::load(&session2, &img).unwrap();
 
     // A derived question answered by the *reloaded* cache equals direct.

@@ -244,13 +244,10 @@ fn swr_serves_within_grace_until_revalidated() {
     let db = Arc::new(Database::new("kv"));
     db.put(Table::from_chunk("t", &kv_chunk(1), &[]).unwrap())
         .unwrap();
-    let caches = QueryCaches::new(
-        CacheConfig {
-            swr_grace: Duration::from_secs(30),
-            ..Default::default()
-        },
-        64,
-    );
+    let caches = QueryCaches::new(CacheConfig {
+        swr_grace: Duration::from_secs(30),
+        ..Default::default()
+    });
     let qp = QueryProcessor::new(caches);
     qp.registry.register(warehouse(&db), 4);
 

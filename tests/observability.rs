@@ -239,16 +239,13 @@ fn stats_and_registry_read_one_cell() {
         .unwrap(),
     );
     let chunk = Chunk::from_rows(schema, &[vec!["a".into(), Value::Int(1)]]).unwrap();
-    // Room for two results per L1 level, so a third store evicts.
+    // Room for two results in L1, so a third store evicts.
     let room = chunk.approx_bytes() * 2 + 1;
-    let caches = QueryCaches::new(
-        CacheConfig {
-            capacity_bytes: room,
-            min_cost: Duration::from_millis(1),
-            ..Default::default()
-        },
-        room,
-    );
+    let caches = QueryCaches::new(CacheConfig {
+        capacity_bytes: room,
+        min_cost: Duration::from_millis(1),
+        ..Default::default()
+    });
     caches.set_l2(Arc::new(ExternalStore::new(Duration::ZERO)));
     // Misses, inserts (one rejected as too cheap), evictions, an exact hit,
     // an L2 store / miss / hit / promote, a warm-up and a tag purge.

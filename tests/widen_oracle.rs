@@ -87,7 +87,7 @@ fn processor(simulated: bool) -> QueryProcessor {
         min_cost: Duration::ZERO,
         ..Default::default()
     };
-    let qp = QueryProcessor::new(QueryCaches::new(config, 8 << 20));
+    let qp = QueryProcessor::new(QueryCaches::new(config));
     assert!(qp.options.widen_for_reuse);
     if simulated {
         let sim = SimDb::new("wh", database(), SimConfig::default());
