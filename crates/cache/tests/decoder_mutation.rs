@@ -5,6 +5,7 @@
 //! pre-allocates from a corrupt length or recurses without bound.
 
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::Arc;
 use std::time::Duration;
 use tabviz_cache::intelligent::CacheConfig;
@@ -89,17 +90,8 @@ fn edits() -> impl Strategy<Value = Vec<(usize, u8, u8)>> {
     proptest::collection::vec((any::<usize>(), 0u8..4, 0u8..=255), 1..5)
 }
 
-/// 512 cases by default; a long run sets `PROPTEST_CASES`, which
-/// `ProptestConfig::default()` reads.
-fn cases() -> u32 {
-    match std::env::var_os("PROPTEST_CASES") {
-        Some(_) => ProptestConfig::default().cases,
-        None => 512,
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig { cases: cases(), ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(512), ..ProptestConfig::default() })]
 
     #[test]
     fn mutated_tables_decode_or_fail(edits in edits()) {

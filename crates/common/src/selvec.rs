@@ -32,19 +32,21 @@ impl SelVec {
         SelVec::Ids(Vec::new())
     }
 
+    /// The rows `0..n` that pass (a NULL row never does), through
+    /// [`compact`]; when every row passes, the compact `All` form.
+    pub fn select(n: usize, valid: Option<&[bool]>, pass: impl Fn(usize) -> bool) -> Self {
+        let mut ids: Vec<u32> = (0..n as u32).collect();
+        compact(&mut ids, 0, valid, false, pass);
+        if ids.len() == n {
+            SelVec::All(n)
+        } else {
+            SelVec::Ids(ids)
+        }
+    }
+
     /// Collapse a boolean mask into a selection vector (`true` = keep).
     pub fn from_mask(mask: &[bool]) -> Self {
-        let count = mask.iter().filter(|&&b| b).count();
-        if count == mask.len() {
-            return SelVec::All(mask.len());
-        }
-        let mut ids = Vec::with_capacity(count);
-        for (i, &keep) in mask.iter().enumerate() {
-            if keep {
-                ids.push(i as u32);
-            }
-        }
-        SelVec::Ids(ids)
+        Self::select(mask.len(), None, |i| mask[i])
     }
 
     /// Number of selected rows.
@@ -92,6 +94,57 @@ impl SelVec {
                 mask
             }
         }
+    }
+}
+
+/// A row id the selection kernel compacts: `u32` within a chunk, `usize`
+/// within a stored table.
+pub trait RowId: Copy {
+    fn row(self) -> usize;
+}
+
+impl RowId for u32 {
+    #[inline]
+    fn row(self) -> usize {
+        self as usize
+    }
+}
+
+impl RowId for usize {
+    #[inline]
+    fn row(self) -> usize {
+        self
+    }
+}
+
+/// Branch-free selection, the one kernel every predicate evaluator compacts
+/// its survivors with: keep the ids of `ids[from..]` whose row passes, in
+/// place and in order. Each id is written at the output cursor
+/// unconditionally and the cursor advances by the verdict, so an
+/// unpredictable filter costs no mispredicted branch per row. NULLs fold in
+/// as `valid & pass | !valid & pass_on_null`: `pass` is asked about every
+/// row, NULL or not, and must not panic on a NULL row's placeholder value.
+#[inline]
+pub fn compact<I: RowId>(
+    ids: &mut Vec<I>,
+    from: usize,
+    valid: Option<&[bool]>,
+    pass_on_null: bool,
+    pass: impl Fn(usize) -> bool,
+) {
+    #[inline(always)]
+    fn run<I: RowId>(ids: &mut Vec<I>, from: usize, pass: impl Fn(usize) -> bool) {
+        let mut kept = from;
+        for i in from..ids.len() {
+            let id = ids[i];
+            ids[kept] = id;
+            kept += pass(id.row()) as usize;
+        }
+        ids.truncate(kept);
+    }
+    match valid {
+        None => run(ids, from, pass),
+        Some(v) => run(ids, from, |r| v[r] & pass(r) | !v[r] & pass_on_null),
     }
 }
 
@@ -144,6 +197,27 @@ mod tests {
         assert_eq!(sel.to_mask(5), mask.to_vec());
         assert_eq!(sel.iter().collect::<Vec<_>>(), vec![0, 3, 4]);
         assert_eq!(sel.ids(), Some(&[0u32, 3, 4][..]));
+    }
+
+    #[test]
+    fn compact_narrows_in_place_and_folds_nulls() {
+        // Ids before `from` are left alone; later ones keep their order.
+        let mut ids: Vec<usize> = vec![7, 10, 11, 12, 13, 14];
+        compact(&mut ids, 1, None, false, |r| r % 2 == 0);
+        assert_eq!(ids, vec![7, 10, 12, 14]);
+        // A NULL row passes iff the conjunct accepts NULL, whatever its
+        // placeholder value says.
+        let valid = [true, false, true, false];
+        for (on_null, want) in [(false, vec![0u32]), (true, vec![0, 1, 3])] {
+            let mut ids: Vec<u32> = (0..4).collect();
+            compact(&mut ids, 0, Some(&valid), on_null, |r| r < 2);
+            assert_eq!(ids, want);
+        }
+        assert_eq!(
+            SelVec::select(4, Some(&valid), |_| true),
+            SelVec::Ids(vec![0, 2])
+        );
+        assert_eq!(SelVec::select(2, None, |_| true), SelVec::All(2));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! `scrape_exemplars` reports is spelled out in the text it read.
 
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use proptest::test_runner::TestCaseResult;
 use std::time::Duration;
 use tabviz_obs::{
@@ -155,7 +156,7 @@ fn decode(bytes: Vec<u8>) -> TestCaseResult {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(512), ..ProptestConfig::default() })]
 
     #[test]
     fn mutated_chrome_exports_decode_or_fail(edits in edits()) {

@@ -9,7 +9,7 @@
 //! optimizer may nevertheless exploit (Sect. 4.3's IndexTable is built from
 //! [`StoredColumn::rle_runs`]).
 
-use crate::stats::{column_stats, dict_stats, BlockStats, ColumnStats};
+use crate::stats::{column_stats, dict_stats, BlockStats, ColumnStats, BLOCK_ROWS};
 use std::sync::Arc;
 use tabviz_common::{
     Chunk, ColumnVec, DataType, Field, NullMask, Result, Schema, StrVec, TvError, Value, Values,
@@ -133,6 +133,10 @@ pub struct StoredColumn {
     pub stats: ColumnStats,
     /// Zone map: per-[`crate::stats::BLOCK_ROWS`]-block min/max/null stats.
     zones: Vec<BlockStats>,
+    /// For delta data, the value at the first row of every zone-map block
+    /// (empty otherwise): a decode sums deltas from its block's checkpoint,
+    /// not from row 0, so a block-at-a-time scan stays linear.
+    checkpoints: Vec<i64>,
 }
 
 /// Average run length at or above which RLE is chosen automatically.
@@ -204,6 +208,7 @@ impl StoredColumn {
             field,
             len,
             nulls,
+            checkpoints: delta_checkpoints(&data),
             data,
             dict,
             stats,
@@ -357,6 +362,10 @@ impl StoredColumn {
                 let mut cur = *first;
                 let mut vals = Vec::with_capacity(rows.len());
                 for &r in rows {
+                    if r / BLOCK_ROWS != idx / BLOCK_ROWS {
+                        idx = r / BLOCK_ROWS * BLOCK_ROWS;
+                        cur = self.checkpoints[r / BLOCK_ROWS];
+                    }
                     while idx < r {
                         cur += deltas[idx];
                         idx += 1;
@@ -422,11 +431,14 @@ impl StoredColumn {
                 let k = run_index(starts, row);
                 self.phys_value(values, k)
             }
-            ColumnData::Delta { first, deltas } => {
-                let v = *first + deltas[..row].iter().sum::<i64>();
-                self.delta_value(v)
-            }
+            ColumnData::Delta { deltas, .. } => self.delta_value(self.delta_at(deltas, row)),
         }
+    }
+
+    /// The delta-coded value at `row`, summed from its block's checkpoint.
+    fn delta_at(&self, deltas: &[i64], row: usize) -> i64 {
+        let block = row / BLOCK_ROWS;
+        self.checkpoints[block] + deltas[block * BLOCK_ROWS..row].iter().sum::<i64>()
     }
 
     fn delta_value(&self, v: i64) -> Value {
@@ -479,14 +491,15 @@ impl StoredColumn {
                 }
                 self.logical(out)
             }
-            ColumnData::Delta { first, deltas } => {
-                let mut cur = *first + deltas[..start].iter().sum::<i64>();
+            ColumnData::Delta { deltas, .. } => {
                 let mut vals = Vec::with_capacity(len);
-                for i in 0..len {
-                    if i > 0 {
-                        cur += deltas[start + i - 1];
-                    }
+                if len > 0 {
+                    let mut cur = self.delta_at(deltas, start);
                     vals.push(cur);
+                    for d in &deltas[start..start + len - 1] {
+                        cur += d;
+                        vals.push(cur);
+                    }
                 }
                 self.delta_values(vals)
             }
@@ -545,6 +558,7 @@ impl StoredColumn {
             field,
             len,
             nulls,
+            checkpoints: delta_checkpoints(&data),
             data,
             dict,
             stats: ColumnStats {
@@ -710,6 +724,23 @@ fn rle_encode(phys: &PhysVec, nulls: &NullMask) -> ColumnData {
     }
 }
 
+/// The value at the first row of every [`BLOCK_ROWS`] block of delta data
+/// (see `StoredColumn::checkpoints`); empty for other layouts.
+fn delta_checkpoints(data: &ColumnData) -> Vec<i64> {
+    let ColumnData::Delta { first, deltas } = data else {
+        return Vec::new();
+    };
+    let mut cur = *first;
+    let mut marks = vec![cur];
+    for (i, d) in deltas.iter().enumerate() {
+        cur += d;
+        if (i + 1) % BLOCK_ROWS == 0 {
+            marks.push(cur);
+        }
+    }
+    marks
+}
+
 /// Delta-encode integer-like data; `None` when the type or nulls make it
 /// inapplicable.
 fn delta_encode(phys: &PhysVec, nulls: &NullMask) -> Option<ColumnData> {
@@ -837,6 +868,51 @@ mod tests {
         let r = sc.decode_range(1, 2).unwrap();
         assert_eq!(r.get(0), Value::Int(12));
         assert_eq!(r.get(1), Value::Int(11));
+    }
+
+    /// Every delta decode starts from a block checkpoint: ranges, single
+    /// values and gathers that start in, end in or straddle later blocks
+    /// agree with the plain layout.
+    #[test]
+    fn delta_decodes_from_block_checkpoints() {
+        let b = BLOCK_ROWS;
+        let vals: Vec<Option<i64>> = (0..3 * b + 17)
+            .map(|i| Some(((i as i64).wrapping_mul(2_654_435_761) % 1_000) - 500))
+            .collect();
+        let col = int_col(&vals);
+        let field = Field::new("x", DataType::Int);
+        let delta = StoredColumn::encode_with(field.clone(), &col, Codec::Delta).unwrap();
+        let plain = StoredColumn::encode_with(field, &col, Codec::Plain).unwrap();
+        assert_eq!(delta.codec_name(), "delta");
+        assert_eq!(delta.checkpoints.len(), 4);
+        for (start, len) in [
+            (0, 3 * b + 17),
+            (b - 1, 2),
+            (b, b),
+            (b + 1, b),
+            (2 * b - 3, b + 10),
+            (3 * b + 16, 1),
+            (3 * b + 17, 0),
+        ] {
+            assert_eq!(
+                delta.decode_range(start, len).unwrap(),
+                plain.decode_range(start, len).unwrap(),
+                "range {start}+{len}"
+            );
+        }
+        for row in [0, b - 1, b, b + 1, 2 * b, 3 * b + 16] {
+            assert_eq!(delta.value_at(row), plain.value_at(row), "row {row}");
+        }
+        for rows in [
+            vec![0, 5, b - 1, b, 2 * b + 3, 3 * b + 16],
+            vec![b + 7, b + 8, 3 * b],
+            vec![2 * b - 1],
+        ] {
+            assert_eq!(
+                delta.decode_rows(&rows).unwrap(),
+                plain.decode_rows(&rows).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -270,7 +270,7 @@ impl ScanOp {
         wlen: usize,
     ) -> Result<Option<Chunk>> {
         let wend = wstart + wlen;
-        let mut selected: Vec<usize> = Vec::new();
+        let mut selected: Vec<usize> = Vec::with_capacity(wlen);
         let mut skipped = 0u64;
         let mut range_pruned = 0u64;
         let mut visited = 0u64;

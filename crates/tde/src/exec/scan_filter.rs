@@ -7,27 +7,31 @@
 //! 1. **Zone maps** — a block whose min/max/null-count proves the predicate
 //!    unsatisfiable is skipped without touching its data.
 //! 2. **Predicate-on-codes** — for plain dictionary columns the (string)
-//!    predicate is evaluated once per dictionary entry; the per-row loop
-//!    compares `u32` codes against the resulting bitmap.
+//!    predicate is evaluated once per dictionary entry; a row's verdict is
+//!    its `u32` code's entry in the resulting bitmap.
 //! 3. **Run kernels** — for RLE columns the predicate runs once per run and
 //!    the verdict is broadcast over the run's rows.
 //! 4. **Typed slice kernels** — a comparison or `BETWEEN` whose literals have
-//!    the column's own type runs on the stored plain Int/Real/Date slice as
-//!    it lies, no decode.
-//! 5. Everything else decodes just the block segment and evaluates the
-//!    vectorized predicate on it.
+//!    the column's own type is a [`KeyRange`] over the stored plain
+//!    Int/Real/Date slice as it lies, no decode.
+//! 5. Everything else decodes just the block segment (a delta column from
+//!    its block's checkpoint) and evaluates the vectorized predicate on it.
 //!
-//! Surviving row ids are gathered through `StoredColumn::decode_rows`, so a
-//! selective scan performs a single copy into the output chunk.
+//! Whatever the kernel, survivors are selected by the one branch-free
+//! [`compact`]: each row id is written unconditionally and the output
+//! length advanced by the verdict, a NULL row's verdict folded in as
+//! `valid & pass | !valid & pass_on_null`. Surviving row ids are gathered
+//! through `StoredColumn::decode_rows`, a single copy into the output chunk.
 
 use std::sync::{Arc, OnceLock};
+use tabviz_common::selvec::compact;
 use tabviz_common::{
     Chunk, Collation, ColumnVec, DataType, Field, Result, Schema, SchemaRef, StrVec, TvError,
     Value, Values,
 };
 use tabviz_obs::Counter;
 use tabviz_storage::{BlockStats, ColumnData, PhysVec, StoredColumn, Table};
-use tabviz_tql::expr::{BinOp, Expr, TypedTest, UnaryOp};
+use tabviz_tql::expr::{BinOp, Expr, KeyRange, UnaryOp};
 
 /// Counters exported on the global obs registry: whole blocks proven
 /// unsatisfiable by zone maps, and rows removed before materialization
@@ -52,25 +56,6 @@ pub(crate) fn scan_metrics() -> &'static ScanMetrics {
     })
 }
 
-/// A pushed conjunct as a test over the column's native values (see
-/// [`TypedTest`]), for plain Int/Real/Date columns.
-enum TypedKernel {
-    Int(TypedTest<i64>),
-    Real(TypedTest<f64>),
-    Date(TypedTest<i32>),
-}
-
-impl TypedKernel {
-    fn compile(e: &Expr, dtype: DataType) -> Option<Self> {
-        match dtype {
-            DataType::Int => e.int_test().map(|(_, t)| TypedKernel::Int(t)),
-            DataType::Real => e.real_test().map(|(_, t)| TypedKernel::Real(t)),
-            DataType::Date => e.date_test().map(|(_, t)| TypedKernel::Date(t)),
-            _ => None,
-        }
-    }
-}
-
 /// One pushed conjunct, compiled against the scanned table.
 struct CompiledPred {
     expr: Expr,
@@ -81,9 +66,9 @@ struct CompiledPred {
     /// For plain dictionary columns: the predicate's verdict per dictionary
     /// code, computed once at compile time.
     code_bitmap: Option<Vec<bool>>,
-    /// The conjunct as a typed slice test, when its shape and literal types
-    /// allow one.
-    typed: Option<TypedKernel>,
+    /// The conjunct as a typed slice test, when its shape allows one and its
+    /// literals have the column's type.
+    range: Option<KeyRange>,
     /// Single-column schema used to evaluate `expr` over run values or
     /// decoded segments (nullable clone of the table field).
     eval_schema: SchemaRef,
@@ -143,7 +128,10 @@ impl ScanPredicates {
                 col,
                 pass_on_null,
                 code_bitmap,
-                typed: TypedKernel::compile(e, field.dtype),
+                range: e
+                    .key_range()
+                    .filter(|&(_, dtype, _)| dtype == field.dtype)
+                    .map(|(_, _, range)| range),
                 eval_schema,
             });
         }
@@ -169,10 +157,10 @@ impl ScanPredicates {
     }
 
     /// Append to `out` the rows of `[start, start + len)` that pass every
-    /// conjunct (global row ids, ascending). The first conjunct tests every
-    /// row of the segment, later ones only the rows still selected. Callers
-    /// segment by zone-map block, so RLE run enumeration and fallback
-    /// decodes stay block-sized.
+    /// conjunct (global row ids, ascending): every row id of the segment
+    /// goes in, and each conjunct in turn compacts the ids still selected
+    /// with the branch-free [`compact`]. Callers segment by zone-map block,
+    /// so RLE run enumeration and fallback decodes stay block-sized.
     pub fn select_segment(
         &self,
         table: &Table,
@@ -181,52 +169,28 @@ impl ScanPredicates {
         out: &mut Vec<usize>,
     ) -> Result<()> {
         let from = out.len();
-        for (k, p) in self.preds.iter().enumerate() {
+        out.extend(start..start + len);
+        for p in &self.preds {
             let col = table.column(p.col);
             let valid = col.null_mask().valid_bits();
-            macro_rules! narrow {
-                ($pass:expr) => {{
-                    let pass = $pass;
-                    if k == 0 {
-                        out.extend((start..start + len).filter(|&row| pass(row)));
-                    } else {
-                        let mut kept = from;
-                        for i in from..out.len() {
-                            if pass(out[i]) {
-                                out[kept] = out[i];
-                                kept += 1;
-                            }
-                        }
-                        out.truncate(kept);
-                    }
-                }};
-            }
-            // A NULL row passes iff the conjunct accepts NULL.
-            macro_rules! per_value {
-                ($test:expr) => {
-                    narrow!(|row: usize| {
-                        if valid.is_none_or(|v| v[row]) {
-                            $test(row)
-                        } else {
-                            p.pass_on_null
-                        }
-                    })
-                };
-            }
-            match (&p.code_bitmap, &p.typed, col.data()) {
-                // Predicate-on-codes: u32 compare against the bitmap.
+            let on_null = p.pass_on_null;
+            match (&p.code_bitmap, &p.range, col.data()) {
+                // Predicate-on-codes: the code's verdict from the bitmap (a
+                // NULL row's placeholder code may lie past it).
                 (Some(bitmap), _, ColumnData::Plain(PhysVec::Code(codes))) => {
-                    per_value!(|row: usize| bitmap[codes[row] as usize])
+                    compact(out, from, valid, on_null, |r| {
+                        bitmap.get(codes[r] as usize) == Some(&true)
+                    })
                 }
                 // Typed kernels on the stored slice, no decode.
-                (_, Some(TypedKernel::Int(t)), ColumnData::Plain(PhysVec::Int(v))) => {
-                    per_value!(|row: usize| t.holds(v[row], i64::cmp))
+                (_, Some(t), ColumnData::Plain(PhysVec::Int(v))) => {
+                    compact(out, from, valid, on_null, |r| t.holds(v[r]))
                 }
-                (_, Some(TypedKernel::Real(t)), ColumnData::Plain(PhysVec::Real(v))) => {
-                    per_value!(|row: usize| t.holds(v[row], f64::total_cmp))
+                (_, Some(t), ColumnData::Plain(PhysVec::Real(v))) => {
+                    compact(out, from, valid, on_null, |r| t.holds(v[r]))
                 }
-                (_, Some(TypedKernel::Date(t)), ColumnData::Plain(PhysVec::Date(v))) => {
-                    per_value!(|row: usize| t.holds(v[row], i32::cmp))
+                (_, Some(t), ColumnData::Plain(PhysVec::Date(v))) => {
+                    compact(out, from, valid, on_null, |r| t.holds(v[r]))
                 }
                 _ => {
                     let mask = match col.runs_overlapping(start, len) {
@@ -252,7 +216,8 @@ impl ScanPredicates {
                             p.expr.eval_predicate(&chunk)?
                         }
                     };
-                    narrow!(|row: usize| mask[row - start])
+                    // The mask already holds each NULL row's verdict.
+                    compact(out, from, None, false, |r| mask[r - start])
                 }
             }
         }

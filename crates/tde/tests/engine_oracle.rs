@@ -13,6 +13,7 @@
 #![allow(clippy::field_reassign_with_default)]
 
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tabviz_common::{Chunk, Collation, DataType, Field, Schema, Value};
@@ -251,7 +252,7 @@ impl StrKey {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(64), ..ProptestConfig::default() })]
 
     #[test]
     fn string_key_shapes_match_reference(

@@ -4,6 +4,7 @@
 //! lines with CRLF and some rows drop their trailing NULL cells.
 
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::Arc;
 use tabviz_common::{Chunk, DataType, Field, Schema, Value};
 use tabviz_textscan::{parse_csv, CsvOptions, HeaderMode};
@@ -106,7 +107,7 @@ fn case() -> impl Strategy<Value = (Vec<usize>, Vec<Vec<RawCell>>, usize, bool, 
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(256), ..ProptestConfig::default() })]
 
     #[test]
     fn written_chunks_parse_back_equal(case in case()) {

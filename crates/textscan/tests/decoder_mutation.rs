@@ -5,6 +5,7 @@
 //! has columns of one length and no more rows than the text has lines.
 
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::Arc;
 use tabviz_common::{DataType, Field, Schema};
 use tabviz_textscan::{parse_csv, CsvOptions};
@@ -57,7 +58,7 @@ fn schema() -> Arc<Schema> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(1024), ..ProptestConfig::default() })]
 
     #[test]
     fn mutated_csv_parses_or_fails(

@@ -181,29 +181,97 @@ pub enum Expr {
     },
 }
 
-/// A single-column predicate reduced to a test over the column's native
-/// type `T`: `col <cmp> literal` or `col BETWEEN low AND high`, every literal
-/// already of type `T`. Evaluators run it over a raw typed slice (a chunk
-/// column, or a stored plain column the scan has not decoded) without
-/// materializing a [`Value`] per row.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TypedTest<T> {
-    Cmp(BinOp, T),
-    Between(T, T),
+/// A column-vs-literal predicate resolved once, before any row loop, to one
+/// shape over an ordered `i64` key ([`Key`]): the rows whose key lies in
+/// `[lo, hi]` (`=`, `<`, `<=`, `>`, `>=`, `BETWEEN`), or outside it (`<>`).
+/// An empty interval (`lo > hi`) passes nothing, or everything when
+/// negated. Evaluators run it over a raw typed slice (a chunk column, or a
+/// stored plain column the scan has not decoded) with no [`Value`] and no
+/// branch per row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyRange {
+    lo: i64,
+    hi: i64,
+    negate: bool,
 }
 
-impl<T: Copy> TypedTest<T> {
-    /// Does the non-null value `x` pass? `cmp` is the type's total order
-    /// (`total_cmp` for reals, as in the generic evaluator).
-    #[inline]
-    pub fn holds(&self, x: T, cmp: impl Fn(&T, &T) -> Ordering) -> bool {
-        match self {
-            TypedTest::Cmp(op, lit) => cmp_holds(*op, cmp(&x, lit)),
-            TypedTest::Between(low, high) => {
-                cmp(&x, low) != Ordering::Less && cmp(&x, high) != Ordering::Greater
-            }
+impl KeyRange {
+    const EMPTY: (i64, i64) = (i64::MAX, i64::MIN);
+
+    /// `key <op> lit` for a comparison operator.
+    fn cmp(op: BinOp, lit: i64) -> Self {
+        let (lo, hi) = match op {
+            BinOp::Eq | BinOp::Ne => (lit, lit),
+            BinOp::Lt => lit.checked_sub(1).map_or(Self::EMPTY, |h| (i64::MIN, h)),
+            BinOp::Le => (i64::MIN, lit),
+            BinOp::Gt => lit.checked_add(1).map_or(Self::EMPTY, |l| (l, i64::MAX)),
+            BinOp::Ge => (lit, i64::MAX),
+            _ => unreachable!("{op:?} is not a comparison"),
+        };
+        KeyRange {
+            lo,
+            hi,
+            negate: op == BinOp::Ne,
         }
     }
+
+    /// Does the non-null value `x` pass?
+    #[inline]
+    pub fn holds<K: Key>(&self, x: K) -> bool {
+        let k = x.key();
+        ((k >= self.lo) & (k <= self.hi)) ^ self.negate
+    }
+}
+
+/// A native column value as its order key: Int and Date as they are, Real
+/// by its total-order bits, so keys order as `f64::total_cmp` (the generic
+/// evaluator's order) does: `-NaN < -inf < -0.0 < 0.0 < inf < NaN`.
+pub trait Key: Copy {
+    fn key(self) -> i64;
+}
+
+impl Key for i64 {
+    #[inline]
+    fn key(self) -> i64 {
+        self
+    }
+}
+
+impl Key for i32 {
+    #[inline]
+    fn key(self) -> i64 {
+        self as i64
+    }
+}
+
+impl Key for f64 {
+    #[inline]
+    fn key(self) -> i64 {
+        let bits = self.to_bits() as i64;
+        bits ^ ((((bits >> 63) as u64) >> 1) as i64)
+    }
+}
+
+/// An Int, Real or Date literal as its type and [`Key`].
+fn literal_key(v: &Value) -> Option<(DataType, i64)> {
+    match v {
+        Value::Int(i) => Some((DataType::Int, i.key())),
+        Value::Real(r) => Some((DataType::Real, r.key())),
+        Value::Date(d) => Some((DataType::Date, d.key())),
+        _ => None,
+    }
+}
+
+/// `BETWEEN low AND high` as a [`KeyRange`], when both bounds are Int,
+/// Real or Date literals of one type.
+fn between_range(low: &Value, high: &Value) -> Option<(DataType, KeyRange)> {
+    let ((dtype, lo), (high_type, hi)) = (literal_key(low)?, literal_key(high)?);
+    let range = KeyRange {
+        lo,
+        hi,
+        negate: false,
+    };
+    (dtype == high_type).then_some((dtype, range))
 }
 
 /// Shorthand constructors used pervasively in tests and query builders.
@@ -358,47 +426,31 @@ impl Expr {
         }
     }
 
-    /// This predicate as a [`TypedTest`] over the named column, when it has
-    /// one of the two shapes and `native` accepts every literal (a NULL or
-    /// cross-type literal declines, leaving the generic evaluator's
-    /// semantics in charge).
-    fn typed_test<T>(&self, native: impl Fn(&Value) -> Option<T>) -> Option<(&str, TypedTest<T>)> {
+    /// This predicate as a [`KeyRange`] over the named column, with the type
+    /// its literals share: `col <cmp> literal` or `col BETWEEN low AND high`,
+    /// every literal an Int, Real or Date of one type (a NULL or mixed-type
+    /// literal declines, leaving the generic evaluator's semantics in
+    /// charge). It applies to a column of that type only.
+    pub fn key_range(&self) -> Option<(&str, DataType, KeyRange)> {
         match self {
             Expr::Binary { op, left, right } if op.is_comparison() => {
                 match (left.as_ref(), right.as_ref()) {
                     (Expr::Column(name), Expr::Literal(v)) => {
-                        Some((name, TypedTest::Cmp(*op, native(v)?)))
+                        let (dtype, lit) = literal_key(v)?;
+                        Some((name, dtype, KeyRange::cmp(*op, lit)))
                     }
                     _ => None,
                 }
             }
             Expr::Between { expr, low, high } => match expr.as_ref() {
-                Expr::Column(name) => Some((name, TypedTest::Between(native(low)?, native(high)?))),
+                Expr::Column(name) => {
+                    let (dtype, range) = between_range(low, high)?;
+                    Some((name, dtype, range))
+                }
                 _ => None,
             },
             _ => None,
         }
-    }
-
-    pub fn int_test(&self) -> Option<(&str, TypedTest<i64>)> {
-        self.typed_test(|v| match v {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        })
-    }
-
-    pub fn real_test(&self) -> Option<(&str, TypedTest<f64>)> {
-        self.typed_test(|v| match v {
-            Value::Real(r) => Some(*r),
-            _ => None,
-        })
-    }
-
-    pub fn date_test(&self) -> Option<(&str, TypedTest<i32>)> {
-        self.typed_test(|v| match v {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        })
     }
 
     /// Evaluate a constant expression to a single value, or `None` if the
@@ -457,50 +509,26 @@ impl Expr {
                     });
                     return Ok(ColumnVec::new(Values::Bool(bits), input.nulls.clone()));
                 }
-                let n = input.len();
-                let mut out = Vec::with_capacity(n);
-                let mut valid = Vec::with_capacity(n);
-                for i in 0..n {
-                    let v = input.get(i);
-                    if v.is_null() {
-                        out.push(false);
-                        valid.push(false);
-                        continue;
-                    }
-                    let found = sorted.binary_search(&v).is_ok();
-                    out.push(found != *negated);
-                    valid.push(true);
-                }
-                Ok(ColumnVec::new(
-                    Values::Bool(out),
-                    NullMask::from_valid_bits(valid),
-                ))
+                // A NULL row's bit is masked by the input's nulls.
+                let bits = (0..input.len())
+                    .map(|i| sorted.binary_search(&input.get(i)).is_ok() != *negated)
+                    .collect();
+                Ok(ColumnVec::new(Values::Bool(bits), input.nulls.clone()))
             }
             Expr::Between { expr, low, high } => {
                 let input = expr.eval(chunk)?;
                 let collation = expr_collation(expr, chunk.schema());
-                if let Some(bits) = typed_between(&input, low, high, collation) {
-                    return Ok(ColumnVec::new(Values::Bool(bits), input.nulls.clone()));
-                }
-                let n = input.len();
-                let mut out = Vec::with_capacity(n);
-                let mut valid = Vec::with_capacity(n);
-                for i in 0..n {
-                    let v = input.get(i);
-                    if v.is_null() {
-                        out.push(false);
-                        valid.push(false);
-                    } else {
-                        let ge = v.cmp_collated(low, collation) != Ordering::Less;
-                        let le = v.cmp_collated(high, collation) != Ordering::Greater;
-                        out.push(ge && le);
-                        valid.push(true);
-                    }
-                }
-                Ok(ColumnVec::new(
-                    Values::Bool(out),
-                    NullMask::from_valid_bits(valid),
-                ))
+                let bits = typed_between(&input, low, high, collation).unwrap_or_else(|| {
+                    // A NULL row's bit is masked by the input's nulls.
+                    (0..input.len())
+                        .map(|i| {
+                            let v = input.get(i);
+                            v.cmp_collated(low, collation) != Ordering::Less
+                                && v.cmp_collated(high, collation) != Ordering::Greater
+                        })
+                        .collect()
+                });
+                Ok(ColumnVec::new(Values::Bool(bits), input.nulls.clone()))
             }
             Expr::Func { func, args } => {
                 if args.len() != func.arity() {
@@ -521,87 +549,61 @@ impl Expr {
     /// Evaluate as a filter predicate: NULL ⇒ row rejected.
     pub fn eval_predicate(&self, chunk: &Chunk) -> Result<Vec<bool>> {
         let out = self.eval(chunk)?;
-        if out.data_type() != DataType::Bool {
-            return Err(TvError::Type(format!(
-                "predicate evaluates to {}, expected bool",
-                out.data_type()
-            )));
-        }
-        Ok((0..out.len())
-            .map(|i| matches!(out.get(i), Value::Bool(true)))
-            .collect())
+        let bits = predicate_bits(&out)?;
+        Ok(match out.nulls.valid_bits() {
+            None => bits.to_vec(),
+            Some(valid) => bits.iter().zip(valid).map(|(&b, &v)| b & v).collect(),
+        })
     }
 
     /// Evaluate as a filter predicate into a selection vector. Semantics
     /// match [`Expr::eval_predicate`] (NULL ⇒ row rejected), but an all-true
     /// result collapses to [`SelVec::All`] so consumers can skip the gather,
-    /// and column-vs-literal comparisons and ranges ([`TypedTest`]) build
+    /// and column-vs-literal comparisons and ranges ([`KeyRange`]) build
     /// the id list straight from the typed column slice.
     pub fn eval_predicate_sel(&self, chunk: &Chunk) -> Result<SelVec> {
         if let Some(sel) = typed_pred_sel(self, chunk)? {
             return Ok(sel);
         }
         let out = self.eval(chunk)?;
-        let Some(bits) = out.values.as_bool() else {
-            return Err(TvError::Type(format!(
-                "predicate evaluates to {}, expected bool",
-                out.data_type()
-            )));
-        };
-        match out.nulls.valid_bits() {
-            None => Ok(SelVec::from_mask(bits)),
-            Some(valid) => {
-                let mut ids = Vec::new();
-                for (i, (&b, &v)) in bits.iter().zip(valid).enumerate() {
-                    if b && v {
-                        ids.push(i as u32);
-                    }
-                }
-                if ids.len() == bits.len() {
-                    return Ok(SelVec::all(bits.len()));
-                }
-                Ok(SelVec::Ids(ids))
-            }
-        }
+        let bits = predicate_bits(&out)?;
+        Ok(SelVec::select(bits.len(), out.nulls.valid_bits(), |i| {
+            bits[i]
+        }))
     }
 }
 
-/// Selection vector of a [`TypedTest`]-shaped predicate whose literals match
-/// the column's type (Int, Real or Date); `None` when the predicate needs the
-/// generic evaluator.
+/// A predicate's evaluated verdicts (valid or not); an error unless bool.
+fn predicate_bits(out: &ColumnVec) -> Result<&[bool]> {
+    out.values.as_bool().ok_or_else(|| {
+        TvError::Type(format!(
+            "predicate evaluates to {}, expected bool",
+            out.data_type()
+        ))
+    })
+}
+
+/// Selection vector of a [`KeyRange`]-shaped predicate whose literals have
+/// the column's type (Int, Real or Date); `None` when the predicate needs
+/// the generic evaluator.
 fn typed_pred_sel(pred: &Expr, chunk: &Chunk) -> Result<Option<SelVec>> {
-    fn select<T: Copy>(
-        test: &TypedTest<T>,
-        vals: &[T],
-        valid: Option<&[bool]>,
-        cmp: impl Fn(&T, &T) -> Ordering,
-    ) -> SelVec {
-        let mut ids = Vec::new();
-        for (i, x) in vals.iter().enumerate() {
-            if valid.is_none_or(|v| v[i]) && test.holds(*x, &cmp) {
-                ids.push(i as u32);
-            }
+    let Some((name, dtype, range)) = pred.key_range() else {
+        return Ok(None);
+    };
+    let col = chunk.column_by_name(name)?;
+    let valid = col.nulls.valid_bits();
+    Ok(match (&col.values, dtype) {
+        (Values::Int(v), DataType::Int) => {
+            Some(SelVec::select(v.len(), valid, |i| range.holds(v[i])))
         }
-        if ids.len() == vals.len() {
-            SelVec::all(vals.len())
-        } else {
-            SelVec::Ids(ids)
+        (Values::Real(v), DataType::Real) => {
+            Some(SelVec::select(v.len(), valid, |i| range.holds(v[i])))
         }
-    }
-    macro_rules! attempt {
-        ($test:ident, $variant:ident, $cmp:expr) => {
-            if let Some((name, test)) = pred.$test() {
-                let col = chunk.column_by_name(name)?;
-                if let Values::$variant(v) = &col.values {
-                    return Ok(Some(select(&test, v, col.nulls.valid_bits(), $cmp)));
-                }
-            }
-        };
-    }
-    attempt!(int_test, Int, i64::cmp);
-    attempt!(real_test, Real, f64::total_cmp);
-    attempt!(date_test, Date, i32::cmp);
-    Ok(None)
+        (Values::Date(v), DataType::Date) => {
+            Some(SelVec::select(v.len(), valid, |i| range.holds(v[i])))
+        }
+        _ => None,
+    })
 }
 
 /// `BETWEEN` over a whole column without a `Value` per row: typed slices
@@ -615,25 +617,24 @@ fn typed_between(
     collation: Collation,
 ) -> Option<Vec<bool>> {
     let valid = input.nulls.valid_bits();
-    macro_rules! run {
-        ($vals:expr, $low:expr, $high:expr, $cmp:expr) => {{
-            let test = TypedTest::Between(*$low, *$high);
-            let bits = $vals
-                .iter()
-                .enumerate()
-                .map(|(i, x)| valid.is_none_or(|v| v[i]) && test.holds(*x, $cmp))
-                .collect();
-            Some(bits)
-        }};
-    }
-    match (&input.values, low, high) {
-        (Values::Int(v), Value::Int(lo), Value::Int(hi)) => run!(v, lo, hi, i64::cmp),
-        (Values::Real(v), Value::Real(lo), Value::Real(hi)) => run!(v, lo, hi, f64::total_cmp),
-        (Values::Date(v), Value::Date(lo), Value::Date(hi)) => run!(v, lo, hi, i32::cmp),
-        (Values::Str(v), _, _) => Some(v.map_rows(valid, false, |s| {
+    if let Values::Str(v) = &input.values {
+        return Some(v.map_rows(valid, false, |s| {
             cmp_str_value(s, low, collation) != Ordering::Less
                 && cmp_str_value(s, high, collation) != Ordering::Greater
-        })),
+        }));
+    }
+    let (_, range) = between_range(low, high).filter(|(t, _)| *t == input.data_type())?;
+    fn bits<K: Key>(vals: &[K], valid: Option<&[bool]>, range: KeyRange) -> Vec<bool> {
+        let pass = |i: usize| range.holds(vals[i]);
+        match valid {
+            None => (0..vals.len()).map(pass).collect(),
+            Some(v) => (0..vals.len()).map(|i| v[i] & pass(i)).collect(),
+        }
+    }
+    match &input.values {
+        Values::Int(v) => Some(bits(v, valid, range)),
+        Values::Real(v) => Some(bits(v, valid, range)),
+        Values::Date(v) => Some(bits(v, valid, range)),
         _ => None,
     }
 }
@@ -783,63 +784,16 @@ fn eval_binary(op: BinOp, l: &ColumnVec, r: &ColumnVec, collation: Collation) ->
             }
         }
         // Fast typed paths for the hot combinations.
-        let mut out = Vec::with_capacity(n);
-        let mut valid = Vec::with_capacity(n);
-        match (&l.values, &r.values) {
-            (Values::Int(a), Values::Int(b)) => {
-                for i in 0..n {
-                    let (x, y) = (li(i), ri(i));
-                    if l.is_valid(x) && r.is_valid(y) {
-                        out.push(cmp_holds(op, a[x].cmp(&b[y])));
-                        valid.push(true);
-                    } else {
-                        out.push(false);
-                        valid.push(false);
-                    }
-                }
-            }
+        return Ok(match (&l.values, &r.values) {
+            (Values::Int(a), Values::Int(b)) => compare_rows(op, l, r, |x, y| a[x].cmp(&b[y])),
             (Values::Real(a), Values::Real(b)) => {
-                for i in 0..n {
-                    let (x, y) = (li(i), ri(i));
-                    if l.is_valid(x) && r.is_valid(y) {
-                        out.push(cmp_holds(op, a[x].total_cmp(&b[y])));
-                        valid.push(true);
-                    } else {
-                        out.push(false);
-                        valid.push(false);
-                    }
-                }
+                compare_rows(op, l, r, |x, y| a[x].total_cmp(&b[y]))
             }
             (Values::Str(a), Values::Str(b)) => {
-                for i in 0..n {
-                    let (x, y) = (li(i), ri(i));
-                    if l.is_valid(x) && r.is_valid(y) {
-                        out.push(cmp_holds(op, collation.cmp_str(a.get(x), b.get(y))));
-                        valid.push(true);
-                    } else {
-                        out.push(false);
-                        valid.push(false);
-                    }
-                }
+                compare_rows(op, l, r, |x, y| collation.cmp_str(a.get(x), b.get(y)))
             }
-            _ => {
-                for i in 0..n {
-                    let (x, y) = (li(i), ri(i));
-                    if l.is_valid(x) && r.is_valid(y) {
-                        let ord = l.get(x).cmp_collated(&r.get(y), collation);
-                        out.push(cmp_holds(op, ord));
-                        valid.push(true);
-                    } else {
-                        out.push(false);
-                        valid.push(false);
-                    }
-                }
-            }
-        }
-        return Ok(ColumnVec::new(
-            Values::Bool(out),
-            NullMask::from_valid_bits(valid),
-        ));
+            _ => compare_rows(op, l, r, |x, y| l.get(x).cmp_collated(&r.get(y), collation)),
+        });
     }
 
     // Arithmetic. Integer ops stay integer except division.
@@ -904,6 +858,28 @@ fn eval_binary(op: BinOp, l: &ColumnVec, r: &ColumnVec, collation: Collation) ->
             NullMask::from_valid_bits(valid),
         ))
     }
+}
+
+/// `op` over each row pair of `l` and `r` (a one-row side broadcast), by
+/// `ord(left row, right row)`; NULL when either side is.
+fn compare_rows(
+    op: BinOp,
+    l: &ColumnVec,
+    r: &ColumnVec,
+    ord: impl Fn(usize, usize) -> Ordering,
+) -> ColumnVec {
+    let n = l.len().max(r.len());
+    let (mut out, mut valid) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    for i in 0..n {
+        let (x, y) = (
+            if l.len() == 1 { 0 } else { i },
+            if r.len() == 1 { 0 } else { i },
+        );
+        let ok = l.is_valid(x) && r.is_valid(y);
+        out.push(ok && cmp_holds(op, ord(x, y)));
+        valid.push(ok);
+    }
+    ColumnVec::new(Values::Bool(out), NullMask::from_valid_bits(valid))
 }
 
 #[inline]
@@ -1175,6 +1151,58 @@ mod tests {
         }
         // All-true collapses to the compact form.
         assert!(lit(true).eval_predicate_sel(&c).unwrap().is_all());
+    }
+
+    /// Every comparison, at the key space's ends too, agrees with the
+    /// total order it replaces; Real keys order as `f64::total_cmp`.
+    #[test]
+    fn key_range_agrees_with_total_order() {
+        let ops = [
+            BinOp::Eq,
+            BinOp::Ne,
+            BinOp::Lt,
+            BinOp::Le,
+            BinOp::Gt,
+            BinOp::Ge,
+        ];
+        let ints = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        for op in ops {
+            for &lit in &ints {
+                let range = KeyRange::cmp(op, lit);
+                for &x in &ints {
+                    assert_eq!(
+                        range.holds(x),
+                        cmp_holds(op, x.cmp(&lit)),
+                        "{x} {op:?} {lit}"
+                    );
+                }
+            }
+        }
+        let reals = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for op in ops {
+            for &lit in &reals {
+                let range = KeyRange::cmp(op, lit.key());
+                for &x in &reals {
+                    let want = cmp_holds(op, x.total_cmp(&lit));
+                    assert_eq!(range.holds(x), want, "{x} {op:?} {lit}");
+                }
+            }
+        }
+        // Reversed bounds select nothing; equal bounds select one value.
+        let (_, reversed) = between_range(&Value::Date(5), &Value::Date(2)).unwrap();
+        assert!((0..8).all(|d: i32| !reversed.holds(d)));
+        let (_, point) = between_range(&Value::Int(3), &Value::Int(3)).unwrap();
+        assert_eq!((0..6i64).filter(|&x| point.holds(x)).count(), 1);
+        assert!(between_range(&Value::Int(3), &Value::Real(4.0)).is_none());
     }
 
     #[test]

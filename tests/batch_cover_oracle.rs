@@ -4,12 +4,10 @@
 //! plan, and the backend must see exactly the queries the report says left.
 //! Randomized over zone sets, shared filters, pool sizes and backends.
 
-mod support;
-
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use support::cases;
 use tabviz::cache::intelligent::CacheConfig;
 use tabviz::prelude::*;
 use tabviz::workloads::{

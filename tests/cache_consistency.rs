@@ -2,12 +2,10 @@
 //! byte-identical to executing the request directly. Randomized over
 //! filters, groupings and aggregates (proptest).
 
-mod support;
-
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::Arc;
 use std::time::Duration;
-use support::cases;
 use tabviz::cache::{intelligent::CacheConfig, IntelligentCache, QuerySpec};
 use tabviz::prelude::*;
 use tabviz::workloads::{generate_flights, FaaConfig};

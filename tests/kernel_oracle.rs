@@ -20,12 +20,10 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
-mod support;
-
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use support::cases;
 use tabviz::common::{ColumnVec, NullMask, SchemaRef, StrVec, Values};
 use tabviz::prelude::*;
 use tabviz::tde::exec::agg::HashAggOp;

@@ -4,11 +4,9 @@
 
 #![allow(clippy::field_reassign_with_default)]
 
-mod support;
-
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::Arc;
-use support::cases;
 use tabviz::prelude::*;
 use tabviz::tde::cost::CostProfile;
 use tabviz::tde::parallel::ParallelOptions;

@@ -3,10 +3,13 @@
 //! plain, null-heavy, all-null blocks), the zone-skipping pushdown scan —
 //! serial, parallel, and with pushdown disabled — must return exactly the
 //! rows a brute-force full scan + vectorized predicate evaluation selects.
+//! The brute force spells `BETWEEN` as two comparisons, so the typed range
+//! kernels the scan uses are never their own witness.
 
 #![allow(clippy::field_reassign_with_default)]
 
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::Arc;
 use tabviz::prelude::*;
 use tabviz::tde::cost::CostProfile;
@@ -23,8 +26,10 @@ const CITIES: [&str; 8] = ["atl", "bos", "chi", "dal", "den", "jfk", "lax", "sea
 /// * `d`  Int, globally ascending, no nulls → delta;
 /// * `r`  Int, long constant runs → rle;
 /// * `v`  Int, pseudo-random with scattered nulls → plain;
-/// * `nv` Int, ~90% null → plain, null-heavy;
-/// * `z`  Int, NULL for the entire first half → leading all-null blocks.
+/// * `nv` Int, ~90% null → null-heavy, its NULL runs long enough for rle;
+/// * `z`  Int, NULL for the entire first half → leading all-null blocks;
+/// * `x`  Real, pseudo-random with NULLs, NaN, 0.0 and −0.0 → plain;
+/// * `t`  Date, pseudo-random with NULLs → plain.
 fn oracle_table(rows: usize) -> (Tde, Chunk) {
     let schema = Arc::new(
         Schema::new(vec![
@@ -35,6 +40,8 @@ fn oracle_table(rows: usize) -> (Tde, Chunk) {
             Field::new("v", DataType::Int),
             Field::new("nv", DataType::Int),
             Field::new("z", DataType::Int),
+            Field::new("x", DataType::Real),
+            Field::new("t", DataType::Date),
         ])
         .unwrap(),
     );
@@ -59,6 +66,18 @@ fn oracle_table(rows: usize) -> (Tde, Chunk) {
         } else {
             Value::Int(i as i64)
         };
+        let x = match h % 13 {
+            0 => Value::Null,
+            1 => Value::Real(f64::NAN),
+            2 => Value::Real(-0.0),
+            3 => Value::Real(0.0),
+            _ => Value::Real((h % 801) as f64 / 4.0 - 100.0),
+        };
+        let t = if h.is_multiple_of(7) {
+            Value::Null
+        } else {
+            Value::Date((h % 365) as i32 - 100)
+        };
         data.push(vec![
             Value::Str(g.into()),
             Value::Str(s.into()),
@@ -67,14 +86,20 @@ fn oracle_table(rows: usize) -> (Tde, Chunk) {
             v,
             nv,
             z,
+            x,
+            t,
         ]);
     }
     let chunk = Chunk::from_rows(schema, &data).unwrap();
     let db = Arc::new(Database::new("oracle"));
     // Rows are already in (g, d) order, so the sort is a stable no-op and
     // `chunk` doubles as the decoded ground truth.
-    db.put(Table::from_chunk("t", &chunk, &["g", "d"]).unwrap())
-        .unwrap();
+    let table = Table::from_chunk("t", &chunk, &["g", "d"]).unwrap();
+    for name in ["v", "x", "t"] {
+        let codec = table.column_by_name(name).unwrap().codec_name();
+        assert!(rows < 97 || codec == "plain", "{name} is {codec}");
+    }
+    db.put(table).unwrap();
     (Tde::new(db), chunk)
 }
 
@@ -109,13 +134,29 @@ fn configs() -> Vec<(&'static str, ExecOptions)> {
 /// Brute force: evaluate the predicate over the fully decoded chunk and keep
 /// the passing rows.
 fn brute_force(full: &Chunk, pred: &Expr) -> Vec<Vec<Value>> {
-    let mask = pred.eval_predicate(full).unwrap();
+    let mask = two_comparisons(pred).eval_predicate(full).unwrap();
     full.to_rows()
         .into_iter()
         .zip(&mask)
         .filter(|(_, &m)| m)
         .map(|(r, _)| r)
         .collect()
+}
+
+/// `pred` with each `e BETWEEN low AND high` of non-NULL bounds spelled
+/// `e >= low AND e <= high`: the same rows, through the comparison
+/// evaluator instead of the range kernel under test. (A NULL low bound is
+/// vacuous in `BETWEEN` but not in `>=`, so those stay as they are.)
+fn two_comparisons(pred: &Expr) -> Expr {
+    match pred {
+        Expr::Between { expr, low, high } if !low.is_null() && !high.is_null() => bin(
+            BinOp::And,
+            bin(BinOp::Ge, (**expr).clone(), Expr::Literal(low.clone())),
+            bin(BinOp::Le, (**expr).clone(), Expr::Literal(high.clone())),
+        ),
+        Expr::Binary { op, left, right } => bin(*op, two_comparisons(left), two_comparisons(right)),
+        other => other.clone(),
+    }
 }
 
 fn check_against_oracle(tde: &Tde, full: &Chunk, pred: &Expr) {
@@ -218,8 +259,75 @@ fn arith_conjunct() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// Literal pairs for the typed columns, one strategy per type: Int (`v`
+/// plain, `nv` rle), Real (`x`) and Date (`t`), every literal of the column's
+/// own type and reaching the type's extremes (`i64::MIN`/`MAX`, ±inf, NaN,
+/// −0.0).
+fn typed_bounds() -> [BoxedStrategy<(&'static str, Value, Value)>; 3] {
+    let int_lit = prop_oneof![
+        -120i64..120i64,
+        proptest::sample::select(vec![i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]),
+    ]
+    .boxed();
+    let real_lit = prop_oneof![
+        (-400i64..400i64).prop_map(|q| q as f64 / 4.0),
+        proptest::sample::select(vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ]),
+    ]
+    .boxed();
+    let date_lit = prop_oneof![
+        -110i32..280i32,
+        proptest::sample::select(vec![i32::MIN, i32::MAX]),
+    ]
+    .boxed();
+    [
+        (
+            proptest::sample::select(vec!["v", "nv"]),
+            int_lit.clone(),
+            int_lit,
+        )
+            .prop_map(|(c, a, b)| (c, Value::Int(a), Value::Int(b)))
+            .boxed(),
+        (Just("x"), real_lit.clone(), real_lit)
+            .prop_map(|(c, a, b)| (c, Value::Real(a), Value::Real(b)))
+            .boxed(),
+        (Just("t"), date_lit.clone(), date_lit)
+            .prop_map(|(c, a, b)| (c, Value::Date(a), Value::Date(b)))
+            .boxed(),
+    ]
+}
+
+/// One conjunct the typed slice kernels take, over a column and literals
+/// from `bounds`: `col <cmp> literal` (`<>` included), or `col BETWEEN low
+/// AND high` with equal bounds or with bounds in either order (low > high
+/// selects nothing).
+fn typed_conjunct(
+    bounds: impl Strategy<Value = (&'static str, Value, Value)>,
+) -> impl Strategy<Value = Expr> {
+    (bounds, cmp_op(), 0u8..3).prop_map(|((c, a, b), op, shape)| match shape {
+        0 => bin(op, col(c), Expr::Literal(a)),
+        1 => Expr::Between {
+            expr: Box::new(col(c)),
+            low: a.clone(),
+            high: a,
+        },
+        _ => Expr::Between {
+            expr: Box::new(col(c)),
+            low: a,
+            high: b,
+        },
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: cases(48), ..ProptestConfig::default() })]
 
     #[test]
     fn pushdown_scan_matches_brute_force(
@@ -239,6 +347,34 @@ proptest! {
         let (tde, full) = oracle_table(rows);
         let pred = tabviz::tql::expr::and_all(conjuncts);
         check_against_oracle(&tde, &full, &pred);
+    }
+
+    #[test]
+    fn typed_kernels_match_brute_force(
+        conjunct in {
+            let [int, real, date] = typed_bounds();
+            typed_conjunct(prop_oneof![int, real, date])
+        },
+        rows in proptest::sample::select(vec![97usize, 4_096, 10_000]),
+    ) {
+        let (tde, full) = oracle_table(rows);
+        check_against_oracle(&tde, &full, &conjunct);
+    }
+
+    /// Two typed conjuncts on columns of different types, in either order:
+    /// the second narrows the ids the first selected.
+    #[test]
+    fn typed_conjuncts_narrow_on_two_columns(
+        (a, b) in (0usize..3, 1usize..3).prop_flat_map(|(k, step)| {
+            let bounds = typed_bounds();
+            (
+                typed_conjunct(bounds[k].clone()),
+                typed_conjunct(bounds[(k + step) % 3].clone()),
+            )
+        }),
+    ) {
+        let (tde, full) = oracle_table(10_000);
+        check_against_oracle(&tde, &full, &bin(BinOp::And, a, b));
     }
 }
 

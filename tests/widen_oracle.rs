@@ -8,12 +8,10 @@
 //! MAX and COUNTD; over a simulated
 //! warehouse and the TDE as a source; one query at a time and in batches.
 
-mod support;
-
 use proptest::prelude::*;
+use proptest::test_runner::cases;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-use support::cases;
 use tabviz::cache::intelligent::CacheConfig;
 use tabviz::prelude::*;
 
